@@ -38,7 +38,12 @@ from .linalg import (
     solve_mod,
     solve_mod_multi,
 )
-from .polytope import OpenSubset, cone_facet_normals, lattice_points_in_dilate
+from .polytope import (
+    OpenSubset,
+    cone_facet_normals,
+    lattice_points_in_dilate,
+    newton_polytope,
+)
 
 
 class ResidualError(ArithmeticError):
@@ -164,6 +169,16 @@ def vertex_frame(f: LaurentPoly, b):
     if delta < 1:
         raise ValueError("cone functional failed; is b a vertex of the hull?")
     return tuple(normals), psi, delta
+
+
+def unit_vertex(f: LaurentPoly, p: int):
+    """The first Newton-polytope vertex whose coefficient is a p-adic unit
+    integer: the base point of vertex expansions."""
+    for v in newton_polytope(f.support()).vertices:
+        c = f.coefficient_at(v)
+        if not isinstance(c, TPoly) and c % p:
+            return v
+    raise ValueError("no vertex with p-unit coefficient")
 
 
 def vertex_budget(f: LaurentPoly, b, m: int, h: LaurentPoly, targets, slack: int = 2) -> int:
@@ -468,6 +483,8 @@ def cartier_via_formula(
     """
     if p == 2:
         raise ValueError("the Cartier contraction bound needs p > 2")
+    if N < 1:
+        raise ValueError("precision N must be >= 1")
     modulus = p**N
     mceil = -(-m // p)
     G = frobenius_discrepancy(f, sigma, p)
@@ -614,7 +631,7 @@ def interpolate_cartier(
     nb = len(basis)
     generators = None
     if g is None:
-        base = _pick_unit_vertex(f, modulus)
+        base = unit_vertex(f, p)
         generators = [
             tuple(e - x for e, x in zip(u, base))
             for u in f.support()
@@ -675,35 +692,11 @@ def _basis_expansions(f, g, basis, needed, k, p, s, modulus, t_trunc):
         for h, m in basis:
             out.append(expand_origin(h, g, m, t_trunc, modulus, targets=needed))
     else:
-        b = _pick_unit_vertex(f, modulus)
+        b = unit_vertex(f, p)
         for h, m in basis:
             S = vertex_budget(f, b, m, h, needed)
             out.append(expand_vertex(h, f, m, b, S, modulus))
     return out
-
-
-def _pick_unit_vertex(f: LaurentPoly, modulus):
-    from .polytope import newton_polytope
-
-    P = newton_polytope(f.support())
-    for v in P.vertices:
-        c = f.coefficient_at(v)
-        if isinstance(c, TPoly):
-            continue
-        if modulus is None and c in (1, -1):
-            return v
-        if modulus is not None and c % _p_of(modulus) != 0:
-            return v
-    raise NonUnitError("no vertex with unit coefficient")
-
-
-def _p_of(modulus):
-    # modulus is p^N; recover p as the smallest prime factor
-    m = modulus
-    for q in range(2, 100000):
-        if m % q == 0:
-            return q
-    return m
 
 
 def _probe_data(exps, sigma, w, p, s, modulus):
@@ -853,7 +846,7 @@ def unit_root_projection_check(
     h, m = omega
     points = lattice_points_in_dilate(mu, 1)
     modulus = p**s
-    b_vertex = _pick_unit_vertex(f, modulus)
+    b_vertex = unit_vertex(f, p)
     generators = [
         tuple(e - x for e, x in zip(u, b_vertex))
         for u in f.support()

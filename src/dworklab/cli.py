@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -33,7 +34,14 @@ from .hasse_witt import (
     hw_matrix,
     lambda_unit_root,
 )
-from .cartier import ResidualError, cartier_via_formula, expand_vertex, vertex_budget, cartier_shift
+from .cartier import (
+    ResidualError,
+    cartier_shift,
+    cartier_via_formula,
+    expand_vertex,
+    unit_vertex,
+    vertex_budget,
+)
 from .linalg import RankDeficiencyError, InconsistentSystemError
 from .zeta import BudgetExceededError, count_torus_points, eigenvalue_crosscheck
 from .cy import (
@@ -157,14 +165,7 @@ def cmd_cartier(args, fmt):
     p, N, m = args.prime, args.precision, args.pole
     one = LaurentPoly.constant(f.n, 1)
     image = cartier_via_formula(one, f, m, p, FrobeniusLift.identity(), N)
-    P = newton_polytope(f.support())
-    base = None
-    for v in P.vertices:
-        if f.coefficient_at(v) % p:
-            base = v
-            break
-    if base is None:
-        raise ValueError("no vertex with p-unit coefficient")
+    base = unit_vertex(f, p)
     import itertools
 
     box = list(itertools.product(range(-args.bound, args.bound + 1), repeat=f.n))
@@ -341,6 +342,14 @@ def cmd_gamma_p(args, fmt):
     return 0
 
 
+def _odd_prime(text: str) -> int:
+    """argparse type for every prime option: an odd prime, else exit 2."""
+    p = int(text)
+    if p < 3 or p % 2 == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+        raise argparse.ArgumentTypeError(f"{text} is not an odd prime")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dworklab",
@@ -358,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hw", help="Hasse-Witt matrix")
     poly_opts(p)
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--mu", default="interior")
     p.add_argument("--precision", type=int, default=1)
     p.set_defaults(fn=cmd_hw)
 
     p = sub.add_parser("lambda", help="unit-root matrix")
     poly_opts(p)
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--mu", default="interior")
     p.add_argument("--steps", type=int, default=2)
     p.add_argument("--t-trunc", type=int, default=None, dest="t_trunc")
@@ -373,14 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("higher-hw", help="higher Hasse-Witt condition report")
     poly_opts(p)
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--mu", default="whole")
     p.add_argument("--level", type=int, default=2)
     p.set_defaults(fn=cmd_higher_hw)
 
     p = sub.add_parser("cartier", help="Cartier route-equivalence oracle")
     poly_opts(p)
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--pole", type=int, default=1)
     p.add_argument("--precision", type=int, default=2)
     p.add_argument("--bound", type=int, default=2)
@@ -388,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta-count", help="brute-force torus point count")
     poly_opts(p)
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--ext", type=int, default=1)
     p.set_defaults(fn=cmd_zeta_count)
 
     p = sub.add_parser("crosscheck", help="trace vs point-count comparison")
     poly_opts(p)
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--smax", type=int, default=2)
     p.set_defaults(fn=cmd_crosscheck)
 
@@ -402,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite")
     p.add_argument("--poly")
     p.add_argument("--job", help="JobSpec JSON file")
-    p.add_argument("--primes", type=lambda s: [int(x) for x in s.split(",")],
+    p.add_argument("--primes", type=lambda s: [_odd_prime(x) for x in s.split(",")],
                    default=[3, 5, 7])
     p.add_argument("--smax", type=int, default=2)
     p.add_argument("--bound", type=int, default=30)
@@ -415,13 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="quintic")
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--degree", type=int, default=10)
-    p.add_argument("--prime", type=int, default=7)
+    p.add_argument("--prime", type=_odd_prime, default=7)
     p.add_argument("--steps", type=int, default=1)
     p.set_defaults(fn=cmd_cy)
 
     p = sub.add_parser("gamma-p", help="Morita p-adic gamma values")
     p.add_argument("--x", default="1")
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--precision", type=int, default=2)
     p.add_argument("--ratio-check", type=int, default=None, dest="ratio_check")
     p.set_defaults(fn=cmd_gamma_p)

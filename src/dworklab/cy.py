@@ -29,6 +29,7 @@ from .polytope import (
     newton_polytope,
 )
 from .cartier import interpolate_cartier, theta_t_rational
+from .linalg import mat_mul, tmat_mul
 
 
 # -- presets -----------------------------------------------------------
@@ -515,16 +516,6 @@ class Lambda0Report:
     ode_residual_ok: bool
 
 
-def _factorial_matrix(m: int, x: Fraction):
-    """E(x)_{ij} = x^(j-i)/(j-i)! for j >= i: the constant part of the
-    Wronskian at a maximally unipotent point, as a polynomial in log t = x."""
-    M = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            M[i][j] = x ** (j - i) / math.factorial(j - i)
-    return M
-
-
 def cyclic_basis(f: LaurentPoly, n: int):
     """(numerator, pole) pairs for 1/f, theta(1/f), ..., theta^(n-1)(1/f)."""
     basis = [(LaurentPoly.constant(f.n, TPoly([1])), 1)]
@@ -589,7 +580,7 @@ def frobenius_lambda0(
         for k2 in range(n):
             E1 = _poly_factorial_entry(n, k1, Fraction(-1))
             E2 = _poly_factorial_entry(n, k2, Fraction(p))
-            prod = _mat_mul_frac(_mat_mul_frac(E1, _int_to_frac(lam0_int)), E2)
+            prod = mat_mul(mat_mul(E1, lam0_int), E2)
             key = k1 + k2
             ell_terms[key] = _mat_add_frac(ell_terms.get(key), prod)
     lambda0 = ell_terms.get(0)
@@ -651,18 +642,6 @@ def _poly_factorial_entry(m, k, scale):
         if j < m:
             M[i][j] = scale**k / math.factorial(k)
     return M
-
-
-def _int_to_frac(M):
-    return [[Fraction(x) for x in row] for row in M]
-
-
-def _mat_mul_frac(A, B):
-    m, inner, c = len(A), len(B), len(B[0])
-    return [
-        [sum(A[i][t] * B[t][j] for t in range(inner)) for j in range(c)]
-        for i in range(m)
-    ]
 
 
 def _mat_add_frac(A, B):
@@ -741,47 +720,23 @@ def _ode_residual_ok(operator, lam, p, check_precision, t_check):
     m = operator.order
     modulus = p**check_precision
     Tn = t_check * p + 1
-    a = operator.coefficient_series(Tn)
+    companion = operator.companion_series(Tn)
     try:
-        N = [[s.to_tpoly_mod(p, check_precision) for s in row]
-             for row in _companion_rows(a, m, Tn)]
+        N = [[s.to_tpoly_mod(p, check_precision) for s in row] for row in companion]
     except NonUnitError:
         return False
     lamT = [[e % modulus for e in row] for row in lam]
     Np = [[e.subs_t_power(p) % modulus for e in row] for row in N]
     theta_lam = [[e.theta() % modulus for e in row] for row in lamT]
     lhs = theta_lam
-    rhs1 = _tmat_mul_mod(N, lamT, modulus, t_check)
-    rhs2 = _tmat_mul_mod(lamT, Np, modulus, t_check)
+    rhs1 = tmat_mul(N, lamT, modulus, t_check + 1)
+    rhs2 = tmat_mul(lamT, Np, modulus, t_check + 1)
     for i in range(m):
         for j in range(m):
             diff = (lhs[i][j] - rhs1[i][j] + p * rhs2[i][j]) % modulus
             if any(c % modulus for c in diff.truncate(t_check).coeffs):
                 return False
     return True
-
-
-def _companion_rows(a, m, T):
-    rows = [[TruncatedSeries.zero(T) for _ in range(m)] for _ in range(m)]
-    for i in range(m - 1):
-        rows[i][i + 1] = TruncatedSeries.one(T)
-    for j in range(m):
-        rows[m - 1][j] = -a[m - 1 - j]
-    return rows
-
-
-def _tmat_mul_mod(A, B, modulus, t_keep):
-    m, inner, c = len(A), len(B), len(B[0])
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(c):
-            acc = TPoly()
-            for t in range(inner):
-                acc = acc + A[i][t] * B[t][j]
-            row.append((acc % modulus).truncate(t_keep + 1))
-        out.append(row)
-    return out
 
 
 # -- excellent lifts ----------------------------------------------------

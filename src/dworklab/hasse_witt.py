@@ -70,6 +70,8 @@ def beta_matrix(
     """beta_m(mu) with entries mod p^N; beta_1 is the identity by convention."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if N < 1:
+        raise ValueError("precision N must be >= 1")
     points = lattice_points_in_dilate(mu, 1)
     modulus = p**N
     if m == 1:
@@ -285,7 +287,7 @@ def higher_hw_alternative_check(
     infinite expansion, so the comparison also asserts that the tail of the
     series coefficient vanishes mod p^k on the checked window.
     """
-    from .cartier import expand_origin, expand_vertex, vertex_budget
+    from .cartier import expand_origin, expand_vertex, unit_vertex, vertex_budget
 
     if sigma is None:
         sigma = FrobeniusLift.identity()
@@ -305,7 +307,7 @@ def higher_hw_alternative_check(
         T = t_check if t_check is not None else k * (p - 1) + p + 2
         E = expand_origin(numerator, g, k, T, modulus, targets=targets)
     else:
-        b = _pick_unit_vertex_for(f, p)
+        b = unit_vertex(f, p)
         S = vertex_budget(f, b, k, numerator, targets)
         E = expand_vertex(numerator, f, k, b, S, modulus, targets=targets)
     for iu, u in enumerate(points):
@@ -322,19 +324,6 @@ def higher_hw_alternative_check(
     return True
 
 
-def _pick_unit_vertex_for(f: LaurentPoly, p: int):
-    from .polytope import newton_polytope
-
-    P = newton_polytope(f.support())
-    for v in P.vertices:
-        c = f.coefficient_at(v)
-        if isinstance(c, TPoly):
-            continue
-        if c % p:
-            return v
-    raise ValueError("no vertex with p-unit coefficient")
-
-
 def higher_hw_condition(
     f: LaurentPoly, mu: OpenSubset, k: int, p: int, sigma: FrobeniusLift | None = None
 ):
@@ -346,6 +335,8 @@ def higher_hw_condition(
     operationalises invertibility after clearing the declared Hasse-Witt
     denominators.
     """
+    if k < 1:
+        raise ValueError("level k must be >= 1")
     if sigma is None:
         sigma = FrobeniusLift.identity()
     report = {}

@@ -57,10 +57,6 @@ class LaurentPoly:
     def constant(n: int, c) -> "LaurentPoly":
         return LaurentPoly(n, {(0,) * n: c})
 
-    @staticmethod
-    def from_string_terms(n: int, pairs) -> "LaurentPoly":
-        return LaurentPoly(n, {tuple(e): c for e, c in pairs})
-
     # -- basic queries ------------------------------------------------
 
     def support(self):
@@ -418,9 +414,13 @@ def poly_to_json(f: LaurentPoly) -> dict:
 def poly_from_json(obj) -> LaurentPoly:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    n = int(obj["n"])
+    if not isinstance(obj, dict):
+        raise ValueError("polynomial JSON must be an object")
+    n, terms = obj.get("n"), obj.get("terms")
+    if type(n) is not int or not isinstance(terms, list):
+        raise ValueError('polynomial JSON needs an integer "n" and a list "terms"')
     return LaurentPoly(
-        n, {tuple(t["e"]): _coeff_from_json(t["c"]) for t in obj["terms"]}
+        n, {tuple(t["e"]): _coeff_from_json(t["c"]) for t in terms}
     )
 
 

@@ -2,7 +2,9 @@
 
 Matrices are plain lists of lists.  Entries are ints (residues mod p^N) or
 TPoly values; the solvers that need division insist on unit pivots, because
-over Z/p^N a non-unit pivot silently destroys precision.
+over Z/p^N a non-unit pivot silently destroys precision.  The integer
+solvers (mat_inv_mod, solve_mod, solve_mod_multi) share one elimination over
+Z/p^N; the inverse over (Z/p^N)[t]/(t^T) in tmat_inv_series is separate.
 """
 
 from __future__ import annotations
@@ -44,17 +46,6 @@ def mat_mul(A, B, modulus=None):
     return out
 
 
-def mat_sub(A, B, modulus=None):
-    out = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-    if modulus is not None:
-        out = [[x % modulus for x in row] for row in out]
-    return out
-
-
-def mat_map(fn, A):
-    return [[fn(x) for x in row] for row in A]
-
-
 def mat_trace(A, modulus=None):
     acc = sum(A[i][i] for i in range(len(A)))
     return acc % modulus if modulus is not None else acc
@@ -73,26 +64,10 @@ def mat_pow(A, k, modulus=None):
 
 
 def mat_inv_mod(A, modulus: int):
-    """Inverse over Z/modulus by Gaussian elimination with unit pivots."""
+    """Inverse over Z/modulus: the solve with identity right-hand sides."""
     k = len(A)
-    work = [[A[i][j] % modulus for j in range(k)] + [1 if j == i else 0 for j in range(k)]
-            for i in range(k)]
-    for col in range(k):
-        piv = None
-        for i in range(col, k):
-            if work[i][col] % modulus != 0 and _is_unit(work[i][col], modulus):
-                piv = i
-                break
-        if piv is None:
-            raise NonUnitError("matrix has no unit pivot; determinant is not a unit")
-        work[col], work[piv] = work[piv], work[col]
-        inv = inv_mod(work[col][col], modulus)
-        work[col] = [x * inv % modulus for x in work[col]]
-        for i in range(k):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [(x - f * y) % modulus for x, y in zip(work[i], work[col])]
-    return [row[k:] for row in work]
+    columns = _eliminate(A, identity_matrix(k), modulus)
+    return [list(row) for row in zip(*columns)]
 
 
 def _is_unit(x: int, modulus: int) -> bool:
@@ -110,41 +85,19 @@ def solve_mod(A, b, modulus: int):
     Raises RankDeficiencyError if fewer than cols unit pivots can be found and
     InconsistentSystemError if eliminated rows leave a nonzero residual.
     """
-    rows = len(A)
-    cols = len(A[0]) if A else 0
-    work = [[A[i][j] % modulus for j in range(cols)] + [b[i] % modulus]
-            for i in range(rows)]
-    pivot_rows = []
-    r = 0
-    for col in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if _is_unit(work[i][col], modulus):
-                piv = i
-                break
-        if piv is None:
-            raise RankDeficiencyError(
-                f"no unit pivot in column {col}; add probes or raise truncation"
-            )
-        work[r], work[piv] = work[piv], work[r]
-        inv = inv_mod(work[r][col], modulus)
-        work[r] = [x * inv % modulus for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [(x - f * y) % modulus for x, y in zip(work[i], work[r])]
-        pivot_rows.append(r)
-        r += 1
-    for i in range(r, rows):
-        if work[i][cols] % modulus != 0:
-            raise InconsistentSystemError(
-                f"residual {work[i][cols]} mod {modulus} on an eliminated row"
-            )
-    return [work[i][cols] for i in range(cols)]
+    return _eliminate(A, [b], modulus)[0]
 
 
 def solve_mod_multi(A, bs, modulus: int):
     """solve_mod with several right-hand sides sharing one elimination."""
+    return _eliminate(A, bs, modulus)
+
+
+def _eliminate(A, bs, modulus: int):
+    """Gauss-Jordan elimination of [A | bs] over Z/modulus with unit pivots.
+
+    Returns one solution vector per right-hand side in bs.
+    """
     rows = len(A)
     cols = len(A[0]) if A else 0
     nb = len(bs)
@@ -152,10 +105,9 @@ def solve_mod_multi(A, bs, modulus: int):
         [A[i][j] % modulus for j in range(cols)] + [bs[k][i] % modulus for k in range(nb)]
         for i in range(rows)
     ]
-    r = 0
     for col in range(cols):
         piv = None
-        for i in range(r, rows):
+        for i in range(col, rows):
             if _is_unit(work[i][col], modulus):
                 piv = i
                 break
@@ -163,15 +115,14 @@ def solve_mod_multi(A, bs, modulus: int):
             raise RankDeficiencyError(
                 f"no unit pivot in column {col}; add probes or raise truncation"
             )
-        work[r], work[piv] = work[piv], work[r]
-        inv = inv_mod(work[r][col], modulus)
-        work[r] = [x * inv % modulus for x in work[r]]
+        work[col], work[piv] = work[piv], work[col]
+        inv = inv_mod(work[col][col], modulus)
+        work[col] = [x * inv % modulus for x in work[col]]
         for i in range(rows):
-            if i != r and work[i][col]:
+            if i != col and work[i][col]:
                 f = work[i][col]
-                work[i] = [(x - f * y) % modulus for x, y in zip(work[i], work[r])]
-        r += 1
-    for i in range(r, rows):
+                work[i] = [(x - f * y) % modulus for x, y in zip(work[i], work[col])]
+    for i in range(cols, rows):
         for k in range(nb):
             if work[i][cols + k] % modulus != 0:
                 raise InconsistentSystemError(

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .linalg import int_det
+
 MAX_DIMENSION = 6
 MAX_HULL_POINTS = 64
 
@@ -25,43 +27,15 @@ class DegenerateSupportError(ValueError):
     """Support does not span the ambient space; the theory needs dim = n."""
 
 
-def _rank(rows) -> int:
+def _rref(rows):
+    """Reduced row echelon form over Q: (reduced rows, pivot columns)."""
     mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
     cols = len(mat[0]) if mat else 0
-    r = 0
+    pivots = []
     for c in range(cols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        rank += 1
+        r = len(pivots)
         if r == len(mat):
             break
-    return rank
-
-
-def _kernel_vector(rows, n):
-    """A primitive integer vector orthogonal to all rows, or None if the
-    orthogonal complement is not one-dimensional."""
-    if _rank(rows) != n - 1:
-        return None
-    mat = [[Fraction(x) for x in r] for r in rows]
-    # reduced row echelon
-    pivots = []
-    r = 0
-    for c in range(n):
         piv = None
         for i in range(r, len(mat)):
             if mat[i][c] != 0:
@@ -77,7 +51,19 @@ def _kernel_vector(rows, n):
                 f = mat[i][c]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
-        r += 1
+    return mat, pivots
+
+
+def _rank(rows) -> int:
+    return len(_rref(rows)[1])
+
+
+def _kernel_vector(rows, n):
+    """A primitive integer vector orthogonal to all rows, or None if the
+    orthogonal complement is not one-dimensional."""
+    mat, pivots = _rref(rows)
+    if len(pivots) != n - 1:
+        return None
     free = [c for c in range(n) if c not in pivots][0]
     vec = [Fraction(0)] * n
     vec[free] = Fraction(1)
@@ -357,7 +343,7 @@ def simplex_cone_volume_one(vertex_vectors, n) -> bool:
     g = 0
     for cols in itertools.combinations(range(n), r):
         sub = [[v[c] for c in cols] for v in vecs]
-        g = gcd(g, abs(_int_det(sub)))
+        g = gcd(g, abs(int_det(sub)))
         if g == 1:
             return True
     return g == 1
@@ -374,23 +360,3 @@ def all_proper_faces_volume_one(P: LatticePolytope) -> bool:
             return False
     return True
 
-
-def _int_det(mat) -> int:
-    m = [row[:] for row in mat]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for j in range(i + 1, n):
-                if m[j][i] != 0:
-                    m[i], m[j] = m[j], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for j in range(i + 1, n):
-            for k in range(i + 1, n):
-                m[j][k] = (m[j][k] * m[i][i] - m[j][i] * m[i][k]) // prev
-        prev = m[i][i]
-    return sign * m[-1][-1]

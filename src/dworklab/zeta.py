@@ -251,6 +251,8 @@ def eigenvalue_crosscheck(f: LaurentPoly, p: int, s_max: int, N: int | None = No
     by brute force.  Returns a per-s report; all cells must match when the
     Hasse-Witt condition holds.
     """
+    if s_max < 1:
+        raise ValueError("s_max must be >= 1")
     P = newton_polytope(f.support())
     mu = whole_polytope(P)
     sign = (-1) ** (f.n + 1)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dworklab.arith import TPoly
 from dworklab.laurent import FrobeniusLift, LaurentPoly, family_poly
@@ -22,6 +24,7 @@ from dworklab.cartier import (
     theta_rational,
     theta_t_rational,
     unit_root_projection_check,
+    unit_vertex,
     vertex_budget,
 )
 
@@ -287,6 +290,29 @@ class TestDerivativeOrder:
                             psi=(1, 1), delta=1, shifts=(), cone_normals=())
         for k in (1, 2, 3):
             assert formal_derivative_order(E, k, 5, 3)
+
+
+class TestUnitVertex:
+    def test_skips_vertices_with_p_divisible_coefficients(self):
+        f = LaurentPoly(2, {(0, 0): 5, (1, 0): 10, (0, 1): 3})
+        assert unit_vertex(f, 5) == (0, 1)
+        assert unit_vertex(f, 3) == (0, 0)
+
+    def test_skips_t_polynomial_coefficients(self):
+        f = family_poly(SIMPLICIAL2)  # only the interior origin is constant in t
+        with pytest.raises(ValueError, match="no vertex with p-unit coefficient"):
+            unit_vertex(f, 5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([3, 5, 7]), st.lists(st.integers(1, 4), min_size=3, max_size=3),
+           st.integers(1, 4))
+    def test_no_unit_vertex_raises(self, p, vertex_coeffs, interior_coeff):
+        # the interior point's coefficient is a unit, but it is not a vertex
+        terms = {e: p * c for e, c in zip([(-1, -1), (1, 0), (0, 1)], vertex_coeffs)}
+        terms[(0, 0)] = interior_coeff
+        f = LaurentPoly(2, terms)
+        with pytest.raises(ValueError, match="no vertex with p-unit coefficient"):
+            unit_vertex(f, p)
 
 
 class TestInterpolation:

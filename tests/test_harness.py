@@ -51,10 +51,6 @@ class TestJobSpec:
         assert spec.families[0][1] == LaurentPoly(1, {(1,): 1})
         assert spec.curves == ((-1, 0),)
 
-    def test_budget_env(self, monkeypatch):
-        monkeypatch.setenv("DWORKLAB_BUDGET_MB", "512")
-        assert JobSpec().budget.memory_mb == 512
-
 
 class TestSuitePasses:
     def test_hhw_small(self):

@@ -188,6 +188,14 @@ class TestJson:
         assert {"e": [0], "c": {"tpoly": ["1"]}} in obj["terms"]
         assert poly_from_json(obj) == ft
 
+    @pytest.mark.parametrize(
+        "obj",
+        [{"terms": []}, {"n": 2}, {"n": "2", "terms": []}, {"n": 2, "terms": {}}, [2, []]],
+    )
+    def test_malformed_polynomial_json(self, obj):
+        with pytest.raises(ValueError):
+            poly_from_json(obj)
+
     def test_family_from_json(self):
         obj = {
             "form": "1-t*g",
