@@ -5,10 +5,11 @@ Everything downstream works over one of these rings:
 * plain Python ``int`` (arbitrary precision, used whenever exactness is free),
 * ``Z/p^N`` residues, wrapped as :class:`PadicScalar` at API boundaries and
   as bare ints inside matrix kernels,
-* exact polynomials in one variable ``t`` (:class:`TPoly`), the coefficient
-  ring of one-parameter families,
-* truncated power series with rational coefficients (:class:`TruncatedSeries`),
-  the substrate for Picard-Fuchs solutions and mirror maps.
+* dense polynomials in one variable ``t`` (:class:`TPoly`), the one series
+  type: exact polynomials for the coefficients of one-parameter families, and
+  the truncated rings (Z/p^N)[t]/t^T and Q[[t]]/t^T (Picard-Fuchs solutions,
+  mirror maps) when a precision T, and a modulus where there is one, is
+  passed to its series methods.  The precision is an argument, never stored.
 
 No floating point is used anywhere.
 """
@@ -209,11 +210,14 @@ def gamma_ratio_check(p: int, s: int, N: int) -> bool:
 
 
 class TPoly:
-    """Exact dense polynomial in one variable t.
+    """Exact dense polynomial in one variable t, and the one dense series type.
 
-    Coefficients are plain ints (or Fractions for the few exact-rational
-    uses).  Instances are immutable by convention; all operations return new
-    polynomials with trailing zeros stripped.
+    Coefficients are ints, residues mod p^N (as ints) or Fractions.  An
+    instance is an exact polynomial with trailing zeros stripped; it is
+    immutable by convention.  The truncated rings (Z/p^N)[t]/t^T and
+    Q[[t]]/t^T are not a property of the object: the series methods (`mul`,
+    `inverse_series`, `compose`, `exp`, `log`, `reversion`) take the precision
+    T, and the modulus where there is one, as arguments.
     """
 
     __slots__ = ("coeffs",)
@@ -225,12 +229,17 @@ class TPoly:
         self.coeffs = tuple(cs)
 
     @staticmethod
-    def const(c) -> "TPoly":
-        return TPoly([c])
-
-    @staticmethod
     def t_power(k: int, c=1) -> "TPoly":
         return TPoly([0] * k + [c])
+
+    @staticmethod
+    def coerce(x):
+        """`x` as a TPoly: an int or Fraction becomes a constant; None for other types."""
+        if isinstance(x, TPoly):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return TPoly([x])
+        return None
 
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -251,15 +260,8 @@ class TPoly:
     def __getitem__(self, d: int):
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
 
-    def _coerce(self, other):
-        if isinstance(other, TPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TPoly([other])
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self.coerce(other)
         if o is None:
             return NotImplemented
         n = max(len(self.coeffs), len(o.coeffs))
@@ -271,7 +273,7 @@ class TPoly:
         return TPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self.coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
@@ -280,20 +282,29 @@ class TPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return TPoly()
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return TPoly(out)
+        if isinstance(other, TPoly):
+            return self.mul(other, len(self.coeffs) + len(other.coeffs))
+        if isinstance(other, (int, Fraction)):
+            return TPoly([x * other for x in self.coeffs])
+        return NotImplemented
 
     __rmul__ = __mul__
+
+    def mul(self, other: "TPoly", T: int) -> "TPoly":
+        """Product mod t^T; only the degrees below T are computed."""
+        a, b = self.coeffs, other.coeffs
+        la, lb = len(a), len(b)
+        n = la + lb - 1 if la + lb - 1 < T else T
+        if not la or not lb or n < 1:
+            return TPoly()
+        # a zero of the coefficient type, so rational series keep Fraction zeros
+        out = [0 * a[0] * b[0]] * n
+        for i, x in enumerate(a if la <= n else a[:n]):
+            if x:
+                for j, y in enumerate(b if i + lb <= n else b[: n - i], i):
+                    if y:
+                        out[j] += x * y
+        return TPoly(out)
 
     def __pow__(self, k: int):
         result = TPoly([1])
@@ -307,6 +318,15 @@ class TPoly:
 
     def __mod__(self, modulus: int):
         return TPoly([c % modulus for c in self.coeffs])
+
+    def reduce_mod(self, modulus: int) -> "TPoly":
+        """Like `% modulus`, but a Fraction coefficient becomes its residue;
+        raises NonUnitError when its denominator is not a unit mod `modulus`."""
+        return TPoly([
+            c.numerator * inv_mod(c.denominator, modulus) % modulus
+            if isinstance(c, Fraction) else c % modulus
+            for c in self.coeffs
+        ])
 
     def truncate(self, T: int) -> "TPoly":
         return TPoly(self.coeffs[:T])
@@ -322,12 +342,10 @@ class TPoly:
 
     def compose(self, other: "TPoly", T: int | None = None,
                 modulus: int | None = None) -> "TPoly":
-        """Horner composition self(other), optionally truncated mod t^T."""
+        """Horner composition self(other), optionally mod t^T and mod `modulus`."""
         acc = TPoly()
         for c in reversed(self.coeffs):
-            acc = acc * other + TPoly([c])
-            if T is not None:
-                acc = acc.truncate(T)
+            acc = (acc * other if T is None else acc.mul(other, T)) + c
             if modulus is not None:
                 acc = acc % modulus
         return acc
@@ -335,6 +353,10 @@ class TPoly:
     def theta(self) -> "TPoly":
         """t d/dt."""
         return TPoly([i * c for i, c in enumerate(self.coeffs)])
+
+    def derivative(self) -> "TPoly":
+        """d/dt."""
+        return TPoly([i * c for i, c in enumerate(self.coeffs[1:], 1)])
 
     def evaluate(self, x, modulus: int | None = None):
         acc = 0
@@ -345,230 +367,71 @@ class TPoly:
         return acc
 
     def min_val_p(self, p: int, cap: int) -> int:
-        """Gauss valuation: min p-adic valuation over all coefficients."""
-        if not self.coeffs:
-            return cap
-        return min(val_p(c, p, cap) for c in self.coeffs)
+        """Gauss valuation: min p-adic valuation over all coefficients (negative
+        when a Fraction has p in its denominator)."""
+        return min((val_p_fraction(c, p, cap) for c in self.coeffs), default=cap)
 
     def inverse_series(self, T: int, modulus: int | None = None) -> "TPoly":
-        """Multiplicative inverse as a series mod t^T; needs a unit constant term."""
-        c0 = self[0]
+        """Multiplicative inverse mod t^T over Z/modulus, or over Q when
+        `modulus` is None; needs a unit constant term."""
+        a = self.coeffs
+        c0 = a[0] if a else 0
         if modulus is not None:
             try:
                 c0inv = inv_mod(c0, modulus)
             except NonUnitError:
                 raise NonUnitError("constant term is not a unit") from None
+        elif c0 in (1, -1):
+            c0inv = c0
+        elif c0:
+            c0inv = Fraction(1) / c0
         else:
-            if c0 in (1, -1):
-                c0inv = c0
-            elif isinstance(c0, Fraction) or isinstance(self[0], Fraction):
-                c0inv = Fraction(1, 1) / c0
-            else:
-                raise NonUnitError("constant term is not a unit over Z")
-        inv = [0] * T
-        inv[0] = c0inv
-        for d in range(1, T):
-            s = sum(self[i] * inv[d - i] for i in range(1, d + 1))
-            v = -c0inv * s
-            inv[d] = v % modulus if modulus is not None else v
-        return TPoly(inv)
+            raise NonUnitError("constant term is zero")
+        tail = a[1:]
+        inv = [c0inv]
+        for _ in range(1, T):
+            # [t^d] of a * inv = 0: sum_{i=1..d} a_i inv_{d-i} = -a_0 inv_d
+            v = -c0inv * sum(x * y for x, y in zip(tail, reversed(inv)))
+            inv.append(v % modulus if modulus is not None else v)
+        return TPoly(inv[:T])
+
+    def exp(self, T: int) -> "TPoly":
+        """exp mod t^T of a series with zero constant term, over Q."""
+        if self[0] != 0:
+            raise ValueError("exp needs zero constant term")
+        # E' = f' E, solved term by term: (d+1) e_{d+1} = sum_i (i+1) f_{i+1} e_{d-i}
+        df = self.derivative().coeffs
+        out = [Fraction(1)]
+        for d in range(T - 1):
+            out.append(Fraction(sum(x * y for x, y in zip(df, reversed(out))), d + 1))
+        return TPoly(out[:T])
+
+    def log(self, T: int) -> "TPoly":
+        """log mod t^T of a series with constant term 1, over Q: the integral of f'/f."""
+        if self[0] != 1:
+            raise ValueError("log needs constant term 1")
+        ratio = self.derivative().mul(self.inverse_series(T - 1), T - 1)
+        return TPoly([Fraction(0)] + [Fraction(c, d) for d, c in enumerate(ratio.coeffs, 1)])
+
+    def reversion(self, T: int) -> "TPoly":
+        """Compositional inverse mod t^T of a series t + O(t^2), by Newton iteration."""
+        if self[0] != 0 or self[1] != 1:
+            raise ValueError("reversion needs a monic series t + O(t^2)")
+        t = TPoly([Fraction(0), Fraction(1)])
+        df = self.derivative()
+        g = t
+        for _ in range(max(1, T.bit_length() + 1)):
+            err = self.compose(g, T) - t
+            if not err:
+                break
+            g = g - err.mul(df.compose(g, T).inverse_series(T), T)
+        return g
 
     def __repr__(self):
         return f"TPoly({list(self.coeffs)!r})"
 
 
-class TruncatedSeries:
-    """Power series known modulo t^T, with exact (usually rational) coefficients."""
-
-    __slots__ = ("coeffs", "T")
-
-    def __init__(self, coeffs, T: int | None = None):
-        cs = list(coeffs)
-        if T is None:
-            T = len(cs)
-        if len(cs) < T:
-            cs = cs + [Fraction(0)] * (T - len(cs))
-        self.coeffs = cs[:T]
-        self.T = T
-
-    @staticmethod
-    def zero(T: int) -> "TruncatedSeries":
-        return TruncatedSeries([], T)
-
-    @staticmethod
-    def one(T: int) -> "TruncatedSeries":
-        return TruncatedSeries([Fraction(1)], T)
-
-    @staticmethod
-    def identity(T: int) -> "TruncatedSeries":
-        return TruncatedSeries([Fraction(0), Fraction(1)], T)
-
-    def __getitem__(self, d: int):
-        return self.coeffs[d] if 0 <= d < self.T else 0
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.T, other.T)
-        return all(self[i] == other[i] for i in range(n))
-
-    def _coerce(self, other):
-        if isinstance(other, TruncatedSeries):
-            if other.T != self.T:
-                n = min(self.T, other.T)
-                return TruncatedSeries(other.coeffs[:n], n), TruncatedSeries(self.coeffs[:n], n)
-            return other, self
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([other], self.T), self
-        return None, None
-
-    def __add__(self, other):
-        o, s = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TruncatedSeries([s[i] + o[i] for i in range(s.T)], s.T)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.T)
-
-    def __sub__(self, other):
-        o, s = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TruncatedSeries([s[i] - o[i] for i in range(s.T)], s.T)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self.coeffs], self.T)
-        o, s = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = [Fraction(0)] * s.T
-        for i, a in enumerate(s.coeffs):
-            if a == 0:
-                continue
-            for j in range(s.T - i):
-                b = o[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(out, s.T)
-
-    __rmul__ = __mul__
-
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a unit (nonzero) constant term."""
-        if self[0] == 0:
-            raise NonUnitError("series has zero constant term")
-        c0inv = Fraction(1, 1) / self[0]
-        inv = [Fraction(0)] * self.T
-        inv[0] = c0inv
-        for d in range(1, self.T):
-            inv[d] = -c0inv * sum(self[i] * inv[d - i] for i in range(1, d + 1))
-        return TruncatedSeries(inv, self.T)
-
-    def __truediv__(self, other):
-        o, s = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return s * o.invert()
-
-    def theta(self) -> "TruncatedSeries":
-        """t d/dt."""
-        return TruncatedSeries([i * c for i, c in enumerate(self.coeffs)], self.T)
-
-    def derivative(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            [i * self.coeffs[i] for i in range(1, self.T)], self.T - 1
-        )
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(t)); inner must have zero constant term."""
-        if inner[0] != 0:
-            raise ValueError("composition needs inner series with zero constant term")
-        T = min(self.T, inner.T)
-        acc = TruncatedSeries.zero(T)
-        for c in reversed(self.coeffs[:T]):
-            acc = acc * TruncatedSeries(inner.coeffs[:T], T)
-            acc = acc + c
-        return acc
-
-    def subs_t_power(self, k: int) -> "TruncatedSeries":
-        out = [Fraction(0)] * self.T
-        for i, c in enumerate(self.coeffs):
-            if i * k >= self.T:
-                break
-            out[i * k] = c
-        return TruncatedSeries(out, self.T)
-
-    def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term."""
-        if self[0] != 0:
-            raise ValueError("exp needs zero constant term")
-        out = [Fraction(0)] * self.T
-        out[0] = Fraction(1)
-        # E' = f' E, solved term by term: (d+1) e_{d+1} = sum (i+1) f_{i+1} e_{d-i}
-        for d in range(self.T - 1):
-            s = sum((i + 1) * self[i + 1] * out[d - i] for i in range(d + 1))
-            out[d + 1] = Fraction(s, d + 1)
-        return TruncatedSeries(out, self.T)
-
-    def log(self) -> "TruncatedSeries":
-        """log of a series with constant term 1."""
-        if self[0] != 1:
-            raise ValueError("log needs constant term 1")
-        # log f = integral of f'/f
-        ratio = self.derivative() * TruncatedSeries(self.coeffs, self.T - 1).invert()
-        out = [Fraction(0)] * self.T
-        for d in range(1, self.T):
-            out[d] = Fraction(ratio[d - 1], d)
-        return TruncatedSeries(out, self.T)
-
-    def reversion(self) -> "TruncatedSeries":
-        """Compositional inverse of a series t + O(t^2), by Newton iteration."""
-        if self[0] != 0 or self[1] == 0:
-            raise ValueError("reversion needs form c1*t + O(t^2), c1 != 0")
-        if self[1] != 1:
-            raise ValueError("reversion implemented for monic series t + O(t^2)")
-        T = self.T
-        g = TruncatedSeries.identity(T)
-        for _ in range(max(1, T.bit_length() + 1)):
-            fg = self.compose(g)
-            err = fg - TruncatedSeries.identity(T)
-            if all(c == 0 for c in err.coeffs):
-                break
-            fpg = self.derivative_full().compose(g)
-            g = g - err * fpg.invert()
-        return g
-
-    def derivative_full(self) -> "TruncatedSeries":
-        """d/dt padded back to length T (top coefficient unknown, set to 0)."""
-        out = [i * self.coeffs[i] for i in range(1, self.T)] + [Fraction(0)]
-        return TruncatedSeries(out, self.T)
-
-    def min_val_p(self, p: int, cap: int = 64) -> int:
-        return min(
-            (val_p_fraction(c, p, cap) for c in self.coeffs), default=cap
-        )
-
-    def to_tpoly_mod(self, p: int, N: int) -> TPoly:
-        """Reduce mod p^N; rejects coefficients with p in the denominator."""
-        modulus = p**N
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                if c.denominator % p == 0:
-                    raise NonUnitError(
-                        f"coefficient {c} is not p-integral at p={p}"
-                    )
-                out.append(c.numerator * inv_mod(c.denominator, modulus) % modulus)
-            else:
-                out.append(c % modulus)
-        return TPoly(out)
-
-    def __repr__(self):
-        return f"TruncatedSeries({self.coeffs!r})"
+# The old name of the rational series type: benchmark/workloads.py imports it
+# and benchmark/tracer.py wraps its __mul__, and the benchmark is not edited
+# together with the library.
+TruncatedSeries = TPoly

@@ -392,8 +392,7 @@ def expand_origin(
         for e, co in prod.terms.items():
             if target_set is not None and tuple(e) not in target_set:
                 continue
-            base = co if isinstance(co, TPoly) else TPoly([co])
-            shifted = TPoly([0] * i + [x * c for x in base.coeffs])
+            shifted = TPoly([0] * i + [x * c for x in TPoly.coerce(co).coeffs])
             add_term(tuple(e), shifted)
         if i < T - 1:
             gi = gi * g
@@ -742,14 +741,8 @@ def _solve_interpolation(f, g, basis, probes, k, p, sigma, s, modulus, t_trunc):
         solutions = solve_mod_multi(A_all, b_all, modulus)
         return [[v % modulus for v in x] for x in solutions], None
 
-    rhs_t = [
-        [c if isinstance(c, TPoly) else TPoly([c]) for c in rhs]
-        for (_, rhs) in data
-    ]
-    lhs_t = [
-        [c if isinstance(c, TPoly) else TPoly([c]) for c in lhs]
-        for (lhs, _) in data
-    ]
+    rhs_t = [[TPoly.coerce(c) for c in rhs] for (_, rhs) in data]
+    lhs_t = [[TPoly.coerce(c) for c in lhs] for (lhs, _) in data]
     delays = []
     for j in range(nb):
         delays.append(
@@ -800,7 +793,7 @@ def _holdout_residuals(
             sigma.apply_scalar(E.coefficient(rhs_idx), modulus) for E in exps
         ]
         if T_lambda is not None:
-            rhs_t = [c if isinstance(c, TPoly) else TPoly([c]) for c in rhs]
+            rhs_t = [TPoly.coerce(c) for c in rhs]
             # residual is only meaningful below the degree where the truncated
             # tail of the solved entries could contribute
             check_to = min(

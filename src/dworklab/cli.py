@@ -59,6 +59,7 @@ USAGE_ERRORS = (
     argparse.ArgumentError,
     BudgetExceededError,
     DegenerateSupportError,
+    OverflowError,  # a size guard such as laurent.EXPONENT_LIMIT, not a failed theorem
     ValueError,
     FileNotFoundError,
     json.JSONDecodeError,
@@ -275,8 +276,8 @@ def cmd_cy(args, fmt):
         out = {
             "schema": 1,
             "family": args.family,
-            "q_coefficients": [str(Fraction(c)) for c in q.coeffs],
-            "mirror_coefficients": [str(Fraction(c)) for c in mirror.coeffs],
+            "q_coefficients": [str(Fraction(q[d])) for d in range(T)],
+            "mirror_coefficients": [str(Fraction(mirror[d])) for d in range(T)],
         }
         _emit(out, fmt)
         return 0

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import NonUnitError, TPoly, TruncatedSeries, val_p_fraction
+from .arith import NonUnitError, TPoly, inv_mod, val_p_fraction
 from .laurent import FrobeniusLift, LaurentPoly, family_poly
 from .polytope import (
     all_proper_faces_volume_one,
@@ -110,20 +110,16 @@ class ThetaOperator:
 
     def coefficient_series(self, T: int):
         """Monic coefficients a_1..a_m as series mod t^T."""
-        den = TruncatedSeries([Fraction(c) for c in self.leading], T).invert()
-        out = []
-        for coeffs in self.lower:
-            num = TruncatedSeries([Fraction(c) for c in coeffs], T)
-            out.append(num * den)
-        return out
+        den = TPoly([Fraction(c) for c in self.leading]).inverse_series(T)
+        return [TPoly([Fraction(c) for c in coeffs]).mul(den, T) for coeffs in self.lower]
 
     def companion_series(self, T: int):
         """Matrix N(t) of theta on the cyclic basis (1, theta, ..., theta^(m-1))."""
         a = self.coefficient_series(T)
         m = self.order
-        N = [[TruncatedSeries.zero(T) for _ in range(m)] for _ in range(m)]
+        N = [[TPoly() for _ in range(m)] for _ in range(m)]
         for i in range(m - 1):
-            N[i][i + 1] = TruncatedSeries.one(T)
+            N[i][i + 1] = TPoly([1])
         for j in range(m):
             N[m - 1][j] = -a[m - 1 - j]
         return N
@@ -195,37 +191,15 @@ class LogSeriesSolution:
     """y_i = sum_j F_j(t) log(t)^(i-j) / (i-j)! with F_0(0)=1, F_j(0)=0."""
 
     index: int
-    components: list  # TruncatedSeries F_0..F_index
-
-
-def _eps_mul(a, b, m):
-    out = [Fraction(0)] * m
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j in range(m - i):
-            y = b[j]
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _eps_inv(a, m):
-    if a[0] == 0:
-        raise ZeroDivisionError("epsilon-series with zero constant term")
-    inv = [Fraction(0)] * m
-    inv[0] = 1 / a[0]
-    for d in range(1, m):
-        inv[d] = -inv[0] * sum(a[i] * inv[d - i] for i in range(1, d + 1))
-    return inv
+    components: list  # TPoly F_0..F_index, known mod t^T
 
 
 def _eps_pow_linear(e0, m, k):
     """(e0 + eps)^k as an epsilon-polynomial mod eps^m."""
-    out = [Fraction(0)] * m
-    for j in range(min(k, m - 1) + 1):
-        out[j] = Fraction(math.comb(k, j)) * Fraction(e0) ** (k - j)
-    return out
+    return TPoly([
+        Fraction(math.comb(k, j)) * Fraction(e0) ** (k - j)
+        for j in range(min(k, m - 1) + 1)
+    ])
 
 
 def standard_solutions(L: ThetaOperator, T: int):
@@ -237,24 +211,24 @@ def standard_solutions(L: ThetaOperator, T: int):
     """
     m = L.order
     a = L.coefficient_series(T)
-    c = [[Fraction(1)] + [Fraction(0)] * (m - 1)]
+    c = [TPoly([Fraction(1)])]
+    # shifted[e][k] = (e + eps)^k c_e, made once per e and reused for every d
+    shifted = []
     for d in range(1, T):
+        shifted.append([_eps_pow_linear(d - 1, m, k).mul(c[-1], m) for k in range(m)])
         acc = [Fraction(0)] * m
         for i in range(1, m + 1):
             ai = a[i - 1]
-            power = m - i
             for e in range(d):
                 coef = ai[d - e]
                 if coef == 0:
                     continue
-                term = _eps_mul(_eps_pow_linear(e, m, power), c[e], m)
-                for j in range(m):
-                    acc[j] += coef * term[j]
-        lead_inv = _eps_inv(_eps_pow_linear(d, m, m), m)
-        c.append([-x for x in _eps_mul(lead_inv, acc, m)])
-    F = [
-        TruncatedSeries([c[d][j] for d in range(T)], T) for j in range(m)
-    ]
+                for j, x in enumerate(shifted[e][m - i].coeffs):
+                    acc[j] += coef * x
+        lead_inv = _eps_pow_linear(d, m, m).inverse_series(m)
+        c.append(-lead_inv.mul(TPoly(acc), m))
+    # Fraction(...) keeps the zeros stripped from c_d rational
+    F = [TPoly([Fraction(cd[j]) for cd in c]) for j in range(m)]
     return [LogSeriesSolution(i, F[: i + 1]) for i in range(m)]
 
 
@@ -269,7 +243,7 @@ def apply_operator_log(L: ThetaOperator, sol: LogSeriesSolution, T: int):
     def theta_vec(vec):
         out = []
         for k in range(len(vec)):
-            nxt = vec[k + 1] * Fraction(k + 1) if k + 1 < len(vec) else TruncatedSeries.zero(T)
+            nxt = vec[k + 1] * Fraction(k + 1) if k + 1 < len(vec) else TPoly()
             out.append(vec[k].theta() + nxt)
         return out
 
@@ -279,14 +253,14 @@ def apply_operator_log(L: ThetaOperator, sol: LogSeriesSolution, T: int):
     out = powers[m]
     for i in range(1, m + 1):
         coeff = a[i - 1]
-        out = [o + coeff * comp for o, comp in zip(out, powers[m - i])]
+        out = [o + coeff.mul(comp, T) for o, comp in zip(out, powers[m - i])]
     return out
 
 
 # -- period series ------------------------------------------------------
 
 
-def constant_term_series(g: LaurentPoly, T: int) -> TruncatedSeries:
+def constant_term_series(g: LaurentPoly, T: int) -> TPoly:
     """gamma(t) = sum_i (constant term of g^i) t^i, exact integers.
 
     Powers are accumulated with a support window: a monomial can still reach
@@ -312,7 +286,7 @@ def constant_term_series(g: LaurentPoly, T: int) -> TruncatedSeries:
                 nxt[e] = nxt.get(e, 0) + c1 * c2
         h = {e: c for e, c in nxt.items() if c != 0}
         coeffs[i] = h.get((0,) * g.n, 0)
-    return TruncatedSeries([Fraction(c) for c in coeffs], T)
+    return TPoly(coeffs)
 
 
 def canonical_coordinate(solutions, T: int):
@@ -321,16 +295,15 @@ def canonical_coordinate(solutions, T: int):
         raise ValueError("need T >= 2")
     F0 = solutions[0].components[0]
     F1 = solutions[1].components[1]
-    ratio = F1 * F0.invert()
-    expo = TruncatedSeries(ratio.coeffs[: T - 1], T - 1).exp()
-    q = TruncatedSeries([Fraction(0)] + expo.coeffs, T)
-    mirror = q.reversion()
-    return q, mirror
+    expo = F1.mul(F0.inverse_series(T - 1), T - 1).exp(T - 1)
+    q = TPoly((Fraction(0),) + expo.coeffs)
+    return q, q.reversion(T)
 
 
-def yukawa_and_instantons(solutions, mirror: TruncatedSeries, T: int):
+def yukawa_and_instantons(solutions, mirror: TPoly, T: int):
     """Yukawa coupling Y(q) = (q d/dq)^2 (y_2/y_0) in the canonical
-    coordinate, and instanton numbers from its Lambert expansion.
+    coordinate, and instanton numbers from its Lambert expansion.  The
+    solutions and the mirror map must be known mod t^T.
 
     The log-square part contributes exactly 1; the mirror-map consistency
     residual log(t(q)/q) + (F_1/F_0)(t(q)) is computed and must vanish, which
@@ -341,24 +314,16 @@ def yukawa_and_instantons(solutions, mirror: TruncatedSeries, T: int):
     F0 = solutions[0].components[0]
     F1 = solutions[1].components[1]
     F2 = solutions[2].components[2]
-    T = min(T, F0.T, mirror.T)
-    F0 = TruncatedSeries(F0.coeffs[:T], T)
-    F1 = TruncatedSeries(F1.coeffs[:T], T)
-    F2 = TruncatedSeries(F2.coeffs[:T], T)
-    mirror = TruncatedSeries(mirror.coeffs[:T], T)
-    G = F1 * F0.invert()
+    F0inv = F0.inverse_series(T)
+    G = F1.mul(F0inv, T)
     # log-cancellation certificate: log(t(q)/q) + G(t(q)) = 0
-    tq_over_q = TruncatedSeries(
-        [mirror[d + 1] for d in range(T - 1)], T - 1
-    )  # t(q)/q, constant 1
-    residual = tq_over_q.log() + TruncatedSeries(G.compose(mirror).coeffs[: T - 1], T - 1)
-    if any(c != 0 for c in residual.coeffs):
+    tq_over_q = TPoly(mirror.coeffs[1:T])  # t(q)/q, constant 1
+    if tq_over_q.log(T - 1) + G.compose(mirror, T - 1):
         raise ArithmeticError(
             "mirror-map/log consistency failed; solutions are inconsistent"
         )
-    phi = F2 * F0.invert() - G * G * Fraction(1, 2)
-    inner = phi.compose(mirror)
-    Y = inner.theta().theta() + 1
+    phi = F2.mul(F0inv, T) - G.mul(G, T) * Fraction(1, 2)
+    Y = phi.compose(mirror, T).theta().theta() + 1
     # instanton numbers: [q^D] Y = sum_{d | D} d^3 N_d for D >= 1
     D_max = T - 1
     N = {}
@@ -367,7 +332,7 @@ def yukawa_and_instantons(solutions, mirror: TruncatedSeries, T: int):
         for e in range(1, d):
             if d % e == 0:
                 acc -= e**3 * N[e]
-        N[d] = acc / d**3
+        N[d] = Fraction(acc, d**3)
     return Y, [N[d] for d in range(1, D_max + 1)]
 
 
@@ -375,26 +340,22 @@ def yukawa_and_instantons(solutions, mirror: TruncatedSeries, T: int):
 
 
 class LogPoly:
-    """Polynomial in L = log t with TruncatedSeries coefficients."""
+    """Polynomial in L = log t with TPoly coefficients known mod t^T."""
 
     __slots__ = ("parts", "T")
 
     def __init__(self, parts, T):
         self.parts = list(parts)
         self.T = T
-        while self.parts and all(c == 0 for c in self.parts[-1].coeffs):
+        while self.parts and not self.parts[-1]:
             self.parts.pop()
-
-    @staticmethod
-    def from_series(s: TruncatedSeries):
-        return LogPoly([s], s.T)
 
     @staticmethod
     def zero(T):
         return LogPoly([], T)
 
     def part(self, k):
-        return self.parts[k] if k < len(self.parts) else TruncatedSeries.zero(self.T)
+        return self.parts[k] if k < len(self.parts) else TPoly()
 
     def __add__(self, other):
         n = max(len(self.parts), len(other.parts))
@@ -405,13 +366,15 @@ class LogPoly:
         return LogPoly([self.part(k) - other.part(k) for k in range(n)], self.T)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, TruncatedSeries)):
+        if isinstance(other, (int, Fraction)):
             return LogPoly([p * other for p in self.parts], self.T)
+        if isinstance(other, TPoly):
+            return LogPoly([p.mul(other, self.T) for p in self.parts], self.T)
         n = len(self.parts) + len(other.parts)
-        out = [TruncatedSeries.zero(self.T) for _ in range(max(n - 1, 0))]
+        out = [TPoly()] * max(n - 1, 0)
         for i, a in enumerate(self.parts):
             for j, b in enumerate(other.parts):
-                out[i + j] = out[i + j] + a * b
+                out[i + j] = out[i + j] + a.mul(b, self.T)
         return LogPoly(out, self.T)
 
     def theta(self):
@@ -421,7 +384,7 @@ class LogPoly:
             nxt = (
                 self.parts[k + 1] * Fraction(k + 1)
                 if k + 1 < len(self.parts)
-                else TruncatedSeries.zero(self.T)
+                else TPoly()
             )
             out.append(self.parts[k].theta() + nxt)
         return LogPoly(out, self.T)
@@ -430,7 +393,7 @@ class LogPoly:
         """t -> t^p, log t -> p log t."""
         out = []
         for k, part in enumerate(self.parts):
-            out.append(part.subs_t_power(p) * Fraction(p**k))
+            out.append(part.subs_t_power(p).truncate(self.T) * Fraction(p**k))
         return LogPoly(out, self.T)
 
     def is_log_free(self):
@@ -444,8 +407,7 @@ def wronskian_matrix(solutions, T: int):
     for sol in solutions:
         D = sol.index
         parts = [
-            TruncatedSeries(sol.components[D - k].coeffs[:T], T)
-            * Fraction(1, math.factorial(k))
+            sol.components[D - k].truncate(T) * Fraction(1, math.factorial(k))
             for k in range(D + 1)
         ]
         cols.append(LogPoly(parts, T))
@@ -470,7 +432,7 @@ def _logpoly_det(M):
             1 for i in range(m) for j in range(i + 1, m) if seen[i] > seen[j]
         )
         sign = -1 if inv % 2 else 1
-        term = LogPoly([TruncatedSeries.one(T)], T)
+        term = LogPoly([TPoly([1])], T)
         for i in range(m):
             term = term * M[i][perm[i]]
         total = total + term * Fraction(sign)
@@ -485,7 +447,7 @@ def _logpoly_inverse(M):
     if not det.is_log_free():
         raise ArithmeticError("Wronskian determinant has residual log terms")
     det_series = det.part(0)
-    det_inv = det_series.invert()
+    det_inv = det_series.inverse_series(T)
     out = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
@@ -493,7 +455,7 @@ def _logpoly_inverse(M):
                 [M[r][c] for c in range(m) if c != i]
                 for r in range(m) if r != j
             ]
-            cof = _logpoly_det(minor) if m > 1 else LogPoly([TruncatedSeries.one(T)], T)
+            cof = _logpoly_det(minor) if m > 1 else LogPoly([TPoly([1])], T)
             sign = Fraction(-1 if (i + j) % 2 else 1)
             out[i][j] = cof * det_inv * sign
     return out
@@ -593,18 +555,11 @@ def frobenius_lambda0(
                 if val_p_fraction(x, p) < precision:
                     ell_ok = False
 
-    lambda0_int = []
-    for row in lambda0:
-        out = []
-        for x in row:
-            if x.denominator != 1:
-                # denominators prime to p only (p > n+1 ensures this)
-                from .arith import inv_mod
-
-                out.append(x.numerator * inv_mod(x.denominator, modulus) % modulus)
-            else:
-                out.append(x.numerator % modulus)
-        lambda0_int.append(out)
+    # denominators are prime to p (p > n+1 ensures this)
+    lambda0_int = [
+        [x.numerator * inv_mod(x.denominator, modulus) % modulus for x in row]
+        for row in lambda0
+    ]
 
     alphas = []
     for j in range(1, n):
@@ -657,15 +612,7 @@ def _t_constancy_diagnostics(sols, lam, p, precision, t_check):
     U = wronskian_matrix(sols, T)
     Uinv = _logpoly_inverse(U)
     V = [[e.subs_t_power(p) for e in row] for row in U]
-    lamL = [
-        [
-            LogPoly.from_series(
-                TruncatedSeries([Fraction(c) for c in e.coeffs], T)
-            )
-            for e in row
-        ]
-        for row in lam
-    ]
+    lamL = [[LogPoly([e.truncate(T)], T) for e in row] for row in lam]
     prod = _logpoly_mat_mul(_logpoly_mat_mul(Uinv, lamL), V)
     # valuation budget of the conjugating matrices
     vmin = 0
@@ -673,7 +620,7 @@ def _t_constancy_diagnostics(sols, lam, p, precision, t_check):
         for row in M:
             for e in row:
                 for part in e.parts:
-                    vmin = min(vmin, part.min_val_p(p))
+                    vmin = min(vmin, part.min_val_p(p, 0))  # denominators only
     eff = precision + 2 * vmin
     diagnostics = []
     for d in range(1, t_check):
@@ -722,7 +669,7 @@ def _ode_residual_ok(operator, lam, p, check_precision, t_check):
     Tn = t_check * p + 1
     companion = operator.companion_series(Tn)
     try:
-        N = [[s.to_tpoly_mod(p, check_precision) for s in row] for row in companion]
+        N = [[s.reduce_mod(modulus) for s in row] for row in companion]
     except NonUnitError:
         return False
     lamT = [[e % modulus for e in row] for row in lam]
@@ -769,11 +716,10 @@ def excellent_lift_check(
     q, mirror = canonical_coordinate(sols, T)
     c = preset.vertex_coeff
 
-    qp = TruncatedSeries.one(T)
+    qp = TPoly([Fraction(c ** (p - 1))])
     for _ in range(p):
-        qp = qp * q
-    qp = qp * Fraction(c ** (p - 1))
-    t_sigma = mirror.compose(qp)
+        qp = qp.mul(q, T)
+    t_sigma = mirror.compose(qp, T)
 
     integral = all(val_p_fraction(x, p) >= 0 for x in t_sigma.coeffs)
     report = {"family": family, "n": n, "p": p, "lift_integral": integral}
@@ -781,7 +727,8 @@ def excellent_lift_check(
         report.update(congruent_mod_p=False, eigenvector=False, passed=False)
         return report
 
-    sigma_poly = t_sigma.to_tpoly_mod(p, 2 * s)
+    modulus = p ** (2 * s)
+    sigma_poly = t_sigma.reduce_mod(modulus)
     tp = TPoly.t_power(p)
     diff = (sigma_poly - tp) % p
     report["congruent_mod_p"] = not bool(diff)
@@ -795,14 +742,13 @@ def excellent_lift_check(
     interp = interpolate_cartier(
         f, mu, 2, p, sigma, s, basis=basis, t_trunc=T, g=preset.g, seed=seed
     )
-    modulus = p ** (2 * s)
     lam00, lam01 = interp.matrix[0]
     t_keep = t_check if t_check is not None else max(4, (T - 1) // p)
     theta_component_zero = not bool((lam01 % modulus).truncate(t_keep))
 
-    F0 = sols[0].components[0].to_tpoly_mod(p, 2 * s)
+    F0 = sols[0].components[0].reduce_mod(modulus)
     F0_sigma = F0.compose(sigma_poly, T=T, modulus=modulus)
-    predicted = (F0 * F0_sigma.inverse_series(T, modulus)) % modulus
+    predicted = F0.mul(F0_sigma.inverse_series(T, modulus), T) % modulus
     eig_match = not bool(
         ((lam00 - predicted) % modulus).truncate(t_keep)
     )

@@ -309,6 +309,8 @@ def _default_gauss_polys():
 def suite_gauss(job: JobSpec) -> SuiteReport:
     """c_v = c_{v/p} mod p^{ord_p(v)} for all expansion coefficients of 1/f,
     at every vertex of a Newton polytope whose lattice points are vertices."""
+    if job.bound < 1:
+        raise ValueError(f"bound must be >= 1, not {job.bound}")
     t0 = time.time()
     polys = list(job.polynomials) or _default_gauss_polys()
     cells = []
@@ -405,12 +407,11 @@ def _dwork_cell(label, g, p, m):
     ord_m = val_p(m, p)
     modulus = p**ord_m
     T = m + 1
-    gamma = constant_term_series(g, T)
-    gam = TPoly([int(c) for c in gamma.coeffs])
+    gam = constant_term_series(g, T)
     gam_m = gam.truncate(m)
     gam_mp = gam.truncate(m // p)
-    lhs = (gam * gam_mp.subs_t_power(p)).truncate(T) % modulus
-    rhs = (gam_m * gam.subs_t_power(p)).truncate(T) % modulus
+    lhs = gam.mul(gam_mp.subs_t_power(p), T) % modulus
+    rhs = gam_m.mul(gam.subs_t_power(p), T) % modulus
     ok = lhs == rhs
     cell["modulus"] = f"{p}^{ord_m}"
     cell["status"] = "ok" if ok else "fail"
@@ -440,7 +441,7 @@ def expansion_coefficient_super(u, T: int | None = None, modulus: int | None = N
     S = vertex_budget(f, (0, 0), 1, one, [u])
     E = expand_vertex(one, f, 1, (0, 0), S, modulus, t_trunc=T, targets=[u])
     c = E.coefficient(u)
-    return c if isinstance(c, TPoly) else TPoly([c])
+    return TPoly.coerce(c)
 
 
 def suite_super(job: JobSpec) -> SuiteReport:

@@ -148,16 +148,10 @@ def lambda_unit_root(
     num = beta_matrix(f, mu, p**s, p, s)
     den = beta_matrix(f, mu, p ** (s - 1), p, s)
     if num.is_tpoly() or den.is_tpoly():
-        if t_trunc is None:
-            raise ValueError("t-family Lambda needs a truncation order t_trunc")
-        den_entries = [
-            [e if isinstance(e, TPoly) else TPoly([e]) for e in row]
-            for row in den.entries
-        ]
-        num_entries = [
-            [e if isinstance(e, TPoly) else TPoly([e]) for e in row]
-            for row in num.entries
-        ]
+        if t_trunc is None or t_trunc < 1:
+            raise ValueError("t-family Lambda needs a truncation order t_trunc >= 1")
+        den_entries = [[TPoly.coerce(e) for e in row] for row in den.entries]
+        num_entries = [[TPoly.coerce(e) for e in row] for row in num.entries]
         twisted = sigma_matrix(den_entries, sigma, modulus, t_trunc)
         inv = tmat_inv_series(twisted, modulus, t_trunc)
         lam = tmat_mul(num_entries, inv, modulus, t_trunc)
@@ -315,10 +309,8 @@ def higher_hw_alternative_check(
             w = tuple(p * vv - uu for vv, uu in zip(v, u))
             if not E.is_complete(w):
                 continue
-            lhs = M.entries[iu][iv]
-            lhs = lhs if isinstance(lhs, TPoly) else TPoly([lhs])
-            rhs = E.coefficient(w)
-            rhs = rhs if isinstance(rhs, TPoly) else TPoly([rhs])
+            lhs = TPoly.coerce(M.entries[iu][iv])
+            rhs = TPoly.coerce(E.coefficient(w))
             if bool((lhs - rhs) % modulus):
                 return False
     return True
@@ -344,11 +336,7 @@ def higher_hw_condition(
     for level in range(1, k + 1):
         M = higher_hw_matrix(f, mu, level, p, sigma, None)
         if any(isinstance(e, TPoly) for row in M.entries for e in row):
-            ent = [
-                [e if isinstance(e, TPoly) else TPoly([e]) for e in row]
-                for row in M.entries
-            ]
-            det = tpoly_det(ent)
+            det = tpoly_det([[TPoly.coerce(e) for e in row] for row in M.entries])
         else:
             det = int_det(M.entries)
         L = level_valuation_target(mu, level)

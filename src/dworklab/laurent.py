@@ -398,10 +398,24 @@ def _coeff_to_json(c):
     return str(c)
 
 
+def _int_from_json(x, what: str) -> int:
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be an integer or an integer string, not {x!r}")
+
+
 def _coeff_from_json(obj):
     if isinstance(obj, dict):
-        return TPoly([int(x) for x in obj["tpoly"]])
-    return int(obj)
+        cs = obj.get("tpoly")
+        if not isinstance(cs, list):
+            raise ValueError('a "tpoly" coefficient needs a list')
+        return TPoly([_int_from_json(x, "tpoly coefficient") for x in cs])
+    return _int_from_json(obj, 'term "c"')
 
 
 def poly_to_json(f: LaurentPoly) -> dict:
@@ -417,11 +431,17 @@ def poly_from_json(obj) -> LaurentPoly:
     if not isinstance(obj, dict):
         raise ValueError("polynomial JSON must be an object")
     n, terms = obj.get("n"), obj.get("terms")
-    if type(n) is not int or not isinstance(terms, list):
-        raise ValueError('polynomial JSON needs an integer "n" and a list "terms"')
-    return LaurentPoly(
-        n, {tuple(t["e"]): _coeff_from_json(t["c"]) for t in terms}
-    )
+    if type(n) is not int or n < 1 or not isinstance(terms, list):
+        raise ValueError('polynomial JSON needs a positive integer "n" and a list "terms"')
+    out = {}
+    for t in terms:
+        if not isinstance(t, dict):
+            raise ValueError("each polynomial term must be an object")
+        e = t.get("e")
+        if not isinstance(e, list) or len(e) != n or any(type(x) is not int for x in e):
+            raise ValueError(f'term "e" must be a list of {n} integers, not {e!r}')
+        out[tuple(e)] = _coeff_from_json(t.get("c"))
+    return LaurentPoly(n, out)
 
 
 def family_from_json(obj) -> tuple[LaurentPoly, LaurentPoly]:

@@ -224,11 +224,8 @@ def tmat_mul(A, B, modulus: int, t_trunc: int | None = None):
                 a, b = A[i][t], B[t][j]
                 if not a or not b:
                     continue
-                acc = acc + a * b
-            acc = acc % modulus
-            if t_trunc is not None:
-                acc = acc.truncate(t_trunc)
-            row.append(acc)
+                acc = acc + (a * b if t_trunc is None else a.mul(b, t_trunc))
+            row.append(acc % modulus)
         out.append(row)
     return out
 
@@ -243,7 +240,7 @@ def tmat_inv_series(A, modulus: int, t_trunc: int):
     one = TPoly([1])
     zero = TPoly()
     work = [
-        [A[i][j] % modulus for j in range(k)]
+        [A[i][j].truncate(t_trunc) % modulus for j in range(k)]
         + [one if j == i else zero for j in range(k)]
         for i in range(k)
     ]
@@ -257,14 +254,12 @@ def tmat_inv_series(A, modulus: int, t_trunc: int):
             raise NonUnitError("no pivot with unit constant term")
         work[col], work[piv] = work[piv], work[col]
         inv = work[col][col].inverse_series(t_trunc, modulus)
-        work[col] = [
-            (x * inv % modulus).truncate(t_trunc) for x in work[col]
-        ]
+        work[col] = [x.mul(inv, t_trunc) % modulus for x in work[col]]
         for i in range(k):
             if i != col and work[i][col]:
                 f = work[i][col]
                 work[i] = [
-                    ((x - f * y) % modulus).truncate(t_trunc)
+                    (x - f.mul(y, t_trunc)) % modulus
                     for x, y in zip(work[i], work[col])
                 ]
     return [row[k:] for row in work]

@@ -32,7 +32,7 @@ class FiniteField:
 
     def __init__(self, p: int, s: int):
         if s < 1 or s > 3:
-            raise ValueError("extension degree limited to s <= 3")
+            raise ValueError(f"extension degree s must be 1, 2 or 3, not {s}")
         self.p = p
         self.s = s
         self.q = p**s

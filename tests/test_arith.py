@@ -10,7 +10,6 @@ from dworklab.arith import (
     NonUnitError,
     PadicScalar,
     TPoly,
-    TruncatedSeries,
     gamma_p,
     gamma_ratio_check,
     teichmuller,
@@ -153,32 +152,79 @@ class TestTPoly:
         assert f.compose(g) == expect
 
 
-class TestTruncatedSeries:
+MODULI = st.sampled_from(PRIMES).flatmap(lambda p: st.sampled_from((p, p**2, p**4)))
+RATIONAL_SERIES = st.lists(
+    st.fractions(-20, 20, max_denominator=9), max_size=10
+).map(TPoly)
+
+
+def residue_series(modulus):
+    return st.lists(st.integers(0, modulus - 1), max_size=10).map(TPoly)
+
+
+def convolution(a, b, T):
+    """Reference product mod t^T, one coefficient at a time."""
+    return TPoly([sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(T)])
+
+
+class TestTPolySeries:
+    """TPoly as the series rings (Z/p^N)[t]/t^T and Q[[t]]/t^T."""
+
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=8))
     def test_invert_round_trip(self, coeffs):
         if coeffs[0] == 0:
             coeffs[0] = 1
-        s = TruncatedSeries([Fraction(c) for c in coeffs])
-        prod = s * s.invert()
+        s = TPoly([Fraction(c) for c in coeffs])
+        T = len(coeffs)
+        prod = s.mul(s.inverse_series(T), T)
         assert prod[0] == 1
-        assert all(prod[i] == 0 for i in range(1, s.T))
+        assert all(prod[i] == 0 for i in range(1, T))
+
+    def test_inverse_needs_unit_constant(self):
+        with pytest.raises(NonUnitError):
+            TPoly([0, Fraction(1)]).inverse_series(4)
+        with pytest.raises(NonUnitError):
+            TPoly([5, 1]).inverse_series(4, 25)
 
     def test_exp_log_round_trip(self):
-        s = TruncatedSeries([Fraction(0), Fraction(1), Fraction(1, 2)], 8)
-        assert s.exp().log() == s
+        s = TPoly([Fraction(0), Fraction(1), Fraction(1, 2)])
+        assert s.exp(8).log(8) == s
 
     def test_reversion(self):
-        s = TruncatedSeries(
-            [Fraction(0), Fraction(1), Fraction(3), Fraction(-2)], 10
-        )
-        inv = s.reversion()
-        assert s.compose(inv) == TruncatedSeries.identity(10)
-        assert inv.compose(s) == TruncatedSeries.identity(10)
+        s = TPoly([Fraction(0), Fraction(1), Fraction(3), Fraction(-2)])
+        inv = s.reversion(10)
+        t = TPoly([0, 1])
+        assert s.compose(inv, 10) == t
+        assert inv.compose(s, 10) == t
 
-    def test_to_tpoly_mod_rejects_p_denominator(self):
-        s = TruncatedSeries([Fraction(1, 5)], 1)
+    def test_reduce_mod_rejects_p_denominator(self):
+        assert TPoly([Fraction(1, 2), 30]).reduce_mod(25) == TPoly([13, 5])
         with pytest.raises(NonUnitError):
-            s.to_tpoly_mod(5, 2)
+            TPoly([Fraction(1, 5)]).reduce_mod(25)
+
+    def test_min_val_p_reads_denominators(self):
+        assert TPoly([Fraction(3, 25), 10]).min_val_p(5, 9) == -2
+        assert TPoly().min_val_p(5, 9) == 9
+
+    @given(st.data(), st.integers(1, 16))
+    def test_mul_is_truncated_product_over_residues(self, data, T):
+        m = data.draw(MODULI)
+        a, b = data.draw(residue_series(m)), data.draw(residue_series(m))
+        assert a.mul(b, T) == (a * b).truncate(T) == convolution(a, b, T)
+
+    @given(RATIONAL_SERIES, RATIONAL_SERIES, st.integers(1, 16))
+    def test_mul_is_truncated_product_over_rationals(self, a, b, T):
+        assert a.mul(b, T) == (a * b).truncate(T) == convolution(a, b, T)
+
+    @given(st.data(), st.integers(1, 16))
+    def test_inverse_series_over_residues(self, data, T):
+        m = data.draw(MODULI)
+        a = data.draw(residue_series(m).filter(lambda a: math.gcd(a[0], m) == 1))
+        assert a.mul(a.inverse_series(T, m), T) % m == 1
+
+    @given(RATIONAL_SERIES.filter(lambda a: a[0] != 0), st.integers(1, 16))
+    def test_inverse_series_over_rationals(self, a, T):
+        assert a.mul(a.inverse_series(T), T) == 1
 
 
 def test_val_p():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from dworklab.arith import TPoly
 from dworklab.cli import cli_main
 
 
@@ -56,6 +57,21 @@ GOLDEN = {
         ["verify", "gauss", "--poly", "triangle.json", "--primes", "3", "--bound",
          "9"],
         "4188a2f816b6beb3f92698f01b8f0fe239132330e91a6931078e3a62d2381746",
+    ),
+    # mirror-map series (exp, reversion) and a non-identity sigma(beta_1) inverse
+    "cy-mirror": (
+        ["cy", "mirror", "--family", "quintic", "--degree", "6"],
+        "24e548c57debdcba180ea8c3cd9e98844c462ae29d8a2105ff56c54f5ddbba91",
+    ),
+    # q = t + 5 t^4 + ...: the listed coefficients end in a zero
+    "cy-mirror-simplicial": (
+        ["cy", "mirror", "--family", "simplicial", "--dim", "2", "--degree", "4"],
+        "f33113a5813ce83197942f8d7550c811ea04e09831ee85bc6eff574ee2c7d68c",
+    ),
+    "lambda-steps-2": (
+        ["lambda", "--poly", "simplicial.json", "--prime", "5", "--mu", "interior",
+         "--steps", "2", "--t-trunc", "9"],
+        "adfc028b5e6c4f474234528b99c1f30c236390f4128bec164514409391ad9b68",
     ),
 }
 
@@ -120,9 +136,7 @@ class TestExitCodes:
         from dworklab.cy import constant_term_series as real_cts
 
         def corrupted(g, T):
-            s = real_cts(g, T)
-            s.coeffs[3] += 1
-            return s
+            return real_cts(g, T) + TPoly.t_power(3)
 
         monkeypatch.setattr(H, "constant_term_series", corrupted)
         code, out, _ = run(capsys, ["verify", "dwork", "--primes", "3", "--dims", "2"])
@@ -139,6 +153,43 @@ class TestExitCodes:
         code, out, err = run(capsys, ["hw", "--poly", str(path), "--prime", "5"])
         assert code == 2 and not out
         assert '"n"' in err
+
+    @pytest.mark.parametrize(
+        "term,needle",
+        [({"e": [0, 0]}, '"c"'), ({"e": [0], "c": "1"}, '"e"'), ([0, 0], "object")],
+        ids=["no-c", "short-e", "not-object"],
+    )
+    def test_malformed_polynomial_term_is_2(self, capsys, tmp_path, term, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "terms": [term]}))
+        code, out, err = run(capsys, ["hw", "--poly", str(path), "--prime", "5"])
+        assert code == 2 and not out
+        assert needle in err
+
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            (["hw", "--poly", "big.json", "--prime", "5"], "exponent"),
+            (["verify", "gauss", "--primes", "3", "--bound", "0"], "bound"),
+            (["zeta-count", "--poly", "triangle.json", "--prime", "5", "--ext", "0"],
+             "extension degree s must be 1, 2 or 3"),
+            (["lambda", "--poly", "simplicial.json", "--prime", "5", "--t-trunc", "0"],
+             "t_trunc"),
+        ],
+        ids=["exponent-limit", "gauss-bound-0", "zeta-count-ext-0", "lambda-t-trunc-0"],
+    )
+    def test_out_of_range_input_is_2(
+        self, capsys, monkeypatch, tmp_path, triangle_file, family_file, argv, needle
+    ):
+        # an exceeded size guard or a bad option value is a usage error, not a
+        # verification failure
+        (tmp_path / "big.json").write_text(json.dumps(
+            {"n": 2, "terms": [{"e": [200000, 0], "c": "1"}, {"e": [0, 0], "c": "1"}]}
+        ))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out
+        assert needle in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dworklab.arith import TPoly, TruncatedSeries, val_p_fraction
+from dworklab.arith import TPoly, val_p_fraction
 from dworklab.laurent import LaurentPoly
 from dworklab.polytope import newton_polytope, is_reflexive
 from dworklab.cy import (
@@ -126,7 +126,7 @@ class TestConstantTermSeries:
     def test_central_binomials(self):
         g = LaurentPoly(1, {(1,): 1, (-1,): 1})
         s = constant_term_series(g, 8)
-        assert [int(c) for c in s.coeffs] == [1, 0, 2, 0, 6, 0, 20, 0]
+        assert [s[i] for i in range(8)] == [1, 0, 2, 0, 6, 0, 20, 0]
 
     def test_simplicial_multinomials(self):
         g = preset_family("simplicial", 2).g
@@ -142,7 +142,7 @@ class TestConstantTermSeries:
     def test_no_constant_powers(self):
         g = LaurentPoly(1, {(1,): 1})
         s = constant_term_series(g, 6)
-        assert [int(c) for c in s.coeffs] == [1, 0, 0, 0, 0, 0]
+        assert [s[i] for i in range(6)] == [1, 0, 0, 0, 0, 0]
 
 
 class TestCanonicalCoordinate:
@@ -154,7 +154,7 @@ class TestCanonicalCoordinate:
     def test_round_trip(self):
         sols = standard_solutions(preset_operator("simplicial", 2), 12)
         q, mirror = canonical_coordinate(sols, 12)
-        assert q.compose(mirror) == TruncatedSeries.identity(12)
+        assert q.compose(mirror, 12) == TPoly([0, 1])
 
     def test_quintic_p_integrality(self):
         sols = standard_solutions(preset_operator("quintic"), 16)
@@ -264,13 +264,12 @@ class TestExcellentLift:
 
 class TestLogPoly:
     def test_theta(self):
-        s = TruncatedSeries([Fraction(0), Fraction(1)], 4)
-        lp = LogPoly([s, TruncatedSeries.one(4)], 4)  # t + log t
+        lp = LogPoly([TPoly([0, 1]), TPoly([1])], 4)  # t + log t
         out = lp.theta()
-        assert out.part(0) == TruncatedSeries([Fraction(1), Fraction(1)], 4)
+        assert out.part(0) == TPoly([1, 1])
 
     def test_subs_t_power(self):
-        lp = LogPoly([TruncatedSeries.identity(9), TruncatedSeries.one(9)], 9)
+        lp = LogPoly([TPoly([0, 1]), TPoly([1])], 9)
         out = lp.subs_t_power(3)
         assert out.part(0)[3] == 1
         assert out.part(1)[0] == 3

@@ -190,7 +190,21 @@ class TestJson:
 
     @pytest.mark.parametrize(
         "obj",
-        [{"terms": []}, {"n": 2}, {"n": "2", "terms": []}, {"n": 2, "terms": {}}, [2, []]],
+        [
+            {"terms": []},
+            {"n": 2},
+            {"n": "2", "terms": []},
+            {"n": 0, "terms": [{"e": [], "c": "1"}]},
+            {"n": 2, "terms": {}},
+            [2, []],
+            {"n": 2, "terms": [{"e": [0, 0]}]},
+            {"n": 2, "terms": [[0, 0]]},
+            {"n": 2, "terms": [{"e": [0], "c": "1"}]},
+            {"n": 2, "terms": [{"e": ["0", 0], "c": "1"}]},
+            {"n": 2, "terms": [{"e": [0, 0], "c": "x"}]},
+            {"n": 2, "terms": [{"e": [0, 0], "c": 1.5}]},
+            {"n": 2, "terms": [{"e": [0, 0], "c": {"tpoly": "1"}}]},
+        ],
     )
     def test_malformed_polynomial_json(self, obj):
         with pytest.raises(ValueError):
