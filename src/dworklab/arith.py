@@ -11,6 +11,11 @@ Everything downstream works over one of these rings:
   mirror maps) when a precision T, and a modulus where there is one, is
   passed to its series methods.  The precision is an argument, never stored.
 
+:class:`Ring` names the ring of one computation (Z, Z/p^N, or the series ring
+mod t^T over either) and holds the one rule for reducing, testing and
+inverting its coefficients; the matrix, expansion and Hasse-Witt kernels
+build one from their ``modulus``/``t_trunc`` arguments.
+
 No floating point is used anywhere.
 """
 
@@ -18,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, isqrt
 
 # Ceiling for the direct product loop in gamma_p: p^N must stay below this.
 GAMMA_PRODUCT_BOUND = 10**7
@@ -47,6 +54,15 @@ def val_p_fraction(x, p: int, cap: int | None = None) -> int:
         return cap if cap is not None else 10**9
     v = val_p(x.numerator, p) - val_p(x.denominator, p)
     return v if cap is None else min(v, cap)
+
+
+def odd_prime(p) -> int:
+    """`p` itself if it is an odd prime; ValueError naming the value otherwise."""
+    if type(p) is not int or p < 3 or p % 2 == 0 or any(
+        p % q == 0 for q in range(3, isqrt(p) + 1, 2)
+    ):
+        raise ValueError(f"{p!r} is not an odd prime")
+    return p
 
 
 def inv_mod(a: int, modulus: int) -> int:
@@ -264,8 +280,7 @@ class TPoly:
         o = self.coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return TPoly([self[i] + o[i] for i in range(n)])
+        return TPoly([x + y for x, y in zip_longest(self.coeffs, o.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
@@ -429,6 +444,54 @@ class TPoly:
 
     def __repr__(self):
         return f"TPoly({list(self.coeffs)!r})"
+
+
+@dataclass(frozen=True, slots=True)
+class Ring:
+    """The coefficient ring of one computation and its one reduction rule.
+
+    Z when `modulus` is None, else Z/modulus (a prime power p^N).  With a
+    precision T it is the series ring over that mod t^T, whose elements are
+    TPolys; without one, a TPoly is an exact polynomial.
+    """
+
+    modulus: int | None = None
+    T: int | None = None
+
+    def reduce(self, c):
+        """`c` in this ring: `% modulus` (coefficientwise on polynomials), then,
+        when T is set, an int or TPoly becomes a TPoly truncated at t^T.  The
+        exact ring without T returns `c` itself."""
+        if self.modulus is not None:
+            c = c % self.modulus
+        if self.T is not None and isinstance(c, (int, TPoly)):
+            c = TPoly.coerce(c).truncate(self.T)
+        return c
+
+    def is_unit(self, c) -> bool:
+        """The pivot test: for a TPoly, whether its constant term is a unit."""
+        if isinstance(c, TPoly):
+            c = c[0]
+        if self.modulus is None:
+            return c in (1, -1)
+        return gcd(c, self.modulus) == 1
+
+    def inv(self, c):
+        """Inverse of a unit (a TPoly as a series mod t^T); the exact ring
+        inverts only +-1.  Raises NonUnitError for a non-unit."""
+        if self.modulus is None and not self.is_unit(c):
+            raise NonUnitError(f"{c!r} is not +-1, the only units of the exact ring")
+        if isinstance(c, TPoly):
+            return c.inverse_series(self.T, self.modulus)
+        return c if self.modulus is None else inv_mod(c, self.modulus)
+
+    def add_into(self, d: dict, key, c) -> None:
+        """d[key] += c, reduced in this ring; a key whose sum is zero is removed."""
+        c = self.reduce(d.get(key, 0) + c)
+        if c:
+            d[key] = c
+        else:
+            d.pop(key, None)
 
 
 # The old name of the rational series type: benchmark/workloads.py imports it

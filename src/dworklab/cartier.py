@@ -20,10 +20,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
-from .arith import NonUnitError, TPoly, val_p
+from .arith import NonUnitError, Ring, TPoly, val_p
 from .laurent import (
     FrobeniusLift,
     LaurentPoly,
@@ -32,12 +32,7 @@ from .laurent import (
     frobenius_twist,
     power_mod,
 )
-from .linalg import (
-    InconsistentSystemError,
-    RankDeficiencyError,
-    solve_mod,
-    solve_mod_multi,
-)
+from .linalg import RankDeficiencyError, solve_mod, solve_mod_multi
 from .polytope import (
     OpenSubset,
     cone_facet_normals,
@@ -111,27 +106,19 @@ class FormalExpansion:
         return out
 
     def scaled(self, c) -> "FormalExpansion":
+        add_into = Ring(self.modulus, self.t_trunc).add_into
         new = {}
         for v, co in self.coeffs.items():
-            x = co * c
-            if self.modulus is not None:
-                x = x % self.modulus
-            if x != 0:
-                new[v] = x
+            add_into(new, v, co * c)
         return _copy_with(self, new)
 
     def __add__(self, other: "FormalExpansion") -> "FormalExpansion":
         if self.mode != other.mode:
             raise ValueError("cannot add expansions of different modes")
+        add_into = Ring(self.modulus, self.t_trunc).add_into
         new = dict(self.coeffs)
         for v, c in other.coeffs.items():
-            acc = new.get(v, 0) + c
-            if self.modulus is not None:
-                acc = acc % self.modulus
-            if acc == 0:
-                new.pop(v, None)
-            else:
-                new[v] = acc
+            add_into(new, v, c)
         # completeness: keep the weaker certificate (max needed budget)
         out = _copy_with(self, new)
         if self.mode == "vertex":
@@ -220,33 +207,22 @@ def expand_vertex(
         return FormalExpansion("vertex", f.n, {}, modulus, tuple(b), budget,
                                (0,) * f.n, 1, (), (), t_trunc)
     b = tuple(b)
+    ring = Ring(modulus, t_trunc)
+    add_into = ring.add_into
     fb = f.coefficient_at(b)
     if isinstance(fb, TPoly):
         if fb.degree() > 0:
             raise NonUnitError("vertex coefficient must be a scalar unit")
         fb = fb[0]
-    if modulus is None:
-        if fb not in (1, -1):
-            raise NonUnitError("exact vertex expansion needs vertex coefficient +-1")
-        fb_inv = fb
-    else:
-        from .arith import inv_mod
-
-        fb_inv = inv_mod(fb, modulus)
+    fb_inv = ring.inv(fb)
     normals, psi, delta = vertex_frame(f, b)
-
-    def reduce_coeff(c):
-        if modulus is None:
-            return c
-        c = c % modulus
-        return c
 
     ell = {}
     for e, c in f.terms.items():
         if tuple(e) == b:
             continue
         w = tuple(x - y for x, y in zip(e, b))
-        ell[w] = reduce_coeff(c * fb_inv)
+        ell[w] = ring.reduce(c * fb_inv)
     cap = budget * delta
 
     shifts = [tuple(x - m * y for x, y in zip(e, b)) for e in h.support()]
@@ -262,8 +238,6 @@ def expand_vertex(
         ]
 
     def reachable(w):
-        if normal_caps is None:
-            return True
         return all(_dot(a, w) <= cap for a, cap in normal_caps)
 
     # accumulate sum_s binom(-m, s) ell^s with pruning outside psi <= cap
@@ -274,32 +248,18 @@ def expand_vertex(
         for w1, c1 in power.items():
             for w2, c2 in ell.items():
                 w = tuple(x + y for x, y in zip(w1, w2))
-                if _dot(psi, w) > cap or not reachable(w):
+                if _dot(psi, w) > cap or (normal_caps and not reachable(w)):
                     continue
-                prod = c1 * c2
-                if isinstance(prod, TPoly) and t_trunc is not None:
-                    prod = prod.truncate(t_trunc)
-                cur = nxt.get(w, 0) + prod
-                cur = reduce_coeff(cur) if modulus is not None else cur
-                if cur == 0:
-                    nxt.pop(w, None)
-                else:
-                    nxt[w] = cur
+                add_into(nxt, w, c1 * c2)
         power = nxt
         if not power:
             break
         coef = (-1) ** s * math.comb(s + m - 1, m - 1)
         for w, c in power.items():
-            add = c * coef
-            cur = acc.get(w, 0) + add
-            cur = reduce_coeff(cur) if modulus is not None else cur
-            if cur == 0:
-                acc.pop(w, None)
-            else:
-                acc[w] = cur
+            add_into(acc, w, c * coef)
 
     # multiply by h * x^{-m b} * f_b^{-m}
-    fbm = fb_inv**m if modulus is None else pow(fb_inv, m, modulus)
+    fbm = ring.reduce(fb_inv**m)
     out = {}
     target_set = set(tuple(v) for v in targets) if targets is not None else None
     for e, c in h.terms.items():
@@ -309,15 +269,7 @@ def expand_vertex(
             v = tuple(x + y for x, y in zip(w0, w))
             if target_set is not None and v not in target_set:
                 continue
-            add = cc * scale
-            if isinstance(add, TPoly) and t_trunc is not None:
-                add = add.truncate(t_trunc)
-            cur = out.get(v, 0) + add
-            cur = reduce_coeff(cur) if modulus is not None else cur
-            if cur == 0:
-                out.pop(v, None)
-            else:
-                out[v] = cur
+            add_into(out, v, cc * scale)
     return FormalExpansion(
         "vertex", f.n, out, modulus, b, budget, psi, delta,
         tuple(sorted(set(shifts))), normals, t_trunc,
@@ -340,22 +292,8 @@ def expand_origin(
     are kept and intermediate powers of g are pruned to the monomials that can
     still reach a target (a sound box overapproximation of the reachable set).
     """
+    ring = Ring(modulus, T)
     coeffs: dict = {}
-
-    def add_term(v, tpol):
-        if modulus is not None:
-            tpol = tpol % modulus
-        tpol = tpol.truncate(T)
-        if not tpol:
-            return
-        cur = coeffs.get(v)
-        acc = tpol if cur is None else (cur + tpol)
-        if modulus is not None:
-            acc = acc % modulus
-        if acc:
-            coeffs[v] = acc
-        elif cur is not None:
-            del coeffs[v]
 
     target_set = None
     demand = None
@@ -386,18 +324,12 @@ def expand_origin(
     gi = LaurentPoly.constant(g.n, 1)
     for i in range(T):
         c = math.comb(i + m - 1, m - 1)
-        prod = h * gi
-        if modulus is not None:
-            prod = prod.reduce_mod(modulus)
-        for e, co in prod.terms.items():
-            if target_set is not None and tuple(e) not in target_set:
+        for e, co in (h * gi).terms.items():
+            if target_set is not None and e not in target_set:
                 continue
-            shifted = TPoly([0] * i + [x * c for x in TPoly.coerce(co).coeffs])
-            add_term(tuple(e), shifted)
+            ring.add_into(coeffs, e, TPoly([0] * i + [x * c for x in TPoly.coerce(co).coeffs]))
         if i < T - 1:
-            gi = gi * g
-            if modulus is not None:
-                gi = gi.reduce_mod(modulus)
+            gi = ring.reduce(gi * g)
             if demand is not None:
                 remaining = T - 2 - i
                 gi = LaurentPoly(
@@ -735,11 +667,11 @@ def _solve_interpolation(f, g, basis, probes, k, p, sigma, s, modulus, t_trunc):
     nb = len(basis)
     data = [_probe_data(exps, sigma, w, p, s, modulus) for w in probes]
 
+    # the elimination reduces its input and its solutions mod `modulus`
     if t_trunc is None:
-        A_all = [[rhs[j] % modulus for j in range(nb)] for (_, rhs) in data]
-        b_all = [[lhs[i] % modulus for (lhs, _) in data] for i in range(nb)]
-        solutions = solve_mod_multi(A_all, b_all, modulus)
-        return [[v % modulus for v in x] for x in solutions], None
+        A_all = [rhs for (_, rhs) in data]
+        b_all = [[lhs[i] for (lhs, _) in data] for i in range(nb)]
+        return solve_mod_multi(A_all, b_all, modulus), None
 
     rhs_t = [[TPoly.coerce(c) for c in rhs] for (_, rhs) in data]
     lhs_t = [[TPoly.coerce(c) for c in lhs] for (lhs, _) in data]
@@ -762,10 +694,10 @@ def _solve_interpolation(f, g, basis, probes, k, p, sigma, s, modulus, t_trunc):
             row = []
             for j in range(nb):
                 for dd in range(T_lambda):
-                    row.append(rhs_t[wi][j][d - dd] % modulus if d - dd >= 0 else 0)
+                    row.append(rhs_t[wi][j][d - dd])  # 0 below degree 0
             A_all.append(row)
             for i in range(nb):
-                b_all[i].append(lhs_t[wi][i][d] % modulus)
+                b_all[i].append(lhs_t[wi][i][d])
     solutions = solve_mod_multi(A_all, b_all, modulus)
     rows = []
     for x in solutions:
@@ -792,27 +724,21 @@ def _holdout_residuals(
         rhs = [
             sigma.apply_scalar(E.coefficient(rhs_idx), modulus) for E in exps
         ]
+        check = Ring(modulus)
         if T_lambda is not None:
             rhs_t = [TPoly.coerce(c) for c in rhs]
             # residual is only meaningful below the degree where the truncated
             # tail of the solved entries could contribute
-            check_to = min(
+            check = Ring(modulus, min(
                 t_trunc,
                 T_lambda + min(_tval_nonzero(c, p, t_trunc) for c in rhs_t),
-            )
+            ))
         for i in range(nb):
             acc = 0
             for j in range(nb):
                 acc = acc + matrix[i][j] * rhs[j]
-            diff = exps[i].coefficient(lhs_idx) - acc
-            if isinstance(diff, TPoly):
-                diff = (diff % modulus).truncate(
-                    check_to if T_lambda is not None else (diff.degree() + 1)
-                )
-                bad = bool(diff)
-            else:
-                bad = diff % modulus != 0
-            if bad:
+            diff = check.reduce(exps[i].coefficient(lhs_idx) - acc)
+            if diff:
                 witnesses.append({"probe": w, "row": i, "residual": repr(diff)})
     return witnesses
 

@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
-from .arith import NonUnitError, gamma_p, gamma_ratio_check, teichmuller
+from .arith import NonUnitError, gamma_p, gamma_ratio_check, odd_prime
 from .laurent import (
     FrobeniusLift,
     LaurentPoly,
     family_from_json,
     poly_from_json,
-    poly_to_json,
 )
 from .polytope import (
     DegenerateSupportError,
@@ -345,10 +343,10 @@ def cmd_gamma_p(args, fmt):
 
 def _odd_prime(text: str) -> int:
     """argparse type for every prime option: an odd prime, else exit 2."""
-    p = int(text)
-    if p < 3 or p % 2 == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
-        raise argparse.ArgumentTypeError(f"{text} is not an odd prime")
-    return p
+    try:
+        return odd_prime(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text} is not an odd prime") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

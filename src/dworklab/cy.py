@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import NonUnitError, TPoly, inv_mod, val_p_fraction
+from .arith import NonUnitError, Ring, TPoly, inv_mod, val_p_fraction
 from .laurent import FrobeniusLift, LaurentPoly, family_poly
 from .polytope import (
     all_proper_faces_volume_one,
@@ -29,7 +29,7 @@ from .polytope import (
     newton_polytope,
 )
 from .cartier import interpolate_cartier, theta_t_rational
-from .linalg import mat_mul, tmat_mul
+from .linalg import mat_mul
 
 
 # -- presets -----------------------------------------------------------
@@ -668,16 +668,18 @@ def _ode_residual_ok(operator, lam, p, check_precision, t_check):
     modulus = p**check_precision
     Tn = t_check * p + 1
     companion = operator.companion_series(Tn)
+    # only degrees <= t_check are compared, so the factors are truncated there
+    reduce = Ring(modulus, t_check + 1).reduce
     try:
-        N = [[s.reduce_mod(modulus) for s in row] for row in companion]
+        N = [[reduce(s.reduce_mod(modulus)) for s in row] for row in companion]
     except NonUnitError:
         return False
-    lamT = [[e % modulus for e in row] for row in lam]
-    Np = [[e.subs_t_power(p) % modulus for e in row] for row in N]
+    lamT = [[reduce(e) for e in row] for row in lam]
+    Np = [[reduce(e.subs_t_power(p)) for e in row] for row in N]
     theta_lam = [[e.theta() % modulus for e in row] for row in lamT]
     lhs = theta_lam
-    rhs1 = tmat_mul(N, lamT, modulus, t_check + 1)
-    rhs2 = tmat_mul(lamT, Np, modulus, t_check + 1)
+    rhs1 = mat_mul(N, lamT, modulus)
+    rhs2 = mat_mul(lamT, Np, modulus)
     for i in range(m):
         for j in range(m):
             diff = (lhs[i][j] - rhs1[i][j] + p * rhs2[i][j]) % modulus

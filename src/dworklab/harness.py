@@ -13,25 +13,12 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arith import TPoly, val_p
-from .laurent import (
-    FrobeniusLift,
-    LaurentPoly,
-    family_from_json,
-    family_poly,
-    poly_from_json,
-)
-from .linalg import mat_inv_mod, mat_mul, int_det
+from .arith import TPoly, odd_prime, val_p
+from .laurent import FrobeniusLift, LaurentPoly, family_from_json, poly_from_json
+from .linalg import mat_inv_mod, mat_mul
 from .polytope import interior, newton_polytope, whole_polytope
-from .hasse_witt import (
-    HWConditionError,
-    beta_matrix,
-    hw_condition,
-    lambda_unit_root,
-    sigma_matrix,
-)
+from .hasse_witt import beta_matrix, hw_condition, lambda_unit_root
 from .cartier import expand_vertex, vertex_budget
 from .zeta import frobenius_trace_elliptic, asd_alpha
 from .cy import constant_term_series, preset_family
@@ -64,7 +51,7 @@ class JobSpec:
             _, g = family_from_json(entry)
             fams.append((entry.get("label", "family"), g))
         return JobSpec(
-            primes=tuple(obj.get("primes", (3, 5, 7))),
+            primes=tuple(odd_prime(p) for p in obj.get("primes", (3, 5, 7))),
             s_max=int(obj.get("s_max", 2)),
             bound=int(obj.get("bound", 30)),
             seed=int(obj.get("seed", 0)),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import TPoly, val_p
+from .arith import Ring, TPoly, val_p
 from .laurent import (
     FrobeniusLift,
     LaurentPoly,
@@ -24,7 +24,7 @@ from .laurent import (
     frobenius_twist,
     power_mod,
 )
-from .linalg import int_det, mat_mul, mat_inv_mod, tmat_inv_series, tmat_mul, tpoly_det
+from .linalg import int_det, mat_mul, tmat_inv_series, tpoly_det
 from .polytope import OpenSubset, lattice_points_in_dilate
 
 
@@ -115,16 +115,9 @@ def hw_condition(f: LaurentPoly, mu: OpenSubset, p: int) -> bool:
 
 
 def sigma_matrix(M, sigma: FrobeniusLift, modulus: int, t_trunc: int | None = None):
-    out = []
-    for row in M:
-        new = []
-        for e in row:
-            v = sigma.apply_scalar(e, modulus)
-            if t_trunc is not None and isinstance(v, TPoly):
-                v = v.truncate(t_trunc)
-            new.append(v)
-        out.append(new)
-    return out
+    """sigma applied to every entry, reduced in Ring(modulus, t_trunc)."""
+    reduce = Ring(modulus, t_trunc).reduce
+    return [[reduce(sigma.apply_scalar(e, modulus)) for e in row] for row in M]
 
 
 def lambda_unit_root(
@@ -144,21 +137,17 @@ def lambda_unit_root(
     det = _det_mod_p(hw)
     if det == 0:
         raise HWConditionError(det)
-    modulus = p**s
     num = beta_matrix(f, mu, p**s, p, s)
     den = beta_matrix(f, mu, p ** (s - 1), p, s)
-    if num.is_tpoly() or den.is_tpoly():
-        if t_trunc is None or t_trunc < 1:
-            raise ValueError("t-family Lambda needs a truncation order t_trunc >= 1")
-        den_entries = [[TPoly.coerce(e) for e in row] for row in den.entries]
-        num_entries = [[TPoly.coerce(e) for e in row] for row in num.entries]
-        twisted = sigma_matrix(den_entries, sigma, modulus, t_trunc)
-        inv = tmat_inv_series(twisted, modulus, t_trunc)
-        lam = tmat_mul(num_entries, inv, modulus, t_trunc)
-    else:
-        twisted = sigma_matrix(den.entries, sigma, modulus)
-        inv = mat_inv_mod(twisted, modulus)
-        lam = mat_mul(num.entries, inv, modulus)
+    # a t-family's beta entries are TPolys, and its Lambda lives in the
+    # series ring mod t^t_trunc; an integer Lambda ignores t_trunc
+    series = num.is_tpoly() or den.is_tpoly()
+    if series and (t_trunc is None or t_trunc < 1):
+        raise ValueError("t-family Lambda needs a truncation order t_trunc >= 1")
+    ring = Ring(p**s, t_trunc if series else None)
+    twisted = sigma_matrix(den.entries, sigma, ring.modulus, ring.T)
+    inv = tmat_inv_series(twisted, ring.modulus, ring.T)
+    lam = [[ring.reduce(e) for e in row] for row in mat_mul(num.entries, inv)]
     return BetaMatrix(num.index, lam, 0, p, s, mu.describe())
 
 
@@ -181,32 +170,20 @@ def higher_F_polynomial(
     f: LaurentPoly, k: int, p: int, sigma: FrobeniusLift, modulus: int | None = None
 ) -> LaurentPoly:
     """F(x) = f^(p-k) * sum_{r<k} (f^sigma(x^p) - f^p)^r f^sigma(x^p)^(k-1-r)."""
+    reduce = Ring(modulus).reduce
     fp = power_mod(f, p, modulus)
     fxp = frobenius_twist(f, sigma, substitute_x_p=True, p=p, modulus=modulus)
-    diff = fxp - fp
-    if modulus is not None:
-        diff = diff.reduce_mod(modulus)
+    diff = reduce(fxp - fp)
     acc = LaurentPoly(f.n)
     diff_pow = LaurentPoly.constant(f.n, 1)
     fxp_pows = [LaurentPoly.constant(f.n, 1)]
     for _ in range(k - 1):
-        nxt = fxp_pows[-1] * fxp
-        if modulus is not None:
-            nxt = nxt.reduce_mod(modulus)
-        fxp_pows.append(nxt)
+        fxp_pows.append(reduce(fxp_pows[-1] * fxp))
     for r in range(k):
-        term = diff_pow * fxp_pows[k - 1 - r]
-        if modulus is not None:
-            term = term.reduce_mod(modulus)
-        acc = acc + term
+        acc = acc + reduce(diff_pow * fxp_pows[k - 1 - r])
         if r < k - 1:
-            diff_pow = diff_pow * diff
-            if modulus is not None:
-                diff_pow = diff_pow.reduce_mod(modulus)
-    out = power_mod(f, p - k, modulus) * acc
-    if modulus is not None:
-        out = out.reduce_mod(modulus)
-    return out
+            diff_pow = reduce(diff_pow * diff)
+    return reduce(power_mod(f, p - k, modulus) * acc)
 
 
 def higher_hw_matrix(

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .arith import TPoly
+from .arith import Ring, TPoly
 
 EXPONENT_LIMIT = 10**5  # machine-int guard for exponent arithmetic
 
@@ -145,6 +145,8 @@ class LaurentPoly:
                 out[e] = c
         return LaurentPoly(self.n, out)
 
+    __mod__ = reduce_mod  # so that arith.Ring reduces a Laurent polynomial too
+
     def map_coefficients(self, fn) -> "LaurentPoly":
         return LaurentPoly(self.n, {e: fn(c) for e, c in self.terms.items()})
 
@@ -158,18 +160,15 @@ def power_mod(f: LaurentPoly, m: int, modulus: int | None = None) -> LaurentPoly
     """f^m by binary powering, reducing every intermediate mod `modulus` if given."""
     if m < 0:
         raise ValueError("power_mod needs m >= 0")
+    reduce = Ring(modulus).reduce
     result = LaurentPoly.constant(f.n, 1)
-    base = f.reduce_mod(modulus) if modulus is not None else f
+    base = reduce(f)
     while m:
         if m & 1:
-            result = result * base
-            if modulus is not None:
-                result = result.reduce_mod(modulus)
+            result = reduce(result * base)
         m >>= 1
         if m:
-            base = base * base
-            if modulus is not None:
-                base = base.reduce_mod(modulus)
+            base = reduce(base * base)
     return result
 
 
@@ -334,11 +333,7 @@ class FrobeniusLift:
             out = c.subs_t_power(self.p)
         else:
             out = c.compose(self.image, T=self.t_trunc, modulus=modulus)
-        if self.t_trunc is not None:
-            out = out.truncate(self.t_trunc)
-        if modulus is not None:
-            out = out % modulus
-        return out
+        return Ring(modulus, self.t_trunc).reduce(out)
 
     def apply_poly(self, f: LaurentPoly, modulus: int | None = None) -> LaurentPoly:
         return f.map_coefficients(lambda c: self.apply_scalar(c, modulus))

@@ -1,17 +1,17 @@
 """Small exact linear-algebra kernels shared by the matrix-producing modules.
 
 Matrices are plain lists of lists.  Entries are ints (residues mod p^N) or
-TPoly values; the solvers that need division insist on unit pivots, because
-over Z/p^N a non-unit pivot silently destroys precision.  The integer
-solvers (mat_inv_mod, solve_mod, solve_mod_multi) share one elimination over
-Z/p^N; the inverse over (Z/p^N)[t]/(t^T) in tmat_inv_series is separate.
+TPoly values.  mat_inv_mod, solve_mod, solve_mod_multi and tmat_inv_series
+are wrappers over one Gauss-Jordan elimination over an arith.Ring: Z/p^N, or
+the series ring (Z/p^N)[t]/t^T for tmat_inv_series.  It insists on unit
+pivots, because over Z/p^N a non-unit pivot silently destroys precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import NonUnitError, TPoly, inv_mod
+from .arith import NonUnitError, Ring, TPoly
 
 
 class RankDeficiencyError(ArithmeticError):
@@ -27,28 +27,18 @@ def identity_matrix(k, one=1, zero=0):
 
 
 def mat_mul(A, B, modulus=None):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = 0
-            for t in range(inner):
-                a = A[i][t]
-                b = B[t][j]
-                if a == 0 or b == 0:
-                    continue
-                acc = acc + a * b
-            if modulus is not None:
-                acc = acc % modulus
-            row.append(acc)
-        out.append(row)
-    return out
+    """Matrix product, reduced mod `modulus` when one is given.  Entries may be
+    ints or TPolys; a caller in a series ring truncates the product itself."""
+    reduce = Ring(modulus).reduce
+    cols = list(zip(*B))
+    return [
+        [reduce(sum((a * b for a, b in zip(row, col) if a and b), 0)) for col in cols]
+        for row in A
+    ]
 
 
 def mat_trace(A, modulus=None):
-    acc = sum(A[i][i] for i in range(len(A)))
-    return acc % modulus if modulus is not None else acc
+    return Ring(modulus).reduce(sum(A[i][i] for i in range(len(A))))
 
 
 def mat_pow(A, k, modulus=None):
@@ -65,17 +55,17 @@ def mat_pow(A, k, modulus=None):
 
 def mat_inv_mod(A, modulus: int):
     """Inverse over Z/modulus: the solve with identity right-hand sides."""
-    k = len(A)
-    columns = _eliminate(A, identity_matrix(k), modulus)
-    return [list(row) for row in zip(*columns)]
+    return _inverse(A, Ring(modulus))
 
 
-def _is_unit(x: int, modulus: int) -> bool:
-    # modulus is p^N here so unit means not divisible by p; gcd check is
-    # equally correct and avoids threading p through.
-    from math import gcd
-
-    return gcd(x % modulus, modulus) == 1
+def tmat_inv_series(A, modulus: int, t_trunc: int | None):
+    """Inverse of a TPoly matrix over (Z/modulus)[t]/(t^t_trunc), by the same
+    elimination: a pivot needs a unit constant term.  With t_trunc None the
+    entries are ints and the ring is Z/modulus."""
+    try:
+        return _inverse(A, Ring(modulus, t_trunc))
+    except RankDeficiencyError:
+        raise NonUnitError("no pivot with unit constant term") from None
 
 
 def solve_mod(A, b, modulus: int):
@@ -85,48 +75,47 @@ def solve_mod(A, b, modulus: int):
     Raises RankDeficiencyError if fewer than cols unit pivots can be found and
     InconsistentSystemError if eliminated rows leave a nonzero residual.
     """
-    return _eliminate(A, [b], modulus)[0]
+    return _eliminate(A, [b], Ring(modulus))[0]
 
 
 def solve_mod_multi(A, bs, modulus: int):
     """solve_mod with several right-hand sides sharing one elimination."""
-    return _eliminate(A, bs, modulus)
+    return _eliminate(A, bs, Ring(modulus))
 
 
-def _eliminate(A, bs, modulus: int):
-    """Gauss-Jordan elimination of [A | bs] over Z/modulus with unit pivots.
+def _inverse(A, ring: Ring):
+    columns = _eliminate(A, identity_matrix(len(A)), ring)
+    return [list(row) for row in zip(*columns)]
 
-    Returns one solution vector per right-hand side in bs.
+
+def _eliminate(A, bs, ring: Ring):
+    """Gauss-Jordan elimination of [A | bs] over `ring` with unit pivots.
+
+    Returns one solution vector per right-hand side in bs, reduced in `ring`.
     """
     rows = len(A)
     cols = len(A[0]) if A else 0
     nb = len(bs)
-    work = [
-        [A[i][j] % modulus for j in range(cols)] + [bs[k][i] % modulus for k in range(nb)]
-        for i in range(rows)
-    ]
+    reduce = ring.reduce
+    work = [[reduce(x) for x in row] + [reduce(b[i]) for b in bs] for i, row in enumerate(A)]
     for col in range(cols):
-        piv = None
-        for i in range(col, rows):
-            if _is_unit(work[i][col], modulus):
-                piv = i
-                break
+        piv = next((i for i in range(col, rows) if ring.is_unit(work[i][col])), None)
         if piv is None:
             raise RankDeficiencyError(
                 f"no unit pivot in column {col}; add probes or raise truncation"
             )
         work[col], work[piv] = work[piv], work[col]
-        inv = inv_mod(work[col][col], modulus)
-        work[col] = [x * inv % modulus for x in work[col]]
+        inv = ring.inv(work[col][col])
+        work[col] = [reduce(x * inv) for x in work[col]]
         for i in range(rows):
             if i != col and work[i][col]:
                 f = work[i][col]
-                work[i] = [(x - f * y) % modulus for x, y in zip(work[i], work[col])]
+                work[i] = [reduce(x - f * y) for x, y in zip(work[i], work[col])]
     for i in range(cols, rows):
         for k in range(nb):
-            if work[i][cols + k] % modulus != 0:
+            if work[i][cols + k]:
                 raise InconsistentSystemError(
-                    f"residual on eliminated row for rhs {k} mod {modulus}"
+                    f"residual on eliminated row for rhs {k} mod {ring.modulus}"
                 )
     return [[work[i][cols + k] for i in range(cols)] for k in range(nb)]
 
@@ -164,17 +153,11 @@ def tpoly_det(A) -> TPoly:
     k = len(A)
     if k == 0:
         return TPoly([1])
-    deg_bound = 0
-    for i in range(k):
-        deg_bound += max(
-            (e.degree() if isinstance(e, TPoly) else 0)
-            for e in A[i]
-        )
+    deg_bound = sum(max(e.degree() for e in row) for row in A)
     points = list(range(deg_bound + 1))
     values = []
     for x in points:
-        B = [[e.evaluate(x) if isinstance(e, TPoly) else e for e in row] for row in A]
-        values.append(int_det(B))
+        values.append(int_det([[e.evaluate(x) for e in row] for row in A]))
     coeffs = _lagrange_interpolate(points, values)
     return TPoly(coeffs)
 
@@ -210,56 +193,3 @@ def _poly_mul_linear(poly, const):
         out[i] += c * const
         out[i + 1] += c
     return out
-
-
-def tmat_mul(A, B, modulus: int, t_trunc: int | None = None):
-    """Product of TPoly matrices with reduction mod (modulus, t^t_trunc)."""
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = TPoly()
-            for t in range(inner):
-                a, b = A[i][t], B[t][j]
-                if not a or not b:
-                    continue
-                acc = acc + (a * b if t_trunc is None else a.mul(b, t_trunc))
-            row.append(acc % modulus)
-        out.append(row)
-    return out
-
-
-def tmat_inv_series(A, modulus: int, t_trunc: int):
-    """Inverse of a TPoly matrix over (Z/modulus)[t]/(t^t_trunc).
-
-    Pivots must have unit constant term; this is the series-ring analogue of
-    the unit-pivot rule.
-    """
-    k = len(A)
-    one = TPoly([1])
-    zero = TPoly()
-    work = [
-        [A[i][j].truncate(t_trunc) % modulus for j in range(k)]
-        + [one if j == i else zero for j in range(k)]
-        for i in range(k)
-    ]
-    for col in range(k):
-        piv = None
-        for i in range(col, k):
-            if _is_unit(work[i][col][0], modulus):
-                piv = i
-                break
-        if piv is None:
-            raise NonUnitError("no pivot with unit constant term")
-        work[col], work[piv] = work[piv], work[col]
-        inv = work[col][col].inverse_series(t_trunc, modulus)
-        work[col] = [x.mul(inv, t_trunc) % modulus for x in work[col]]
-        for i in range(k):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [
-                    (x - f.mul(y, t_trunc)) % modulus
-                    for x, y in zip(work[i], work[col])
-                ]
-    return [row[k:] for row in work]

@@ -307,7 +307,7 @@ def lambda_at_teichmuller(f_family: LaurentPoly, mu, a: int, p: int, s: int):
     stabilised ratio; because tau(a)^p = tau(a), this agrees with running the
     integer fibre through lambda_unit_root.
     """
-    from .hasse_witt import HWConditionError, beta_matrix, _det_mod_p, hw_matrix
+    from .hasse_witt import HWConditionError, beta_matrix, hw_matrix
     from .linalg import mat_inv_mod, mat_mul
 
     hw = hw_matrix(f_family, mu, p, 1)

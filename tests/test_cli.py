@@ -208,6 +208,16 @@ class TestExitCodes:
         assert code == 2 and not out
         assert "not an odd prime" in err
 
+    @pytest.mark.parametrize("suite", ["gauss", "hhw", "asd", "dwork"])
+    @pytest.mark.parametrize("prime", [9, 4, "5"])
+    def test_job_file_non_prime_is_2(self, capsys, tmp_path, suite, prime):
+        # a --job file passes the same odd-prime check as --primes
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"primes": [3, prime], "s_max": 1}))
+        code, out, err = run(capsys, ["verify", suite, "--job", str(job)])
+        assert code == 2 and not out
+        assert f"{prime!r} is not an odd prime" in err
+
     def test_crosscheck_zero_cells_is_2(self, capsys, triangle_file):
         code, out, _ = run(capsys, ["crosscheck", "--poly", triangle_file, "--prime", "5",
                                     "--smax", "0"])

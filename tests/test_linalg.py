@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dworklab.arith import NonUnitError, TPoly
 from dworklab.linalg import (
     InconsistentSystemError,
     RankDeficiencyError,
@@ -14,6 +15,7 @@ from dworklab.linalg import (
     mat_mul,
     solve_mod,
     solve_mod_multi,
+    tmat_inv_series,
 )
 from dworklab.polytope import _kernel_vector, _rank
 
@@ -113,6 +115,55 @@ class TestModularElimination:
             solve_mod(A + [A[0]], b + [(b[0] + shift) % modulus], modulus)
         with pytest.raises(InconsistentSystemError):
             solve_mod_multi(A + [A[0]], [b + [(b[0] + shift) % modulus]], modulus)
+
+
+@st.composite
+def series_matrix(draw, swap=False):
+    """(p, p^N, T, A) with A a k x k matrix (k <= 3) of TPolys over Z/p^N, some
+    longer than T.  With `swap`, A[0][0] has a constant term divisible by p, so
+    the elimination must swap rows."""
+    p = draw(PRIMES)
+    modulus = p ** draw(st.integers(1, 3))
+    T = draw(st.integers(1, 5))
+    k = draw(st.integers(2 if swap else 1, 3))
+    entry = st.lists(st.integers(0, modulus - 1), max_size=T + 2).map(TPoly)
+    A = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    if swap:
+        A[0][0] = TPoly([p * draw(st.integers(0, modulus // p - 1))] + list(A[0][0].coeffs[1:]))
+    return p, modulus, T, A
+
+
+def constant_terms(A):
+    return [[e[0] for e in row] for row in A]
+
+
+def series_product(A, B, modulus, T):
+    """A * B mod (modulus, t^T), every entry a TPoly."""
+    return [[(TPoly.coerce(e) % modulus).truncate(T) for e in row]
+            for row in mat_mul(A, B, modulus)]
+
+
+class TestSeriesInverse:
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans().flatmap(lambda swap: series_matrix(swap=swap)))
+    def test_inverse_mod_p_N_and_t_T(self, system):
+        p, modulus, T, A = system
+        assume(int_det(constant_terms(A)) % p)
+        inv = tmat_inv_series(A, modulus, T)
+        one = identity_matrix(len(A), TPoly([1]), TPoly())
+        assert series_product(A, inv, modulus, T) == one
+        assert series_product(inv, A, modulus, T) == one
+
+    @settings(max_examples=40, deadline=None)
+    @given(series_matrix(), st.data())
+    def test_singular_constant_terms_raise(self, system, data):
+        p, modulus, T, A = system
+        # the last row's constant terms become multiples of p
+        scale = data.draw(st.integers(0, modulus // p - 1))
+        A[-1] = [TPoly([p * scale * e[0]] + list(e.coeffs[1:])) for e in A[-1]]
+        assert int_det(constant_terms(A)) % p == 0
+        with pytest.raises(NonUnitError):
+            tmat_inv_series(A, modulus, T)
 
 
 @st.composite
