@@ -43,6 +43,13 @@ class JobSpec:
     def from_json(obj) -> "JobSpec":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError("job JSON must be an object at the top level")
+        curves = obj.get("curves", [])
+        if not isinstance(curves, list) or not all(
+            isinstance(c, list) and len(c) == 2 and all(type(x) is int for x in c) for c in curves
+        ):
+            raise ValueError(f'"curves" must be a list of integer pairs [A, B], not {curves!r}')
         polys = []
         for entry in obj.get("polynomials", []):
             polys.append((entry.get("label", "poly"), poly_from_json(entry)))
@@ -57,7 +64,7 @@ class JobSpec:
             seed=int(obj.get("seed", 0)),
             polynomials=tuple(polys),
             families=tuple(fams),
-            curves=tuple(tuple(c) for c in obj.get("curves", ())),
+            curves=tuple(tuple(c) for c in curves),
             dimensions=tuple(obj.get("dimensions", (2,))),
         )
 

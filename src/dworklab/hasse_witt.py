@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Ring, TPoly, val_p
+from .arith import Ring, TPoly, odd_prime, val_p
 from .laurent import (
     FrobeniusLift,
     LaurentPoly,
@@ -260,6 +260,7 @@ def higher_hw_alternative_check(
     """
     from .cartier import expand_origin, expand_vertex, unit_vertex, vertex_budget
 
+    odd_prime(p)
     if sigma is None:
         sigma = FrobeniusLift.identity()
     modulus = p**k
@@ -304,6 +305,7 @@ def higher_hw_condition(
     operationalises invertibility after clearing the declared Hasse-Witt
     denominators.
     """
+    odd_prime(p)
     if k < 1:
         raise ValueError("level k must be >= 1")
     if sigma is None:

@@ -9,8 +9,6 @@ pivots, because over Z/p^N a non-unit pivot silently destroys precision.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .arith import NonUnitError, Ring, TPoly
 
 
@@ -147,49 +145,35 @@ def int_det(mat) -> int:
 def tpoly_det(A) -> TPoly:
     """Exact determinant of a matrix of integer TPoly entries.
 
-    Evaluates at enough integer points and Lagrange-interpolates; this avoids
-    the coefficient blow-up of fraction-free elimination over Z[t].
+    Evaluates at the integer points 0..d, d the sum of the row-max degrees,
+    and interpolates over Z; this avoids the coefficient blow-up of
+    fraction-free elimination over Z[t].
     """
     k = len(A)
     if k == 0:
         return TPoly([1])
     deg_bound = sum(max(e.degree() for e in row) for row in A)
-    points = list(range(deg_bound + 1))
-    values = []
-    for x in points:
-        values.append(int_det([[e.evaluate(x) for e in row] for row in A]))
-    coeffs = _lagrange_interpolate(points, values)
-    return TPoly(coeffs)
+    values = [int_det([[e.evaluate(x) for e in row] for row in A]) for x in range(deg_bound + 1)]
+    return TPoly(_interpolate(values))
 
 
-def _lagrange_interpolate(xs, ys):
-    """Interpolating polynomial coefficients; asserts the result is integral."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        # numerator polynomial prod_{j != i} (t - x_j), built incrementally
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            num = _poly_mul_linear(num, -xs[j])
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i]) / denom
-        for d in range(len(num)):
-            coeffs[d] += num[d] * scale
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolation produced a non-integer coefficient")
-        out.append(int(c))
-    return out
+def _interpolate(values):
+    """Integer coefficients of the polynomial P of degree <= d with
+    P(x) = values[x] at x = 0, 1, ..., d, where d = len(values) - 1.
 
-
-def _poly_mul_linear(poly, const):
-    """poly * (t + const) over Fractions."""
-    out = [Fraction(0)] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i] += c * const
-        out[i + 1] += c
-    return out
+    Newton's forward differences give d! P(t) = sum_k D^k P(0) (d!/k!)
+    t(t-1)...(t-k+1), which Horner expands over Z; one exact division by d!
+    remains.  Raises ArithmeticError when P has a non-integer coefficient.
+    """
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    coeffs, scale = [], 1  # scale = d!/k!
+    for k in reversed(range(len(diffs))):
+        coeffs = [x - k * y for x, y in zip([0] + coeffs, coeffs + [0])]  # times (t - k)
+        coeffs[0] += diffs[k] * scale
+        scale *= k or 1
+    if any(c % scale for c in coeffs):
+        raise ArithmeticError("interpolation produced a non-integer coefficient")
+    return [c // scale for c in coeffs]

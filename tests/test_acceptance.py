@@ -2,7 +2,8 @@
 
 Every check is an exact congruence or equality (tolerances are zero); each
 test prints a single PASS line with its runtime when it completes.  Criterion
-13 is stretch-tier and excluded from the default run (pytest -m slow).
+13 and the n = 3 level-3 check of criterion 9 are stretch-tier and excluded
+from the default run (pytest -m slow).
 """
 
 import math
@@ -163,7 +164,8 @@ def test_criterion_09_higher_hasse_witt():
         P = newton_polytope(g.support())
         W = whole_polytope(P)
         # t-family: all levels for n = 2, levels 1..2 for n = 3 (the 35x35
-        # exact polynomial determinant at level 3 is beyond desk scale; the
+        # exact polynomial determinant at level 3 takes over a minute, so
+        # test_criterion_09_n3_family_level_3 checks it in the slow tier; the
         # integer specialisations below cover level 3)
         ft = family_poly(g)
         k_family = 2
@@ -190,6 +192,23 @@ def test_criterion_09_higher_hasse_witt():
         fi = LaurentPoly(g.n, {(0,) * n: 1, **{e: -c for e, c in g.terms.items()}})
         assert higher_hw_alternative_check(fi, W, n, p)
     _report(9, "higher Hasse-Witt valuations L(k) with unit cofactors", t0, 120)
+
+
+@pytest.mark.slow
+def test_criterion_09_n3_family_level_3():
+    """Slow tier: the level-3 check criterion 9 leaves out, an exact 35 x 35
+    determinant over Z[t] of t-degree bound 630 for the n = 3 simplicial
+    t-family at p = 7."""
+    t0 = time.time()
+    p, n = 7, 3
+    g = LaurentPoly(n, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1})
+    W = whole_polytope(newton_polytope(g.support()))
+    ok, report = higher_hw_condition(family_poly(g), W, 3, p, FrobeniusLift.t_power(p))
+    assert ok, report
+    assert report[3]["size"] == 35
+    assert report[3]["ord"] == report[3]["L"] == 50
+    assert report[3]["unit_cofactor"] and report[3]["t_degree"] == 504
+    _report(9, "higher Hasse-Witt level 3 of the n=3 t-family", t0, 240)
 
 
 def test_criterion_10_route_equivalence():

@@ -218,6 +218,18 @@ class TestExitCodes:
         assert code == 2 and not out
         assert f"{prime!r} is not an odd prime" in err
 
+    @pytest.mark.parametrize(
+        "suite, text, field",
+        [("dwork", "[3]", "top level"), ("asd", '{"curves": [[1]]}', '"curves"')],
+        ids=["not-an-object", "short-curve"],
+    )
+    def test_malformed_job_file_is_2(self, capsys, tmp_path, suite, text, field):
+        job = tmp_path / "job.json"
+        job.write_text(text)
+        code, out, err = run(capsys, ["verify", suite, "--job", str(job)])
+        assert code == 2 and not out
+        assert field in err
+
     def test_crosscheck_zero_cells_is_2(self, capsys, triangle_file):
         code, out, _ = run(capsys, ["crosscheck", "--poly", triangle_file, "--prime", "5",
                                     "--smax", "0"])

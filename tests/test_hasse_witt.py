@@ -272,6 +272,15 @@ class TestHigherHW:
         with pytest.raises(ValueError):
             higher_hw_matrix(SIMPLICIAL2, mu_interior(SIMPLICIAL2), 3, 3, ID, 3)
 
+    @pytest.mark.parametrize("p", [9, 4])
+    def test_rejects_non_prime(self, p):
+        f1 = LaurentPoly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (-1, -1): -1})
+        W = whole_polytope(newton_polytope(SIMPLICIAL2.support()))
+        with pytest.raises(ValueError, match=f"{p} is not an odd prime"):
+            higher_hw_condition(f1, W, 1, p)
+        with pytest.raises(ValueError, match=f"{p} is not an odd prime"):
+            higher_hw_alternative_check(f1, W, 1, p)
+
     def test_alternative_formula_small(self):
         ft = family_poly(SIMPLICIAL2)
         P = newton_polytope(SIMPLICIAL2.support())

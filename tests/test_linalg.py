@@ -1,5 +1,5 @@
 import itertools
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +9,7 @@ from dworklab.arith import NonUnitError, TPoly
 from dworklab.linalg import (
     InconsistentSystemError,
     RankDeficiencyError,
+    _interpolate,
     identity_matrix,
     int_det,
     mat_inv_mod,
@@ -16,6 +17,7 @@ from dworklab.linalg import (
     solve_mod,
     solve_mod_multi,
     tmat_inv_series,
+    tpoly_det,
 )
 from dworklab.polytope import _kernel_vector, _rank
 
@@ -164,6 +166,43 @@ class TestSeriesInverse:
         assert int_det(constant_terms(A)) % p == 0
         with pytest.raises(NonUnitError):
             tmat_inv_series(A, modulus, T)
+
+
+@st.composite
+def tpoly_matrix(draw):
+    """A k x k matrix (k <= 4) of integer TPolys of degree <= 4, with zero
+    entries; some draws get an all-zero row or only constant entries."""
+    k = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(TPoly()), st.lists(st.integers(-9, 9), max_size=5).map(TPoly))
+    A = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    shape = draw(st.sampled_from(["plain", "zero row", "constant"]))
+    if shape == "zero row":
+        A[draw(st.integers(0, k - 1))] = [TPoly()] * k
+    elif shape == "constant":
+        A = [[TPoly([e[0]]) for e in row] for row in A]
+    return A
+
+
+class TestPolynomialDeterminant:
+    @settings(max_examples=80, deadline=None)
+    @given(tpoly_matrix())
+    def test_matches_leibniz(self, A):
+        assert tpoly_det(A) == leibniz_det(A)
+
+    def test_empty_and_one_by_one(self):
+        assert tpoly_det([]) == TPoly([1])
+        assert tpoly_det([[TPoly([3, -1, 0, 2])]]) == TPoly([3, -1, 0, 2])
+        assert tpoly_det([[TPoly()]]) == TPoly()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-50, 50), max_size=6), st.integers(2, 6), st.data())
+    def test_integer_values_without_integer_polynomial_raise(self, coeffs, k, data):
+        # P(t) + binom(t, k) is integer-valued, but its t^k coefficient has 1/k!
+        P = TPoly(coeffs)
+        d = data.draw(st.integers(max(k, len(coeffs) - 1), 8))
+        values = [P.evaluate(x) + comb(x, k) for x in range(d + 1)]
+        with pytest.raises(ArithmeticError, match="non-integer coefficient"):
+            _interpolate(values)
 
 
 @st.composite
