@@ -468,6 +468,14 @@ class Ring:
             c = TPoly.coerce(c).truncate(self.T)
         return c
 
+    def pow(self, c, k: int):
+        """c**k in this ring; the int 1 when k = 0, whatever the type of c."""
+        if not k:
+            return 1
+        if type(c) is int and self.modulus is not None:
+            return pow(c, k, self.modulus)
+        return self.reduce(c**k)
+
     def is_unit(self, c) -> bool:
         """The pivot test: for a TPoly, whether its constant term is a unit."""
         if isinstance(c, TPoly):

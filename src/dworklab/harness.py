@@ -45,27 +45,35 @@ class JobSpec:
             obj = json.loads(obj)
         if not isinstance(obj, dict):
             raise ValueError("job JSON must be an object at the top level")
-        curves = obj.get("curves", [])
-        if not isinstance(curves, list) or not all(
-            isinstance(c, list) and len(c) == 2 and all(type(x) is int for x in c) for c in curves
-        ):
-            raise ValueError(f'"curves" must be a list of integer pairs [A, B], not {curves!r}')
-        polys = []
-        for entry in obj.get("polynomials", []):
-            polys.append((entry.get("label", "poly"), poly_from_json(entry)))
-        fams = []
-        for entry in obj.get("families", []):
-            _, g = family_from_json(entry)
-            fams.append((entry.get("label", "family"), g))
+
+        def field(name, default, ok, what):
+            value = obj.get(name, default)
+            if not ok(value):
+                raise ValueError(f'"{name}" must be {what}, not {value!r}')
+            return value
+
+        def int_list(v):
+            return isinstance(v, (list, tuple)) and all(type(x) is int for x in v)
+
+        def objects(v):
+            return isinstance(v, list) and all(isinstance(x, dict) for x in v)
+
+        curves = field("curves", [], lambda v: isinstance(v, list) and all(
+            isinstance(c, list) and len(c) == 2 and int_list(c) for c in v),
+            "a list of integer pairs [A, B]")
+        polys = field("polynomials", [], objects, "a list of polynomial objects")
+        fams = field("families", [], objects, "a list of family objects")
+        primes = field("primes", (3, 5, 7), lambda v: isinstance(v, (list, tuple)),
+                       "a list of odd primes")
         return JobSpec(
-            primes=tuple(odd_prime(p) for p in obj.get("primes", (3, 5, 7))),
-            s_max=int(obj.get("s_max", 2)),
-            bound=int(obj.get("bound", 30)),
-            seed=int(obj.get("seed", 0)),
-            polynomials=tuple(polys),
-            families=tuple(fams),
+            primes=tuple(odd_prime(p) for p in primes),
+            s_max=field("s_max", 2, lambda v: type(v) is int, "an integer"),
+            bound=field("bound", 30, lambda v: type(v) is int, "an integer"),
+            seed=field("seed", 0, lambda v: type(v) is int, "an integer"),
+            polynomials=tuple((e.get("label", "poly"), poly_from_json(e)) for e in polys),
+            families=tuple((e.get("label", "family"), family_from_json(e)[1]) for e in fams),
             curves=tuple(tuple(c) for c in curves),
-            dimensions=tuple(obj.get("dimensions", (2,))),
+            dimensions=tuple(field("dimensions", (2,), int_list, "a list of integers")),
         )
 
 

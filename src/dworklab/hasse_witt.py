@@ -8,7 +8,9 @@ beta_{p^s} sigma(beta_{p^{s-1}})^{-1} stabilise p-adically and their limit is
 the unit-root (Cartier) matrix Lambda(mu), which we always manipulate at a
 finite precision p^s.
 
-Entries are extracted by sparse multinomial enumeration, so m in the
+Entries come from laurent.coefficient_of_power, which enumerates only the
+multiplicities outside one nonsingular block of the support and solves that
+block exactly (Cramer's rule with a precomputed adjugate), so m in the
 thousands stays cheap; nothing here ever expands f^(m-1) in full for large m.
 """
 
@@ -133,6 +135,7 @@ def lambda_unit_root(
     For one-parameter families the inverse is a t-series, so a truncation
     order must be supplied and the result is exact mod (p^s, t^t_trunc).
     """
+    odd_prime(p)
     hw = hw_matrix(f, mu, p, 1)
     det = _det_mod_p(hw)
     if det == 0:

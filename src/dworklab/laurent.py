@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import Ring, TPoly
+from .linalg import independent_rows, int_det
 
 EXPONENT_LIMIT = 10**5  # machine-int guard for exponent arithmetic
 
@@ -175,10 +176,16 @@ def power_mod(f: LaurentPoly, m: int, modulus: int | None = None) -> LaurentPoly
 def coefficient_of_power(f: LaurentPoly, m: int, w, modulus: int | None = None):
     """Coefficient of x^w in f^m without expanding the full power.
 
-    Enumerates multinomial solutions sum k_i = m, sum k_i u_i = w over the
-    support of f, with interval pruning per coordinate.  This is what makes
-    beta matrices for m in the thousands affordable: the work grows with the
-    number of solutions, not with the support of f^m.
+    Sums m!/prod(k_i!) * prod(c_i^k_i) over the solutions k >= 0 of
+    sum k_i = m, sum k_i u_i = w, where f = sum c_i x^u_i.  With r the rank of
+    the columns (1, u_i), r terms with independent columns form an r x r
+    integer block B (on r independent rows); its determinant and adjugate are
+    computed once.  Only the other multiplicities are enumerated, pruned by
+    per-coordinate suffix bounds; each choice leaves one Cramer solve
+    x = adj(B) b / det(B), kept when it is integral and nonnegative and the
+    rows outside the block agree.  So the work grows with the number of
+    solutions, not with the support of f^m, and a degenerate support
+    (collinear, coplanar, a single point) is just a smaller r.
     """
     w = tuple(w)
     if len(w) != f.n:
@@ -188,101 +195,59 @@ def coefficient_of_power(f: LaurentPoly, m: int, w, modulus: int | None = None):
     terms = f.sorted_terms()
     if not terms:
         return 1 if m == 0 and all(x == 0 for x in w) else 0
-    exps = [e for e, _ in terms]
-    coeffs = [c for _, c in terms]
-    n = f.n
-    # per-coordinate min/max over suffixes of the term list, for pruning
-    k = len(terms)
-    suffix_min = [[0] * n for _ in range(k + 1)]
-    suffix_max = [[0] * n for _ in range(k + 1)]
-    for i in range(k - 1, -1, -1):
-        for j in range(n):
-            suffix_min[i][j] = min(exps[i][j], suffix_min[i + 1][j]) if i < k - 1 else exps[i][j]
-            suffix_max[i][j] = max(exps[i][j], suffix_max[i + 1][j]) if i < k - 1 else exps[i][j]
-
+    ring = Ring(modulus)
+    cols = [(1,) + e for e, _ in terms]
+    solved = independent_rows(cols)  # independent columns, solved for
+    # row 0 (all ones) is always picked, so every solve keeps sum k_i = m
+    rows = independent_rows(list(zip(*[cols[i] for i in solved])))
+    order = [i for i in range(len(terms)) if i not in solved] + solved
+    exps = [terms[i][0] for i in order]
+    coeffs = [terms[i][1] for i in order]
+    free = len(order) - len(solved)
+    bounds = [(tuple(map(min, zip(*exps[i:]))), tuple(map(max, zip(*exps[i:]))))
+              for i in range(len(exps))]
+    block = [[cols[i][j] for i in solved] for j in rows]
+    det = int_det(block)
+    r = len(rows)
+    adj = [  # adj[b][a] is the (a, b) cofactor
+        [(-1) ** (a + b) * int_det([row[:b] + row[b + 1:] for row in block[:a] + block[a + 1:]])
+         for a in range(r)]
+        for b in range(r)
+    ]
+    others = [([cols[i][j] for i in solved], j) for j in range(f.n + 1) if j not in rows]
     total = 0
 
-    def feasible(i, remaining, target):
-        if i == k:
-            return remaining == 0 and all(t == 0 for t in target)
-        for j in range(n):
-            lo = suffix_min[i][j] * remaining
-            hi = suffix_max[i][j] * remaining
-            if not (min(lo, hi) <= target[j] <= max(lo, hi)):
-                return False
-        return True
-
-    def last_two(i, remaining, target, mult, prod):
-        # closed-form split between the final pair of (distinct) exponents
+    def solve(remaining, target, ks):
         nonlocal total
-        ea, eb = exps[i], exps[i + 1]
-        j = next((jj for jj in range(n) if ea[jj] != eb[jj]), None)
-        if j is None:
+        rhs = (remaining,) + target
+        b = [rhs[j] for j in rows]
+        xs = []
+        for arow in adj:
+            num = sum(a * y for a, y in zip(arow, b))
+            if num % det or num // det < 0:
+                return
+            xs.append(num // det)
+        if any(sum(c * x for c, x in zip(crow, xs)) != rhs[j] for crow, j in others):
             return
-        num = target[j] - remaining * eb[j]
-        den = ea[j] - eb[j]
-        if num % den:
-            return
-        ka = num // den
-        if not 0 <= ka <= remaining:
-            return
-        kb = remaining - ka
-        if any(t != ka * a + kb * bb for t, a, bb in zip(target, ea, eb)):
-            return
-        contrib = (
-            mult
-            * math.comb(remaining, ka)
-            * _coeff_pow(coeffs[i], ka, modulus)
-            * _coeff_pow(coeffs[i + 1], kb, modulus)
-            * prod
-        )
-        total = _acc(total, contrib, modulus)
+        term, left = 1, m
+        for c, x in zip(coeffs, ks + xs):
+            term = ring.reduce(term * math.comb(left, x) * ring.pow(c, x))
+            left -= x
+        total = ring.reduce(total + term)
 
-    def rec(i, remaining, target, mult, prod):
-        nonlocal total
-        if i == k - 1:
-            kk = remaining
-            if all(t == kk * e for t, e in zip(target, exps[i])):
-                contrib = mult * _coeff_pow(coeffs[i], kk, modulus) * prod
-                total = _acc(total, contrib, modulus)
+    def rec(i, remaining, target, ks):
+        if i == free:
+            solve(remaining, target, ks)
             return
-        if i == k - 2:
-            last_two(i, remaining, target, mult, prod)
-            return
+        lo, hi = bounds[i + 1]
         for kk in range(remaining + 1):
             new_target = tuple(t - kk * e for t, e in zip(target, exps[i]))
             rem = remaining - kk
-            if not feasible(i + 1, rem, new_target):
-                continue
-            rec(
-                i + 1,
-                rem,
-                new_target,
-                mult * math.comb(remaining, kk),
-                prod * _coeff_pow(coeffs[i], kk, modulus) if kk else prod,
-            )
+            if all(a * rem <= t <= z * rem for a, t, z in zip(lo, new_target, hi)):
+                rec(i + 1, rem, new_target, ks + [kk])
 
-    rec(0, m, w, 1, 1)
-    if modulus is not None:
-        total = total % modulus if not isinstance(total, TPoly) else total % modulus
+    rec(0, m, w, [])
     return total
-
-
-def _coeff_pow(c, k, modulus):
-    if k == 0:
-        return 1
-    if isinstance(c, TPoly):
-        out = c**k
-        return out % modulus if modulus is not None else out
-    out = pow(c, k, modulus) if modulus is not None and isinstance(c, int) else c**k
-    return out
-
-
-def _acc(total, contrib, modulus):
-    out = total + contrib
-    if modulus is not None and isinstance(out, int):
-        out %= modulus
-    return out
 
 
 @dataclass(frozen=True)
@@ -443,8 +408,12 @@ def family_from_json(obj) -> tuple[LaurentPoly, LaurentPoly]:
     """Parse {"form": "1-t*g", "g": {...}} into (f with TPoly coefficients, g)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError("family JSON must be an object")
     if obj.get("form") != "1-t*g":
         raise ValueError("unsupported family form")
+    if "g" not in obj:
+        raise ValueError('family JSON needs a polynomial "g"')
     g = poly_from_json(obj["g"])
     return family_poly(g), g
 

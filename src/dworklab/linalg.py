@@ -142,6 +142,22 @@ def int_det(mat) -> int:
     return sign * m[-1][-1]
 
 
+def independent_rows(rows) -> list:
+    """Indices of the integer rows that are independent of the rows before
+    them, by fraction-free forward elimination; there are rank-many."""
+    echelon, picked = [], []
+    for i, v in enumerate(rows):
+        for j, b in echelon:
+            c = v[j]
+            if c:
+                v = [x * b[j] - c * y for x, y in zip(v, b)]
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is not None:
+            echelon.append((j, v))
+            picked.append(i)
+    return picked
+
+
 def tpoly_det(A) -> TPoly:
     """Exact determinant of a matrix of integer TPoly entries.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .linalg import int_det
+from .linalg import independent_rows, int_det
 
 MAX_DIMENSION = 6
 MAX_HULL_POINTS = 64
@@ -55,7 +55,7 @@ def _rref(rows):
 
 
 def _rank(rows) -> int:
-    return len(_rref(rows)[1])
+    return len(independent_rows(rows))
 
 
 def _kernel_vector(rows, n):

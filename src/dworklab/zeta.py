@@ -8,9 +8,11 @@ matrices) is tested, so it must not share any machinery with it.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
-from .arith import TPoly, teichmuller
+from .arith import TPoly, odd_prime, teichmuller
 from .laurent import FrobeniusLift, LaurentPoly
 from .linalg import mat_pow, mat_trace
 from .polytope import newton_polytope, whole_polytope
@@ -26,17 +28,22 @@ class BudgetExceededError(RuntimeError):
 class FiniteField:
     """F_{p^s} as polynomials mod (p, modulus), modulus found by search.
 
-    Elements are integers encoding coefficient vectors in base p.  Tables are
-    precomputed for the small fields used here (p^s <= a few hundred).
+    Elements are integers encoding coefficient vectors in base p.  Each
+    instance also tabulates discrete logarithms: `exp[i]` is g^i for a
+    generator g of the unit group, found by its order, and `log` inverts
+    `exp`.  The fields used here are small (p^s <= a few hundred).
     """
 
     def __init__(self, p: int, s: int):
+        odd_prime(p)
         if s < 1 or s > 3:
             raise ValueError(f"extension degree s must be 1, 2 or 3, not {s}")
         self.p = p
         self.s = s
         self.q = p**s
         self.modulus = self._find_irreducible() if s > 1 else (0,)
+        self.exp = self._generator_powers()
+        self.log = {x: i for i, x in enumerate(self.exp)}
 
     def _find_irreducible(self):
         p, s = self.p, self.s
@@ -58,6 +65,17 @@ class FiniteField:
                 return False
         return True
 
+    def _generator_powers(self):
+        # the powers of the first unit of order q - 1
+        for g in range(2, self.q):
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = self.mul(x, g)
+            if len(powers) == self.q - 1:
+                return powers
+        raise RuntimeError("no generator found")
+
     # -- element encoding: e = sum c_i p^i with c_i the coefficients --
 
     def decode(self, e):
@@ -76,9 +94,6 @@ class FiniteField:
     def add(self, a, b):
         ca, cb = self.decode(a), self.decode(b)
         return self.encode([(x + y) % self.p for x, y in zip(ca, cb)])
-
-    def neg(self, a):
-        return self.encode([(-x) % self.p for x in self.decode(a)])
 
     def mul(self, a, b):
         if self.s == 1:
@@ -103,15 +118,7 @@ class FiniteField:
             if k < 0:
                 raise ZeroDivisionError
             return 0 if k else 1
-        k %= self.q - 1
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return self.exp[self.log[a] * k % (self.q - 1)]
 
     def units(self):
         return range(1, self.q)
@@ -125,30 +132,21 @@ def count_torus_points(f: LaurentPoly, p: int, s: int) -> int:
             f"{(q - 1) ** f.n} evaluations exceed the budget {EVALUATION_BUDGET}"
         )
     F = FiniteField(p, s)
-    terms = [(e, c % p) for e, c in f.sorted_terms() if not isinstance(c, TPoly)]
-    if len(terms) != len(f.terms):
+    if any(isinstance(c, TPoly) for c in f.terms.values()):
         raise ValueError("point counting needs integer coefficients")
+    terms = [(F.log[c % p], e) for e, c in f.terms.items() if c % p]
+    # At x = g^l the term c x^e is exp[log c + e.l].  A sum of field elements
+    # adds their base-p digit vectors: packed in base > len(terms) (p - 1)
+    # they add without carries, and the sum is zero when every digit is a
+    # multiple of p.
+    base = len(terms) * (p - 1) + 1
+    packed = [sum(d * base**i for i, d in enumerate(F.decode(x))) for x in F.exp]
+    zeros = {sum(d * base**i for i, d in enumerate(ds))
+             for ds in itertools.product(range(0, base, p), repeat=s)}
     count = 0
-    # precompute power tables per unit element
-    pow_cache = {}
-
-    def upow(x, e):
-        key = (x, e)
-        v = pow_cache.get(key)
-        if v is None:
-            v = F.pow(x, e)
-            pow_cache[key] = v
-        return v
-
-    for xs in itertools.product(F.units(), repeat=f.n):
-        acc = 0
-        for e, c in terms:
-            m = c % p
-            for xi, ei in zip(xs, e):
-                m = F.mul(m, upow(xi, ei))
-            acc = F.add(acc, m)
-        if acc == 0:
-            count += 1
+    for ls in itertools.product(range(q - 1), repeat=f.n):
+        acc = sum(packed[(lc + sum(map(operator.mul, e, ls))) % (q - 1)] for lc, e in terms)
+        count += acc in zeros
     return count
 
 
@@ -209,23 +207,20 @@ def asd_alpha(A: int, B: int, m: int, modulus: int | None = None) -> int:
     if m % 2 == 0:
         return 0
     k = (m - 1) // 2
-    # coefficient of x^(m-1) in sum over a+b+c=k of k!/(a!b!c!) x^(3a) (Ax)^b B^c
-    import math
-
+    # coefficient of x^(2k) in sum over a+b+c=k of k!/(a!b!c!) x^(3a) (Ax)^b B^c:
+    # b = 2k - 3a and c = 2a - k are >= 0 for ceil(k/2) <= a <= floor(2k/3),
+    # and each trinomial follows from the one before by an exact division
+    a0 = (k + 1) // 2
+    term = math.comb(k, a0) * math.comb(k - a0, 2 * a0 - k)
     total = 0
-    for a in range(k + 1):
-        b = (m - 1) - 3 * a
-        c = k - a - b
-        if b < 0 or c < 0:
-            continue
-        term = math.comb(k, a) * math.comb(k - a, b)
+    for a in range(a0, 2 * k // 3 + 1):
+        b, c = 2 * k - 3 * a, 2 * a - k
         if modulus is None:
             total += term * A**b * B**c
         else:
-            total = (
-                total + term * pow(A, b, modulus) * pow(B, c, modulus)
-            ) % modulus
-    return total % modulus if modulus is not None else total
+            total = (total + term * pow(A, b, modulus) * pow(B, c, modulus)) % modulus
+        term = term * b * (b - 1) * (b - 2) // ((a + 1) * (c + 1) * (c + 2))
+    return total
 
 
 def unit_root_elliptic(A: int, B: int, p: int, s: int) -> int:

@@ -220,8 +220,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "suite, text, field",
-        [("dwork", "[3]", "top level"), ("asd", '{"curves": [[1]]}', '"curves"')],
-        ids=["not-an-object", "short-curve"],
+        [
+            ("dwork", "[3]", "top level"),
+            ("asd", '{"curves": [[1]]}', '"curves"'),
+            ("dwork", '{"primes": 5}', '"primes"'),
+            ("dwork", '{"s_max": [1]}', '"s_max"'),
+            ("gauss", '{"bound": "30"}', '"bound"'),
+            ("hhw", '{"seed": 1.5}', '"seed"'),
+            ("hhw", '{"polynomials": [3]}', '"polynomials"'),
+            ("dwork", '{"families": [3]}', '"families"'),
+            ("dwork", '{"dimensions": [2, "3"]}', '"dimensions"'),
+            ("dwork", '{"families": [{"form": "1-t*g"}]}', '"g"'),
+        ],
+        ids=["not-an-object", "short-curve", "primes-not-a-list", "s_max-list",
+             "bound-string", "seed-float", "polynomials-entry", "families-entry",
+             "dimensions-string", "family-without-g"],
     )
     def test_malformed_job_file_is_2(self, capsys, tmp_path, suite, text, field):
         job = tmp_path / "job.json"
@@ -229,6 +242,13 @@ class TestExitCodes:
         code, out, err = run(capsys, ["verify", suite, "--job", str(job)])
         assert code == 2 and not out
         assert field in err
+
+    def test_family_without_g_is_2(self, capsys, tmp_path):
+        (tmp_path / "fam.json").write_text(json.dumps({"form": "1-t*g"}))
+        code, out, err = run(capsys, ["higher-hw", "--poly", str(tmp_path / "fam.json"),
+                                      "--prime", "5"])
+        assert code == 2 and not out
+        assert '"g"' in err
 
     def test_crosscheck_zero_cells_is_2(self, capsys, triangle_file):
         code, out, _ = run(capsys, ["crosscheck", "--poly", triangle_file, "--prime", "5",

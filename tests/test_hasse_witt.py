@@ -125,6 +125,11 @@ class TestLambdaUnitRoot:
         M = lambda_unit_root(ELLIPTIC, mu_interior(ELLIPTIC), 5, ID, 1)
         assert M.entries == [[3]]
 
+    @pytest.mark.parametrize("p", [9, 4])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match=f"{p} is not an odd prime"):
+            lambda_unit_root(ELLIPTIC, mu_interior(ELLIPTIC), p, ID, 1)
+
     def test_elliptic_mod_25_hensel_oracle(self):
         # unit root of X^2 + 2X + 5 lifted from 3 mod 5 is 13 mod 25
         from dworklab.zeta import unit_root_elliptic

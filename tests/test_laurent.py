@@ -100,7 +100,42 @@ class TestCoefficientAt:
         assert power_mod(g, 3).coefficient_at((3, 0)) == 1
 
 
+@st.composite
+def degenerate_powers(draw):
+    """(f, m, w, modulus): f on a support of affine dimension 0, 1 or 2 (or
+    full) in n <= 3 variables, with int or TPoly coefficients."""
+    n = draw(st.integers(1, 3))
+    dim = min(n, draw(st.integers(0, 3)))
+    vec = st.tuples(*([st.integers(-2, 2)] * n))
+    base, dirs = draw(vec), [draw(vec) for _ in range(dim)]
+    steps = draw(st.lists(st.tuples(*([st.integers(-2, 2)] * dim)), min_size=1, max_size=5))
+    support = sorted({
+        tuple(b + sum(c * d[j] for c, d in zip(cs, dirs)) for j, b in enumerate(base))
+        for cs in steps
+    })
+    if draw(st.booleans()):
+        coeff = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(TPoly)
+    else:
+        coeff = st.integers(-4, 4)
+    f = LaurentPoly(n, {e: draw(coeff) for e in support})
+    m = draw(st.integers(0, 6))
+    picks = draw(st.lists(st.sampled_from(support), min_size=m, max_size=m))
+    w = tuple(sum(x) for x in zip(*picks)) if m else (0,) * n
+    if draw(st.booleans()):
+        w = tuple(x + draw(st.integers(-1, 1)) for x in w)
+    modulus = draw(st.sampled_from([None, 9, 25, 7**3]))
+    return f, m, w, modulus
+
+
 class TestCoefficientOfPower:
+    @given(degenerate_powers())
+    @settings(max_examples=150, deadline=None)
+    def test_degenerate_supports_match_full_power(self, case):
+        # collinear, single-point and planar supports solve a smaller block
+        f, m, w, modulus = case
+        assert coefficient_of_power(f, m, w, modulus) == \
+            power_mod(f, m, modulus).coefficient_at(w)
+
     @given(sparse_polys(max_terms=5), st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
     def test_matches_full_power(self, f, m):
@@ -209,6 +244,11 @@ class TestJson:
     def test_malformed_polynomial_json(self, obj):
         with pytest.raises(ValueError):
             poly_from_json(obj)
+
+    @pytest.mark.parametrize("obj", [[1], {"form": "1-t*g"}, {"g": {"n": 1, "terms": []}}])
+    def test_malformed_family_json(self, obj):
+        with pytest.raises(ValueError):
+            family_from_json(obj)
 
     def test_family_from_json(self):
         obj = {

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +42,45 @@ class TestFiniteField:
             assert (x * x + F.modulus[1] * x + F.modulus[0]) % 5 != 0
 
 
+def naive_torus_count(f, p, s):
+    """Count by evaluating f at every unit of F_p[i]/(i^2 - d), d a
+    non-residue (s = 2), or of F_p (s = 1), with pairs (a, b) = a + b i."""
+    d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
+    q = p**s
+
+    def mul(x, y):
+        return ((x[0] * y[0] + d * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+    def power(x, e):
+        out = (1, 0)
+        for _ in range(e % (q - 1)):
+            out = mul(out, x)
+        return out
+
+    units = [(a, b) for a in range(p) for b in range(p if s == 2 else 1) if (a, b) != (0, 0)]
+    count = 0
+    for xs in itertools.product(units, repeat=f.n):
+        total = (0, 0)
+        for e, c in f.terms.items():
+            term = (c % p, 0)
+            for x, k in zip(xs, e):
+                term = mul(term, power(x, k))
+            total = ((total[0] + term[0]) % p, (total[1] + term[1]) % p)
+        count += total == (0, 0)
+    return count
+
+
 class TestCountTorusPoints:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_naive_evaluation(self, data):
+        p, s = data.draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]))
+        n = data.draw(st.integers(1, 2))
+        f = LaurentPoly(n, data.draw(st.dictionaries(
+            st.tuples(*([st.integers(-3, 3)] * n)), st.integers(-7, 7), min_size=1, max_size=4)))
+        assert count_torus_points(f, p, s) == naive_torus_count(f, p, s)
+
+
     def test_line_over_f3(self):
         f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
         assert count_torus_points(f, 3, 1) == 1
@@ -68,6 +108,14 @@ class TestCountTorusPoints:
         f = LaurentPoly(4, {(1, 1, 1, 1): 1})
         with pytest.raises(BudgetExceededError):
             count_torus_points(f, 97, 2)
+
+
+    @pytest.mark.parametrize("p", [9, 4])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            FiniteField(p, 1)
+        with pytest.raises(ValueError, match="not an odd prime"):
+            count_torus_points(LaurentPoly(1, {(1,): 1, (0,): 1}), p, 1)
 
 
 class TestEllipticTrace:
@@ -119,6 +167,24 @@ class TestAsdAlpha:
         for A, B, p in ((-1, 0, 5), (1, 1, 7), (-2, 1, 11)):
             a_p = frobenius_trace_elliptic(A, B, p).a_p
             assert (asd_alpha(A, B, p) - a_p) % p == 0
+
+
+    @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 41),
+           st.sampled_from([None, 3, 27, 25, 7**3]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_expanded_cubic(self, A, B, m, modulus):
+        # x^(m-1) coefficient of (x^3 + A x + B)^((m-1)/2), expanded in full
+        expected = 0
+        if m % 2:
+            poly = [1]
+            for _ in range((m - 1) // 2):
+                poly = [sum(c * poly[i - j] for j, c in enumerate((B, A, 0, 1))
+                            if 0 <= i - j < len(poly))
+                        for i in range(len(poly) + 3)]
+            expected = poly[m - 1]
+        if modulus is not None:
+            expected %= modulus
+        assert asd_alpha(A, B, m, modulus) == expected
 
 
 class TestUnitRoot:
