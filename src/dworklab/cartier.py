@@ -3,10 +3,10 @@
 Two expansion procedures are provided.  *Vertex mode* expands at a vertex b
 of the Newton polytope whose coefficient is a unit, giving a Laurent series
 supported in the cone over (Delta - b); truncation is controlled by an
-explicit budget S of geometric-series powers, and every coefficient carries a
-sound completeness certificate.  *Origin mode* applies to one-parameter
-families f = 1 - t*g and produces exact polynomial-in-t coefficients, so
-there is no completeness subtlety.
+explicit budget S (every monomial of psi-weight at most S * delta is exact),
+and every coefficient carries a sound completeness certificate.  *Origin
+mode* applies to one-parameter families f = 1 - t*g and produces exact
+polynomial-in-t coefficients, so there is no completeness subtlety.
 
 The Cartier operation acts on either kind of expansion by index decimation
 c_v -> c_{p v}.  It is p-adically approximated by rational functions with
@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import NonUnitError, Ring, TPoly, val_p
+from .arith import NonUnitError, Ring, TPoly, odd_prime, val_p
 from .laurent import (
     FrobeniusLift,
     LaurentPoly,
@@ -58,10 +58,11 @@ class FormalExpansion:
     """Truncated Laurent-series expansion of h / f^m with completeness data.
 
     Vertex mode fields: base vertex, psi (a linear functional that is >= delta
-    on every monomial of the geometric-series generator), budget S, and the
-    exponent shifts coming from the numerator.  A coefficient at v is certain
-    iff every possible contribution path is inside the computed range:
-    psi(v - w) <= S * delta for all numerator shifts w with v - w in the cone.
+    on every monomial of the series generator ell), budget S, and the exponent
+    shifts coming from the numerator.  The expansion holds the exact
+    coefficients of (1 + ell)^(-m) at every w with psi(w) <= S * delta, each
+    times the numerator.  So a coefficient at v is certain iff
+    psi(v - w) <= S * delta for every numerator shift w with v - w in the cone.
     """
 
     mode: str  # "vertex" | "origin"
@@ -194,15 +195,22 @@ def expand_vertex(
 ) -> FormalExpansion:
     """Expansion of h/f^m at the vertex b of the Newton polytope of f.
 
-    Writes f = f_b x^b (1 + ell) with ell supported in the punctured cone and
-    sums binom(-m, s) ell^s for s <= budget.  The vertex coefficient must be
-    +-1 for exact arithmetic, or any p-unit when a modulus is supplied.
+    Writes f = f_b x^b (1 + ell) with ell supported in the punctured cone,
+    and computes G = (1 + ell)^(-m) on the region R of monomials w in the
+    monoid spanned by supp(ell) with psi(w) <= budget * delta.  It divides m
+    times by 1 + ell: with F the previous quotient (F = 1 at first),
+    G[w] = F[w] - sum_e ell_e G[w - e], visiting R in increasing psi.  This
+    is the exact series on R: a monomial of ell^s has psi >= s * delta, so
+    only powers s <= budget reach R.  The vertex coefficient must be +-1 for
+    exact arithmetic, or any p-unit when a modulus is supplied.
 
     With `targets` given, intermediate monomials that can no longer reach any
     target index (the remaining gap is outside the cone) are pruned and only
     target coefficients are stored; the completeness certificate then covers
     exactly those indices.
     """
+    if m < 1:
+        raise ValueError(f"pole order m must be >= 1, not {m}")
     if h.is_zero():
         return FormalExpansion("vertex", f.n, {}, modulus, tuple(b), budget,
                                (0,) * f.n, 1, (), (), t_trunc)
@@ -217,12 +225,13 @@ def expand_vertex(
     fb_inv = ring.inv(fb)
     normals, psi, delta = vertex_frame(f, b)
 
-    ell = {}
+    # f = f_b x^b (1 + ell); each generator e of ell as (e, -ell_e, psi(e))
+    gens = []
     for e, c in f.terms.items():
         if tuple(e) == b:
             continue
         w = tuple(x - y for x, y in zip(e, b))
-        ell[w] = ring.reduce(c * fb_inv)
+        gens.append((w, ring.reduce(-(c * fb_inv)), _dot(psi, w)))
     cap = budget * delta
 
     shifts = [tuple(x - m * y for x, y in zip(e, b)) for e in h.support()]
@@ -240,23 +249,44 @@ def expand_vertex(
     def reachable(w):
         return all(_dot(a, w) <= cap for a, cap in normal_caps)
 
-    # accumulate sum_s binom(-m, s) ell^s with pruning outside psi <= cap
-    acc = {(0,) * f.n: 1}
-    power = {(0,) * f.n: 1}
-    for s in range(1, budget + 1):
-        nxt = {}
-        for w1, c1 in power.items():
-            for w2, c2 in ell.items():
-                w = tuple(x + y for x, y in zip(w1, w2))
-                if _dot(psi, w) > cap or (normal_caps and not reachable(w)):
-                    continue
-                add_into(nxt, w, c1 * c2)
-        power = nxt
-        if not power:
-            break
-        coef = (-1) ** s * math.comb(s + m - 1, m - 1)
-        for w, c in power.items():
-            add_into(acc, w, c * coef)
+    # The region: the monoid spanned by the generators, cut by psi <= cap and
+    # the normal caps.  Both bounds only grow along a generator, so adding
+    # generators under the prunes finds all of it, and every w - e of a
+    # region point w in the monoid is in the region.  Visiting psi levels in
+    # increasing order (psi(e) >= delta >= 1) puts each w - e before w.
+    zero = (0,) * f.n
+    preds = {zero: []}  # w -> [(w - e, -ell_e)] with w - e in the region
+    levels = {0: [zero]}
+    order = []
+    while levels:
+        k = min(levels)
+        for w1 in levels.pop(k):
+            order.append(w1)
+            for e, c, pe in gens:
+                w = tuple(x + y for x, y in zip(w1, e))
+                into = preds.get(w)
+                if into is None:
+                    if k + pe > cap or (normal_caps and not reachable(w)):
+                        continue
+                    preds[w] = into = []
+                    levels.setdefault(k + pe, []).append(w)
+                into.append((w1, c))
+
+    # acc = (1 + ell)^(-m) on the region, by m divisions by 1 + ell; a
+    # missing key is a zero coefficient
+    acc = {zero: 1}
+    for _ in range(m):
+        for w in order:
+            c = acc.get(w, 0)
+            for u, cu in preds[w]:
+                g = acc.get(u)
+                if g is not None:
+                    c = c + cu * g
+            c = ring.reduce(c)
+            if c:
+                acc[w] = c
+            else:
+                acc.pop(w, None)
 
     # multiply by h * x^{-m b} * f_b^{-m}
     fbm = ring.reduce(fb_inv**m)
@@ -412,8 +442,7 @@ def cartier_via_formula(
     Q_r decimates G^r h f^{p ceil(m/p) - m}.  Terms with r >= N vanish mod
     p^N and are dropped.
     """
-    if p == 2:
-        raise ValueError("the Cartier contraction bound needs p > 2")
+    odd_prime(p)  # the Cartier contraction bound needs p > 2
     if N < 1:
         raise ValueError("precision N must be >= 1")
     modulus = p**N
@@ -552,6 +581,7 @@ def interpolate_cartier(
     used.  Held-out probes must reproduce the congruence exactly, else
     ResidualError.
     """
+    odd_prime(p)
     if not 1 <= k < p:
         raise ValueError("need 1 <= k < p")
     precision = s * k

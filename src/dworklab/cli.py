@@ -8,6 +8,7 @@ pretty rendering with --format pretty); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -165,8 +166,6 @@ def cmd_cartier(args, fmt):
     one = LaurentPoly.constant(f.n, 1)
     image = cartier_via_formula(one, f, m, p, FrobeniusLift.identity(), N)
     base = unit_vertex(f, p)
-    import itertools
-
     box = list(itertools.product(range(-args.bound, args.bound + 1), repeat=f.n))
     S = vertex_budget(f, base, m, one, [tuple(p * x for x in v) for v in box])
     E = expand_vertex(one, f, m, base, S, p**N)

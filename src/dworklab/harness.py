@@ -9,6 +9,7 @@ enough witness data to reproduce.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -39,6 +40,17 @@ class JobSpec:
     curves: tuple = ()  # (A, B) pairs
     dimensions: tuple = (2,)
 
+    def __post_init__(self):
+        # the one check of the grid's values, for --job files and CLI flags
+        # alike: an empty or zero grid is a usage error, not a passed suite
+        self.primes = tuple(odd_prime(p) for p in self.primes)
+        for name in ("primes", "dimensions"):
+            if not getattr(self, name):
+                raise ValueError(f'"{name}" must not be empty')
+        for name in ("s_max", "bound"):
+            if getattr(self, name) < 1:
+                raise ValueError(f'"{name}" must be >= 1, not {getattr(self, name)!r}')
+
     @staticmethod
     def from_json(obj) -> "JobSpec":
         if isinstance(obj, str):
@@ -66,7 +78,7 @@ class JobSpec:
         primes = field("primes", (3, 5, 7), lambda v: isinstance(v, (list, tuple)),
                        "a list of odd primes")
         return JobSpec(
-            primes=tuple(odd_prime(p) for p in primes),
+            primes=tuple(primes),
             s_max=field("s_max", 2, lambda v: type(v) is int, "an integer"),
             bound=field("bound", 30, lambda v: type(v) is int, "an integer"),
             seed=field("seed", 0, lambda v: type(v) is int, "an integer"),
@@ -311,8 +323,6 @@ def _default_gauss_polys():
 def suite_gauss(job: JobSpec) -> SuiteReport:
     """c_v = c_{v/p} mod p^{ord_p(v)} for all expansion coefficients of 1/f,
     at every vertex of a Newton polytope whose lattice points are vertices."""
-    if job.bound < 1:
-        raise ValueError(f"bound must be >= 1, not {job.bound}")
     t0 = time.time()
     polys = list(job.polynomials) or _default_gauss_polys()
     cells = []
@@ -345,9 +355,7 @@ def _gauss_cell(label, f, P, b, p, bound):
     max_ord = max(1, int(math.log(bound, p)))
     N = max_ord + 2
     one = LaurentPoly.constant(n, 1)
-    import itertools as it
-
-    box = list(it.product(range(-bound, bound + 1), repeat=n))
+    box = list(itertools.product(range(-bound, bound + 1), repeat=n))
     S = vertex_budget(f, b, 1, one, box)
     E = expand_vertex(one, f, 1, b, S, p**N)
     checked = 0

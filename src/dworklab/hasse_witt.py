@@ -70,6 +70,7 @@ def beta_matrix(
     f: LaurentPoly, mu: OpenSubset, m: int, p: int, N: int
 ) -> BetaMatrix:
     """beta_m(mu) with entries mod p^N; beta_1 is the identity by convention."""
+    odd_prime(p)
     if m < 1:
         raise ValueError("m must be >= 1")
     if N < 1:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dworklab.arith import TPoly
+from dworklab.arith import Ring, TPoly
 from dworklab.laurent import FrobeniusLift, LaurentPoly, family_poly
 from dworklab.linalg import RankDeficiencyError
 from dworklab.polytope import interior, newton_polytope, vertex_star, whole_polytope
@@ -96,6 +97,75 @@ class TestExpandVertex:
         assert all(E.is_complete(v) for v in targets)
 
 
+@st.composite
+def vertex_cases(draw):
+    """(h, f, m, b, budget, modulus, t_trunc): random supports with n <= 3
+    and m <= 3 over Z, Z/p^N, or (Z/p^N)[t]/t^T with TPoly coefficients.
+    The support contains the simplex {0, e_1, ..., e_n}, so its hull is full
+    dimensional; the chosen vertex gets the unit coefficient +-1."""
+    n = draw(st.integers(1, 3))
+    ring = draw(st.sampled_from(["exact", "mod", "tpoly"]))
+    modulus = None if ring == "exact" else draw(st.sampled_from([3, 5, 9, 25]))
+    t_trunc = draw(st.integers(1, 4)) if ring == "tpoly" else None
+    span = 1 if n == 3 else 2
+    point = st.tuples(*[st.integers(-span, span)] * n)
+
+    def coefficient():
+        c = st.integers(-4, 4).filter(bool)
+        if ring != "tpoly":
+            return c
+        return c | st.lists(st.integers(-4, 4), min_size=2, max_size=3).map(
+            TPoly).filter(bool)
+
+    support = {(0,) * n} | {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    support |= set(draw(st.lists(point, max_size=3)))
+    terms = {e: draw(coefficient()) for e in sorted(support)}
+    b = draw(st.sampled_from(newton_polytope(support).vertices))
+    terms[b] = draw(st.sampled_from([1, -1]))
+    h_terms = draw(st.dictionaries(point, coefficient(), min_size=1, max_size=2))
+    m = draw(st.integers(1, 3))
+    budget = draw(st.integers(0, 3 if n == 3 else 6))
+    return LaurentPoly(n, h_terms), LaurentPoly(n, terms), m, b, budget, modulus, t_trunc
+
+
+def _near_numerator(h):
+    """The index box one step around the support of h."""
+    lo = [min(e[i] for e in h.support()) - 1 for i in range(h.n)]
+    hi = [max(e[i] for e in h.support()) + 1 for i in range(h.n)]
+    return list(itertools.product(*[range(a, c + 1) for a, c in zip(lo, hi)]))
+
+
+class TestExpandVertexProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(vertex_cases())
+    def test_times_f_power_gives_numerator(self, case):
+        # (f^m E)_v = h_v wherever the whole stencil v - supp(f^m) is certified
+        h, f, m, b, budget, modulus, t_trunc = case
+        ring = Ring(modulus, t_trunc)
+        E = expand_vertex(h, f, m, b, budget, modulus, t_trunc)
+        fm = LaurentPoly.constant(f.n, 1)
+        for _ in range(m):
+            fm = fm * f
+        for v in _near_numerator(h):
+            stencil = [(tuple(x - y for x, y in zip(v, s)), c) for s, c in fm.terms.items()]
+            if not all(E.is_complete(u) for u, _ in stencil):
+                continue
+            total = sum((c * E.coefficient(u) for u, c in stencil), 0)
+            assert not ring.reduce(total - h.coefficient_at(v)), v
+
+    @settings(max_examples=60, deadline=None)
+    @given(vertex_cases(), st.data())
+    def test_targets_match_unpruned(self, case, data):
+        h, f, m, b, budget, modulus, t_trunc = case
+        box = _near_numerator(h)
+        targets = data.draw(st.lists(st.sampled_from(box), min_size=1, max_size=4))
+        full = expand_vertex(h, f, m, b, budget, modulus, t_trunc)
+        pruned = expand_vertex(h, f, m, b, budget, modulus, t_trunc, targets=targets)
+        assert set(pruned.coeffs) <= set(targets)
+        for v in targets:
+            assert pruned.coefficient(v) == full.coefficient(v)
+
+
 class TestExpandOrigin:
     def test_central_binomials(self):
         g = LaurentPoly(1, {(1,): 1, (-1,): 1})
@@ -162,6 +232,11 @@ class TestCartierViaFormula:
     def test_rejects_p_equal_two(self):
         with pytest.raises(ValueError):
             cartier_via_formula(ONE2, TRIANGLE, 1, 2, ID, 1)
+
+    @pytest.mark.parametrize("p", [9, 4])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match=f"{p} is not an odd prime"):
+            cartier_via_formula(ONE2, TRIANGLE, 1, p, ID, 1)
 
     def test_gauss_constant_term_preserved(self):
         # C_p(1/(x-a)): the constant expansion coefficient is fixed
@@ -338,6 +413,13 @@ class TestInterpolation:
         gam = constant_term_series(SIMPLICIAL2, T) % 5
         lhs = (lam * gam.subs_t_power(5)).truncate(T_l) % 5
         assert lhs == (gam % 5).truncate(T_l)
+
+    @pytest.mark.parametrize("p", [9, 4])
+    def test_rejects_non_prime(self, p):
+        f = LaurentPoly(1, {(1,): 1, (0,): -3})
+        P = newton_polytope(f.support())
+        with pytest.raises(ValueError, match=f"{p} is not an odd prime"):
+            interpolate_cartier(f, whole_polytope(P), 1, p, ID, 2)
 
     def test_x_minus_a_identity(self):
         f = LaurentPoly(1, {(1,): 1, (0,): -3})

@@ -175,8 +175,11 @@ class TestExitCodes:
              "extension degree s must be 1, 2 or 3"),
             (["lambda", "--poly", "simplicial.json", "--prime", "5", "--t-trunc", "0"],
              "t_trunc"),
+            (["verify", "asd", "--smax", "0"], '"s_max"'),
+            (["verify", "super", "--smax", "0"], '"s_max"'),
         ],
-        ids=["exponent-limit", "gauss-bound-0", "zeta-count-ext-0", "lambda-t-trunc-0"],
+        ids=["exponent-limit", "gauss-bound-0", "zeta-count-ext-0", "lambda-t-trunc-0",
+             "asd-smax-0", "super-smax-0"],
     )
     def test_out_of_range_input_is_2(
         self, capsys, monkeypatch, tmp_path, triangle_file, family_file, argv, needle
@@ -231,10 +234,17 @@ class TestExitCodes:
             ("dwork", '{"families": [3]}', '"families"'),
             ("dwork", '{"dimensions": [2, "3"]}', '"dimensions"'),
             ("dwork", '{"families": [{"form": "1-t*g"}]}', '"g"'),
+            ("asd", '{"primes": []}', '"primes"'),
+            ("dwork", '{"primes": []}', '"primes"'),
+            ("gauss", '{"primes": []}', '"primes"'),
+            ("asd", '{"s_max": 0}', '"s_max"'),
+            ("gauss", '{"bound": 0}', '"bound"'),
+            ("dwork", '{"dimensions": []}', '"dimensions"'),
         ],
         ids=["not-an-object", "short-curve", "primes-not-a-list", "s_max-list",
              "bound-string", "seed-float", "polynomials-entry", "families-entry",
-             "dimensions-string", "family-without-g"],
+             "dimensions-string", "family-without-g", "asd-no-primes", "dwork-no-primes",
+             "gauss-no-primes", "asd-s_max-0", "gauss-bound-0", "dwork-no-dimensions"],
     )
     def test_malformed_job_file_is_2(self, capsys, tmp_path, suite, text, field):
         job = tmp_path / "job.json"
@@ -272,10 +282,10 @@ class TestExitCodes:
         assert code == 2 and not out
 
     def test_empty_suite_does_not_pass(self, capsys):
-        code, out, _ = run(capsys, ["verify", "hhw", "--primes", "5", "--smax", "0"])
-        assert code == 1
-        report = json.loads(out)
-        assert report["cells"] == [] and report["pass"] is False
+        # zero s levels would be a suite of no cells: rejected before it runs
+        code, out, err = run(capsys, ["verify", "hhw", "--primes", "5", "--smax", "0"])
+        assert code == 2 and not out
+        assert '"s_max"' in err
 
 
 class TestCommands:

@@ -53,6 +53,13 @@ class TestBetaMatrix:
         M = beta_matrix(SIMPLICIAL2, mu_interior(SIMPLICIAL2), 4, 5, 3)
         assert M.entries == [[6]]
 
+    @pytest.mark.parametrize("p", [9, 4])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match=f"{p} is not an odd prime"):
+            beta_matrix(ELLIPTIC, mu_interior(ELLIPTIC), 5, p, 1)
+        with pytest.raises(ValueError, match=f"{p} is not an odd prime"):
+            hw_matrix(ELLIPTIC, mu_interior(ELLIPTIC), p, 1)
+
 
 class TestHWMatrix:
     def test_family_constant_term_polynomial(self):

@@ -1,6 +1,10 @@
-"""Every module of the package reads each name it imports (stdlib ast only).
+"""Import hygiene of the package (stdlib ast only):
 
-`__init__.py` is exempt: its imports are re-exports.
+* every module reads each name it imports;
+* a function body imports nothing from outside the package.  Relative
+  imports inside functions stay allowed, because they break import cycles.
+
+`__init__.py` is exempt from the first rule: its imports are re-exports.
 """
 
 import ast
@@ -28,11 +32,43 @@ def unused_imports(source: str) -> list:
     return sorted(imported - read)
 
 
+def function_imports(source: str) -> list:
+    """(line, module) of every absolute import inside a function body."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Import):
+                found.update((node.lineno, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((node.lineno, node.module))
+    return sorted(found)
+
+
 def test_checker_flags_an_unread_import():
     source = "import os.path\nfrom math import gcd, isqrt as r\nprint(r(4))\n"
     assert unused_imports(source) == ["gcd", "os"]
 
 
+def test_checker_flags_a_function_import():
+    source = (
+        "import math\n"
+        "def f():\n"
+        "    import itertools as it\n"
+        "    from .laurent import LaurentPoly\n"
+        "    def g():\n"
+        "        from math import gcd\n"
+        "    return it, LaurentPoly, g, math\n"
+    )
+    assert function_imports(source) == [(3, "itertools"), (6, "math")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    assert function_imports(path.read_text()) == []
