@@ -154,6 +154,7 @@ def teichmuller(a: int, p: int, N: int) -> PadicScalar:
     Computed by the fixed-point iteration x <- x^p mod p^N, which gains at
     least one digit of stability per step, so at most N iterations are needed.
     """
+    odd_prime(p)
     if N < 1:
         raise ValueError("N must be >= 1")
     modulus = p**N
@@ -183,8 +184,7 @@ def gamma_p(x, p: int, N: int) -> PadicScalar:
     to p is evaluated at its integer representative mod p^N.  The direct
     product loop is O(p^N), guarded by GAMMA_PRODUCT_BOUND.
     """
-    if p == 2:
-        raise ValueError("gamma_p requires an odd prime")
+    odd_prime(p)
     modulus = p**N
     if modulus > GAMMA_PRODUCT_BOUND:
         raise ValueError(
@@ -210,8 +210,7 @@ def gamma_ratio_check(p: int, s: int, N: int) -> bool:
     binom(p^s-1, (p^s-1)/2) / binom(p^{s-1}-1, (p^{s-1}-1)/2) up to sign,
     which controls how the 1x1 beta matrices of an elliptic curve stabilise.
     """
-    if p == 2:
-        raise ValueError("odd primes only")
+    odd_prime(p)
     if N < s:
         raise ValueError("need working precision N >= s")
     modulus = p**N

@@ -38,6 +38,7 @@ from .polytope import (
     cone_facet_normals,
     lattice_points_in_dilate,
     newton_polytope,
+    whole_polytope,
 )
 
 
@@ -541,12 +542,7 @@ def default_probes(mu: OpenSubset, k: int, base=None):
     index, and boundary points carry the low-t-degree information that the
     open-subset points alone may lack."""
     pts = []
-    if base is None:
-        from .polytope import whole_polytope
-
-        source = whole_polytope(mu.polytope)
-    else:
-        source = mu
+    source = whole_polytope(mu.polytope) if base is None else mu
     for level in range(1, k + 1):
         for u in lattice_points_in_dilate(source, level):
             if base is not None:

@@ -18,6 +18,7 @@ from .laurent import (
     FrobeniusLift,
     LaurentPoly,
     family_from_json,
+    family_poly,
     poly_from_json,
 )
 from .polytope import (
@@ -84,8 +85,6 @@ def _load_poly(args) -> tuple[LaurentPoly, object]:
     """Returns (f, g_or_None); g is set for 1 - t*g families."""
     if getattr(args, "preset", None):
         preset = preset_family(args.preset, args.dim)
-        from .laurent import family_poly
-
         return family_poly(preset.g), preset.g
     if not getattr(args, "poly", None):
         raise ValueError("provide --poly FILE or --preset NAME --dim N")

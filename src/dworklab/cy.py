@@ -10,16 +10,20 @@ expansion-coefficient congruences and compared with U(t) L_0 U(t^p)^{-1},
 where U is the Wronskian of the standard solutions: the constant matrix L_0
 is upper-triangular Toeplitz with diagonal (1, p, ..., p^(n-1)) and its
 normalised corner entries are the zeta-value constants alpha_j.
+
+The Wronskian is factored once as U(t) = W(t) E(log t).  E(l) is the
+unipotent Toeplitz matrix with (j, k) entry l^(k-j)/(k-j)!, and W is log-free
+with W(0) = I: row 0 is (F_0, ..., F_(m-1)) and row i+1 is
+R_(i+1)[j] = theta R_i[j] + R_i[j-1].  All series work is done on W.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import NonUnitError, Ring, TPoly, inv_mod, val_p_fraction
+from .arith import NonUnitError, Ring, TPoly, inv_mod, odd_prime, val_p_fraction
 from .laurent import FrobeniusLift, LaurentPoly, family_poly
 from .polytope import (
     all_proper_faces_volume_one,
@@ -29,7 +33,7 @@ from .polytope import (
     newton_polytope,
 )
 from .cartier import interpolate_cartier, theta_t_rational
-from .linalg import mat_mul
+from .linalg import mat_mul, tmat_inv_series
 
 
 # -- presets -----------------------------------------------------------
@@ -232,28 +236,33 @@ def standard_solutions(L: ThetaOperator, T: int):
     return [LogSeriesSolution(i, F[: i + 1]) for i in range(m)]
 
 
+def _theta_rows(F, rows: int):
+    """Rows R_0 .. R_(rows-1) of W: R_0 = F and
+    R_(i+1)[j] = theta R_i[j] + R_i[j-1].  For the standard solutions
+    y_j = sum_l F_l log(t)^(j-l)/(j-l)!, theta^i y_j is
+    sum_l R_i[l] log(t)^(j-l)/(j-l)!."""
+    R = [list(F)]
+    for _ in range(rows - 1):
+        prev = R[-1]
+        R.append([prev[0].theta()] + [x.theta() + y for x, y in zip(prev[1:], prev)])
+    return R
+
+
 def apply_operator_log(L: ThetaOperator, sol: LogSeriesSolution, T: int):
-    """Components of L(y) in the log grading; all should vanish mod t^(T-m)."""
+    """Components of L(y) in the log grading; all should vanish mod t^(T-m).
+
+    The log(t)^k component is (R_m + sum_i a_i R_(m-i))[D-k] / k!, with R the
+    theta rows of the components of y = y_D."""
     m = L.order
     a = L.coefficient_series(T)
-    # represent y as plain-log-power components h_k = F_{i-k} / k!
     D = sol.index
-    h = [sol.components[D - k] * Fraction(1, math.factorial(k)) for k in range(D + 1)]
-
-    def theta_vec(vec):
-        out = []
-        for k in range(len(vec)):
-            nxt = vec[k + 1] * Fraction(k + 1) if k + 1 < len(vec) else TPoly()
-            out.append(vec[k].theta() + nxt)
-        return out
-
-    powers = [h]
-    for _ in range(m):
-        powers.append(theta_vec(powers[-1]))
-    out = powers[m]
-    for i in range(1, m + 1):
-        coeff = a[i - 1]
-        out = [o + coeff.mul(comp, T) for o, comp in zip(out, powers[m - i])]
+    R = _theta_rows(sol.components, m + 1)
+    out = []
+    for k in range(D + 1):
+        acc = R[m][D - k]
+        for i in range(1, m + 1):
+            acc = acc + a[i - 1].mul(R[m - i][D - k], T)
+        out.append(acc * Fraction(1, math.factorial(k)))
     return out
 
 
@@ -336,129 +345,11 @@ def yukawa_and_instantons(solutions, mirror: TPoly, T: int):
     return Y, [N[d] for d in range(1, D_max + 1)]
 
 
-# -- log-polynomial matrices for the Frobenius structure ----------------
-
-
-class LogPoly:
-    """Polynomial in L = log t with TPoly coefficients known mod t^T."""
-
-    __slots__ = ("parts", "T")
-
-    def __init__(self, parts, T):
-        self.parts = list(parts)
-        self.T = T
-        while self.parts and not self.parts[-1]:
-            self.parts.pop()
-
-    @staticmethod
-    def zero(T):
-        return LogPoly([], T)
-
-    def part(self, k):
-        return self.parts[k] if k < len(self.parts) else TPoly()
-
-    def __add__(self, other):
-        n = max(len(self.parts), len(other.parts))
-        return LogPoly([self.part(k) + other.part(k) for k in range(n)], self.T)
-
-    def __sub__(self, other):
-        n = max(len(self.parts), len(other.parts))
-        return LogPoly([self.part(k) - other.part(k) for k in range(n)], self.T)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LogPoly([p * other for p in self.parts], self.T)
-        if isinstance(other, TPoly):
-            return LogPoly([p.mul(other, self.T) for p in self.parts], self.T)
-        n = len(self.parts) + len(other.parts)
-        out = [TPoly()] * max(n - 1, 0)
-        for i, a in enumerate(self.parts):
-            for j, b in enumerate(other.parts):
-                out[i + j] = out[i + j] + a.mul(b, self.T)
-        return LogPoly(out, self.T)
-
-    def theta(self):
-        """t d/dt with (log t)' = 1/t, so theta(L^k) = k L^(k-1)."""
-        out = []
-        for k in range(len(self.parts)):
-            nxt = (
-                self.parts[k + 1] * Fraction(k + 1)
-                if k + 1 < len(self.parts)
-                else TPoly()
-            )
-            out.append(self.parts[k].theta() + nxt)
-        return LogPoly(out, self.T)
-
-    def subs_t_power(self, p):
-        """t -> t^p, log t -> p log t."""
-        out = []
-        for k, part in enumerate(self.parts):
-            out.append(part.subs_t_power(p).truncate(self.T) * Fraction(p**k))
-        return LogPoly(out, self.T)
-
-    def is_log_free(self):
-        return len(self.parts) <= 1
-
-
 def wronskian_matrix(solutions, T: int):
-    """U(t) with U[i][j] = theta^i y_j as LogPoly entries."""
-    m = len(solutions)
-    cols = []
-    for sol in solutions:
-        D = sol.index
-        parts = [
-            sol.components[D - k].truncate(T) * Fraction(1, math.factorial(k))
-            for k in range(D + 1)
-        ]
-        cols.append(LogPoly(parts, T))
-    U = [[None] * m for _ in range(m)]
-    for j in range(m):
-        cur = cols[j]
-        for i in range(m):
-            U[i][j] = cur
-            cur = cur.theta()
-    return U
-
-
-def _logpoly_det(M):
-    m = len(M)
-    T = M[0][0].T
-    total = LogPoly.zero(T)
-    for perm in itertools.permutations(range(m)):
-        sign = 1
-        seen = list(perm)
-        # permutation sign by counting inversions
-        inv = sum(
-            1 for i in range(m) for j in range(i + 1, m) if seen[i] > seen[j]
-        )
-        sign = -1 if inv % 2 else 1
-        term = LogPoly([TPoly([1])], T)
-        for i in range(m):
-            term = term * M[i][perm[i]]
-        total = total + term * Fraction(sign)
-    return total
-
-
-def _logpoly_inverse(M):
-    """Adjugate inverse; the determinant must be log-free with unit constant."""
-    m = len(M)
-    T = M[0][0].T
-    det = _logpoly_det(M)
-    if not det.is_log_free():
-        raise ArithmeticError("Wronskian determinant has residual log terms")
-    det_series = det.part(0)
-    det_inv = det_series.inverse_series(T)
-    out = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            minor = [
-                [M[r][c] for c in range(m) if c != i]
-                for r in range(m) if r != j
-            ]
-            cof = _logpoly_det(minor) if m > 1 else LogPoly([TPoly([1])], T)
-            sign = Fraction(-1 if (i + j) % 2 else 1)
-            out[i][j] = cof * det_inv * sign
-    return out
+    """The log-free factor W of the Wronskian U = W(t) E(log t), mod t^T:
+    U[i][j] = theta^i y_j = sum_l W[i][l] log(t)^(j-l)/(j-l)!, and W(0) = I."""
+    F = [c.truncate(T) for c in solutions[-1].components]
+    return _theta_rows(F, len(F))
 
 
 # -- Frobenius structure of a family ------------------------------------
@@ -523,6 +414,7 @@ def frobenius_lambda0(
     the Frobenius-structure differential equation are verified as far as the
     denominators of the solution basis allow, with per-degree precision tags.
     """
+    odd_prime(p)
     if p <= n + 1:
         raise ValueError("need p > n + 1")
     preset = preset_family(family, n)
@@ -607,59 +499,41 @@ def _mat_add_frac(A, B):
 
 def _t_constancy_diagnostics(sols, lam, p, precision, t_check):
     """Check [t^d](U^(-1) Lambda U(t^p)) = 0 for 1 <= d < t_check at the
-    precision the solution denominators allow."""
+    precision the solution denominators allow.
+
+    With U = W E(ell) the product is E(-ell) M E(p ell), M = W^(-1) Lambda
+    W(t^p).  Its ell^0 part is M, and every other part sums entries of M times
+    +-p^b/(a! b!) with a, b < m < p, so the entries of M carry the least
+    valuation of all log parts.  Likewise W^(-1) and W(t^p) carry the least
+    valuation of U^(-1) = E(-ell) W^(-1) and U(t^p) = W(t^p) E(p ell).
+    """
     T = t_check + 1
-    U = wronskian_matrix(sols, T)
-    Uinv = _logpoly_inverse(U)
-    V = [[e.subs_t_power(p) for e in row] for row in U]
-    lamL = [[LogPoly([e.truncate(T)], T) for e in row] for row in lam]
-    prod = _logpoly_mat_mul(_logpoly_mat_mul(Uinv, lamL), V)
-    # valuation budget of the conjugating matrices
-    vmin = 0
-    for M in (Uinv, V):
-        for row in M:
-            for e in row:
-                for part in e.parts:
-                    vmin = min(vmin, part.min_val_p(p, 0))  # denominators only
+    reduce = Ring(None, T).reduce
+
+    def product(A, B):
+        return [[reduce(e) for e in row] for row in mat_mul(A, B)]
+
+    W = wronskian_matrix(sols, T)
+    Winv = tmat_inv_series(W, None, T)  # pivots have constant term 1: W(0) = I
+    Wp = [[reduce(e.subs_t_power(p)) for e in row] for row in W]
+    M = product(product(Winv, [[reduce(e) for e in row] for row in lam]), Wp)
+    # valuation budget of the conjugating matrices (denominators only)
+    vmin = min([0] + [e.min_val_p(p, 0) for A in (Winv, Wp) for row in A for e in row])
     eff = precision + 2 * vmin
+    entries = [e for row in M for e in row if e]
     diagnostics = []
     for d in range(1, t_check):
-        worst = None
-        ok = True
-        for i in range(len(prod)):
-            for j in range(len(prod)):
-                e = prod[i][j]
-                for k in range(len(e.parts)):
-                    c = e.part(k)[d]
-                    v = val_p_fraction(c, p, cap=precision)
-                    if worst is None or v < worst:
-                        worst = v
-                    if eff > 0 and v < eff:
-                        ok = False
+        vals = [val_p_fraction(e[d], p, cap=precision) for e in entries]
+        worst = min(vals, default=None)
         diagnostics.append(
             {
                 "t_degree": d,
                 "effective_precision": max(eff, 0),
                 "min_valuation": worst,
-                "ok": ok or eff <= 0,
+                "ok": eff <= 0 or all(v >= eff for v in vals),
             }
         )
     return diagnostics
-
-
-def _logpoly_mat_mul(A, B):
-    m, inner, c = len(A), len(B), len(B[0])
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(c):
-            acc = None
-            for t in range(inner):
-                term = A[i][t] * B[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def _ode_residual_ok(operator, lam, p, check_precision, t_check):
@@ -708,6 +582,7 @@ def excellent_lift_check(
     the theta-component of the interpolated level-2 matrix vanishes mod p^2
     and the eigenvalue is F_0(t)/F_0(t_sigma).
     """
+    odd_prime(p)
     preset = preset_family(family, n)
     if preset.lattice_index != 1:
         raise ValueError("family excluded: vertex lattice has nontrivial index")

@@ -243,10 +243,9 @@ def suite_asd(job: JobSpec) -> SuiteReport:
     the quadratic relation for the unit root, and alpha_p = a_p mod p."""
     t0 = time.time()
     curves = list(job.curves) or [(-1, 0), (1, 1), (-2, 1)]
-    primes = [p for p in job.primes if p % 2]
     cells = []
     for A, B in curves:
-        for p in primes:
+        for p in job.primes:
             cell = {"curve": [A, B], "p": p}
             try:
                 data = frobenius_trace_elliptic(A, B, p)
@@ -299,7 +298,7 @@ def suite_asd(job: JobSpec) -> SuiteReport:
             ok = ok and quad
             cell["status"] = "ok" if ok else "fail"
             cells.append(cell)
-    grid = {"curves": [list(c) for c in curves], "primes": primes}
+    grid = {"curves": [list(c) for c in curves], "primes": list(job.primes)}
     return _finish("asd", grid, cells, job.seed, t0)
 
 
@@ -333,12 +332,8 @@ def suite_gauss(job: JobSpec) -> SuiteReport:
                 f"{label}: polytope has non-vertex lattice points"
             )
         for p in job.primes:
-            if p == 2 or any(
-                isinstance(c, TPoly) or c % p == 0 for c in f.terms.values()
-            ):
-                raise GaussHypothesisError(
-                    f"{label}: p={p} divides a coefficient or is even"
-                )
+            if any(isinstance(c, TPoly) or c % p == 0 for c in f.terms.values()):
+                raise GaussHypothesisError(f"{label}: p={p} divides a coefficient")
             for b in P.vertices:
                 cells.append(_gauss_cell(label, f, P, b, p, job.bound))
     grid = {

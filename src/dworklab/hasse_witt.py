@@ -28,6 +28,7 @@ from .laurent import (
 )
 from .linalg import int_det, mat_mul, tmat_inv_series, tpoly_det
 from .polytope import OpenSubset, lattice_points_in_dilate
+from .cartier import expand_origin, expand_vertex, unit_vertex, vertex_budget
 
 
 class HWConditionError(ArithmeticError):
@@ -262,8 +263,6 @@ def higher_hw_alternative_check(
     infinite expansion, so the comparison also asserts that the tail of the
     series coefficient vanishes mod p^k on the checked window.
     """
-    from .cartier import expand_origin, expand_vertex, unit_vertex, vertex_budget
-
     odd_prime(p)
     if sigma is None:
         sigma = FrobeniusLift.identity()

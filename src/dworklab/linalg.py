@@ -3,8 +3,9 @@
 Matrices are plain lists of lists.  Entries are ints (residues mod p^N) or
 TPoly values.  mat_inv_mod, solve_mod, solve_mod_multi and tmat_inv_series
 are wrappers over one Gauss-Jordan elimination over an arith.Ring: Z/p^N, or
-the series ring (Z/p^N)[t]/t^T for tmat_inv_series.  It insists on unit
-pivots, because over Z/p^N a non-unit pivot silently destroys precision.
+for tmat_inv_series the series ring (Z/p^N)[t]/t^T, or Q[[t]]/t^T when its
+modulus is None.  It insists on unit pivots, because over Z/p^N a non-unit
+pivot silently destroys precision.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ def mat_inv_mod(A, modulus: int):
     return _inverse(A, Ring(modulus))
 
 
-def tmat_inv_series(A, modulus: int, t_trunc: int | None):
+def tmat_inv_series(A, modulus: int | None, t_trunc: int | None):
     """Inverse of a TPoly matrix over (Z/modulus)[t]/(t^t_trunc), by the same
-    elimination: a pivot needs a unit constant term.  With t_trunc None the
-    entries are ints and the ring is Z/modulus."""
+    elimination: a pivot needs a unit constant term.  With modulus None the
+    ring is Q[[t]]/(t^t_trunc) and a pivot's constant term must be +-1.  With
+    t_trunc None the entries are ints and the ring is Z/modulus."""
     try:
         return _inverse(A, Ring(modulus, t_trunc))
     except RankDeficiencyError:

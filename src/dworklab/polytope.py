@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .linalg import independent_rows, int_det
@@ -27,56 +26,24 @@ class DegenerateSupportError(ValueError):
     """Support does not span the ambient space; the theory needs dim = n."""
 
 
-def _rref(rows):
-    """Reduced row echelon form over Q: (reduced rows, pivot columns)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    cols = len(mat[0]) if mat else 0
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == len(mat):
-            break
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-    return mat, pivots
-
-
 def _rank(rows) -> int:
     return len(independent_rows(rows))
 
 
 def _kernel_vector(rows, n):
     """A primitive integer vector orthogonal to all rows, or None if the
-    orthogonal complement is not one-dimensional."""
-    mat, pivots = _rref(rows)
-    if len(pivots) != n - 1:
+    orthogonal complement is not one-dimensional: the signed maximal minors
+    of n - 1 independent rows, divided by their gcd."""
+    picked = independent_rows(rows)
+    if len(picked) != n - 1:
         return None
-    free = [c for c in range(n) if c not in pivots][0]
-    vec = [Fraction(0)] * n
-    vec[free] = Fraction(1)
-    for row_idx, c in enumerate(pivots):
-        vec[c] = -mat[row_idx][free]
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    basis = [rows[i] for i in picked]
+    vec = [
+        (-1) ** j * int_det([[r[c] for c in range(n) if c != j] for r in basis])
+        for j in range(n)
+    ]
+    g = gcd(*vec)
+    return tuple(x // g for x in vec)
 
 
 def _dot(a, u):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .arith import TPoly, odd_prime, teichmuller
 from .laurent import FrobeniusLift, LaurentPoly
-from .linalg import mat_pow, mat_trace
+from .linalg import int_det, mat_inv_mod, mat_mul, mat_pow, mat_trace
 from .polytope import newton_polytope, whole_polytope
-from .hasse_witt import lambda_unit_root
+from .hasse_witt import HWConditionError, beta_matrix, hw_matrix, lambda_unit_root
 
 EVALUATION_BUDGET = 10**7
 
@@ -161,8 +161,7 @@ class EllipticCurveData:
 
 def frobenius_trace_elliptic(A: int, B: int, p: int) -> EllipticCurveData:
     """a_p = p - #{(x, y) in F_p^2 : y^2 = x^3 + A x + B}, with Hasse check."""
-    if p == 2:
-        raise ValueError("odd primes only")
+    odd_prime(p)
     disc = (-16 * (4 * A**3 + 27 * B**2)) % p
     if disc == 0:
         raise ValueError(f"curve is singular mod {p}")
@@ -302,15 +301,10 @@ def lambda_at_teichmuller(f_family: LaurentPoly, mu, a: int, p: int, s: int):
     stabilised ratio; because tau(a)^p = tau(a), this agrees with running the
     integer fibre through lambda_unit_root.
     """
-    from .hasse_witt import HWConditionError, beta_matrix, hw_matrix
-    from .linalg import mat_inv_mod, mat_mul
-
     hw = hw_matrix(f_family, mu, p, 1)
-    spec_hw = teichmuller_specialize(hw.entries, a, p, 1)
-    from .linalg import int_det
-
-    if int_det(spec_hw) % p == 0:
-        raise HWConditionError(int_det(spec_hw) % p)
+    det = int_det(teichmuller_specialize(hw.entries, a, p, 1)) % p
+    if det == 0:
+        raise HWConditionError(det)
     modulus = p**s
     num = teichmuller_specialize(
         beta_matrix(f_family, mu, p**s, p, s).entries, a, p, s

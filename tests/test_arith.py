@@ -49,6 +49,11 @@ class TestTeichmuller:
         if a % p:
             assert pow(teichmuller(a, p, N).value, p - 1, p**N) == 1
 
+    @pytest.mark.parametrize("p", [1, 4, 9])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            teichmuller(2, p, 3)
+
 
 class TestGammaP:
     def test_gamma_1_is_minus_one(self):
@@ -65,6 +70,13 @@ class TestGammaP:
     def test_rejects_p_in_denominator(self):
         with pytest.raises(NonUnitError):
             gamma_p(Fraction(1, 5), 5, 2)
+
+    @pytest.mark.parametrize("p", [1, 4, 9])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            gamma_p(1, p, 2)
+        with pytest.raises(ValueError, match="not an odd prime"):
+            gamma_ratio_check(p, 1, 2)
 
     def test_rejects_oversized_product(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from dworklab.arith import TPoly, val_p_fraction
 from dworklab.laurent import LaurentPoly
 from dworklab.polytope import newton_polytope, is_reflexive
 from dworklab.cy import (
-    LogPoly,
+    _t_constancy_diagnostics,
     apply_operator_log,
     canonical_coordinate,
     constant_term_series,
@@ -200,15 +200,65 @@ class TestYukawa:
             yukawa_and_instantons(sols, mirror, 8)
 
 
-class TestWronskian:
-    def test_det_log_free_and_unit(self):
-        from dworklab.cy import _logpoly_det
+WRONSKIAN_CASES = [("simplicial", 2), ("quintic", None), ("hyperoctahedral", 4)]
 
-        sols = standard_solutions(preset_operator("simplicial", 2), 6)
-        U = wronskian_matrix(sols, 6)
-        det = _logpoly_det(U)
-        assert det.is_log_free()
-        assert det.part(0)[0] == 1
+
+class TestWronskian:
+    """U = W(t) E(log t): W is log-free and W(0) = I."""
+
+    @pytest.mark.parametrize("name,n", WRONSKIAN_CASES)
+    def test_w_at_zero_is_identity(self, name, n):
+        W = wronskian_matrix(standard_solutions(preset_operator(name, n), 8), 8)
+        assert [[e[0] for e in row] for row in W] == [
+            [int(i == j) for j in range(len(W))] for i in range(len(W))
+        ]
+
+    @pytest.mark.parametrize("name,n", WRONSKIAN_CASES)
+    def test_w_times_e_is_theta_powers_of_solutions(self, name, n):
+        T = 8
+        sols = standard_solutions(preset_operator(name, n), T)
+        W = wronskian_matrix(sols, T)
+        for j, sol in enumerate(sols):
+            # y_j = sum_k h_k log(t)^k with h_k = F_(j-k) / k!
+            h = [sol.components[j - k] * Fraction(1, math.factorial(k)) for k in range(j + 1)]
+            for i in range(len(sols)):
+                for k in range(j + 1):
+                    expect = W[i][j - k] * Fraction(1, math.factorial(k))
+                    assert h[k].truncate(T) == expect.truncate(T)
+                # theta(sum h_k L^k) = sum (theta h_k + (k+1) h_(k+1)) L^k
+                h = [
+                    h[k].theta() + (h[k + 1] * (k + 1) if k + 1 < len(h) else TPoly())
+                    for k in range(len(h))
+                ]
+
+
+# [t^d] diagnostics of U^(-1) Lambda U(t^p) at t_check = 6, p = 7, precision 4,
+# as (effective_precision, min_valuation, ok) for d = 1..5
+T_CONSTANCY_PINS = {
+    ("quintic", "diagonal"): [(4, 0, False)] * 5,
+    ("quintic", "dense"): [(4, 0, False)] * 5,
+    ("hyperoctahedral", "diagonal"): [(4, 4, True), (4, 0, False)] * 2 + [(4, 4, True)],
+    ("hyperoctahedral", "dense"): [(4, 2, False), (4, 0, False)] * 2 + [(4, 2, False)],
+}
+
+
+@pytest.mark.parametrize("name,n", [("quintic", None), ("hyperoctahedral", 4)])
+@pytest.mark.parametrize("shape", ["diagonal", "dense"])
+def test_t_constancy_diagnostics_pin(name, n, shape):
+    p = 7
+    sols = standard_solutions(preset_operator(name, n), 8)
+    if shape == "diagonal":
+        lam = [[TPoly([p**i]) if i == j else TPoly() for j in range(4)] for i in range(4)]
+    else:
+        lam = [
+            [TPoly([p**i] + [p**2 * (i + j + d) for d in range(1, 8)]) for j in range(4)]
+            for i in range(4)
+        ]
+    diag = _t_constancy_diagnostics(sols, lam, p, 4, 6)
+    assert [d["t_degree"] for d in diag] == [1, 2, 3, 4, 5]
+    assert [
+        (d["effective_precision"], d["min_valuation"], d["ok"]) for d in diag
+    ] == T_CONSTANCY_PINS[name, shape]
 
 
 class TestFrobeniusLambda0:
@@ -238,6 +288,11 @@ class TestFrobeniusLambda0:
         with pytest.raises(ValueError):
             frobenius_lambda0("simplicial", 2, 3)
 
+    @pytest.mark.parametrize("p", [1, 4, 9])
+    def test_non_prime_rejected(self, p):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            frobenius_lambda0("simplicial", 2, p)
+
 
 class TestExcellentLift:
     def test_simplicial_2_p5(self):
@@ -261,15 +316,7 @@ class TestExcellentLift:
         with pytest.raises(ValueError):
             excellent_lift_check("simplicial", 2, 3)
 
-
-class TestLogPoly:
-    def test_theta(self):
-        lp = LogPoly([TPoly([0, 1]), TPoly([1])], 4)  # t + log t
-        out = lp.theta()
-        assert out.part(0) == TPoly([1, 1])
-
-    def test_subs_t_power(self):
-        lp = LogPoly([TPoly([0, 1]), TPoly([1])], 9)
-        out = lp.subs_t_power(3)
-        assert out.part(0)[3] == 1
-        assert out.part(1)[0] == 3
+    @pytest.mark.parametrize("p", [1, 4, 9])
+    def test_non_prime_rejected(self, p):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            excellent_lift_check("simplicial", 2, p)

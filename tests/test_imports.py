@@ -1,8 +1,9 @@
 """Import hygiene of the package (stdlib ast only):
 
 * every module reads each name it imports;
-* a function body imports nothing from outside the package.  Relative
-  imports inside functions stay allowed, because they break import cycles.
+* a function body imports nothing, from the package or outside it.  The
+  package's import graph is acyclic, so every import can sit at the module
+  top.
 
 `__init__.py` is exempt from the first rule: its imports are re-exports.
 """
@@ -33,7 +34,8 @@ def unused_imports(source: str) -> list:
 
 
 def function_imports(source: str) -> list:
-    """(line, module) of every absolute import inside a function body."""
+    """(line, module) of every import inside a function body; a relative
+    module keeps its leading dots."""
     found = set()
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -41,8 +43,8 @@ def function_imports(source: str) -> list:
         for node in ast.walk(fn):
             if isinstance(node, ast.Import):
                 found.update((node.lineno, a.name) for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                found.add((node.lineno, node.module))
+            elif isinstance(node, ast.ImportFrom):
+                found.add((node.lineno, "." * node.level + (node.module or "")))
     return sorted(found)
 
 
@@ -61,7 +63,7 @@ def test_checker_flags_a_function_import():
         "        from math import gcd\n"
         "    return it, LaurentPoly, g, math\n"
     )
-    assert function_imports(source) == [(3, "itertools"), (6, "math")]
+    assert function_imports(source) == [(3, "itertools"), (4, ".laurent"), (6, "math")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

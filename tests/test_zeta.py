@@ -131,6 +131,11 @@ class TestEllipticTrace:
         with pytest.raises(ValueError):
             frobenius_trace_elliptic(0, 0, 5)
 
+    @pytest.mark.parametrize("p", [1, 4, 9])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            frobenius_trace_elliptic(1, 1, p)
+
     @pytest.mark.parametrize("A,B,p", [(-1, 0, 5), (1, 1, 7), (-2, 1, 11), (3, 4, 13)])
     def test_hasse_bound(self, A, B, p):
         data = frobenius_trace_elliptic(A, B, p)
