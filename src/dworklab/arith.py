@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 # Ceiling for the direct product loop in gamma_p: p^N must stay below this.
 GAMMA_PRODUCT_BOUND = 10**7
@@ -266,7 +266,7 @@ class TPoly:
         if isinstance(other, TPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == (TPoly([other])).coeffs
+            return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self):
@@ -305,14 +305,24 @@ class TPoly:
     __rmul__ = __mul__
 
     def mul(self, other: "TPoly", T: int) -> "TPoly":
-        """Product mod t^T; only the degrees below T are computed."""
+        """Product mod t^T; only the degrees below T are computed.
+
+        When a constant term is a Fraction, so is every output coefficient:
+        the factors are scaled to integers by the lcm of their denominators,
+        multiplied as ints, and each output coefficient is one Fraction.
+        """
         a, b = self.coeffs, other.coeffs
         la, lb = len(a), len(b)
         n = la + lb - 1 if la + lb - 1 < T else T
         if not la or not lb or n < 1:
             return TPoly()
-        # a zero of the coefficient type, so rational series keep Fraction zeros
-        out = [0 * a[0] * b[0]] * n
+        zero = 0 * a[0] * b[0]  # a zero of the coefficient type
+        if type(zero) is Fraction:
+            da, db = lcm(*[x.denominator for x in a[:n]]), lcm(*[y.denominator for y in b[:n]])
+            ints = TPoly([x.numerator * (da // x.denominator) for x in a[:n]]).mul(
+                TPoly([y.numerator * (db // y.denominator) for y in b[:n]]), T)
+            return TPoly([Fraction(c, da * db) for c in ints.coeffs])
+        out = [zero] * n
         for i, x in enumerate(a if la <= n else a[:n]):
             if x:
                 for j, y in enumerate(b if i + lb <= n else b[: n - i], i):

@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from math import gcd
+from operator import le, sub
 
 from .arith import NonUnitError, Ring, TPoly, odd_prime, val_p
 from .laurent import (
@@ -318,55 +319,59 @@ def expand_origin(
 ) -> FormalExpansion:
     """Expansion of h / (1 - t g)^m with exact t-polynomial coefficients mod t^T.
 
-    h may carry TPoly coefficients (numerators like t*g arise from theta
-    derivatives of 1/f).  With `targets` given, only those coefficient indices
-    are kept and intermediate powers of g are pruned to the monomials that can
-    still reach a target (a sound box overapproximation of the reachable set).
+    The coefficient at v is sum_{i<T} binom(i+m-1, m-1) t^i [x^v] h g^i.  h may
+    carry TPoly coefficients (numerators like t*g arise from theta derivatives
+    of 1/f).  g^i is reduced mod `modulus` at every step.  With `targets`
+    given, only those indices are computed, each from [x^(v-e)] g^i for the
+    numerator terms e, and g^i is pruned to the monomials that can still reach
+    some v - e (a sound box overapproximation of the reachable set); without
+    them the whole product h g^i is accumulated.  Rejects m < 1 and T < 1.
     """
+    if m < 1:
+        raise ValueError(f"pole order m must be >= 1, not {m}")
+    if T < 1:
+        raise ValueError(f"t-truncation T must be >= 1, not {T}")
     ring = Ring(modulus, T)
     coeffs: dict = {}
-
-    target_set = None
-    demand = None
-    gmin = gmax = dmin = dmax = None
+    reads = None
     if targets is not None:
-        target_set = {tuple(v) for v in targets}
-        demand = sorted(
-            {
-                tuple(v[i] - e[i] for i in range(g.n))
-                for v in target_set
-                for e in h.support()
-            }
-        )
-        gmin = [min(e[i] for e in g.support()) for i in range(g.n)]
-        gmax = [max(e[i] for e in g.support()) for i in range(g.n)]
-        dmin = [min(d[i] for d in demand) for i in range(g.n)]
-        dmax = [max(d[i] for d in demand) for i in range(g.n)]
-
-    def keep(u, remaining):
-        # u can reach some demand point with j <= remaining more factors of g
-        for i in range(g.n):
-            hi_off = max(0, remaining * gmax[i])
-            lo_off = min(0, remaining * gmin[i])
-            if not dmin[i] - hi_off <= u[i] <= dmax[i] - lo_off:
-                return False
-        return True
+        # for each target v, the pairs (v - e, h_e) that read g^i
+        reads = {
+            v: [(tuple(map(sub, v, e)), c) for e, c in h.terms.items()]
+            for v in map(tuple, targets)
+        }
+        demand = [w for pairs in reads.values() for w, _ in pairs]
+        gmin = [min((e[k] for e in g.terms), default=0) for k in range(g.n)]
+        gmax = [max((e[k] for e in g.terms), default=0) for k in range(g.n)]
+        dmin = [min((d[k] for d in demand), default=0) for k in range(g.n)]
+        dmax = [max((d[k] for d in demand), default=0) for k in range(g.n)]
 
     gi = LaurentPoly.constant(g.n, 1)
     for i in range(T):
         c = math.comb(i + m - 1, m - 1)
-        for e, co in (h * gi).terms.items():
-            if target_set is not None and e not in target_set:
-                continue
-            ring.add_into(coeffs, e, TPoly([0] * i + [x * c for x in TPoly.coerce(co).coeffs]))
-        if i < T - 1:
-            gi = ring.reduce(gi * g)
-            if demand is not None:
-                remaining = T - 2 - i
-                gi = LaurentPoly(
-                    g.n,
-                    {e: c2 for e, c2 in gi.terms.items() if keep(e, remaining)},
-                )
+        if reads is None:
+            row = (h * gi).terms.items()
+        else:
+            row = ((v, sum(x * gi.terms[w] for w, x in pairs if w in gi.terms))
+                   for v, pairs in reads.items())
+        for e, co in row:
+            if co:
+                ring.add_into(coeffs, e, TPoly([0] * i + [x * c for x in TPoly.coerce(co).coeffs]))
+        if i == T - 1:
+            break
+        if reads is not None:
+            # the box of monomials that reach some demand point with at most
+            # r more factors of g
+            r = T - 2 - i
+            lo = [d - max(0, r * x) for d, x in zip(dmin, gmax)]
+            hi = [d - min(0, r * x) for d, x in zip(dmax, gmin)]
+        terms = {}
+        for e, x in (gi * g).terms.items():
+            if modulus is not None:
+                x %= modulus
+            if x and (reads is None or all(map(le, lo, e)) and all(map(le, e, hi))):
+                terms[e] = x
+        gi = LaurentPoly._checked(g.n, terms)
     return FormalExpansion(
         "origin", g.n, coeffs, modulus, t_trunc=T,
         provenance=(repr(h), f"1-t*{g!r}", m),
@@ -572,14 +577,16 @@ def interpolate_cartier(
 
     basis entries are (numerator, pole-order) pairs; the default is the
     monomial basis of the level-k module on (k*mu).  For families (g given)
-    expansions are taken at the origin with exact t-coefficients and each
-    t-power contributes one equation row; otherwise vertex expansions are
-    used.  Held-out probes must reproduce the congruence exactly, else
-    ResidualError.
+    expansions are taken at the origin with exact t-coefficients mod
+    t^t_trunc (so t_trunc >= 1 is required) and each t-power contributes one
+    equation row; otherwise vertex expansions are used.  Held-out probes
+    must reproduce the congruence exactly, else ResidualError.
     """
     odd_prime(p)
     if not 1 <= k < p:
         raise ValueError("need 1 <= k < p")
+    if g is not None and (t_trunc is None or t_trunc < 1):
+        raise ValueError(f"a family (g given) needs t_trunc >= 1, not {t_trunc!r}")
     precision = s * k
     modulus = p**precision
     points = lattice_points_in_dilate(mu, k)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .arith import Ring, TPoly
 from .linalg import independent_rows, int_det
@@ -20,7 +21,7 @@ EXPONENT_LIMIT = 10**5  # machine-int guard for exponent arithmetic
 
 
 def _check_exponent(e):
-    if any(abs(x) > EXPONENT_LIMIT for x in e):
+    if e and (max(e) > EXPONENT_LIMIT or min(e) < -EXPONENT_LIMIT):
         raise OverflowError(f"exponent {e} exceeds the configured degree range")
     return e
 
@@ -49,6 +50,13 @@ class LaurentPoly:
                     self.terms[e] = acc
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def _checked(n: int, terms: dict) -> "LaurentPoly":
+        """Wrap a dict of already validated exponents and nonzero coefficients."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.n, out.terms = n, terms
+        return out
 
     @staticmethod
     def monomial(n: int, e, c=1) -> "LaurentPoly":
@@ -123,7 +131,7 @@ class LaurentPoly:
             a, b = b, a
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 acc = out.get(e, 0) + c1 * c2
                 if acc == 0:
                     out.pop(e, None)
@@ -131,7 +139,7 @@ class LaurentPoly:
                     out[e] = acc
         for e in out:
             _check_exponent(e)
-        return LaurentPoly(self.n, out)
+        return LaurentPoly._checked(self.n, out)
 
     def scale(self, c):
         if c == 0:

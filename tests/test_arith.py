@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dworklab.arith import (
@@ -174,9 +174,24 @@ def residue_series(modulus):
     return st.lists(st.integers(0, modulus - 1), max_size=10).map(TPoly)
 
 
+MIXED_SERIES = st.lists(
+    st.one_of(st.integers(-20, 20), st.fractions(-20, 20, max_denominator=9)), max_size=10
+).map(TPoly)
+
+
 def convolution(a, b, T):
-    """Reference product mod t^T, one coefficient at a time."""
-    return TPoly([sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(T)])
+    """Reference product mod t^T, one coefficient at a time.  A zero factor
+    adds nothing, so a coefficient is a Fraction exactly when a constant term
+    is one or a nonzero Fraction factor enters its sum."""
+    zero = 0 * a[0] * b[0]
+    return TPoly([
+        sum((a[i] * b[d - i] for i in range(d + 1) if a[i] and b[d - i]), zero)
+        for d in range(T)
+    ])
+
+
+def typed(s: TPoly):
+    return [(type(c), c) for c in s.coeffs]
 
 
 class TestTPolySeries:
@@ -224,9 +239,16 @@ class TestTPolySeries:
         a, b = data.draw(residue_series(m)), data.draw(residue_series(m))
         assert a.mul(b, T) == (a * b).truncate(T) == convolution(a, b, T)
 
-    @given(RATIONAL_SERIES, RATIONAL_SERIES, st.integers(1, 16))
+    @given(st.one_of(RATIONAL_SERIES, MIXED_SERIES), st.one_of(RATIONAL_SERIES, MIXED_SERIES),
+           st.integers(1, 16))
+    @example(TPoly([Fraction(1, 2), 3, Fraction(-1, 3)]), TPoly([2, Fraction(1, 5), 7]), 2)
+    @example(TPoly([1, Fraction(0), Fraction(1, 3)]), TPoly([2, 5, 0, Fraction(1, 7)]), 6)
+    @example(TPoly([3, 1]), TPoly([Fraction(2, 3), 4]), 1)
+    @example(TPoly(), TPoly([Fraction(1, 2)]), 4)
+    @example(TPoly([Fraction(1, 2), 1]), TPoly([Fraction(0), Fraction(0)]), 4)
     def test_mul_is_truncated_product_over_rationals(self, a, b, T):
-        assert a.mul(b, T) == (a * b).truncate(T) == convolution(a, b, T)
+        expect = typed(convolution(a, b, T))
+        assert typed(a.mul(b, T)) == typed((a * b).truncate(T)) == expect
 
     @given(st.data(), st.integers(1, 16))
     def test_inverse_series_over_residues(self, data, T):

@@ -166,7 +166,53 @@ class TestExpandVertexProperties:
             assert pruned.coefficient(v) == full.coefficient(v)
 
 
+def origin_reference(h, g, m, T, modulus):
+    """sum_{i<T} binom(i+m-1, m-1) t^i h g^i by LaurentPoly arithmetic, reduced
+    mod `modulus` and t^T, zeros dropped."""
+    total, gi = LaurentPoly(h.n), LaurentPoly.constant(g.n, 1)
+    for i in range(T):
+        total = total + (h * gi).scale(TPoly.t_power(i, math.comb(i + m - 1, m - 1)))
+        gi = gi * g
+    reduce = Ring(modulus, T).reduce
+    return {e: r for e, c in total.terms.items() if (r := reduce(c))}
+
+
+def typed(coeffs: dict) -> dict:
+    return {e: (type(c), [(type(x), x) for x in TPoly.coerce(c).coeffs])
+            for e, c in coeffs.items()}
+
+
+def small_laurent(n, coefficient, max_size):
+    exps = st.tuples(*[st.integers(-1, 1)] * n)
+    return st.dictionaries(exps, coefficient, max_size=max_size).map(
+        lambda d: LaurentPoly(n, d))
+
+
 class TestExpandOrigin:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_laurent_reference(self, data):
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        T = data.draw(st.integers(1, 6))
+        g = data.draw(small_laurent(n, st.integers(-3, 3), 4))
+        num = st.one_of(st.integers(-9, 9),
+                        st.lists(st.integers(-9, 9), max_size=3).map(TPoly))
+        h = data.draw(small_laurent(n, num, 3))
+        modulus = data.draw(st.sampled_from([None, 9, 25, 27, 49]))
+        ref = origin_reference(h, g, m, T, modulus)
+        targets = None
+        if data.draw(st.booleans()):
+            candidates = sorted(ref) + [(5,) * n]
+            targets = data.draw(st.lists(st.sampled_from(candidates), max_size=3))
+            ref = {v: c for v, c in ref.items() if v in targets}
+        E = expand_origin(h, g, m, T, modulus, targets=targets)
+        assert typed(E.coeffs) == typed(ref)
+
+    @pytest.mark.parametrize("m, T, name", [(0, 4, "m"), (-1, 4, "m"), (1, 0, "T")])
+    def test_rejects_bad_order_or_truncation(self, m, T, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            expand_origin(ONE2, SIMPLICIAL2, m, T)
+
     def test_central_binomials(self):
         g = LaurentPoly(1, {(1,): 1, (-1,): 1})
         E = expand_origin(LaurentPoly.constant(1, 1), g, 1, 9)
@@ -397,6 +443,15 @@ class TestInterpolation:
         lam = lambda_unit_root(f, whole_polytope(P), 5, ID, 2)
         interp = interpolate_cartier(f, whole_polytope(P), 1, 5, ID, 2)
         assert [[x % 25 for x in row] for row in interp.matrix] == lam.entries
+
+    @pytest.mark.parametrize("t_trunc", [None, 0])
+    def test_family_needs_t_trunc(self, t_trunc):
+        P = newton_polytope(SIMPLICIAL2.support())
+        with pytest.raises(ValueError, match="t_trunc >= 1"):
+            interpolate_cartier(
+                family_poly(SIMPLICIAL2), interior(P), 1, 5, FrobeniusLift.t_power(5), 1,
+                t_trunc=t_trunc, g=SIMPLICIAL2,
+            )
 
     def test_family_gamma_relation(self):
         from dworklab.cy import constant_term_series
