@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, mul
 
 from .arith import NonUnitError, Ring, TPoly, inv_mod, odd_prime, val_p_fraction
 from .laurent import FrobeniusLift, LaurentPoly, family_poly
@@ -272,29 +273,42 @@ def apply_operator_log(L: ThetaOperator, sol: LogSeriesSolution, T: int):
 def constant_term_series(g: LaurentPoly, T: int) -> TPoly:
     """gamma(t) = sum_i (constant term of g^i) t^i, exact integers.
 
-    Powers are accumulated with a support window: a monomial can still reach
-    the constant term only if its negative lies in the reachable dilate, so
-    everything outside that window is pruned.
+    g^i is formed from g^(i-1) one factor of g at a time, pruned to a support
+    window: a monomial e of g^i can still reach the constant term of a later
+    power g^j (j < T) only if -e lies in the (T-1-i)-fold dilate of the
+    Newton polytope P of g, that is a.e <= -(T-1-i) c for every facet
+    a.u >= c of P.  Each monomial carries its facet values a.e, which add
+    along products; a power is accumulated in full and the window is then
+    tested once per distinct monomial.  Every coefficient is an exact sum of
+    integer products, and a pruned monomial contributes to no later constant
+    term, so gamma is exact.  A support with no such P (not full-dimensional,
+    or past the hull's size limits) is not pruned.
     """
-    P = None
     try:
-        P = newton_polytope(g.support())
-    except Exception:
-        P = None
+        facets = newton_polytope(g.support()).facets
+    except ValueError:
+        facets = ()
+    gens = [(e, c, tuple(sum(map(mul, a, e)) for a, _ in facets))
+            for e, c in g.terms.items()]
+    zero = (0,) * g.n
     coeffs = [0] * T
     coeffs[0] = 1
-    h = {(0,) * g.n: 1}
+    h = {zero: (1, (0,) * len(facets))}  # monomial -> (coefficient, facet values)
     for i in range(1, T):
+        window = tuple(-(T - 1 - i) * c for _, c in facets)
         nxt = {}
-        remaining = T - 1 - i
-        for e1, c1 in h.items():
-            for e2, c2 in g.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if P is not None and not P.contains(tuple(-x for x in e), remaining):
-                    continue
-                nxt[e] = nxt.get(e, 0) + c1 * c2
-        h = {e: c for e, c in nxt.items() if c != 0}
-        coeffs[i] = h.get((0,) * g.n, 0)
+        values = {}
+        for e1, (c1, a1) in h.items():
+            for e2, c2, a2 in gens:
+                e = tuple(map(add, e1, e2))
+                if e in nxt:
+                    nxt[e] += c1 * c2
+                else:
+                    nxt[e] = c1 * c2
+                    values[e] = tuple(map(add, a1, a2))
+        h = {e: (c, values[e]) for e, c in nxt.items()
+             if c and all(map(le, values[e], window))}
+        coeffs[i] = h[zero][0] if zero in h else 0
     return TPoly(coeffs)
 
 

@@ -321,7 +321,10 @@ def _default_gauss_polys():
 
 def suite_gauss(job: JobSpec) -> SuiteReport:
     """c_v = c_{v/p} mod p^{ord_p(v)} for all expansion coefficients of 1/f,
-    at every vertex of a Newton polytope whose lattice points are vertices."""
+    at every vertex of a Newton polytope whose lattice points are vertices.
+
+    Each cell checks every v = p u with 0 != v in [-bound, bound]^n, in
+    lexicographic order of v (see `_gauss_cell`)."""
     t0 = time.time()
     polys = list(job.polynomials) or _default_gauss_polys()
     cells = []
@@ -345,29 +348,36 @@ def suite_gauss(job: JobSpec) -> SuiteReport:
 
 
 def _gauss_cell(label, f, P, b, p, bound):
+    """The Gauss congruence at the vertex b for every index of the box
+    [-bound, bound]^n with ord_p >= 1.
+
+    Those are the v = p u with 0 != u in [-bound // p, bound // p]^n, scanned
+    in lexicographic order of u, which is lexicographic order of v; ord_p(v)
+    is 1 + val_p(gcd(u)).  The budget is computed over these v and u only and
+    certifies each of them complete, so each compared coefficient is the
+    exact expansion coefficient mod p^N, N = max(1, floor(log_p bound)) + 2
+    >= ord_p(v); both `is_complete` checks still guard every comparison."""
     cell = {"poly": label, "vertex": list(b), "p": p}
     n = f.n
-    max_ord = max(1, int(math.log(bound, p)))
+    max_ord = 1  # max(1, floor(log_p bound)), in integers
+    while p ** (max_ord + 1) <= bound:
+        max_ord += 1
     N = max_ord + 2
     one = LaurentPoly.constant(n, 1)
-    box = list(itertools.product(range(-bound, bound + 1), repeat=n))
-    S = vertex_budget(f, b, 1, one, box)
+    k = bound // p
+    zero = (0,) * n
+    us = [u for u in itertools.product(range(-k, k + 1), repeat=n) if u != zero]
+    vs = [tuple(p * x for x in u) for u in us]
+    S = vertex_budget(f, b, 1, one, vs + us)
     E = expand_vertex(one, f, 1, b, S, p**N)
     checked = 0
     failures = []
-    for v in box:
-        if all(x == 0 for x in v):
+    for u, v in zip(us, vs):
+        if not (E.is_complete(v) and E.is_complete(u)):
             continue
-        g = 0
-        for x in v:
-            g = math.gcd(g, abs(x))
-        ord_v = val_p(g, p)
-        if ord_v < 1:
-            continue
-        if not (E.is_complete(v) and E.is_complete(tuple(x // p for x in v))):
-            continue
+        ord_v = 1 + val_p(math.gcd(*u), p)
         c1 = E.coefficient(v)
-        c2 = E.coefficient(tuple(x // p for x in v))
+        c2 = E.coefficient(u)
         checked += 1
         if (c1 - c2) % p**ord_v != 0:
             failures.append(

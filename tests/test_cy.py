@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dworklab.arith import TPoly, val_p_fraction
 from dworklab.laurent import LaurentPoly
@@ -122,6 +124,17 @@ class TestStandardSolutions:
         assert all(F0[i] == gamma[i] for i in range(9))
 
 
+@st.composite
+def series_cases(draw):
+    """(g, T): 1-5 terms in n <= 3 variables with exponents in [-2, 2], and
+    T <= 10.  Random supports are often degenerate (no window) or span a
+    polytope without 0."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-2, 2)] * n)
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=5))
+    return LaurentPoly(n, terms), draw(st.integers(1, 10))
+
+
 class TestConstantTermSeries:
     def test_central_binomials(self):
         g = LaurentPoly(1, {(1,): 1, (-1,): 1})
@@ -143,6 +156,24 @@ class TestConstantTermSeries:
         g = LaurentPoly(1, {(1,): 1})
         s = constant_term_series(g, 6)
         assert [s[i] for i in range(6)] == [1, 0, 0, 0, 0, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_cases())
+    # degenerate supports, so no window: one point, a segment in the plane
+    @example((LaurentPoly(2, {(1, -1): 2}), 6))
+    @example((LaurentPoly(2, {(1, -1): 1, (-1, 1): 3, (0, 0): -1}), 9))
+    # full-dimensional polytopes that do not contain 0
+    @example((LaurentPoly(2, {(1, 0): 1, (0, 1): -2, (1, 1): 1}), 10))
+    @example((LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (1, 1, 1): 2}), 10))
+    def test_matches_constant_terms_of_powers(self, case):
+        g, T = case
+        zero = (0,) * g.n
+        power = LaurentPoly.constant(g.n, 1)
+        expect = []
+        for _ in range(T):
+            expect.append(power.coefficient_at(zero))
+            power = power * g
+        assert constant_term_series(g, T).coeffs == TPoly(expect).coeffs
 
 
 class TestCanonicalCoordinate:

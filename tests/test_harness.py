@@ -1,12 +1,20 @@
+import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dworklab.arith import TPoly
+import dworklab.harness as H
+from dworklab.arith import TPoly, val_p
+from dworklab.cartier import expand_vertex, vertex_budget
 from dworklab.laurent import LaurentPoly
+from dworklab.polytope import newton_polytope
 from dworklab.harness import (
     GaussHypothesisError,
     JobSpec,
+    _gauss_cell,
     canonical_json,
     expansion_coefficient_super,
     suite_asd,
@@ -109,6 +117,82 @@ class TestSuperFamilyOracle:
         assert (math.comb(18, 9) - math.comb(6, 3)) % 81 == 0
 
 
+GAUSS_SHAPES = (
+    ((0, 0), (1, 0), (0, 1)),
+    ((0, 0), (1, 0), (0, 1), (1, 1)),
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0,), (1,)),
+)
+
+
+def gauss_reference(f, b, p, bound):
+    """The Gauss cell by the full-box scan: every index of [-bound, bound]^n,
+    under the budget that certifies all of them complete."""
+    n = f.n
+    max_ord = 1
+    while p ** (max_ord + 1) <= bound:
+        max_ord += 1
+    N = max_ord + 2
+    one = LaurentPoly.constant(n, 1)
+    box = list(itertools.product(range(-bound, bound + 1), repeat=n))
+    E = expand_vertex(one, f, 1, b, vertex_budget(f, b, 1, one, box), p**N)
+    checked = 0
+    failures = []
+    for v in box:
+        if not any(v):
+            continue
+        ord_v = val_p(math.gcd(*v), p)
+        u = tuple(x // p for x in v)
+        if ord_v < 1 or not (E.is_complete(v) and E.is_complete(u)):
+            continue
+        checked += 1
+        c1, c2 = E.coefficient(v), E.coefficient(u)
+        if (c1 - c2) % p**ord_v:
+            failures.append(
+                {"v": list(v), "c_v": c1, "c_v_over_p": c2, "mod": f"{p}^{ord_v}"}
+            )
+    return checked, failures
+
+
+class TestGaussCell:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_full_box_scan(self, data):
+        shape = data.draw(st.sampled_from(GAUSS_SHAPES))
+        p = data.draw(st.sampled_from((3, 5, 7, 11)))
+        bound = data.draw(st.integers(1, 14))
+        units = st.integers(-30, 30).filter(lambda c: c % p)
+        f = LaurentPoly(len(shape[0]), {e: data.draw(units) for e in shape})
+        P = newton_polytope(f.support())
+        b = data.draw(st.sampled_from(P.vertices))
+        cell = _gauss_cell("f", f, P, b, p, bound)
+        checked, failures = gauss_reference(f, b, p, bound)
+        assert cell["checked"] == checked
+        assert cell["status"] == ("ok" if checked and not failures else "fail")
+        if checked:
+            assert cell.get("witness") == (failures[:5] or None)
+        else:
+            assert cell["witness"] == [{"reason": "no certified indices inside the bound"}]
+        if p > bound:
+            assert checked == 0 and cell["status"] == "fail"
+
+    @pytest.mark.parametrize("bound, N", [(242, 6), (243, 7), (728, 7), (729, 8)])
+    def test_precision_is_an_exact_floor_log(self, monkeypatch, bound, N):
+        # N = max(1, floor(log_3 bound)) + 2; a floating-point log misrounds
+        # log_3 243 to 4.999...
+        moduli = []
+
+        def recording(h, f, m, b, budget, modulus=None, **kw):
+            moduli.append(modulus)
+            return expand_vertex(h, f, m, b, budget, modulus, **kw)
+
+        monkeypatch.setattr(H, "expand_vertex", recording)
+        f = LaurentPoly(1, {(0,): 1, (1,): 1})
+        cell = _gauss_cell("1+x", f, newton_polytope(f.support()), (0,), 3, bound)
+        assert moduli == [3**N]
+        assert cell["status"] == "ok"
+
+
 class TestFailurePaths:
     def test_gauss_hypothesis_violation(self):
         bad = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (-1, -1): 1})
@@ -119,6 +203,25 @@ class TestFailurePaths:
         bad = LaurentPoly(2, {(0, 0): 3, (1, 0): 1, (0, 1): 1})
         with pytest.raises(GaussHypothesisError):
             suite_gauss(JobSpec(primes=(3,), polynomials=(("bad", bad),)))
+
+    def test_corrupted_gauss_fails(self, monkeypatch):
+        # c_(-3,0) at the vertex (1, 0) of 1+x+y is bumped by one: the checks
+        # of v = (-3, 0) (mod 3) and v = (-9, 0) (mod 9) fail, reported in
+        # lexicographic order of v
+        def corrupted(h, f, m, b, budget, modulus=None, **kw):
+            E = expand_vertex(h, f, m, b, budget, modulus, **kw)
+            if tuple(b) == (1, 0):
+                E.coeffs[(-3, 0)] = (E.coefficient((-3, 0)) + 1) % modulus
+            return E
+
+        monkeypatch.setattr(H, "expand_vertex", corrupted)
+        f = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+        report = suite_gauss(JobSpec(primes=(3,), bound=9, polynomials=(("f", f),)))
+        assert not report.passed
+        bad = [c for c in report.cells if c["status"] == "fail"]
+        assert [c["vertex"] for c in bad] == [[1, 0]]
+        witness = [(w["v"], w["c_v"], w["c_v_over_p"], w["mod"]) for w in bad[0]["witness"]]
+        assert witness == [([-9, 0], 1, 2, "3^2"), ([-3, 0], 2, 1, "3^1")]
 
     def test_corrupted_dwork_fails(self, monkeypatch):
         import dworklab.harness as H
