@@ -366,10 +366,13 @@ class TPoly:
 
     def compose(self, other: "TPoly", T: int | None = None,
                 modulus: int | None = None) -> "TPoly":
-        """Horner composition self(other), optionally mod t^T and mod `modulus`."""
+        """Horner composition self(other), optionally mod t^T and mod `modulus`.
+        Each nonzero Horner constant is added to the constant term alone."""
         acc = TPoly()
         for c in reversed(self.coeffs):
-            acc = (acc * other if T is None else acc.mul(other, T)) + c
+            acc = acc * other if T is None else acc.mul(other, T)
+            if c:
+                acc = TPoly((acc[0] + c,) + acc.coeffs[1:])
             if modulus is not None:
                 acc = acc % modulus
         return acc

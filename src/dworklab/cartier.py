@@ -26,6 +26,7 @@ from operator import le, sub
 
 from .arith import NonUnitError, Ring, TPoly, odd_prime, val_p
 from .laurent import (
+    CramerBlock,
     FrobeniusLift,
     LaurentPoly,
     cartier_poly,
@@ -309,6 +310,196 @@ def expand_vertex(
     )
 
 
+def _powers(g: LaurentPoly, T: int, modulus: int | None, demand=None):
+    """g^i for i < T, each reduced mod `modulus`.  With a demand set, g^i
+    keeps only the monomials in the box that can still reach some demand
+    point with the remaining factors of g (a sound overapproximation of the
+    reachable set), so it is exact at every demand point."""
+    if demand is not None:
+        gmin = [min((e[k] for e in g.terms), default=0) for k in range(g.n)]
+        gmax = [max((e[k] for e in g.terms), default=0) for k in range(g.n)]
+        dmin = [min((d[k] for d in demand), default=0) for k in range(g.n)]
+        dmax = [max((d[k] for d in demand), default=0) for k in range(g.n)]
+    gi = LaurentPoly.constant(g.n, 1)
+    for i in range(T):
+        yield gi
+        if i == T - 1:
+            return
+        if demand is not None:
+            # the box of monomials that reach some demand point with at most
+            # r more factors of g
+            r = T - 2 - i
+            lo = [d - max(0, r * x) for d, x in zip(dmin, gmax)]
+            hi = [d - min(0, r * x) for d, x in zip(dmax, gmin)]
+        terms = {}
+        for e, x in (gi * g).terms.items():
+            if modulus is not None:
+                x %= modulus
+            if x and (demand is None or all(map(le, lo, e)) and all(map(le, e, hi))):
+                terms[e] = x
+        gi = LaurentPoly._checked(g.n, terms)
+
+
+def _disjoint_parts(g: LaurentPoly):
+    """g split into parts in pairwise disjoint variables, as (variables,
+    CramerBlock of the part in those variables).  A constant term is a part
+    in no variables."""
+    owner = list(range(g.n))
+
+    def root(j):
+        while owner[j] != j:
+            owner[j] = owner[owner[j]]
+            j = owner[j]
+        return j
+
+    for e in g.terms:
+        used = [j for j, x in enumerate(e) if x]
+        for j in used[1:]:
+            owner[root(j)] = root(used[0])
+    groups = {}
+    for e, c in g.sorted_terms():
+        used = [j for j, x in enumerate(e) if x]
+        groups.setdefault(root(used[0]) if used else -1, []).append((e, c))
+    parts = []
+    for terms in groups.values():
+        variables = sorted({j for e, _ in terms for j, x in enumerate(e) if x})
+        restricted = [(tuple(e[j] for j in variables), c) for e, c in terms]
+        parts.append((tuple(variables), CramerBlock.of(restricted)))
+    return parts
+
+
+def _part_sequence(block: CramerBlock, w, T: int, ring: Ring):
+    """([x^w] P^a)_{a<T} for the part P of `block` with no free
+    multiplicities, as its nonzero (a, value) pairs.  The Cramer numerators
+    are affine in the power a, base + a * step, so the powers that make them
+    all divisible by det are one residue class mod q = |det| / gcd(det,
+    step); only those are solved."""
+    rhs = [((0,) + w)[j] for j in block.rows]
+    base = [sum(x * y for x, y in zip(arow, rhs)) for arow in block.adj]
+    step = [arow[0] for arow in block.adj]  # rows[0] is row 0 of (1, u): the power a
+    det = block.det
+    q = abs(det) // math.gcd(det, *step)
+    first = next((a for a in range(min(q, T))
+                  if all((x + a * y) % det == 0 for x, y in zip(base, step))), T)
+    seq = []
+    for a in range(first, T, q):
+        xs = block.solution([x + a * y for x, y in zip(base, step)], (a,) + w)
+        if xs is not None:
+            c = block.term(xs, a, ring)
+            if c:
+                seq.append((a, c))
+    return seq
+
+
+class _PowerTable:
+    """The raw table w -> ([x^w] g^i)_{i<T} mod `modulus`, filled on demand.
+
+    Each column is stored once, as its nonzero (i, value) pairs, so one
+    table serves every expansion of h / (1 - t g)^m that shares g, T and the
+    modulus: the pole order m and the numerator h only change how columns
+    are combined.  Two routes fill it, picked by the structure of g:
+
+    - *By parts*, when every variable-disjoint part of g has independent
+      columns (1, u) (its `CramerBlock` has no free multiplicities).  A
+      part's [x^w'] P^a is one Cramer solve (`_part_sequence`), and the
+      parts combine by the binomial convolution [x^w] g^i =
+      sum_a C(i, a) [x^w'] P^a [x^w''] Q^(i-a), which divides by nothing
+      and so holds mod p^N.  Part sequences and partial convolutions are
+      kept per restriction of w.
+    - *By products* otherwise: g^i for i < T by repeated multiplication,
+      pruned to the box that reaches the missing demand points.
+    """
+
+    def __init__(self, g: LaurentPoly, T: int, modulus: int | None):
+        self.g, self.T, self.modulus = g, T, modulus
+        self.ring = Ring(modulus)
+        self.columns = {}
+        self.parts = _disjoint_parts(g)
+        self.by_parts = all(block.free == 0 for _, block in self.parts)
+        covered = {j for variables, _ in self.parts for j in variables}
+        self.uncovered = [j for j in range(g.n) if j not in covered]
+        self.binom = [[self.ring.reduce(math.comb(i, a)) for a in range(i + 1)]
+                      for i in range(T)] if len(self.parts) > 1 else None
+        self.sequences = {}  # (part index, w restricted to it) -> pairs
+        self.prefixes = {}  # restrictions of w to parts 0..k -> convolution
+
+    def require(self, demand) -> None:
+        """Fill the columns of the demand points not yet in the table."""
+        missing = [w for w in dict.fromkeys(demand) if w not in self.columns]
+        if not missing:
+            return
+        if self.by_parts:
+            for w in missing:
+                self.columns[w] = self._by_parts(w)
+            return
+        cols = {w: [] for w in missing}
+        for i, gi in enumerate(_powers(self.g, self.T, self.modulus, missing)):
+            for w, col in cols.items():
+                x = gi.terms.get(w)
+                if x:
+                    col.append((i, x))
+        self.columns.update(cols)
+
+    def _by_parts(self, w):
+        if any(w[j] for j in self.uncovered):
+            return []
+        seq = [(0, 1)]  # g^i of no parts: the unit sequence
+        key = ()
+        for k, (variables, block) in enumerate(self.parts):
+            wk = tuple(w[j] for j in variables)
+            key += (wk,)
+            known = self.prefixes.get(key)
+            if known is None:
+                part = self.sequences.get((k, wk))
+                if part is None:
+                    part = self.sequences[k, wk] = _part_sequence(block, wk, self.T, self.ring)
+                known = self.prefixes[key] = self._convolve(seq, part) if k else part
+            seq = known
+        return seq
+
+    def _convolve(self, A, B):
+        """The binomial convolution sum_a C(i, a) A_a B_(i-a) for i < T."""
+        T, binom, reduce = self.T, self.binom, self.ring.reduce
+        out = {}
+        for a, x in A:
+            for b, y in B:
+                i = a + b
+                if i >= T:
+                    break
+                out[i] = out.get(i, 0) + binom[i][a] * x * y
+        return [(i, r) for i, c in sorted(out.items()) if (r := reduce(c))]
+
+
+def _origin_coefficients(table: _PowerTable, h: LaurentPoly, m: int, targets) -> dict:
+    """The coefficients of h / (1 - t g)^m at the targets, read from the
+    table: sum_{i<T} binom(i+m-1, m-1) t^i sum_e h_e [x^(v-e)] g^i."""
+    T = table.T
+    ring = Ring(table.modulus, T)
+    reads = {v: [(tuple(map(sub, v, e)), TPoly.coerce(c).coeffs) for e, c in h.terms.items()]
+             for v in map(tuple, targets)}
+    table.require(w for pairs in reads.values() for w, _ in pairs)
+    weights = [math.comb(i + m - 1, m - 1) for i in range(T)]
+    coeffs = {}
+    for v, pairs in reads.items():
+        acc = [0] * T
+        for w, xs in pairs:
+            for i, s in table.columns[w]:
+                s *= weights[i]
+                for d, x in enumerate(xs[:T - i], i):
+                    acc[d] += x * s
+        c = ring.reduce(TPoly(acc))
+        if c:
+            coeffs[v] = c
+    return coeffs
+
+
+def _origin_expansion(h, g, m, T, modulus, coeffs) -> FormalExpansion:
+    return FormalExpansion(
+        "origin", g.n, coeffs, modulus, t_trunc=T,
+        provenance=(repr(h), f"1-t*{g!r}", m),
+    )
+
+
 def expand_origin(
     h: LaurentPoly,
     g: LaurentPoly,
@@ -319,63 +510,33 @@ def expand_origin(
 ) -> FormalExpansion:
     """Expansion of h / (1 - t g)^m with exact t-polynomial coefficients mod t^T.
 
-    The coefficient at v is sum_{i<T} binom(i+m-1, m-1) t^i [x^v] h g^i.  h may
-    carry TPoly coefficients (numerators like t*g arise from theta derivatives
-    of 1/f).  g^i is reduced mod `modulus` at every step.  With `targets`
-    given, only those indices are computed, each from [x^(v-e)] g^i for the
-    numerator terms e, and g^i is pruned to the monomials that can still reach
-    some v - e (a sound box overapproximation of the reachable set); without
-    them the whole product h g^i is accumulated.  Rejects m < 1 and T < 1.
+    The coefficient at v is sum_{i<T} binom(i+m-1, m-1) t^i [x^v] h g^i, each
+    [x^w] g^i reduced mod `modulus`.  h may carry TPoly coefficients
+    (numerators like t*g arise from theta derivatives of 1/f).  Without
+    `targets`, g^i is formed for every i < T and the whole product h g^i is
+    accumulated.  With `targets`, only those indices are computed, each from
+    the columns [x^(v-e)] g^i at the demand points v - e (e a numerator
+    exponent) of a `_PowerTable`.  Its route is a structural rule on g: by
+    parts (one Cramer solve per part and power, parts combined by binomial
+    convolution) when every variable-disjoint part of g has independent
+    columns (1, u); else by products (g^i pruned to the box that reaches the
+    demand points).  Rejects m < 1 and T < 1.
     """
     if m < 1:
         raise ValueError(f"pole order m must be >= 1, not {m}")
     if T < 1:
         raise ValueError(f"t-truncation T must be >= 1, not {T}")
+    if targets is not None:
+        coeffs = _origin_coefficients(_PowerTable(g, T, modulus), h, m, targets)
+        return _origin_expansion(h, g, m, T, modulus, coeffs)
     ring = Ring(modulus, T)
     coeffs: dict = {}
-    reads = None
-    if targets is not None:
-        # for each target v, the pairs (v - e, h_e) that read g^i
-        reads = {
-            v: [(tuple(map(sub, v, e)), c) for e, c in h.terms.items()]
-            for v in map(tuple, targets)
-        }
-        demand = [w for pairs in reads.values() for w, _ in pairs]
-        gmin = [min((e[k] for e in g.terms), default=0) for k in range(g.n)]
-        gmax = [max((e[k] for e in g.terms), default=0) for k in range(g.n)]
-        dmin = [min((d[k] for d in demand), default=0) for k in range(g.n)]
-        dmax = [max((d[k] for d in demand), default=0) for k in range(g.n)]
-
-    gi = LaurentPoly.constant(g.n, 1)
-    for i in range(T):
+    for i, gi in enumerate(_powers(g, T, modulus)):
         c = math.comb(i + m - 1, m - 1)
-        if reads is None:
-            row = (h * gi).terms.items()
-        else:
-            row = ((v, sum(x * gi.terms[w] for w, x in pairs if w in gi.terms))
-                   for v, pairs in reads.items())
-        for e, co in row:
+        for e, co in (h * gi).terms.items():
             if co:
                 ring.add_into(coeffs, e, TPoly([0] * i + [x * c for x in TPoly.coerce(co).coeffs]))
-        if i == T - 1:
-            break
-        if reads is not None:
-            # the box of monomials that reach some demand point with at most
-            # r more factors of g
-            r = T - 2 - i
-            lo = [d - max(0, r * x) for d, x in zip(dmin, gmax)]
-            hi = [d - min(0, r * x) for d, x in zip(dmax, gmin)]
-        terms = {}
-        for e, x in (gi * g).terms.items():
-            if modulus is not None:
-                x %= modulus
-            if x and (reads is None or all(map(le, lo, e)) and all(map(le, e, hi))):
-                terms[e] = x
-        gi = LaurentPoly._checked(g.n, terms)
-    return FormalExpansion(
-        "origin", g.n, coeffs, modulus, t_trunc=T,
-        provenance=(repr(h), f"1-t*{g!r}", m),
-    )
+    return _origin_expansion(h, g, m, T, modulus, coeffs)
 
 
 def cartier_shift(E: FormalExpansion, p: int) -> FormalExpansion:
@@ -616,12 +777,15 @@ def interpolate_cartier(
         if w not in probes and w not in holdout:
             holdout.append(w)
 
+    # one table of [x^w] g^i serves every basis element, retry and the
+    # held-out check
+    table = None if g is None else _PowerTable(g, t_trunc, modulus)
     attempt = 0
     while True:
         use = probes + extra
         try:
             matrix, T_lambda = _solve_interpolation(
-                f, g, basis, use, k, p, sigma, s, modulus, t_trunc
+                f, table, basis, use, k, p, sigma, s, modulus, t_trunc
             )
             break
         except RankDeficiencyError:
@@ -638,7 +802,7 @@ def interpolate_cartier(
 
     # held-out residual check
     witnesses = _holdout_residuals(
-        f, g, basis, matrix, holdout, k, p, sigma, s, modulus, t_trunc, T_lambda
+        f, table, basis, matrix, holdout, k, p, sigma, s, modulus, t_trunc, T_lambda
     )
     if witnesses:
         raise ResidualError(
@@ -649,12 +813,14 @@ def interpolate_cartier(
     )
 
 
-def _basis_expansions(f, g, basis, needed, k, p, s, modulus, t_trunc):
-    """Expansions of all basis elements covering the needed indices."""
+def _basis_expansions(f, table, basis, needed, k, p, s, modulus, t_trunc):
+    """Expansions of all basis elements covering the needed indices; for a
+    family, at the origin from the shared `_PowerTable`."""
     out = []
-    if g is not None:
+    if table is not None:
         for h, m in basis:
-            out.append(expand_origin(h, g, m, t_trunc, modulus, targets=needed))
+            coeffs = _origin_coefficients(table, h, m, needed)
+            out.append(_origin_expansion(h, table.g, m, t_trunc, modulus, coeffs))
     else:
         b = unit_vertex(f, p)
         for h, m in basis:
@@ -684,7 +850,7 @@ def _tval_nonzero(tp: TPoly, modulus: int, default: int) -> int:
     return default
 
 
-def _solve_interpolation(f, g, basis, probes, k, p, sigma, s, modulus, t_trunc):
+def _solve_interpolation(f, table, basis, probes, k, p, sigma, s, modulus, t_trunc):
     """Build and solve the stacked congruence system.
 
     For t-families the unknown entries are series; information about basis
@@ -696,7 +862,7 @@ def _solve_interpolation(f, g, basis, probes, k, p, sigma, s, modulus, t_trunc):
     """
     needed = [tuple(p**s * x for x in w) for w in probes]
     needed += [tuple(p ** (s - 1) * x for x in w) for w in probes]
-    exps = _basis_expansions(f, g, basis, needed, k, p, s, modulus, t_trunc)
+    exps = _basis_expansions(f, table, basis, needed, k, p, s, modulus, t_trunc)
     nb = len(basis)
     data = [_probe_data(exps, sigma, w, p, s, modulus) for w in probes]
 
@@ -742,14 +908,14 @@ def _solve_interpolation(f, g, basis, probes, k, p, sigma, s, modulus, t_trunc):
 
 
 def _holdout_residuals(
-    f, g, basis, matrix, holdout, k, p, sigma, s, modulus, t_trunc, T_lambda=None
+    f, table, basis, matrix, holdout, k, p, sigma, s, modulus, t_trunc, T_lambda=None
 ):
     witnesses = []
     if not holdout:
         return witnesses
     needed = [tuple(p**s * x for x in w) for w in holdout]
     needed += [tuple(p ** (s - 1) * x for x in w) for w in holdout]
-    exps = _basis_expansions(f, g, basis, needed, k, p, s, modulus, t_trunc)
+    exps = _basis_expansions(f, table, basis, needed, k, p, s, modulus, t_trunc)
     nb = len(basis)
     for w in holdout:
         lhs_idx = tuple(p**s * x for x in w)

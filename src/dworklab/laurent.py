@@ -181,19 +181,88 @@ def power_mod(f: LaurentPoly, m: int, modulus: int | None = None) -> LaurentPoly
     return result
 
 
+@dataclass
+class CramerBlock:
+    """The multinomial system of f = sum c_i x^u_i with its solvable part.
+
+    A product term of f^m picks multiplicities k_i >= 0 with sum k_i = m and
+    sum k_i u_i = w.  With r the rank of the columns (1, u_i), r terms with
+    independent columns form an r x r integer block (on r independent rows);
+    its determinant and adjugate are computed once.  `exps` and `coeffs`
+    list the `free` other terms first, then the r solved ones.  Given the
+    free multiplicities, the solved ones are one Cramer solve
+    x = adj(B) b / det(B) (`solve`).  With no free terms the solution is
+    affine in (m, w), so [x^w] f^m is one solve and one multinomial.
+    """
+
+    exps: list
+    coeffs: list
+    free: int
+    rows: list  # the independent rows of (1, u); row 0 (all ones) is first
+    det: int
+    adj: list  # adj[b][a] is the (a, b) cofactor
+    others: list  # (solved columns' entries, row index) off the block
+
+    @staticmethod
+    def of(terms) -> "CramerBlock":
+        """The block of the nonempty (exponent, coefficient) list `terms`."""
+        cols = [(1,) + tuple(e) for e, _ in terms]
+        solved = independent_rows(cols)  # independent columns, solved for
+        # row 0 (all ones) is always picked, so every solve keeps sum k_i = m
+        rows = independent_rows(list(zip(*[cols[i] for i in solved])))
+        order = [i for i in range(len(terms)) if i not in solved] + solved
+        block = [[cols[i][j] for i in solved] for j in rows]
+        r = len(rows)
+        adj = [
+            [(-1) ** (a + b) * int_det([row[:b] + row[b + 1:] for row in block[:a] + block[a + 1:]])
+             for a in range(r)]
+            for b in range(r)
+        ]
+        others = [([cols[i][j] for i in solved], j) for j in range(len(cols[0])) if j not in rows]
+        return CramerBlock([tuple(terms[i][0]) for i in order], [terms[i][1] for i in order],
+                           len(order) - len(solved), rows, int_det(block), adj, others)
+
+    def solution(self, nums, rhs):
+        """nums / det when that is a vector of nonnegative integers that also
+        satisfies the rows of rhs off the block, else None; stops at the
+        first numerator that fails.  The numerators adj(B) b are linear in
+        rhs, so affine in m."""
+        det = self.det
+        xs = []
+        for num in nums:
+            if num % det or num // det < 0:
+                return None
+            xs.append(num // det)
+        if any(sum(c * x for c, x in zip(crow, xs)) != rhs[j] for crow, j in self.others):
+            return None
+        return xs
+
+    def solve(self, rhs):
+        """The solved multiplicities for rhs = (m,) + w less the free terms'
+        share, or None."""
+        b = [rhs[j] for j in self.rows]
+        return self.solution((sum(a * y for a, y in zip(arow, b)) for arow in self.adj), rhs)
+
+    def term(self, ks, m: int, ring: Ring):
+        """m!/prod(k_i!) * prod(c_i^k_i) in `ring`, for multiplicities ks in
+        the order of `coeffs`."""
+        term, left = 1, m
+        for c, x in zip(self.coeffs, ks):
+            term = ring.reduce(term * math.comb(left, x) * ring.pow(c, x))
+            left -= x
+        return term
+
+
 def coefficient_of_power(f: LaurentPoly, m: int, w, modulus: int | None = None):
     """Coefficient of x^w in f^m without expanding the full power.
 
     Sums m!/prod(k_i!) * prod(c_i^k_i) over the solutions k >= 0 of
-    sum k_i = m, sum k_i u_i = w, where f = sum c_i x^u_i.  With r the rank of
-    the columns (1, u_i), r terms with independent columns form an r x r
-    integer block B (on r independent rows); its determinant and adjugate are
-    computed once.  Only the other multiplicities are enumerated, pruned by
-    per-coordinate suffix bounds; each choice leaves one Cramer solve
-    x = adj(B) b / det(B), kept when it is integral and nonnegative and the
-    rows outside the block agree.  So the work grows with the number of
-    solutions, not with the support of f^m, and a degenerate support
-    (collinear, coplanar, a single point) is just a smaller r.
+    sum k_i = m, sum k_i u_i = w, where f = sum c_i x^u_i.  Only the free
+    multiplicities of f's `CramerBlock` are enumerated, pruned by
+    per-coordinate suffix bounds; each choice leaves one Cramer solve.  So
+    the work grows with the number of solutions, not with the support of
+    f^m, and a degenerate support (collinear, coplanar, a single point) is
+    just a smaller block.
     """
     w = tuple(w)
     if len(w) != f.n:
@@ -204,48 +273,19 @@ def coefficient_of_power(f: LaurentPoly, m: int, w, modulus: int | None = None):
     if not terms:
         return 1 if m == 0 and all(x == 0 for x in w) else 0
     ring = Ring(modulus)
-    cols = [(1,) + e for e, _ in terms]
-    solved = independent_rows(cols)  # independent columns, solved for
-    # row 0 (all ones) is always picked, so every solve keeps sum k_i = m
-    rows = independent_rows(list(zip(*[cols[i] for i in solved])))
-    order = [i for i in range(len(terms)) if i not in solved] + solved
-    exps = [terms[i][0] for i in order]
-    coeffs = [terms[i][1] for i in order]
-    free = len(order) - len(solved)
+    block = CramerBlock.of(terms)
+    exps, free = block.exps, block.free
     bounds = [(tuple(map(min, zip(*exps[i:]))), tuple(map(max, zip(*exps[i:]))))
               for i in range(len(exps))]
-    block = [[cols[i][j] for i in solved] for j in rows]
-    det = int_det(block)
-    r = len(rows)
-    adj = [  # adj[b][a] is the (a, b) cofactor
-        [(-1) ** (a + b) * int_det([row[:b] + row[b + 1:] for row in block[:a] + block[a + 1:]])
-         for a in range(r)]
-        for b in range(r)
-    ]
-    others = [([cols[i][j] for i in solved], j) for j in range(f.n + 1) if j not in rows]
+    solve, term = block.solve, block.term
     total = 0
 
-    def solve(remaining, target, ks):
-        nonlocal total
-        rhs = (remaining,) + target
-        b = [rhs[j] for j in rows]
-        xs = []
-        for arow in adj:
-            num = sum(a * y for a, y in zip(arow, b))
-            if num % det or num // det < 0:
-                return
-            xs.append(num // det)
-        if any(sum(c * x for c, x in zip(crow, xs)) != rhs[j] for crow, j in others):
-            return
-        term, left = 1, m
-        for c, x in zip(coeffs, ks + xs):
-            term = ring.reduce(term * math.comb(left, x) * ring.pow(c, x))
-            left -= x
-        total = ring.reduce(total + term)
-
     def rec(i, remaining, target, ks):
+        nonlocal total
         if i == free:
-            solve(remaining, target, ks)
+            xs = solve((remaining,) + target)
+            if xs is not None:
+                total = ring.reduce(total + term(ks + xs, m, ring))
             return
         lo, hi = bounds[i + 1]
         for kk in range(remaining + 1):

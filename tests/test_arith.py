@@ -163,6 +163,26 @@ class TestTPoly:
         expect = TPoly([1, 2, 3, 2, 1])
         assert f.compose(g) == expect
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=5), max_size=6),
+        st.lists(st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=5), max_size=5),
+        st.none() | st.integers(1, 8),
+        st.none() | st.sampled_from([9, 25, 7**4]),
+    )
+    @example([Fraction(0), 1], [3, 1], None, None)  # a Fraction zero constant term
+    @example([Fraction(1, 2), 0, 2], [0, Fraction(1, 3)], 3, 25)
+    def test_compose_matches_horner_loop(self, f, g, T, modulus):
+        # the Horner loop that adds each constant through TPoly.__add__
+        f, g = TPoly(f), TPoly(g)
+        acc = TPoly()
+        for c in reversed(f.coeffs):
+            acc = (acc * g if T is None else acc.mul(g, T)) + c
+            if modulus is not None:
+                acc = acc % modulus
+        out = f.compose(g, T, modulus)
+        assert [(type(x), x) for x in out.coeffs] == [(type(x), x) for x in acc.coeffs]
+
 
 MODULI = st.sampled_from(PRIMES).flatmap(lambda p: st.sampled_from((p, p**2, p**4)))
 RATIONAL_SERIES = st.lists(

@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dworklab.arith import Ring, TPoly
-from dworklab.laurent import FrobeniusLift, LaurentPoly, family_poly
+from dworklab.cy import cyclic_basis, preset_family
+from dworklab.laurent import FrobeniusLift, LaurentPoly, coefficient_of_power, family_poly
 from dworklab.linalg import RankDeficiencyError
 from dworklab.polytope import interior, newton_polytope, vertex_star, whole_polytope
 from dworklab.hasse_witt import hw_matrix, lambda_unit_root
+from dworklab import cartier
 from dworklab.cartier import (
     CartierInterpolation,
+    _PowerTable,
     FormalExpansion,
     cartier_shift,
     cartier_via_formula,
@@ -188,17 +191,50 @@ def small_laurent(n, coefficient, max_size):
         lambda d: LaurentPoly(n, d))
 
 
+@st.composite
+def disjoint_parts(draw, n):
+    """g on n variables as a sum of parts in pairwise disjoint variables:
+    c x_j + c' / x_j, a part with free multiplicities (x_j, 1/x_j, x_j^2),
+    or a random small support on a block of variables; maybe a constant."""
+    order = draw(st.permutations(range(n)))
+    coefficient = st.integers(-3, 3).filter(bool)
+    terms = {}
+
+    def unit(j, x):
+        return tuple(x if i == j else 0 for i in range(n))
+
+    while order:
+        size = draw(st.integers(1, len(order)))
+        block, order = order[:size], order[size:]
+        kind = draw(st.sampled_from(["pair", "free", "random"]))
+        if kind == "pair":
+            for x in (1, -1):
+                terms[unit(block[0], x)] = draw(coefficient)
+            block = block[1:]
+        elif kind == "free":
+            for x in (1, -1, 2):
+                terms[unit(block[0], x)] = draw(coefficient)
+            block = block[1:]
+        for _ in range(draw(st.integers(0 if kind != "random" else 1, 3))):
+            if block:
+                e = dict(zip(block, draw(st.tuples(*[st.integers(-1, 1)] * len(block)))))
+                terms[tuple(e.get(i, 0) for i in range(n))] = draw(coefficient)
+    if draw(st.booleans()):
+        terms[(0,) * n] = draw(coefficient)
+    return LaurentPoly(n, terms)
+
+
 class TestExpandOrigin:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_laurent_reference(self, data):
-        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-        T = data.draw(st.integers(1, 6))
-        g = data.draw(small_laurent(n, st.integers(-3, 3), 4))
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        T = data.draw(st.integers(1, 10))
+        g = data.draw(small_laurent(n, st.integers(-3, 3), 4) | disjoint_parts(n))
         num = st.one_of(st.integers(-9, 9),
                         st.lists(st.integers(-9, 9), max_size=3).map(TPoly))
         h = data.draw(small_laurent(n, num, 3))
-        modulus = data.draw(st.sampled_from([None, 9, 25, 27, 49]))
+        modulus = data.draw(st.sampled_from([None, 9, 25, 27, 49, 7**4]))
         ref = origin_reference(h, g, m, T, modulus)
         targets = None
         if data.draw(st.booleans()):
@@ -207,6 +243,31 @@ class TestExpandOrigin:
             ref = {v: c for v, c in ref.items() if v in targets}
         E = expand_origin(h, g, m, T, modulus, targets=targets)
         assert typed(E.coeffs) == typed(ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_table_columns_are_coefficients_of_powers(self, data):
+        n = data.draw(st.integers(1, 4))
+        g = data.draw(disjoint_parts(n) | small_laurent(n, st.integers(-3, 3), 4))
+        T = data.draw(st.integers(1, 10))
+        modulus = data.draw(st.sampled_from([None, 9, 25, 7**4]))
+        demand = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=4))
+        table = _PowerTable(g, T, modulus)
+        table.require(demand)
+        for w in demand:
+            column = [coefficient_of_power(g, i, w, modulus) for i in range(T)]
+            assert table.columns[w] == [(i, c) for i, c in enumerate(column) if c], w
+
+    @pytest.mark.parametrize("family, n, parts, by_parts", [
+        ("simplicial", 4, 1, True),
+        ("hyperoctahedral", 4, 4, True),
+        ("hypercubic", 2, 1, False),  # four terms x^(+-1) y^(+-1), rank 3
+        ("A_n", 2, 2, False),  # a constant part and six terms of rank 3
+    ])
+    def test_route_follows_part_structure(self, family, n, parts, by_parts):
+        table = _PowerTable(preset_family(family, n).g, 5, 7**4)
+        assert len(table.parts) == parts
+        assert table.by_parts == by_parts
 
     @pytest.mark.parametrize("m, T, name", [(0, 4, "m"), (-1, 4, "m"), (1, 0, "T")])
     def test_rejects_bad_order_or_truncation(self, m, T, name):
@@ -468,6 +529,25 @@ class TestInterpolation:
         gam = constant_term_series(SIMPLICIAL2, T) % 5
         lhs = (lam * gam.subs_t_power(5)).truncate(T_l) % 5
         assert lhs == (gam % 5).truncate(T_l)
+
+    def test_family_solves_each_demand_point_once(self, monkeypatch):
+        # one table serves the basis, every extra-probe retry and the held-out
+        # check: the part solver never sees the same demand point twice
+        calls, attempts = [], []
+        part_sequence, solve = cartier._part_sequence, cartier._solve_interpolation
+        monkeypatch.setattr(cartier, "_part_sequence",
+                            lambda block, w, *a: calls.append(w) or part_sequence(block, w, *a))
+        monkeypatch.setattr(cartier, "_solve_interpolation",
+                            lambda *a: attempts.append(a[3]) or solve(*a))
+        ft = family_poly(SIMPLICIAL2)
+        mu = interior(newton_polytope(SIMPLICIAL2.support()))
+        interp = interpolate_cartier(
+            ft, mu, 2, 5, FrobeniusLift.t_power(5), 1, basis=cyclic_basis(ft, 2),
+            probes=[(0, 0)], t_trunc=30, g=SIMPLICIAL2, seed=2,
+        )
+        assert len(attempts) == 5 and len(interp.holdout) == 2
+        assert len(calls) > 40
+        assert len(calls) == len(set(calls))
 
     @pytest.mark.parametrize("p", [9, 4])
     def test_rejects_non_prime(self, p):
