@@ -2,7 +2,7 @@
 """Wall time of every acceptance criterion against its time gate, as JSON.
 
 Usage:
-    python scripts/bench.py [--out BENCH_11.json] [--slow-cap S]
+    python scripts/bench.py [--out BENCH_11.json]
 
 Runs tests/test_acceptance.py under pytest in fresh subprocesses, with
 ./src on PYTHONPATH:
@@ -11,8 +11,8 @@ Runs tests/test_acceptance.py under pytest in fresh subprocesses, with
   criterion's time in every run and their median;
 * the slow tier (the n = 3 level-3 check of criterion 9, and criterion 13)
   once each.  Its outcome is "pass", the name of the exception the test
-  raised, "over budget" when the test exceeds its gate, or "no verdict"
-  when `--slow-cap` (default: the gate) cuts it off first.
+  raised, or "over budget" when the test exceeds its gate (a run is cut
+  off 60 s after the gate).
 
 Gates and criterion numbers are read from the `_report(...)` call in each
 test's source, so a gate is never restated here.  The output also names the
@@ -109,24 +109,18 @@ def default_tier(table):
     return rows
 
 
-def slow_tier(table, cap):
+def slow_tier(table):
     rows = []
     for name in SLOW:
         number, gate = table[name]
-        limit = gate if cap is None else min(cap, gate)
         t0 = time.perf_counter()
-        results = run_pytest(["-m", "slow", "-k", name], limit + 60)
+        results = run_pytest(["-m", "slow", "-k", name], gate + 60)
         wall = time.perf_counter() - t0
-        timed_out = results is None
-        if timed_out:
-            outcome, seconds = ("over budget" if limit >= gate else "no verdict"), None
-        else:
-            outcome, seconds = results[name]
+        outcome, seconds = ("over budget", None) if results is None else results[name]
         rows.append({
             "criterion": number, "test": name, "gate_s": gate, "outcome": outcome,
             "seconds": None if seconds is None else round(seconds, 3),
             "process_wall_s": round(wall, 1),
-            **({"cap_s": limit} if timed_out else {}),
         })
         print(f"{name}: {outcome} ({wall:.1f} s)", file=sys.stderr, flush=True)
     return rows
@@ -135,15 +129,13 @@ def slow_tier(table, cap):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="BENCH_11.json", help="output file (default %(default)s)")
-    ap.add_argument("--slow-cap", type=float, default=None,
-                    help="stop a slow-tier test after this many seconds (default: its gate)")
     args = ap.parse_args(argv)
     table = gates()
     report = {
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "default_tier": default_tier(table),
-        "slow_tier": slow_tier(table, args.slow_cap),
+        "slow_tier": slow_tier(table),
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)

@@ -404,8 +404,7 @@ class _PowerTable:
       part's [x^w'] P^a is one Cramer solve (`_part_sequence`), and the
       parts combine by the binomial convolution [x^w] g^i =
       sum_a C(i, a) [x^w'] P^a [x^w''] Q^(i-a), which divides by nothing
-      and so holds mod p^N.  Part sequences and partial convolutions are
-      kept per restriction of w.
+      and so holds mod p^N.
     - *By products* otherwise: g^i for i < T by repeated multiplication,
       pruned to the box that reaches the missing demand points.
     """
@@ -420,8 +419,6 @@ class _PowerTable:
         self.uncovered = [j for j in range(g.n) if j not in covered]
         self.binom = [[self.ring.reduce(math.comb(i, a)) for a in range(i + 1)]
                       for i in range(T)] if len(self.parts) > 1 else None
-        self.sequences = {}  # (part index, w restricted to it) -> pairs
-        self.prefixes = {}  # restrictions of w to parts 0..k -> convolution
 
     def require(self, demand) -> None:
         """Fill the columns of the demand points not yet in the table."""
@@ -444,17 +441,9 @@ class _PowerTable:
         if any(w[j] for j in self.uncovered):
             return []
         seq = [(0, 1)]  # g^i of no parts: the unit sequence
-        key = ()
         for k, (variables, block) in enumerate(self.parts):
-            wk = tuple(w[j] for j in variables)
-            key += (wk,)
-            known = self.prefixes.get(key)
-            if known is None:
-                part = self.sequences.get((k, wk))
-                if part is None:
-                    part = self.sequences[k, wk] = _part_sequence(block, wk, self.T, self.ring)
-                known = self.prefixes[key] = self._convolve(seq, part) if k else part
-            seq = known
+            part = _part_sequence(block, tuple(w[j] for j in variables), self.T, self.ring)
+            seq = self._convolve(seq, part) if k else part
         return seq
 
     def _convolve(self, A, B):
@@ -469,28 +458,28 @@ class _PowerTable:
                 out[i] = out.get(i, 0) + binom[i][a] * x * y
         return [(i, r) for i, c in sorted(out.items()) if (r := reduce(c))]
 
-
-def _origin_coefficients(table: _PowerTable, h: LaurentPoly, m: int, targets) -> dict:
-    """The coefficients of h / (1 - t g)^m at the targets, read from the
-    table: sum_{i<T} binom(i+m-1, m-1) t^i sum_e h_e [x^(v-e)] g^i."""
-    T = table.T
-    ring = Ring(table.modulus, T)
-    reads = {v: [(tuple(map(sub, v, e)), TPoly.coerce(c).coeffs) for e, c in h.terms.items()]
-             for v in map(tuple, targets)}
-    table.require(w for pairs in reads.values() for w, _ in pairs)
-    weights = [math.comb(i + m - 1, m - 1) for i in range(T)]
-    coeffs = {}
-    for v, pairs in reads.items():
-        acc = [0] * T
-        for w, xs in pairs:
-            for i, s in table.columns[w]:
-                s *= weights[i]
-                for d, x in enumerate(xs[:T - i], i):
-                    acc[d] += x * s
-        c = ring.reduce(TPoly(acc))
-        if c:
-            coeffs[v] = c
-    return coeffs
+    def expansion(self, h: LaurentPoly, m: int, targets) -> FormalExpansion:
+        """h / (1 - t g)^m at the targets, read from the table: the
+        coefficient at v is sum_{i<T} binom(i+m-1, m-1) t^i sum_e h_e
+        [x^(v-e)] g^i."""
+        T = self.T
+        ring = Ring(self.modulus, T)
+        reads = {v: [(tuple(map(sub, v, e)), TPoly.coerce(c).coeffs) for e, c in h.terms.items()]
+                 for v in map(tuple, targets)}
+        self.require(w for pairs in reads.values() for w, _ in pairs)
+        weights = [math.comb(i + m - 1, m - 1) for i in range(T)]
+        coeffs = {}
+        for v, pairs in reads.items():
+            acc = [0] * T
+            for w, xs in pairs:
+                for i, s in self.columns[w]:
+                    s *= weights[i]
+                    for d, x in enumerate(xs[:T - i], i):
+                        acc[d] += x * s
+            c = ring.reduce(TPoly(acc))
+            if c:
+                coeffs[v] = c
+        return _origin_expansion(h, self.g, m, T, self.modulus, coeffs)
 
 
 def _origin_expansion(h, g, m, T, modulus, coeffs) -> FormalExpansion:
@@ -527,8 +516,7 @@ def expand_origin(
     if T < 1:
         raise ValueError(f"t-truncation T must be >= 1, not {T}")
     if targets is not None:
-        coeffs = _origin_coefficients(_PowerTable(g, T, modulus), h, m, targets)
-        return _origin_expansion(h, g, m, T, modulus, coeffs)
+        return _PowerTable(g, T, modulus).expansion(h, m, targets)
     ring = Ring(modulus, T)
     coeffs: dict = {}
     for i, gi in enumerate(_powers(g, T, modulus)):
@@ -813,14 +801,13 @@ def interpolate_cartier(
     )
 
 
-def _basis_expansions(f, table, basis, needed, k, p, s, modulus, t_trunc):
+def _basis_expansions(f, table, basis, needed, p, modulus):
     """Expansions of all basis elements covering the needed indices; for a
     family, at the origin from the shared `_PowerTable`."""
     out = []
     if table is not None:
         for h, m in basis:
-            coeffs = _origin_coefficients(table, h, m, needed)
-            out.append(_origin_expansion(h, table.g, m, t_trunc, modulus, coeffs))
+            out.append(table.expansion(h, m, needed))
     else:
         b = unit_vertex(f, p)
         for h, m in basis:
@@ -862,7 +849,7 @@ def _solve_interpolation(f, table, basis, probes, k, p, sigma, s, modulus, t_tru
     """
     needed = [tuple(p**s * x for x in w) for w in probes]
     needed += [tuple(p ** (s - 1) * x for x in w) for w in probes]
-    exps = _basis_expansions(f, table, basis, needed, k, p, s, modulus, t_trunc)
+    exps = _basis_expansions(f, table, basis, needed, p, modulus)
     nb = len(basis)
     data = [_probe_data(exps, sigma, w, p, s, modulus) for w in probes]
 
@@ -915,7 +902,7 @@ def _holdout_residuals(
         return witnesses
     needed = [tuple(p**s * x for x in w) for w in holdout]
     needed += [tuple(p ** (s - 1) * x for x in w) for w in holdout]
-    exps = _basis_expansions(f, table, basis, needed, k, p, s, modulus, t_trunc)
+    exps = _basis_expansions(f, table, basis, needed, p, modulus)
     nb = len(basis)
     for w in holdout:
         lhs_idx = tuple(p**s * x for x in w)
