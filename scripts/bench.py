@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Wall time of every acceptance criterion against its time gate, as JSON.
+"""Acceptance criteria against their time gates, and workload metrics, as JSON.
 
 Usage:
-    python scripts/bench.py [--out BENCH_11.json]
+    python scripts/bench.py [--out BENCH.json]
 
 Runs tests/test_acceptance.py under pytest in fresh subprocesses, with
 ./src on PYTHONPATH:
@@ -13,6 +13,12 @@ Runs tests/test_acceptance.py under pytest in fresh subprocesses, with
   once each.  Its outcome is "pass", the name of the exception the test
   raised, or "over budget" when the test exceeds its gate (a run is cut
   off 60 s after the gate).
+
+Then it runs `benchmark/run.py --trace 0` once per workload of
+BENCHMARK.json, at seed 0 (the acceptance inputs, checked against the golden
+digests) for BENCHMARK.json's run_seconds, and records the JSON object each
+run prints on its last line: the end-to-end metrics with correct, attempted
+and failed.
 
 Gates and criterion numbers are read from the `_report(...)` call in each
 test's source, so a gate is never restated here.  The output also names the
@@ -38,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = ROOT / "tests" / "test_acceptance.py"
 SLOW = ("test_criterion_09_n3_family_level_3", "test_criterion_13_alpha3_cross_family_ratio")
 RUNS = 5  # default-tier runs; each criterion's time is their median
+WORKLOAD_SEED = 0
 
 
 def gates():
@@ -126,9 +133,27 @@ def slow_tier(table):
     return rows
 
 
+def workloads():
+    """One `benchmark/run.py --trace 0` run per workload: its last-line object."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    rows = []
+    for item in spec["workloads"]:
+        name = item["name"]
+        cmd = [sys.executable, str(ROOT / "benchmark" / "run.py"), "--workload", name,
+               "--seed", str(WORKLOAD_SEED), "--seconds", str(spec["run_seconds"]),
+               "--trace", "0"]
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+        lines = proc.stdout.strip().splitlines()
+        last = json.loads(lines[-1]) if lines else {}
+        rows.append({"workload": name, "seed": WORKLOAD_SEED, "exit_code": proc.returncode,
+                     **last})
+        print(f"workload {name}: exit {proc.returncode}", file=sys.stderr, flush=True)
+    return rows
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="BENCH_11.json", help="output file (default %(default)s)")
+    ap.add_argument("--out", default="BENCH.json", help="output file (default %(default)s)")
     args = ap.parse_args(argv)
     table = gates()
     report = {
@@ -136,6 +161,7 @@ def main(argv=None):
                  "cpus": os.cpu_count()},
         "default_tier": default_tier(table),
         "slow_tier": slow_tier(table),
+        "workloads": workloads(),
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)

@@ -23,8 +23,11 @@ from .laurent import (
     FrobeniusLift,
     LaurentPoly,
     coefficient_of_power,
+    flatten_t,
     frobenius_twist,
+    has_tpoly,
     power_mod,
+    regroup_t,
 )
 from .linalg import int_det, mat_mul, tmat_inv_series, tpoly_det
 from .polytope import OpenSubset, lattice_points_in_dilate
@@ -174,11 +177,24 @@ class HigherHW:
 def higher_F_polynomial(
     f: LaurentPoly, k: int, p: int, sigma: FrobeniusLift, modulus: int | None = None
 ) -> LaurentPoly:
-    """F(x) = f^(p-k) * sum_{r<k} (f^sigma(x^p) - f^p)^r f^sigma(x^p)^(k-1-r)."""
-    reduce = Ring(modulus).reduce
-    fp = power_mod(f, p, modulus)
+    """F(x) = f^(p-k) * sum_{r<k} (f^sigma(x^p) - f^p)^r f^sigma(x^p)^(k-1-r), 1 <= k < p.
+
+    sigma and x -> x^p act on f's terms; when f has a TPoly coefficient the
+    formula then runs on the flat forms of f and f^sigma(x^p) (see `laurent`)
+    and the result is regrouped into TPoly coefficients once.
+    """
+    if not 1 <= k < p:
+        raise ValueError("need 1 <= k < p")
     fxp = frobenius_twist(f, sigma, substitute_x_p=True, p=p, modulus=modulus)
-    diff = reduce(fxp - fp)
+    if has_tpoly(f):
+        return regroup_t(_F_formula(flatten_t(f), flatten_t(fxp), k, p, modulus))
+    return _F_formula(f, fxp, k, p, modulus)
+
+
+def _F_formula(f: LaurentPoly, fxp: LaurentPoly, k: int, p: int, modulus: int | None):
+    """The formula of `higher_F_polynomial` given f and fxp = f^sigma(x^p)."""
+    reduce = Ring(modulus).reduce
+    diff = reduce(fxp - power_mod(f, p, modulus))
     acc = LaurentPoly(f.n)
     diff_pow = LaurentPoly.constant(f.n, 1)
     fxp_pows = [LaurentPoly.constant(f.n, 1)]
@@ -205,8 +221,6 @@ def higher_hw_matrix(
     otherwise they are reduced mod p^N, which must satisfy N >= k to carry the
     congruence content of the level.
     """
-    if not 1 <= k < p:
-        raise ValueError("need 1 <= k < p")
     if N is not None and N < k:
         raise ValueError("precision N must be at least k")
     modulus = None if N is None else p**N

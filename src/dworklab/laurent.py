@@ -5,6 +5,15 @@ negative).  Coefficients are whatever supports ring arithmetic: ints,
 Fractions, or :class:`dworklab.arith.TPoly` for one-parameter families.
 Serialisation always emits terms in ascending lexicographic order so that
 outputs are bit-stable.
+
+Flat form.  A polynomial with a TPoly coefficient is multiplied with t as its
+last exponent: `flatten_t` turns x^e * sum_d c_d t^d into the int-coefficient
+terms x^e t^d of an (n+1)-variable polynomial, the int arithmetic does the
+work, and `regroup_t` collects the terms back into one TPoly per x-exponent,
+once, on the way out.  So when any coefficient of the input is a TPoly, every
+coefficient of the output is a TPoly (a constant one included); all-int
+inputs never leave the int path.  `power_mod`, `frobenius_discrepancy` and
+`hasse_witt.higher_F_polynomial` take this route.
 """
 
 from __future__ import annotations
@@ -165,10 +174,44 @@ def multiply(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return f * g
 
 
+def has_tpoly(f: LaurentPoly) -> bool:
+    """Whether any coefficient of f is a TPoly: the test that picks the flat route."""
+    return any(isinstance(c, TPoly) for c in f.terms.values())
+
+
+def flatten_t(f: LaurentPoly) -> LaurentPoly:
+    """f as an (n+1)-variable polynomial with t as the last exponent: the term
+    x^e * sum_d c_d t^d becomes the terms x^e t^d with coefficients c_d."""
+    return LaurentPoly(f.n + 1, [
+        (e + (d,), cd) for e, c in f.terms.items() for d, cd in enumerate(TPoly.coerce(c).coeffs)
+    ])
+
+
+def regroup_t(F: LaurentPoly) -> LaurentPoly:
+    """The inverse of `flatten_t`: one TPoly coefficient per exponent of the first
+    n variables, with int 0 at the t-degrees F lacks."""
+    groups = {}
+    for e, c in F.terms.items():
+        d = e[-1]
+        if d < 0:
+            raise ValueError(f"negative t-exponent in {e}")
+        cs = groups.setdefault(e[:-1], [])
+        if d >= len(cs):
+            cs.extend([0] * (d + 1 - len(cs)))
+        cs[d] = c
+    return LaurentPoly._checked(F.n - 1, {e: TPoly(cs) for e, cs in groups.items()})
+
+
 def power_mod(f: LaurentPoly, m: int, modulus: int | None = None) -> LaurentPoly:
-    """f^m by binary powering, reducing every intermediate mod `modulus` if given."""
+    """f^m by binary powering, reducing every intermediate mod `modulus` if given.
+
+    f^0 is the int constant 1 whatever f's coefficients (as `Ring.pow`); for
+    m >= 1 an f with a TPoly coefficient is powered in the flat form.
+    """
     if m < 0:
         raise ValueError("power_mod needs m >= 0")
+    if m and has_tpoly(f):
+        return regroup_t(power_mod(flatten_t(f), m, modulus))
     reduce = Ring(modulus).reduce
     result = LaurentPoly.constant(f.n, 1)
     base = reduce(f)
@@ -380,21 +423,19 @@ def cartier_poly(f: LaurentPoly, p: int) -> LaurentPoly:
 
 
 def frobenius_discrepancy(f: LaurentPoly, sigma: FrobeniusLift, p: int) -> LaurentPoly:
-    """G with f(x)^p = f^sigma(x^p) - p*G(x); division by p must be exact."""
-    fp = power_mod(f, p)
+    """G with f(x)^p = f^sigma(x^p) - p*G(x); division by p must be exact.
+    An f with a TPoly coefficient is worked in the flat form."""
     twisted = frobenius_twist(f, sigma, substitute_x_p=True, p=p)
-    diff = twisted - fp
+    flat = has_tpoly(f)
+    if flat:
+        f, twisted = flatten_t(f), flatten_t(twisted)
     out = {}
-    for e, c in diff.terms.items():
-        if isinstance(c, TPoly):
-            if any(x % p for x in c.coeffs):
-                raise ArithmeticError("discrepancy is not divisible by p")
-            out[e] = TPoly([x // p for x in c.coeffs])
-        else:
-            if c % p:
-                raise ArithmeticError("discrepancy is not divisible by p")
-            out[e] = c // p
-    return LaurentPoly(f.n, out)
+    for e, c in (twisted - power_mod(f, p)).terms.items():
+        if c % p:
+            raise ArithmeticError("discrepancy is not divisible by p")
+        out[e] = c // p
+    G = LaurentPoly(f.n, out)
+    return regroup_t(G) if flat else G
 
 
 # -- JSON term format ------------------------------------------------
@@ -467,9 +508,13 @@ def family_from_json(obj) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 def family_poly(g: LaurentPoly) -> LaurentPoly:
-    """Build f = 1 - t*g with TPoly coefficients from an integer Laurent polynomial."""
+    """Build f = 1 - t*g with TPoly coefficients from an integer Laurent polynomial;
+    ValueError naming the exponent of a coefficient of g that is not an int."""
     terms = {(0,) * g.n: TPoly([1])}
     for e, c in g.terms.items():
+        if not isinstance(c, int):
+            raise ValueError(f"the coefficient of g at exponent {list(e)} must be an integer, "
+                             f"not {c!r}")
         base = terms.get(e, TPoly())
         terms[e] = base + TPoly([0, -c])
     return LaurentPoly(g.n, terms)

@@ -260,6 +260,15 @@ class TestExitCodes:
         assert code == 2 and not out
         assert '"g"' in err
 
+    @pytest.mark.parametrize("cmd", [["hw"], ["higher-hw", "--level", "2"]])
+    def test_family_with_tpoly_g_is_2(self, capsys, tmp_path, cmd):
+        g = {"n": 2, "terms": [{"e": [1, 0], "c": "1"}, {"e": [0, 1], "c": {"tpoly": ["0", "1"]}},
+                               {"e": [-1, -1], "c": "1"}]}
+        (tmp_path / "fam.json").write_text(json.dumps({"form": "1-t*g", "g": g}))
+        code, out, err = run(capsys, cmd + ["--poly", str(tmp_path / "fam.json"), "--prime", "5"])
+        assert code == 2 and not out
+        assert "exponent [0, 1]" in err and "Traceback" not in err
+
     def test_crosscheck_zero_cells_is_2(self, capsys, triangle_file):
         code, out, _ = run(capsys, ["crosscheck", "--poly", triangle_file, "--prime", "5",
                                     "--smax", "0"])

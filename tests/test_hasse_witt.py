@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dworklab.arith import TPoly
-from dworklab.laurent import FrobeniusLift, LaurentPoly, family_poly
+from dworklab.arith import Ring, TPoly
+from dworklab.laurent import FrobeniusLift, LaurentPoly, family_poly, frobenius_twist
 from dworklab.linalg import int_det, mat_mul, mat_inv_mod
 from dworklab.polytope import (
     interior,
@@ -16,6 +16,7 @@ from dworklab.polytope import (
 from dworklab.hasse_witt import (
     HWConditionError,
     beta_matrix,
+    higher_F_polynomial,
     higher_hw_alternative_check,
     higher_hw_condition,
     higher_hw_matrix,
@@ -284,6 +285,11 @@ class TestHigherHW:
         with pytest.raises(ValueError):
             higher_hw_matrix(SIMPLICIAL2, mu_interior(SIMPLICIAL2), 3, 3, ID, 3)
 
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_F_polynomial_rejects_k_out_of_range(self, k):
+        with pytest.raises(ValueError, match="need 1 <= k < p"):
+            higher_F_polynomial(family_poly(SIMPLICIAL2), k, 5, FrobeniusLift.t_power(5))
+
     @pytest.mark.parametrize("p", [9, 4])
     def test_rejects_non_prime(self, p):
         f1 = LaurentPoly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (-1, -1): -1})
@@ -301,3 +307,75 @@ class TestHigherHW:
         )
         f1 = LaurentPoly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (-1, -1): -1})
         assert higher_hw_alternative_check(f1, whole_polytope(P), 2, 5)
+
+
+def F_by_products(f, k, p, sigma, modulus=None):
+    """higher_F_polynomial with plain LaurentPoly products on f's own
+    coefficients (TPolys multiplied as TPolys): the route before the flat form."""
+    reduce = Ring(modulus).reduce
+
+    def power(g, m):
+        result = LaurentPoly.constant(g.n, 1)
+        for _ in range(m):
+            result = reduce(result * reduce(g))
+        return result
+
+    fxp = frobenius_twist(f, sigma, substitute_x_p=True, p=p, modulus=modulus)
+    diff = reduce(fxp - power(f, p))
+    acc = LaurentPoly(f.n)
+    for r in range(k):
+        acc = acc + reduce(power(diff, r) * power(fxp, k - 1 - r))
+    return reduce(power(f, p - k) * acc)
+
+
+def typed_terms(f):
+    """Each coefficient with its type: int 1 and TPoly([1]) differ here."""
+    return {e: (type(c), c) for e, c in f.terms.items()}
+
+
+@st.composite
+def F_inputs(draw):
+    """(f, k, p, sigma, modulus): f all-int, a family 1 - t*g or all-TPoly, in
+    n <= 3 variables; sigma the identity, t -> t^p or a series image with t_trunc."""
+    p = draw(st.sampled_from((3, 5)))
+    n = draw(st.integers(1, 3 if p == 3 else 2))
+    k = draw(st.integers(1, p - 1))
+    exps = st.tuples(*([st.integers(-1, 1)] * n))
+    g = LaurentPoly(n, draw(st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=3)))
+    kind = draw(st.sampled_from(["int", "family", "tpoly"]))
+    if kind == "int":
+        f = g
+    elif kind == "family":
+        f = family_poly(g)
+    else:
+        coeff = st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(TPoly).filter(bool)
+        f = LaurentPoly(n, draw(st.dictionaries(exps, coeff, min_size=1, max_size=3)))
+    modulus = draw(st.sampled_from([None, p**k, p**(k + 1)]))
+    lift = draw(st.sampled_from(["identity", "t_power", "series"]))
+    if lift == "identity":
+        sigma = ID
+    elif lift == "t_power":
+        sigma = FrobeniusLift.t_power(p)
+    else:
+        h = TPoly(draw(st.lists(st.integers(-2, 2), max_size=3)))
+        sigma = FrobeniusLift.series(p, TPoly.t_power(p) + p * h, draw(st.integers(1, 8)))
+    return f, k, p, sigma, modulus
+
+
+class TestFlatRoute:
+    @given(F_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_F_polynomial_matches_tpoly_products(self, case):
+        f, k, p, sigma, modulus = case
+        assert typed_terms(higher_F_polynomial(f, k, p, sigma, modulus)) == typed_terms(
+            F_by_products(f, k, p, sigma, modulus))
+
+    def test_mixed_coefficients_all_come_out_tpoly(self):
+        # 1 + (1 - t) x + 2 y: before the flat form some coefficients came out as ints
+        f = LaurentPoly(2, {(0, 0): 1, (1, 0): TPoly([1, -1]), (0, 1): 2})
+        sigma = FrobeniusLift.t_power(3)
+        F = higher_F_polynomial(f, 1, 3, sigma)
+        old = F_by_products(f, 1, 3, sigma)
+        assert F == old
+        assert {type(c) for c in old.terms.values()} == {int, TPoly}
+        assert {type(c) for c in F.terms.values()} == {TPoly}

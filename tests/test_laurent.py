@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dworklab.arith import TPoly
+from dworklab.arith import Ring, TPoly
 from dworklab.laurent import (
     FrobeniusLift,
     LaurentPoly,
@@ -13,12 +13,14 @@ from dworklab.laurent import (
     coefficient_of_power,
     family_from_json,
     family_poly,
+    flatten_t,
     frobenius_discrepancy,
     frobenius_twist,
     multiply,
     poly_from_json,
     poly_to_json,
     power_mod,
+    regroup_t,
 )
 from dworklab.polytope import newton_polytope
 
@@ -89,6 +91,89 @@ class TestPowerMod:
             return
         fm = power_mod(f, m)
         assert all(P.contains(e, m) for e in fm.support())
+
+
+def power_by_products(f, m, modulus=None):
+    """f^m by binary powering with plain LaurentPoly products on f's own
+    coefficients (TPolys multiplied as TPolys): the route before the flat form."""
+    reduce = Ring(modulus).reduce
+    result, base = LaurentPoly.constant(f.n, 1), reduce(f)
+    while m:
+        if m & 1:
+            result = reduce(result * base)
+        m >>= 1
+        if m:
+            base = reduce(base * base)
+    return result
+
+
+def typed_terms(f):
+    """Each coefficient with its type: int 1 and TPoly([1]) differ here."""
+    return {e: (type(c), c) for e, c in f.terms.items()}
+
+
+def int_polys(n):
+    return st.dictionaries(st.tuples(*([st.integers(-2, 2)] * n)), st.integers(-4, 4),
+                           min_size=1, max_size=4).map(lambda d: LaurentPoly(n, d))
+
+
+@st.composite
+def tpoly_inputs(draw):
+    """An all-int f, a family 1 - t*g, or an f whose every coefficient is a TPoly,
+    in n <= 3 variables."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["int", "family", "tpoly"]))
+    if kind == "int":
+        return draw(int_polys(n))
+    if kind == "family":
+        return family_poly(draw(int_polys(n)))
+    coeff = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(TPoly).filter(bool)
+    return LaurentPoly(n, draw(st.dictionaries(st.tuples(*([st.integers(-2, 2)] * n)), coeff,
+                                              min_size=1, max_size=3)))
+
+
+class TestFlatForm:
+    @given(tpoly_inputs(), st.integers(1, 4), st.sampled_from([None, 9, 25, 7**3]))
+    @settings(max_examples=60, deadline=None)
+    def test_power_mod_matches_tpoly_products(self, f, m, modulus):
+        assert typed_terms(power_mod(f, m, modulus)) == typed_terms(
+            power_by_products(f, m, modulus))
+
+    @given(tpoly_inputs())
+    @settings(max_examples=30, deadline=None)
+    def test_regroup_inverts_flatten(self, f):
+        flat = flatten_t(f)
+        assert flat.n == f.n + 1
+        assert all(type(c) is int for c in flat.terms.values())
+        assert regroup_t(flat) == f
+        assert all(type(c) is TPoly for c in regroup_t(flat).terms.values())
+
+    def test_flatten_puts_t_last(self):
+        f = LaurentPoly(2, {(1, 0): TPoly([2, 0, 3]), (0, 0): 5})
+        assert flatten_t(f) == LaurentPoly(3, {(1, 0, 0): 2, (1, 0, 2): 3, (0, 0, 0): 5})
+
+    def test_regroup_rejects_negative_t_exponent(self):
+        with pytest.raises(ValueError):
+            regroup_t(LaurentPoly(2, {(0, -1): 1}))
+
+    def test_mixed_coefficients_all_come_out_tpoly(self):
+        # 1 + (2 - t) x: before the flat form, [x^0] f^2 came out as the int 1
+        f = LaurentPoly(1, {(0,): 1, (1,): TPoly([2, -1])})
+        assert typed_terms(power_by_products(f, 2))[(0,)] == (int, 1)
+        assert typed_terms(power_mod(f, 2)) == {
+            (0,): (TPoly, TPoly([1])),
+            (1,): (TPoly, TPoly([4, -2])),
+            (2,): (TPoly, TPoly([4, -4, 1])),
+        }
+        G = frobenius_discrepancy(f, FrobeniusLift.t_power(3), 3)
+        assert all(type(c) is TPoly for c in G.terms.values())
+        # f^3 = 1 + 3a x + 3a^2 x^2 + a^3 x^3 with a = 2 - t, f^sigma(x^3) = 1 + (2 - t^3) x^3
+        assert G == LaurentPoly(1, {(1,): TPoly([-2, 1]), (2,): TPoly([-4, 4, -1]),
+                                    (3,): TPoly([-2, 4, -2])})
+
+    def test_zeroth_power_is_the_int_one(self):
+        f = family_poly(LaurentPoly(1, {(1,): 1}))
+        assert typed_terms(power_mod(f, 0)) == {(0,): (int, 1)}
 
 
 class TestCoefficientAt:
@@ -248,6 +333,14 @@ class TestJson:
     @pytest.mark.parametrize("obj", [[1], {"form": "1-t*g"}, {"g": {"n": 1, "terms": []}}])
     def test_malformed_family_json(self, obj):
         with pytest.raises(ValueError):
+            family_from_json(obj)
+
+    def test_family_rejects_non_integer_g(self):
+        g = LaurentPoly(2, {(1, 0): 1, (0, 1): TPoly([0, 1])})
+        with pytest.raises(ValueError, match=r"exponent \[0, 1\]"):
+            family_poly(g)
+        obj = {"form": "1-t*g", "g": poly_to_json(g)}
+        with pytest.raises(ValueError, match=r"exponent \[0, 1\]"):
             family_from_json(obj)
 
     def test_family_from_json(self):
