@@ -8,7 +8,11 @@ Runs tests/test_acceptance.py under pytest in fresh subprocesses, with
 ./src on PYTHONPATH:
 
 * the default tier (criteria 1-12) five times; the file records each
-  criterion's time in every run and their median;
+  criterion's time in every run and their median.  Before each run it
+  times `benchmark/worker.reference_kernel`, a fixed pure-Python kernel, in
+  a fresh interpreter (the median of five calls).  The host's Python speed
+  drifts by up to 1.5x over time, so two BENCH files made apart compare by the
+  ratio of a criterion's time to the reference time, not by raw seconds;
 * the slow tier (the n = 3 level-3 check of criterion 9, and criterion 13)
   once each.  Its outcome is "pass", the name of the exception the test
   raised, or "over budget" when the test exceeds its gate (a run is cut
@@ -59,14 +63,30 @@ def gates():
     return out
 
 
+def child_env(*paths):
+    """The environment with `paths` in front of PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(p) for p in paths] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def reference_seconds():
+    """The median of five `benchmark/worker.reference_kernel` calls, in a
+    fresh interpreter with benchmark/ and src/ on PYTHONPATH."""
+    code = ("import statistics; from worker import reference_kernel; "
+            "print(statistics.median(reference_kernel() for _ in range(5)))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                          text=True, check=True, env=child_env(ROOT / "benchmark", ROOT / "src"))
+    return float(proc.stdout)
+
+
 def run_pytest(selection, timeout):
     """One pytest run of the acceptance file: test name -> (outcome, seconds),
     or None when the run timed out.  The seconds are pytest's setup, call
     and teardown time, so criterion 1 includes the module fixture its gate
     counts."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = child_env(ROOT / "src")
     with tempfile.TemporaryDirectory() as tmp:
         xml = Path(tmp) / "report.xml"
         cmd = [sys.executable, "-m", "pytest", str(TESTS), "-q", "-p", "no:cacheprovider",
@@ -95,10 +115,13 @@ def run_pytest(selection, timeout):
 
 
 def default_tier(table):
+    """(criterion rows, reference kernel seconds before each run)."""
     names = [n for n in table if n not in SLOW]
     samples = {name: [] for name in names}
     verdicts = {name: set() for name in names}
+    references = []
     for i in range(RUNS):
+        references.append(round(reference_seconds(), 5))
         for name, (outcome, seconds) in run_pytest(["-m", "not slow"], None).items():
             samples[name].append(seconds)
             verdicts[name].add(outcome)
@@ -113,7 +136,7 @@ def default_tier(table):
             "median_s": round(statistics.median(times), 3),
             "runs_s": [round(s, 3) for s in times],
         })
-    return rows
+    return rows, references
 
 
 def slow_tier(table):
@@ -156,10 +179,12 @@ def main(argv=None):
     ap.add_argument("--out", default="BENCH.json", help="output file (default %(default)s)")
     args = ap.parse_args(argv)
     table = gates()
+    criteria, references = default_tier(table)
     report = {
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
-        "default_tier": default_tier(table),
+        "reference_kernel_s": references,
+        "default_tier": criteria,
         "slow_tier": slow_tier(table),
         "workloads": workloads(),
     }

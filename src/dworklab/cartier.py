@@ -6,7 +6,8 @@ supported in the cone over (Delta - b); truncation is controlled by an
 explicit budget S (every monomial of psi-weight at most S * delta is exact),
 and every coefficient carries a sound completeness certificate.  *Origin
 mode* applies to one-parameter families f = 1 - t*g and produces exact
-polynomial-in-t coefficients, so there is no completeness subtlety.
+polynomial-in-t coefficients, so there is no completeness subtlety.  It and
+the family's constant-term series read one table of [x^w] g^i.
 
 The Cartier operation acts on either kind of expansion by index decimation
 c_v -> c_{p v}.  It is p-adically approximated by rational functions with
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 from operator import le, sub
 
@@ -106,15 +107,14 @@ class FormalExpansion:
     def theta(self, i: int) -> "FormalExpansion":
         """x_i d/dx_i, acting coefficientwise as multiplication by v_i."""
         new = {v: c * v[i] for v, c in self.coeffs.items() if c * v[i] != 0}
-        out = _copy_with(self, new)
-        return out
+        return replace(self, coeffs=new)
 
     def scaled(self, c) -> "FormalExpansion":
         add_into = Ring(self.modulus, self.t_trunc).add_into
         new = {}
         for v, co in self.coeffs.items():
             add_into(new, v, co * c)
-        return _copy_with(self, new)
+        return replace(self, coeffs=new)
 
     def __add__(self, other: "FormalExpansion") -> "FormalExpansion":
         if self.mode != other.mode:
@@ -124,29 +124,11 @@ class FormalExpansion:
         for v, c in other.coeffs.items():
             add_into(new, v, c)
         # completeness: keep the weaker certificate (max needed budget)
-        out = _copy_with(self, new)
+        out = replace(self, coeffs=new)
         if self.mode == "vertex":
             out.shifts = tuple(sorted(set(self.shifts) | set(other.shifts)))
             out.budget = min(self.budget, other.budget)
         return out
-
-
-def _copy_with(E: FormalExpansion, coeffs) -> FormalExpansion:
-    return FormalExpansion(
-        mode=E.mode,
-        n=E.n,
-        coeffs=coeffs,
-        modulus=E.modulus,
-        base=E.base,
-        budget=E.budget,
-        psi=E.psi,
-        delta=E.delta,
-        shifts=E.shifts,
-        cone_normals=E.cone_normals,
-        t_trunc=E.t_trunc,
-        decimation=E.decimation,
-        provenance=E.provenance,
-    )
 
 
 def vertex_frame(f: LaurentPoly, b):
@@ -310,32 +292,30 @@ def expand_vertex(
     )
 
 
-def _powers(g: LaurentPoly, T: int, modulus: int | None, demand=None):
-    """g^i for i < T, each reduced mod `modulus`.  With a demand set, g^i
-    keeps only the monomials in the box that can still reach some demand
-    point with the remaining factors of g (a sound overapproximation of the
-    reachable set), so it is exact at every demand point."""
-    if demand is not None:
-        gmin = [min((e[k] for e in g.terms), default=0) for k in range(g.n)]
-        gmax = [max((e[k] for e in g.terms), default=0) for k in range(g.n)]
-        dmin = [min((d[k] for d in demand), default=0) for k in range(g.n)]
-        dmax = [max((d[k] for d in demand), default=0) for k in range(g.n)]
+def _powers(g: LaurentPoly, T: int, modulus: int | None, demand):
+    """g^i for i < T, each reduced mod `modulus` and kept only on the box of
+    monomials that can still reach some demand point with the remaining
+    factors of g (a sound overapproximation of the reachable set), so it is
+    exact at every demand point."""
+    gmin = [min((e[k] for e in g.terms), default=0) for k in range(g.n)]
+    gmax = [max((e[k] for e in g.terms), default=0) for k in range(g.n)]
+    dmin = [min((d[k] for d in demand), default=0) for k in range(g.n)]
+    dmax = [max((d[k] for d in demand), default=0) for k in range(g.n)]
     gi = LaurentPoly.constant(g.n, 1)
     for i in range(T):
         yield gi
         if i == T - 1:
             return
-        if demand is not None:
-            # the box of monomials that reach some demand point with at most
-            # r more factors of g
-            r = T - 2 - i
-            lo = [d - max(0, r * x) for d, x in zip(dmin, gmax)]
-            hi = [d - min(0, r * x) for d, x in zip(dmax, gmin)]
+        # the box of monomials that reach some demand point with at most r
+        # more factors of g
+        r = T - 2 - i
+        lo = [d - max(0, r * x) for d, x in zip(dmin, gmax)]
+        hi = [d - min(0, r * x) for d, x in zip(dmax, gmin)]
         terms = {}
         for e, x in (gi * g).terms.items():
             if modulus is not None:
                 x %= modulus
-            if x and (demand is None or all(map(le, lo, e)) and all(map(le, e, hi))):
+            if x and all(map(le, lo, e)) and all(map(le, e, hi)):
                 terms[e] = x
         gi = LaurentPoly._checked(g.n, terms)
 
@@ -392,12 +372,14 @@ def _part_sequence(block: CramerBlock, w, T: int, ring: Ring):
 
 
 class _PowerTable:
-    """The raw table w -> ([x^w] g^i)_{i<T} mod `modulus`, filled on demand.
+    """The raw table w -> ([x^w] g^i)_{i<T} mod `modulus`, filled on demand;
+    the one place the package computes coefficients of powers of g.
 
     Each column is stored once, as its nonzero (i, value) pairs, so one
     table serves every expansion of h / (1 - t g)^m that shares g, T and the
     modulus: the pole order m and the numerator h only change how columns
-    are combined.  Two routes fill it, picked by the structure of g:
+    are combined.  The constant-term series is its column at the origin.
+    Two routes fill it, picked by the structure of g:
 
     - *By parts*, when every variable-disjoint part of g has independent
       columns (1, u) (its `CramerBlock` has no free multiplicities).  A
@@ -410,6 +392,8 @@ class _PowerTable:
     """
 
     def __init__(self, g: LaurentPoly, T: int, modulus: int | None):
+        if T < 1:
+            raise ValueError(f"t-truncation T must be >= 1, not {T}")
         self.g, self.T, self.modulus = g, T, modulus
         self.ring = Ring(modulus)
         self.columns = {}
@@ -461,7 +445,9 @@ class _PowerTable:
     def expansion(self, h: LaurentPoly, m: int, targets) -> FormalExpansion:
         """h / (1 - t g)^m at the targets, read from the table: the
         coefficient at v is sum_{i<T} binom(i+m-1, m-1) t^i sum_e h_e
-        [x^(v-e)] g^i."""
+        [x^(v-e)] g^i.  Rejects m < 1."""
+        if m < 1:
+            raise ValueError(f"pole order m must be >= 1, not {m}")
         T = self.T
         ring = Ring(self.modulus, T)
         reads = {v: [(tuple(map(sub, v, e)), TPoly.coerce(c).coeffs) for e, c in h.terms.items()]
@@ -479,14 +465,8 @@ class _PowerTable:
             c = ring.reduce(TPoly(acc))
             if c:
                 coeffs[v] = c
-        return _origin_expansion(h, self.g, m, T, self.modulus, coeffs)
-
-
-def _origin_expansion(h, g, m, T, modulus, coeffs) -> FormalExpansion:
-    return FormalExpansion(
-        "origin", g.n, coeffs, modulus, t_trunc=T,
-        provenance=(repr(h), f"1-t*{g!r}", m),
-    )
+        return FormalExpansion("origin", self.g.n, coeffs, self.modulus, t_trunc=T,
+                               provenance=(repr(h), f"1-t*{self.g!r}", m))
 
 
 def expand_origin(
@@ -495,36 +475,35 @@ def expand_origin(
     m: int,
     T: int,
     modulus: int | None = None,
-    targets=None,
+    *,
+    targets,
 ) -> FormalExpansion:
-    """Expansion of h / (1 - t g)^m with exact t-polynomial coefficients mod t^T.
+    """Expansion of h / (1 - t g)^m with exact t-polynomial coefficients mod
+    t^T, at the `targets` only.
 
     The coefficient at v is sum_{i<T} binom(i+m-1, m-1) t^i [x^v] h g^i, each
     [x^w] g^i reduced mod `modulus`.  h may carry TPoly coefficients
-    (numerators like t*g arise from theta derivatives of 1/f).  Without
-    `targets`, g^i is formed for every i < T and the whole product h g^i is
-    accumulated.  With `targets`, only those indices are computed, each from
-    the columns [x^(v-e)] g^i at the demand points v - e (e a numerator
-    exponent) of a `_PowerTable`.  Its route is a structural rule on g: by
+    (numerators like t*g arise from theta derivatives of 1/f).  It is read
+    from the columns [x^(v-e)] g^i at the demand points v - e (e a numerator
+    exponent) of a `_PowerTable`, whose route is a structural rule on g: by
     parts (one Cramer solve per part and power, parts combined by binomial
     convolution) when every variable-disjoint part of g has independent
     columns (1, u); else by products (g^i pruned to the box that reaches the
     demand points).  Rejects m < 1 and T < 1.
     """
-    if m < 1:
-        raise ValueError(f"pole order m must be >= 1, not {m}")
-    if T < 1:
-        raise ValueError(f"t-truncation T must be >= 1, not {T}")
-    if targets is not None:
-        return _PowerTable(g, T, modulus).expansion(h, m, targets)
-    ring = Ring(modulus, T)
-    coeffs: dict = {}
-    for i, gi in enumerate(_powers(g, T, modulus)):
-        c = math.comb(i + m - 1, m - 1)
-        for e, co in (h * gi).terms.items():
-            if co:
-                ring.add_into(coeffs, e, TPoly([0] * i + [x * c for x in TPoly.coerce(co).coeffs]))
-    return _origin_expansion(h, g, m, T, modulus, coeffs)
+    return _PowerTable(g, T, modulus).expansion(h, m, targets)
+
+
+def constant_term_series(g: LaurentPoly, T: int) -> TPoly:
+    """gamma(t) = sum_{i<T} [x^0] g^i t^i in exact integers: the column of a
+    `_PowerTable` at the origin.  Rejects T < 1."""
+    zero = (0,) * g.n
+    table = _PowerTable(g, T, None)
+    table.require([zero])
+    coeffs = [0] * T
+    for i, x in table.columns[zero]:
+        coeffs[i] = x
+    return TPoly(coeffs)
 
 
 def cartier_shift(E: FormalExpansion, p: int) -> FormalExpansion:
@@ -533,9 +512,7 @@ def cartier_shift(E: FormalExpansion, p: int) -> FormalExpansion:
     for v, c in E.coeffs.items():
         if all(x % p == 0 for x in v):
             new[tuple(x // p for x in v)] = c
-    out = _copy_with(E, new)
-    out.decimation = E.decimation * p
-    return out
+    return replace(E, coeffs=new, decimation=E.decimation * p)
 
 
 def theta_rational(h: LaurentPoly, f: LaurentPoly, m: int, i: int):
@@ -773,7 +750,7 @@ def interpolate_cartier(
         use = probes + extra
         try:
             matrix, T_lambda = _solve_interpolation(
-                f, table, basis, use, k, p, sigma, s, modulus, t_trunc
+                f, table, basis, use, p, sigma, s, modulus, t_trunc
             )
             break
         except RankDeficiencyError:
@@ -790,7 +767,7 @@ def interpolate_cartier(
 
     # held-out residual check
     witnesses = _holdout_residuals(
-        f, table, basis, matrix, holdout, k, p, sigma, s, modulus, t_trunc, T_lambda
+        f, table, basis, matrix, holdout, p, sigma, s, modulus, t_trunc, T_lambda
     )
     if witnesses:
         raise ResidualError(
@@ -816,18 +793,23 @@ def _basis_expansions(f, table, basis, needed, p, modulus):
     return out
 
 
-def _probe_data(exps, sigma, w, p, s, modulus):
-    """(lhs_i, rhs_j) coefficient data for one probe."""
-    lhs_idx = tuple(p**s * x for x in w)
-    rhs_idx = tuple(p ** (s - 1) * x for x in w)
-    lhs = []
-    rhs = []
-    for E in exps:
-        if not (E.is_complete(lhs_idx) and E.is_complete(rhs_idx)):
-            raise ValueError("expansion budget does not cover a probe index")
-        lhs.append(E.coefficient(lhs_idx))
-        rhs.append(sigma.apply_scalar(E.coefficient(rhs_idx), modulus))
-    return lhs, rhs
+def _probe_data(f, table, basis, probes, p, s, sigma, modulus):
+    """(lhs_i, rhs_j) coefficient data per probe w: each basis element's
+    expansion at p^s w, and sigma-twisted at p^(s-1) w."""
+    lhs_idx = [tuple(p**s * x for x in w) for w in probes]
+    rhs_idx = [tuple(p ** (s - 1) * x for x in w) for w in probes]
+    exps = _basis_expansions(f, table, basis, lhs_idx + rhs_idx, p, modulus)
+    data = []
+    for u, v in zip(lhs_idx, rhs_idx):
+        lhs = []
+        rhs = []
+        for E in exps:
+            if not (E.is_complete(u) and E.is_complete(v)):
+                raise ValueError("expansion budget does not cover a probe index")
+            lhs.append(E.coefficient(u))
+            rhs.append(sigma.apply_scalar(E.coefficient(v), modulus))
+        data.append((lhs, rhs))
+    return data
 
 
 def _tval_nonzero(tp: TPoly, modulus: int, default: int) -> int:
@@ -837,7 +819,7 @@ def _tval_nonzero(tp: TPoly, modulus: int, default: int) -> int:
     return default
 
 
-def _solve_interpolation(f, table, basis, probes, k, p, sigma, s, modulus, t_trunc):
+def _solve_interpolation(f, table, basis, probes, p, sigma, s, modulus, t_trunc):
     """Build and solve the stacked congruence system.
 
     For t-families the unknown entries are series; information about basis
@@ -847,11 +829,8 @@ def _solve_interpolation(f, table, basis, probes, k, p, sigma, s, modulus, t_tru
     contributes equation rows whose degree stays below the point where the
     discarded tail of the unknowns could matter.
     """
-    needed = [tuple(p**s * x for x in w) for w in probes]
-    needed += [tuple(p ** (s - 1) * x for x in w) for w in probes]
-    exps = _basis_expansions(f, table, basis, needed, p, modulus)
     nb = len(basis)
-    data = [_probe_data(exps, sigma, w, p, s, modulus) for w in probes]
+    data = _probe_data(f, table, basis, probes, p, s, sigma, modulus)
 
     # the elimination reduces its input and its solutions mod `modulus`
     if t_trunc is None:
@@ -894,22 +873,12 @@ def _solve_interpolation(f, table, basis, probes, k, p, sigma, s, modulus, t_tru
     return rows, T_lambda
 
 
-def _holdout_residuals(
-    f, table, basis, matrix, holdout, k, p, sigma, s, modulus, t_trunc, T_lambda=None
-):
+def _holdout_residuals(f, table, basis, matrix, holdout, p, sigma, s, modulus, t_trunc, T_lambda):
     witnesses = []
     if not holdout:
         return witnesses
-    needed = [tuple(p**s * x for x in w) for w in holdout]
-    needed += [tuple(p ** (s - 1) * x for x in w) for w in holdout]
-    exps = _basis_expansions(f, table, basis, needed, p, modulus)
     nb = len(basis)
-    for w in holdout:
-        lhs_idx = tuple(p**s * x for x in w)
-        rhs_idx = tuple(p ** (s - 1) * x for x in w)
-        rhs = [
-            sigma.apply_scalar(E.coefficient(rhs_idx), modulus) for E in exps
-        ]
+    for w, (lhs, rhs) in zip(holdout, _probe_data(f, table, basis, holdout, p, s, sigma, modulus)):
         check = Ring(modulus)
         if T_lambda is not None:
             rhs_t = [TPoly.coerce(c) for c in rhs]
@@ -923,7 +892,7 @@ def _holdout_residuals(
             acc = 0
             for j in range(nb):
                 acc = acc + matrix[i][j] * rhs[j]
-            diff = check.reduce(exps[i].coefficient(lhs_idx) - acc)
+            diff = check.reduce(lhs[i] - acc)
             if diff:
                 witnesses.append({"probe": w, "row": i, "residual": repr(diff)})
     return witnesses

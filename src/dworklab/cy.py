@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, mul
 
-from .arith import NonUnitError, Ring, TPoly, inv_mod, odd_prime, val_p_fraction
+from .arith import NonUnitError, Ring, TPoly, odd_prime, val_p_fraction
 from .laurent import FrobeniusLift, LaurentPoly, family_poly
 from .polytope import (
     all_proper_faces_volume_one,
@@ -267,51 +266,6 @@ def apply_operator_log(L: ThetaOperator, sol: LogSeriesSolution, T: int):
     return out
 
 
-# -- period series ------------------------------------------------------
-
-
-def constant_term_series(g: LaurentPoly, T: int) -> TPoly:
-    """gamma(t) = sum_i (constant term of g^i) t^i, exact integers.
-
-    g^i is formed from g^(i-1) one factor of g at a time, pruned to a support
-    window: a monomial e of g^i can still reach the constant term of a later
-    power g^j (j < T) only if -e lies in the (T-1-i)-fold dilate of the
-    Newton polytope P of g, that is a.e <= -(T-1-i) c for every facet
-    a.u >= c of P.  Each monomial carries its facet values a.e, which add
-    along products; a power is accumulated in full and the window is then
-    tested once per distinct monomial.  Every coefficient is an exact sum of
-    integer products, and a pruned monomial contributes to no later constant
-    term, so gamma is exact.  A support with no such P (not full-dimensional,
-    or past the hull's size limits) is not pruned.
-    """
-    try:
-        facets = newton_polytope(g.support()).facets
-    except ValueError:
-        facets = ()
-    gens = [(e, c, tuple(sum(map(mul, a, e)) for a, _ in facets))
-            for e, c in g.terms.items()]
-    zero = (0,) * g.n
-    coeffs = [0] * T
-    coeffs[0] = 1
-    h = {zero: (1, (0,) * len(facets))}  # monomial -> (coefficient, facet values)
-    for i in range(1, T):
-        window = tuple(-(T - 1 - i) * c for _, c in facets)
-        nxt = {}
-        values = {}
-        for e1, (c1, a1) in h.items():
-            for e2, c2, a2 in gens:
-                e = tuple(map(add, e1, e2))
-                if e in nxt:
-                    nxt[e] += c1 * c2
-                else:
-                    nxt[e] = c1 * c2
-                    values[e] = tuple(map(add, a1, a2))
-        h = {e: (c, values[e]) for e, c in nxt.items()
-             if c and all(map(le, values[e], window))}
-        coeffs[i] = h[zero][0] if zero in h else 0
-    return TPoly(coeffs)
-
-
 def canonical_coordinate(solutions, T: int):
     """q(t) = t exp(F_1/F_0) and its compositional inverse (the mirror map)."""
     if T < 2:
@@ -441,35 +395,23 @@ def frobenius_lambda0(
     interp = family_cartier_matrix(preset, p, s, T, seed)
     lam = interp.matrix
 
-    # L_0 = E(-ell) Lambda(0) E(p ell), collecting powers of ell = log t
-    lam0_int = [[e[0] % modulus for e in row] for row in lam]
-    ell_terms = {}
-    for k1 in range(n):
-        for k2 in range(n):
-            E1 = _poly_factorial_entry(n, k1, Fraction(-1))
-            E2 = _poly_factorial_entry(n, k2, Fraction(p))
-            prod = mat_mul(mat_mul(E1, lam0_int), E2)
-            key = k1 + k2
-            ell_terms[key] = _mat_add_frac(ell_terms.get(key), prod)
-    lambda0 = ell_terms.get(0)
-    ell_ok = True
-    for k, M in ell_terms.items():
-        if k == 0:
-            continue
-        for row in M:
-            for x in row:
-                if val_p_fraction(x, p) < precision:
-                    ell_ok = False
+    # L_0 = E(-ell) Lambda(0) E(p ell) in powers of ell = log t: its ell^0
+    # part is Lambda(0) itself, and each ell^k part (k >= 1) must vanish
+    lambda0 = [[e[0] % modulus for e in row] for row in lam]
 
-    # denominators are prime to p (p > n+1 ensures this)
-    lambda0_int = [
-        [x.numerator * inv_mod(x.denominator, modulus) % modulus for x in row]
-        for row in lambda0
-    ]
+    def ell_part(k, i, j):
+        """Entry (i, j) of the ell^k part: sum over a + b = k of
+        (-1)^a p^b / (a! b!) Lambda(0)[i+a][j-b]."""
+        return sum(Fraction((-1) ** a * p ** (k - a), math.factorial(a) * math.factorial(k - a))
+                   * lambda0[i + a][j - k + a]
+                   for a in range(k + 1) if i + a < n and j - k + a >= 0)
+
+    ell_ok = all(val_p_fraction(ell_part(k, i, j), p) >= precision
+                 for k in range(1, 2 * n - 1) for i in range(n) for j in range(n))
 
     alphas = []
     for j in range(1, n):
-        entry = lambda0_int[0][j]
+        entry = lambda0[0][j]
         # alpha_j = entry / p^j, known mod p^(precision - j)
         residue_mod = p ** (precision - j)
         if entry % p**j != 0:
@@ -482,7 +424,7 @@ def frobenius_lambda0(
     t_diag = _t_constancy_diagnostics(sols, lam, p, precision, t_check)
     ode_ok = _ode_residual_ok(operator, lam, p, min(2, precision), ode_t_check)
     return Lambda0Report(
-        lambda0=lambda0_int,
+        lambda0=lambda0,
         alphas=alphas,
         precision=precision,
         p=p,
@@ -493,22 +435,6 @@ def frobenius_lambda0(
         ell_cancellation=ell_ok,
         ode_residual_ok=ode_ok,
     )
-
-
-def _poly_factorial_entry(m, k, scale):
-    """Matrix of the ell^k coefficient of E(scale * ell)."""
-    M = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        j = i + k
-        if j < m:
-            M[i][j] = scale**k / math.factorial(k)
-    return M
-
-
-def _mat_add_frac(A, B):
-    if A is None:
-        return B
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def _t_constancy_diagnostics(sols, lam, p, precision, t_check):

@@ -20,9 +20,9 @@ from .laurent import FrobeniusLift, LaurentPoly, family_from_json, poly_from_jso
 from .linalg import mat_inv_mod, mat_mul
 from .polytope import interior, newton_polytope, whole_polytope
 from .hasse_witt import beta_matrix, hw_condition, lambda_unit_root
-from .cartier import expand_vertex, vertex_budget
+from .cartier import constant_term_series, expand_vertex, vertex_budget
 from .zeta import frobenius_trace_elliptic, asd_alpha
-from .cy import constant_term_series, preset_family
+from .cy import preset_family
 
 SCHEMA_VERSION = 1
 

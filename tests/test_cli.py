@@ -133,7 +133,7 @@ class TestExitCodes:
 
     def test_math_failure_is_1(self, capsys, monkeypatch):
         import dworklab.harness as H
-        from dworklab.cy import constant_term_series as real_cts
+        from dworklab.cartier import constant_term_series as real_cts
 
         def corrupted(g, T):
             return real_cts(g, T) + TPoly.t_power(3)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dworklab.arith import TPoly, val_p_fraction
+from dworklab.cartier import constant_term_series
 from dworklab.laurent import LaurentPoly
 from dworklab.linalg import RankDeficiencyError
 from dworklab.polytope import newton_polytope, is_reflexive
@@ -13,7 +14,6 @@ from dworklab.cy import (
     _t_constancy_diagnostics,
     apply_operator_log,
     canonical_coordinate,
-    constant_term_series,
     cyclic_basis,
     excellent_lift_check,
     frobenius_lambda0,
@@ -23,6 +23,8 @@ from dworklab.cy import (
     wronskian_matrix,
     yukawa_and_instantons,
 )
+
+from test_cartier import disjoint_parts
 
 
 class TestPresetFamilies:
@@ -127,13 +129,14 @@ class TestStandardSolutions:
 
 @st.composite
 def series_cases(draw):
-    """(g, T): 1-5 terms in n <= 3 variables with exponents in [-2, 2], and
-    T <= 10.  Random supports are often degenerate (no window) or span a
-    polytope without 0."""
+    """(g, T) with T <= 10 and g either 1-5 terms in n <= 3 variables with
+    exponents in [-2, 2], or a sum of parts in disjoint variables, some with
+    free multiplicities, so both routes of the power table are drawn."""
     n = draw(st.integers(1, 3))
     exps = st.tuples(*[st.integers(-2, 2)] * n)
-    terms = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=5))
-    return LaurentPoly(n, terms), draw(st.integers(1, 10))
+    terms = st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=5)
+    g = draw(terms.map(lambda d: LaurentPoly(n, d)) | disjoint_parts(n))
+    return g, draw(st.integers(1, 10))
 
 
 class TestConstantTermSeries:
@@ -158,9 +161,14 @@ class TestConstantTermSeries:
         s = constant_term_series(g, 6)
         assert [s[i] for i in range(6)] == [1, 0, 0, 0, 0, 0]
 
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_rejects_empty_truncation(self, T):
+        with pytest.raises(ValueError, match=f"T must be >= 1, not {T}"):
+            constant_term_series(preset_family("simplicial", 2).g, T)
+
     @settings(max_examples=150, deadline=None)
     @given(series_cases())
-    # degenerate supports, so no window: one point, a segment in the plane
+    # degenerate supports: one point, a segment in the plane
     @example((LaurentPoly(2, {(1, -1): 2}), 6))
     @example((LaurentPoly(2, {(1, -1): 1, (-1, 1): 3, (0, 0): -1}), 9))
     # full-dimensional polytopes that do not contain 0

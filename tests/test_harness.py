@@ -225,7 +225,7 @@ class TestFailurePaths:
 
     def test_corrupted_dwork_fails(self, monkeypatch):
         import dworklab.harness as H
-        from dworklab.cy import constant_term_series as real_cts
+        from dworklab.cartier import constant_term_series as real_cts
 
         def corrupted(g, T):
             return real_cts(g, T) + TPoly.t_power(3)  # bump one coefficient

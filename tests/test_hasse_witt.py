@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dworklab.arith import Ring, TPoly
+from dworklab.cartier import constant_term_series
 from dworklab.laurent import FrobeniusLift, LaurentPoly, family_poly, frobenius_twist
 from dworklab.linalg import int_det, mat_mul, mat_inv_mod
 from dworklab.polytope import (
@@ -170,8 +171,6 @@ class TestLambdaUnitRoot:
 
     def test_family_dwork_ratio(self):
         # Lambda(t) gamma(t^p) = gamma(t) mod (p^s, t^T)
-        from dworklab.cy import constant_term_series
-
         ft = family_poly(SIMPLICIAL2)
         P = newton_polytope(SIMPLICIAL2.support())
         for p, s, T in ((5, 1, 12), (5, 2, 30), (7, 2, 30)):

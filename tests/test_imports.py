@@ -3,7 +3,9 @@
 * every module reads each name it imports;
 * a function body imports nothing, from the package or outside it.  The
   package's import graph is acyclic, so every import can sit at the module
-  top.
+  top;
+* no module imports a private (underscore) name from another module of the
+  package.
 
 `__init__.py` is exempt from the first rule: its imports are re-exports.
 """
@@ -66,6 +68,22 @@ def test_checker_flags_a_function_import():
     assert function_imports(source) == [(3, "itertools"), (4, ".laurent"), (6, "math")]
 
 
+def private_imports(source: str) -> list:
+    """(module, name) of every underscore name imported from the package."""
+    return sorted(
+        ("." * node.level + (node.module or ""), a.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for a in node.names
+        if a.name.startswith("_")
+    )
+
+
+def test_checker_flags_a_private_import():
+    source = "from .cartier import _PowerTable, expand_origin\nfrom os import _exit\n"
+    assert private_imports(source) == [(".cartier", "_PowerTable")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -74,3 +92,8 @@ def test_module_reads_every_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_import_inside_a_function(path):
     assert function_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_import_across_modules(path):
+    assert private_imports(path.read_text()) == []
