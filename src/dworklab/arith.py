@@ -3,18 +3,17 @@
 Everything downstream works over one of these rings:
 
 * plain Python ``int`` (arbitrary precision, used whenever exactness is free),
-* ``Z/p^N`` residues, wrapped as :class:`PadicScalar` at API boundaries and
-  as bare ints inside matrix kernels,
+* ``Z/p^N`` residues, held as ints in [0, p^N),
 * dense polynomials in one variable ``t`` (:class:`TPoly`), the one series
   type: exact polynomials for the coefficients of one-parameter families, and
   the truncated rings (Z/p^N)[t]/t^T and Q[[t]]/t^T (Picard-Fuchs solutions,
   mirror maps) when a precision T, and a modulus where there is one, is
   passed to its series methods.  The precision is an argument, never stored.
 
-:class:`Ring` names the ring of one computation (Z, Z/p^N, or the series ring
-mod t^T over either) and holds the one rule for reducing, testing and
-inverting its coefficients; the matrix, expansion and Hasse-Witt kernels
-build one from their ``modulus``/``t_trunc`` arguments.
+:class:`Ring`, the one rule for Z/p^N, names the ring of one computation (Z,
+Z/p^N, or the series ring mod t^T over either) and holds the one rule for
+reducing, testing and inverting its coefficients; the matrix, expansion and
+Hasse-Witt kernels build one from their ``modulus``/``t_trunc`` arguments.
 
 No floating point is used anywhere.
 """
@@ -73,86 +72,12 @@ def inv_mod(a: int, modulus: int) -> int:
         raise NonUnitError(f"{a} is not invertible modulo {modulus}") from None
 
 
-@dataclass(frozen=True)
-class PadicScalar:
-    """An element of Z/p^N regarded as a p-adic integer known to precision N."""
-
-    p: int
-    N: int
-    value: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("precision exponent N must be >= 1")
-        object.__setattr__(self, "value", self.value % self.p**self.N)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.N
-
-    def _coerce(self, other) -> "PadicScalar":
-        if isinstance(other, PadicScalar):
-            if (other.p, other.N) != (self.p, self.N):
-                raise ValueError("mixed p-adic contexts")
-            return other
-        if isinstance(other, int):
-            return PadicScalar(self.p, self.N, other)
-        if isinstance(other, Fraction):
-            return PadicScalar(
-                self.p,
-                self.N,
-                other.numerator * inv_mod(other.denominator, self.modulus),
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return PadicScalar(self.p, self.N, self.value + o.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PadicScalar(self.p, self.N, -self.value)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return PadicScalar(self.p, self.N, self.value - o.value)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return PadicScalar(self.p, self.N, self.value * o.value)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return PadicScalar(self.p, self.N, pow(self.value, k, self.modulus))
-
-    def valuation(self) -> int:
-        """ord_p of the residue; N means 'zero to working precision'."""
-        return val_p(self.value, self.p, cap=self.N)
-
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
-
-    def inverse(self) -> "PadicScalar":
-        if not self.is_unit():
-            raise NonUnitError(
-                f"residue {self.value} has positive valuation mod {self.p}^{self.N}"
-            )
-        return PadicScalar(self.p, self.N, inv_mod(self.value, self.modulus))
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-
-def teichmuller(a: int, p: int, N: int) -> PadicScalar:
+def teichmuller(a: int, p: int, N: int) -> int:
     """Teichmuller lift: the unique root of X^p = X congruent to a mod p.
 
     Computed by the fixed-point iteration x <- x^p mod p^N, which gains at
     least one digit of stability per step, so at most N iterations are needed.
+    Returns the residue in [0, p^N).
     """
     odd_prime(p)
     if N < 1:
@@ -164,7 +89,7 @@ def teichmuller(a: int, p: int, N: int) -> PadicScalar:
         if y == x:
             break
         x = y
-    return PadicScalar(p, N, x)
+    return x
 
 
 def _gamma_p_int(n: int, p: int, modulus: int) -> int:
@@ -176,8 +101,9 @@ def _gamma_p_int(n: int, p: int, modulus: int) -> int:
     return (-acc if n % 2 else acc) % modulus
 
 
-def gamma_p(x, p: int, N: int) -> PadicScalar:
-    """Morita p-adic gamma function evaluated modulo p^N.
+def gamma_p(x, p: int, N: int) -> int:
+    """Morita p-adic gamma function evaluated modulo p^N, as a residue in
+    [0, p^N).
 
     For an integer n >= 1, Gamma_p(n) = (-1)^n prod_{0<j<n, p | j absent} j.
     The function is continuous on Z_p, so a rational x with denominator prime
@@ -185,22 +111,20 @@ def gamma_p(x, p: int, N: int) -> PadicScalar:
     product loop is O(p^N), guarded by GAMMA_PRODUCT_BOUND.
     """
     odd_prime(p)
+    if N < 1:
+        raise ValueError(f"precision exponent N must be >= 1, not {N!r}")
     modulus = p**N
     if modulus > GAMMA_PRODUCT_BOUND:
         raise ValueError(
             f"p^N = {modulus} exceeds the gamma product bound {GAMMA_PRODUCT_BOUND}"
         )
-    if isinstance(x, PadicScalar):
-        if (x.p, x.N) != (p, N):
-            raise ValueError("mixed p-adic contexts")
-        rep = x.value
-    elif isinstance(x, Fraction):
+    if isinstance(x, Fraction):
         if x.denominator % p == 0:
             raise NonUnitError("gamma_p argument must be a p-adic integer")
         rep = x.numerator * inv_mod(x.denominator, modulus) % modulus
     else:
         rep = x % modulus
-    return PadicScalar(p, N, _gamma_p_int(rep, p, modulus))
+    return _gamma_p_int(rep, p, modulus)
 
 
 def gamma_ratio_check(p: int, s: int, N: int) -> bool:
@@ -211,11 +135,13 @@ def gamma_ratio_check(p: int, s: int, N: int) -> bool:
     which controls how the 1x1 beta matrices of an elliptic curve stabilise.
     """
     odd_prime(p)
+    if s < 1:
+        raise ValueError(f"need s >= 1, not s = {s!r}")
     if N < s:
         raise ValueError("need working precision N >= s")
     modulus = p**N
-    num = gamma_p(p**s, p, N).value
-    den = gamma_p((p**s + 1) // 2, p, N).value
+    num = gamma_p(p**s, p, N)
+    den = gamma_p((p**s + 1) // 2, p, N)
     den2 = pow(den, 2, modulus)
     if den2 % p == 0:
         raise NonUnitError("internal error: gamma value is not a unit")

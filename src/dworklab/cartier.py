@@ -131,11 +131,17 @@ class FormalExpansion:
         return out
 
 
+def _cone_generators(f: LaurentPoly, b):
+    """The exponents of f other than the vertex b, minus b: the generators of
+    the cone at b."""
+    b = tuple(b)
+    return [tuple(e - x for e, x in zip(u, b)) for u in f.support() if tuple(u) != b]
+
+
 def vertex_frame(f: LaurentPoly, b):
     """Cone data at a vertex: inner facet normals, the positivity functional
     psi (their sum), and delta = min psi over the generator support."""
-    b = tuple(b)
-    gens = [tuple(e - x for e, x in zip(u, b)) for u in f.support() if tuple(u) != b]
+    gens = _cone_generators(f, b)
     normals = cone_facet_normals(gens, f.n)
     psi = tuple(sum(a[i] for a in normals) for i in range(f.n))
     delta = min(_dot(psi, g) for g in gens)
@@ -515,24 +521,25 @@ def cartier_shift(E: FormalExpansion, p: int) -> FormalExpansion:
     return replace(E, coeffs=new, decimation=E.decimation * p)
 
 
+def _theta_quotient(h: LaurentPoly, f: LaurentPoly, m: int, theta_term):
+    """theta(h/f^m) = (theta(h) f - m h theta(f)) / f^(m+1) as (numerator,
+    m+1), for a derivation theta acting on each term as
+    theta_term(exponent, coefficient)."""
+
+    def theta(q):
+        return LaurentPoly(q.n, {e: theta_term(e, c) for e, c in q.terms.items()})
+
+    return theta(h) * f - h.scale(m) * theta(f), m + 1
+
+
 def theta_rational(h: LaurentPoly, f: LaurentPoly, m: int, i: int):
     """x_i d/dx_i of h/f^m as a pair (numerator, pole order m+1)."""
-    th = LaurentPoly(h.n, {e: c * e[i] for e, c in h.terms.items()})
-    tf = LaurentPoly(f.n, {e: c * e[i] for e, c in f.terms.items()})
-    num = th * f - h.scale(m) * tf
-    return num, m + 1
+    return _theta_quotient(h, f, m, lambda e, c: c * e[i])
 
 
 def theta_t_rational(h: LaurentPoly, f: LaurentPoly, m: int):
     """t d/dt of h/f^m for a family f = 1 - t g, as (numerator, m+1)."""
-
-    def theta_c(c):
-        return c.theta() if isinstance(c, TPoly) else TPoly()
-
-    th = h.map_coefficients(theta_c)
-    tf = f.map_coefficients(theta_c)
-    num = th * f - h.scale(m) * tf
-    return num, m + 1
+    return _theta_quotient(h, f, m, lambda e, c: TPoly.coerce(c).theta())
 
 
 # -- explicit rational-function route ---------------------------------
@@ -648,6 +655,12 @@ class CartierInterpolation:
     holdout: list
 
 
+# Held-out probes drawn per interpolation, and extra probes added before a
+# rank-deficient probe system is given up.
+N_HOLDOUT = 2
+MAX_EXTRA_PROBES = 6
+
+
 def _seeded_probe_stream(n: int, seed: int, generators=None):
     """Deterministic pseudo-random probe vectors.
 
@@ -694,9 +707,7 @@ def interpolate_cartier(
     probes: list | None = None,
     t_trunc: int | None = None,
     g: LaurentPoly | None = None,
-    n_holdout: int = 2,
     seed: int = 0,
-    max_extra_probes: int = 6,
 ) -> CartierInterpolation:
     """Solve the stacked congruences c_{p^s u}(w_i) = sum_j L_ij c_{p^{s-1} u}(w_j^sigma)
     for the level-k Cartier matrix L mod p^{sk}.
@@ -705,12 +716,15 @@ def interpolate_cartier(
     monomial basis of the level-k module on (k*mu).  For families (g given)
     expansions are taken at the origin with exact t-coefficients mod
     t^t_trunc (so t_trunc >= 1 is required) and each t-power contributes one
-    equation row; otherwise vertex expansions are used.  Held-out probes
+    equation row; otherwise vertex expansions are used.  A rank-deficient
+    system gets extra probes (`_solve_with_extra_probes`).  Held-out probes
     must reproduce the congruence exactly, else ResidualError.
     """
     odd_prime(p)
     if not 1 <= k < p:
         raise ValueError("need 1 <= k < p")
+    if s < 1:
+        raise ValueError(f"need s >= 1, not s = {s!r}")
     if g is not None and (t_trunc is None or t_trunc < 1):
         raise ValueError(f"a family (g given) needs t_trunc >= 1, not {t_trunc!r}")
     precision = s * k
@@ -722,21 +736,16 @@ def interpolate_cartier(
     generators = None
     if g is None:
         base = unit_vertex(f, p)
-        generators = [
-            tuple(e - x for e, x in zip(u, base))
-            for u in f.support()
-            if tuple(u) != base
-        ]
+        generators = _cone_generators(f, base)
         if probes is None:
             probes = default_probes(mu, k, base)
     elif probes is None:
         probes = default_probes(mu, k)
     probes = [tuple(w) for w in probes]
     stream = _seeded_probe_stream(f.n, seed, generators)
-    extra = []
     holdout = []
     for _ in range(64):
-        if len(holdout) >= n_holdout:
+        if len(holdout) >= N_HOLDOUT:
             break
         w = next(stream)
         if w not in probes and w not in holdout:
@@ -745,25 +754,10 @@ def interpolate_cartier(
     # one table of [x^w] g^i serves every basis element, retry and the
     # held-out check
     table = None if g is None else _PowerTable(g, t_trunc, modulus)
-    attempt = 0
-    while True:
-        use = probes + extra
-        try:
-            matrix, T_lambda = _solve_interpolation(
-                f, table, basis, use, p, sigma, s, modulus, t_trunc
-            )
-            break
-        except RankDeficiencyError:
-            attempt += 1
-            if attempt > max_extra_probes:
-                raise
-            for _ in range(64):
-                w = next(stream)
-                if w not in use and w not in holdout:
-                    break
-            else:
-                raise
-            extra.append(w)
+    (matrix, T_lambda), probes = _solve_with_extra_probes(
+        lambda use: _solve_interpolation(f, table, basis, use, p, sigma, s, modulus, t_trunc),
+        probes, stream, holdout,
+    )
 
     # held-out residual check
     witnesses = _holdout_residuals(
@@ -774,8 +768,29 @@ def interpolate_cartier(
             f"held-out congruence failed mod {p}^{precision}", witnesses
         )
     return CartierInterpolation(
-        matrix, nb, modulus, p, precision, T_lambda, probes + extra, holdout
+        matrix, nb, modulus, p, precision, T_lambda, probes, holdout
     )
+
+
+def _solve_with_extra_probes(solve, probes, stream, holdout=()):
+    """(solve(probes), the probes it used).  After each RankDeficiencyError
+    one fresh probe of `stream` is added: the next one that is not already a
+    probe, an earlier extra probe or a held-out probe.  Re-raises after
+    MAX_EXTRA_PROBES extra probes, or when 64 draws give no fresh probe."""
+    use = list(probes)
+    while True:
+        try:
+            return solve(use), use
+        except RankDeficiencyError:
+            if len(use) - len(probes) >= MAX_EXTRA_PROBES:
+                raise
+            for _ in range(64):
+                w = next(stream)
+                if w not in use and w not in holdout:
+                    break
+            else:
+                raise
+            use = use + [w]
 
 
 def _basis_expansions(f, table, basis, needed, p, modulus):
@@ -819,6 +834,17 @@ def _tval_nonzero(tp: TPoly, modulus: int, default: int) -> int:
     return default
 
 
+def _row_window(rhs_t, modulus: int, t_trunc: int, T_lambda: int) -> int:
+    """The t-degrees below which one probe's congruence rows hold for
+    entries cut at t^T_lambda, for the solve and the held-out check alike.
+
+    A correct Lambda cut at T_lambda leaves the residual sum_j Lambda^tail_ij
+    rhs_j, whose t-valuation mod p^N is at least T_lambda plus the least
+    t-valuation mod p^N of the rhs_j: the rows below that degree, and below
+    t_trunc, carry no tail."""
+    return min(t_trunc, T_lambda + min(_tval_nonzero(c, modulus, t_trunc) for c in rhs_t))
+
+
 def _solve_interpolation(f, table, basis, probes, p, sigma, s, modulus, t_trunc):
     """Build and solve the stacked congruence system.
 
@@ -851,11 +877,7 @@ def _solve_interpolation(f, table, basis, probes, p, sigma, s, modulus, t_trunc)
     A_all = []
     b_all = [[] for _ in range(nb)]
     for wi in range(len(probes)):
-        cutoff = min(
-            t_trunc,
-            T_lambda + min(_tval_nonzero(rhs_t[wi][j], modulus, t_trunc) for j in range(nb)),
-        )
-        for d in range(cutoff):
+        for d in range(_row_window(rhs_t[wi], modulus, t_trunc, T_lambda)):
             row = []
             for j in range(nb):
                 for dd in range(T_lambda):
@@ -882,12 +904,7 @@ def _holdout_residuals(f, table, basis, matrix, holdout, p, sigma, s, modulus, t
         check = Ring(modulus)
         if T_lambda is not None:
             rhs_t = [TPoly.coerce(c) for c in rhs]
-            # residual is only meaningful below the degree where the truncated
-            # tail of the solved entries could contribute
-            check = Ring(modulus, min(
-                t_trunc,
-                T_lambda + min(_tval_nonzero(c, p, t_trunc) for c in rhs_t),
-            ))
+            check = Ring(modulus, _row_window(rhs_t, modulus, t_trunc, T_lambda))
         for i in range(nb):
             acc = 0
             for j in range(nb):
@@ -913,54 +930,36 @@ def unit_root_projection_check(
 
     omega is a (numerator, pole order) pair.  The projection coefficients are
     the unique solution mod p^s of the expansion-coefficient congruences at
-    indices p^s * probe.
+    indices p^s * probe; a rank-deficient system gets extra probes
+    (`_solve_with_extra_probes`).
     """
+    odd_prime(p)
     if sigma.kind != "identity":
         raise NotImplementedError("projection check implemented for integer rings")
+    if s < 1:
+        raise ValueError(f"need s >= 1, not s = {s!r}")
     h, m = omega
     points = lattice_points_in_dilate(mu, 1)
     modulus = p**s
     b_vertex = unit_vertex(f, p)
-    generators = [
-        tuple(e - x for e, x in zip(u, b_vertex))
-        for u in f.support()
-        if tuple(u) != b_vertex
-    ]
+    basis = [(LaurentPoly.monomial(f.n, u), 1) for u in points]
     if probes is None:
-        probes = [tuple(x - y for x, y in zip(u, b_vertex)) for u in points]
-    probes = [tuple(w) for w in probes]
-    stream = _seeded_probe_stream(f.n, seed, generators)
-    extra = []
-    for _ in range(8):
-        use = probes + extra
+        probes = default_probes(mu, 1, b_vertex)
+    stream = _seeded_probe_stream(f.n, seed, _cone_generators(f, b_vertex))
+
+    def solve(use):
         needed = [tuple(p**s * x for x in w) for w in use]
-        basis_exps = []
-        for u in points:
-            hu = LaurentPoly.monomial(f.n, u)
-            S = vertex_budget(f, b_vertex, 1, hu, needed)
-            basis_exps.append(expand_vertex(hu, f, 1, b_vertex, S, modulus))
-        S = vertex_budget(f, b_vertex, m, h, needed)
-        E_omega = expand_vertex(h, f, m, b_vertex, S, modulus)
-        A = []
-        rhs = []
-        for w in use:
-            idx = tuple(p**s * x for x in w)
-            A.append([E.coefficient(idx) for E in basis_exps])
-            rhs.append(E_omega.coefficient(idx))
-        try:
-            a = solve_mod(A, rhs, modulus)
-            break
-        except RankDeficiencyError:
-            extra.append(next(stream))
-    else:
-        raise RankDeficiencyError("projection system stayed rank-deficient")
+        *basis_exps, E_omega = _basis_expansions(f, None, basis + [omega], needed, p, modulus)
+        A = [[E.coefficient(idx) for E in basis_exps] for idx in needed]
+        return solve_mod(A, [E_omega.coefficient(idx) for idx in needed], modulus)
+
+    a, _ = _solve_with_extra_probes(solve, [tuple(w) for w in probes], stream)
 
     # residual = omega - sum a_u x^u / f, expanded; must be a formal derivative
     box = [v for v in itertools.product(range(-2 * p, 2 * p + 1), repeat=f.n)]
     S = vertex_budget(f, b_vertex, m, h, box)
     E = expand_vertex(h, f, m, b_vertex, S, modulus)
-    for u, coef in zip(points, a):
-        hu = LaurentPoly.monomial(f.n, u)
+    for (hu, _), coef in zip(basis, a):
         Eu = expand_vertex(hu, f, 1, b_vertex, S, modulus).scaled(-coef)
         E = E + Eu
     return formal_derivative_order(E, 1, p, s)

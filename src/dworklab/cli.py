@@ -332,7 +332,7 @@ def cmd_gamma_p(args, fmt):
             "x": args.x,
             "p": args.prime,
             "N": args.precision,
-            "value": val.value,
+            "value": val,
         },
         fmt,
     )

@@ -281,7 +281,7 @@ def teichmuller_specialize(entries, a: int, p: int, s: int):
     evaluated at a p-adic unit term by term, so unit-root family matrices
     must be specialised through lambda_at_teichmuller instead.
     """
-    tau = teichmuller(a, p, s).value
+    tau = teichmuller(a, p, s)
     modulus = p**s
     out = []
     for row in entries:

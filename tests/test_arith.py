@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dworklab.arith import (
     GAMMA_PRODUCT_BOUND,
     NonUnitError,
-    PadicScalar,
     TPoly,
     gamma_p,
     gamma_ratio_check,
@@ -21,33 +20,34 @@ PRIMES = (3, 5, 7, 11, 13)
 
 class TestTeichmuller:
     def test_zero(self):
-        assert teichmuller(0, 5, 3).value == 0
+        assert teichmuller(0, 5, 3) == 0
 
     def test_one_fixed_point(self):
-        assert teichmuller(1, 7, 4).value == 1
+        assert teichmuller(1, 7, 4) == 1
 
     def test_iteration_oracle(self):
         # iterate x -> x^5 mod 25 from 2 until stable: 2^5 = 32 = 7, 7^5 = 7
-        assert teichmuller(2, 5, 2).value == 7
+        assert teichmuller(2, 5, 2) == 7
 
     @given(st.integers(-50, 50), st.sampled_from(PRIMES), st.integers(1, 6))
     def test_is_root_of_unity(self, a, p, N):
         t = teichmuller(a, p, N)
-        assert pow(t.value, p, p**N) == t.value
+        assert type(t) is int and 0 <= t < p**N
+        assert pow(t, p, p**N) == t
 
     @given(st.integers(-50, 50), st.sampled_from(PRIMES), st.integers(1, 6))
     def test_congruent_to_a(self, a, p, N):
-        assert (teichmuller(a, p, N).value - a) % p == 0
+        assert (teichmuller(a, p, N) - a) % p == 0
 
     @given(st.integers(-50, 50), st.integers(-50, 50), st.sampled_from(PRIMES))
     def test_depends_on_residue_only(self, a, b, p):
         if (a - b) % p == 0:
-            assert teichmuller(a, p, 4).value == teichmuller(b, p, 4).value
+            assert teichmuller(a, p, 4) == teichmuller(b, p, 4)
 
     @given(st.integers(1, 60), st.sampled_from(PRIMES), st.integers(1, 5))
     def test_unit_order_divides_p_minus_1(self, a, p, N):
         if a % p:
-            assert pow(teichmuller(a, p, N).value, p - 1, p**N) == 1
+            assert pow(teichmuller(a, p, N), p - 1, p**N) == 1
 
     @pytest.mark.parametrize("p", [1, 4, 9])
     def test_rejects_non_prime(self, p):
@@ -58,14 +58,30 @@ class TestTeichmuller:
 class TestGammaP:
     def test_gamma_1_is_minus_one(self):
         for p, N in ((5, 3), (7, 2), (11, 2)):
-            assert gamma_p(1, p, N).value == p**N - 1
+            assert gamma_p(1, p, N) == p**N - 1
 
     def test_gamma_2_is_one(self):
-        assert gamma_p(2, 5, 3).value == 1
+        assert gamma_p(2, 5, 3) == 1
 
     def test_gamma_5_wilson(self):
         # -4! = -24 = 1 mod 5
-        assert gamma_p(5, 5, 1).value == 1
+        assert gamma_p(5, 5, 1) == 1
+
+    @given(st.integers(-200, 200), st.sampled_from((3, 5, 7)), st.integers(1, 3))
+    def test_residue_is_an_int_in_range(self, x, p, N):
+        g = gamma_p(x, p, N)
+        assert type(g) is int and 0 <= g < p**N
+
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_rejects_precision_below_one(self, N):
+        with pytest.raises(ValueError, match=f"N must be >= 1, not {N}"):
+            gamma_p(1, 5, N)
+
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_ratio_check_rejects_s_below_one(self, s):
+        # mod p^0 = 1 the congruence would hold vacuously
+        with pytest.raises(ValueError, match=f"s = {s}"):
+            gamma_ratio_check(5, s, 3)
 
     def test_rejects_p_in_denominator(self):
         with pytest.raises(NonUnitError):
@@ -102,39 +118,11 @@ class TestGammaP:
             num = math.comb(p**s - 1, (p**s - 1) // 2)
             den = math.comb(p ** (s - 1) - 1, (p ** (s - 1) - 1) // 2)
             lhs = num * pow(den, -1, mod) % mod
-            g = gamma_p(p**s, p, N).value * pow(
-                gamma_p((p**s + 1) // 2, p, N).value ** 2, -1, p**N
+            g = gamma_p(p**s, p, N) * pow(
+                gamma_p((p**s + 1) // 2, p, N) ** 2, -1, p**N
             )
             assert (lhs + g) % mod == 0
             assert (lhs - (-1) ** ((p - 1) // 2)) % mod == 0
-
-
-class TestPadicScalar:
-    @given(
-        st.integers(-1000, 1000),
-        st.integers(-1000, 1000),
-        st.sampled_from(PRIMES),
-        st.integers(1, 5),
-    )
-    def test_ring_homomorphism(self, a, b, p, N):
-        mod = p**N
-        xa, xb = PadicScalar(p, N, a), PadicScalar(p, N, b)
-        assert (xa + xb).value == (a + b) % mod
-        assert (xa * xb).value == (a * b) % mod
-        assert (xa - xb).value == (a - b) % mod
-
-    def test_valuation(self):
-        assert PadicScalar(5, 3, 50).valuation() == 2
-        assert PadicScalar(5, 3, 0).valuation() == 3
-        assert PadicScalar(5, 3, 7).valuation() == 0
-
-    def test_division_by_non_unit_raises(self):
-        with pytest.raises(NonUnitError):
-            PadicScalar(5, 3, 1) / PadicScalar(5, 3, 10)
-
-    def test_inverse(self):
-        x = PadicScalar(7, 3, 3)
-        assert (x * x.inverse()).value == 1
 
 
 class TestTPoly:

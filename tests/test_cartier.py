@@ -542,6 +542,17 @@ class TestInterpolation:
         assert len(attempts) > 1 and len(interp.holdout) == 2
         assert len(calls) > 40
         assert len(calls) == len(set(calls))
+        # the held-out and extra probes are drawn from the seeded stream in a
+        # fixed order
+        assert interp.probes == [(0, 0), (-3, -1), (3, -2), (2, 3), (-1, -1)]
+        assert interp.holdout == [(3, 3), (-3, -3)]
+
+    def test_rejects_s_below_one(self):
+        f = LaurentPoly(1, {(1,): 1, (0,): -3})
+        P = newton_polytope(f.support())
+        for s in (0, -1):
+            with pytest.raises(ValueError, match=f"s = {s}"):
+                interpolate_cartier(f, whole_polytope(P), 1, 5, ID, s)
 
     @pytest.mark.parametrize("p", [9, 4])
     def test_rejects_non_prime(self, p):
@@ -594,6 +605,64 @@ class TestInterpolation:
                 assert c % p**2 == 0
 
 
+class TestExtraProbes:
+    @staticmethod
+    def solve_failing(k, calls):
+        """A solve that records its probes and is rank-deficient k times."""
+
+        def solve(use):
+            calls.append(use)
+            if len(calls) <= k:
+                raise RankDeficiencyError("no unit pivot")
+            return "solved"
+
+        return solve
+
+    @pytest.mark.parametrize("k", [0, 2, cartier.MAX_EXTRA_PROBES])
+    def test_fresh_probes_in_stream_order(self, k):
+        gens = [(1, 0), (0, 1), (1, 1)]
+        probes, holdout = [(1, 0), (0, 1)], [(2, 2)]
+        fresh = []
+        for w in cartier._seeded_probe_stream(2, 5, gens):
+            if len(fresh) == k:
+                break
+            if w not in probes + holdout + fresh:
+                fresh.append(w)
+        calls = []
+        solved, used = cartier._solve_with_extra_probes(
+            self.solve_failing(k, calls), probes, cartier._seeded_probe_stream(2, 5, gens), holdout
+        )
+        assert solved == "solved" and used == probes + fresh
+        assert calls == [probes + fresh[:j] for j in range(k + 1)]
+
+    def test_reraises_after_max_extra_probes(self):
+        calls = []
+        with pytest.raises(RankDeficiencyError):
+            cartier._solve_with_extra_probes(
+                self.solve_failing(99, calls), [(0, 0)], cartier._seeded_probe_stream(2, 0)
+            )
+        assert len(calls) == cartier.MAX_EXTRA_PROBES + 1
+        assert len(set(calls[-1])) == cartier.MAX_EXTRA_PROBES + 1
+
+    def test_reraises_when_the_stream_has_no_fresh_probe(self):
+        calls = []
+        with pytest.raises(RankDeficiencyError):
+            cartier._solve_with_extra_probes(
+                self.solve_failing(1, calls), [(1,)], itertools.cycle([(1,)]), ()
+            )
+        assert calls == [[(1,)]]
+
+
+class TestRowWindow:
+    def test_reads_t_valuations_mod_p_to_the_N(self):
+        # the low coefficients are divisible by 5 but not by 25: the window
+        # starts from t-valuation 1 mod 25, not from t-valuation 2 mod 5
+        rhs = [TPoly([0, 5, 1]), TPoly([0, 0, 10, 2])]
+        assert cartier._row_window(rhs, 25, 30, 4) == 5
+        assert cartier._row_window(rhs, 25, 3, 4) == 3
+        assert cartier._row_window([TPoly([0, 0, 25])], 25, 30, 4) == 30
+
+
 class TestProjection:
     def test_basis_element_projects_to_itself(self):
         f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2})
@@ -608,6 +677,27 @@ class TestProjection:
         P = newton_polytope(f.support())
         omega = theta_rational(LaurentPoly.monomial(2, (1, 0)), f, 1, 1)
         assert unit_root_projection_check(f, whole_polytope(P), 5, ID, omega, 2)
+
+    def test_one_probe_gets_extra_probes(self, monkeypatch):
+        f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2})
+        mu = whole_polytope(newton_polytope(f.support()))
+        sizes, solve_mod = [], cartier.solve_mod
+        monkeypatch.setattr(cartier, "solve_mod", lambda A, *a: sizes.append(len(A)) or solve_mod(A, *a))
+        omega = theta_rational(LaurentPoly.monomial(2, (1, 0)), f, 1, 1)
+        probes = default_probes(mu, 1, unit_vertex(f, 5))[:1]
+        assert unit_root_projection_check(f, mu, 5, ID, omega, 1, probes=probes)
+        assert sizes == [1, 2, 3, 4, 5]
+
+    def test_rejects_s_below_one_and_non_prime(self):
+        f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2})
+        mu = whole_polytope(newton_polytope(f.support()))
+        omega = (LaurentPoly.monomial(2, (0, 0)), 1)
+        for s in (0, -1):
+            # mod p^0 = 1 every residual is a formal derivative
+            with pytest.raises(ValueError, match=f"s = {s}"):
+                unit_root_projection_check(f, mu, 5, ID, omega, s)
+        with pytest.raises(ValueError, match="9 is not an odd prime"):
+            unit_root_projection_check(f, mu, 9, ID, omega, 1)
 
     def test_gauss_fixed_point_extra_p(self):
         # C_p(omega) - omega lands in p * (formal derivatives) at a vertex star

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from dworklab.arith import TPoly
-from dworklab.cli import cli_main
+from dworklab.cli import _odd_prime, build_parser, cli_main
 
 
 # sha256 of canonical stdout; a refactor must leave every digest unchanged
@@ -177,9 +177,17 @@ class TestExitCodes:
              "t_trunc"),
             (["verify", "asd", "--smax", "0"], '"s_max"'),
             (["verify", "super", "--smax", "0"], '"s_max"'),
+            (["cy", "frobenius", "--family", "simplicial", "--dim", "2", "--prime", "5",
+              "--steps", "0"], "s = 0"),
+            (["cy", "frobenius", "--family", "simplicial", "--dim", "2", "--prime", "5",
+              "--steps", "-1"], "s = -1"),
+            (["gamma-p", "--prime", "5", "--ratio-check", "0", "--precision", "3"], "s = 0"),
+            (["gamma-p", "--prime", "5", "--ratio-check", "-1", "--precision", "3"], "s = -1"),
+            (["gamma-p", "--prime", "5", "--precision", "-1"], "N must be >= 1, not -1"),
         ],
         ids=["exponent-limit", "gauss-bound-0", "zeta-count-ext-0", "lambda-t-trunc-0",
-             "asd-smax-0", "super-smax-0"],
+             "asd-smax-0", "super-smax-0", "cy-frobenius-steps-0", "cy-frobenius-steps--1",
+             "gamma-ratio-s-0", "gamma-ratio-s--1", "gamma-p-precision--1"],
     )
     def test_out_of_range_input_is_2(
         self, capsys, monkeypatch, tmp_path, triangle_file, family_file, argv, needle
@@ -295,6 +303,68 @@ class TestExitCodes:
         code, out, err = run(capsys, ["verify", "hhw", "--primes", "5", "--smax", "0"])
         assert code == 2 and not out
         assert '"s_max"' in err
+
+
+# One argv per subcommand (and per cy action or gamma-p mode that reads
+# another option), every integer option at a small valid value.
+SWEEP_BASES = {
+    "hw": ["hw", "--preset", "simplicial", "--dim", "2", "--prime", "5", "--precision", "1"],
+    "lambda": ["lambda", "--preset", "simplicial", "--dim", "2", "--prime", "5",
+               "--steps", "1", "--t-trunc", "9"],
+    "higher-hw": ["higher-hw", "--preset", "simplicial", "--dim", "2", "--prime", "5",
+                  "--level", "1"],
+    "cartier": ["cartier", "--poly", "triangle.json", "--dim", "2", "--prime", "3",
+                "--pole", "1", "--precision", "1", "--bound", "1"],
+    "zeta-count": ["zeta-count", "--poly", "triangle.json", "--dim", "2", "--prime", "3",
+                   "--ext", "1"],
+    "crosscheck": ["crosscheck", "--poly", "triangle.json", "--dim", "2", "--prime", "3",
+                   "--smax", "1"],
+    "verify": ["verify", "dwork", "--primes", "3", "--smax", "1", "--bound", "3",
+               "--dims", "2"],
+    "cy-frobenius": ["cy", "frobenius", "--family", "simplicial", "--dim", "2",
+                     "--degree", "2", "--prime", "5", "--steps", "1"],
+    "cy-mirror": ["cy", "mirror", "--family", "simplicial", "--dim", "2", "--degree", "2"],
+    "cy-instanton": ["cy", "instanton", "--family", "quintic", "--degree", "2"],
+    "gamma-ratio": ["gamma-p", "--prime", "5", "--precision", "1", "--ratio-check", "1"],
+    "gamma-p": ["gamma-p", "--x", "1", "--prime", "5", "--precision", "1"],
+}
+
+
+def _integer_slots(argv):
+    """Indices of the values of argv's integer options."""
+    return [i for i in range(1, len(argv)) if argv[i - 1].startswith("--") and argv[i].isdigit()]
+
+
+def _integer_option_sweep():
+    """(id, argv): one integer option of a SWEEP_BASES argv, or the global
+    --seed, at 0 and at -1, the others left at their valid values."""
+    for name, base in SWEEP_BASES.items():
+        for v in ("0", "-1"):
+            yield f"{name}--seed={v}", ["--seed", v] + base
+            for i in _integer_slots(base):
+                yield f"{name}{base[i - 1]}={v}", base[:i] + [v] + base[i + 1:]
+
+
+class TestIntegerOptionSweep:
+    @pytest.mark.parametrize(
+        "argv", [argv for _, argv in _integer_option_sweep()],
+        ids=[name for name, _ in _integer_option_sweep()],
+    )
+    def test_exit_code_without_traceback(self, capsys, monkeypatch, tmp_path,
+                                         triangle_file, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    def test_sweep_covers_every_integer_option(self):
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        for command, parser in commands.choices.items():
+            swept = {base[i - 1] for base in SWEEP_BASES.values() if base[0] == command
+                     for i in _integer_slots(base)}
+            for action in parser._actions:
+                if action.type in (int, _odd_prime):
+                    assert action.option_strings[0] in swept, (command, action.option_strings)
 
 
 class TestCommands:

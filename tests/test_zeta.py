@@ -250,7 +250,7 @@ class TestTeichmullerSpecialize:
         P = newton_polytope(SIMPLICIAL2.support())
         mu = interior(P)
         spec = lambda_at_teichmuller(ft, mu, a, p, s)
-        tau = teichmuller(a, p, s).value
+        tau = teichmuller(a, p, s)
         fi = LaurentPoly(
             2, {(0, 0): 1, (1, 0): -tau, (0, 1): -tau, (-1, -1): -tau}
         )
