@@ -33,6 +33,7 @@ from .laurent import (
     cartier_poly,
     frobenius_discrepancy,
     frobenius_twist,
+    has_tpoly,
     power_mod,
 )
 from .linalg import RankDeficiencyError, solve_mod, solve_mod_multi
@@ -61,9 +62,9 @@ def _dot(a, v):
 class FormalExpansion:
     """Truncated Laurent-series expansion of h / f^m with completeness data.
 
-    Vertex mode fields: base vertex, psi (a linear functional that is >= delta
-    on every monomial of the series generator ell), budget S, and the exponent
-    shifts coming from the numerator.  The expansion holds the exact
+    Vertex mode fields: psi (a linear functional that is >= delta on every
+    monomial of the series generator ell), budget S, and the exponent shifts
+    coming from the numerator.  The expansion holds the exact
     coefficients of (1 + ell)^(-m) at every w with psi(w) <= S * delta, each
     times the numerator.  So a coefficient at v is certain iff
     psi(v - w) <= S * delta for every numerator shift w with v - w in the cone.
@@ -73,15 +74,12 @@ class FormalExpansion:
     n: int
     coeffs: dict
     modulus: int | None = None
-    base: tuple | None = None
     budget: int | None = None
     psi: tuple | None = None
     delta: int | None = None
     shifts: tuple = ()
     cone_normals: tuple = ()
-    t_trunc: int | None = None
     decimation: int = 1
-    provenance: tuple = ()
 
     def coefficient(self, v):
         return self.coeffs.get(tuple(v), TPoly() if self.mode == "origin" else 0)
@@ -110,7 +108,7 @@ class FormalExpansion:
         return replace(self, coeffs=new)
 
     def scaled(self, c) -> "FormalExpansion":
-        add_into = Ring(self.modulus, self.t_trunc).add_into
+        add_into = Ring(self.modulus).add_into
         new = {}
         for v, co in self.coeffs.items():
             add_into(new, v, co * c)
@@ -119,7 +117,7 @@ class FormalExpansion:
     def __add__(self, other: "FormalExpansion") -> "FormalExpansion":
         if self.mode != other.mode:
             raise ValueError("cannot add expansions of different modes")
-        add_into = Ring(self.modulus, self.t_trunc).add_into
+        add_into = Ring(self.modulus).add_into
         new = dict(self.coeffs)
         for v, c in other.coeffs.items():
             add_into(new, v, c)
@@ -160,7 +158,11 @@ def unit_vertex(f: LaurentPoly, p: int):
     raise ValueError("no vertex with p-unit coefficient")
 
 
-def vertex_budget(f: LaurentPoly, b, m: int, h: LaurentPoly, targets, slack: int = 2) -> int:
+# Levels of psi added to the least budget that certifies the targets.
+BUDGET_SLACK = 2
+
+
+def vertex_budget(f: LaurentPoly, b, m: int, h: LaurentPoly, targets) -> int:
     """Budget S large enough that every target index is certified complete."""
     normals, psi, delta = vertex_frame(f, b)
     b = tuple(b)
@@ -171,7 +173,7 @@ def vertex_budget(f: LaurentPoly, b, m: int, h: LaurentPoly, targets, slack: int
             d = tuple(x - y for x, y in zip(v, w))
             if all(_dot(a, d) >= 0 for a in normals):
                 need = max(need, -(-_dot(psi, d) // delta))
-    return need + slack
+    return need + BUDGET_SLACK
 
 
 def expand_vertex(
@@ -181,7 +183,6 @@ def expand_vertex(
     b,
     budget: int,
     modulus: int | None = None,
-    t_trunc: int | None = None,
     targets=None,
 ) -> FormalExpansion:
     """Expansion of h/f^m at the vertex b of the Newton polytope of f.
@@ -193,7 +194,8 @@ def expand_vertex(
     G[w] = F[w] - sum_e ell_e G[w - e], visiting R in increasing psi.  This
     is the exact series on R: a monomial of ell^s has psi >= s * delta, so
     only powers s <= budget reach R.  The vertex coefficient must be +-1 for
-    exact arithmetic, or any p-unit when a modulus is supplied.
+    exact arithmetic, or any p-unit when a modulus is supplied.  When f or h
+    has a TPoly coefficient, every stored coefficient is a TPoly.
 
     With `targets` given, intermediate monomials that can no longer reach any
     target index (the remaining gap is outside the cone) are pruned and only
@@ -203,10 +205,9 @@ def expand_vertex(
     if m < 1:
         raise ValueError(f"pole order m must be >= 1, not {m}")
     if h.is_zero():
-        return FormalExpansion("vertex", f.n, {}, modulus, tuple(b), budget,
-                               (0,) * f.n, 1, (), (), t_trunc)
+        return FormalExpansion("vertex", f.n, {}, modulus, budget, (0,) * f.n, 1)
     b = tuple(b)
-    ring = Ring(modulus, t_trunc)
+    ring = Ring(modulus)
     add_into = ring.add_into
     fb = f.coefficient_at(b)
     if isinstance(fb, TPoly):
@@ -264,8 +265,10 @@ def expand_vertex(
                 into.append((w1, c))
 
     # acc = (1 + ell)^(-m) on the region, by m divisions by 1 + ell; a
-    # missing key is a zero coefficient
-    acc = {zero: 1}
+    # missing key is a zero coefficient.  Every other stored value is a sum
+    # of products with stored values, so a TPoly at the origin makes them all
+    # TPolys, whichever coefficients of f are ints.
+    acc = {zero: TPoly([1]) if has_tpoly(f) or has_tpoly(h) else 1}
     for _ in range(m):
         for w in order:
             c = acc.get(w, 0)
@@ -292,9 +295,7 @@ def expand_vertex(
                 continue
             add_into(out, v, cc * scale)
     return FormalExpansion(
-        "vertex", f.n, out, modulus, b, budget, psi, delta,
-        tuple(sorted(set(shifts))), normals, t_trunc,
-        provenance=(repr(h), repr(f), m),
+        "vertex", f.n, out, modulus, budget, psi, delta, tuple(sorted(set(shifts))), normals
     )
 
 
@@ -471,8 +472,7 @@ class _PowerTable:
             c = ring.reduce(TPoly(acc))
             if c:
                 coeffs[v] = c
-        return FormalExpansion("origin", self.g.n, coeffs, self.modulus, t_trunc=T,
-                               provenance=(repr(h), f"1-t*{self.g!r}", m))
+        return FormalExpansion("origin", self.g.n, coeffs, self.modulus)
 
 
 def expand_origin(
@@ -646,10 +646,6 @@ def derivative_order_failures(E, k, p, N, extra=0):
 @dataclass
 class CartierInterpolation:
     matrix: list  # rows over Z/p^{sk} or TPoly rows
-    basis_size: int
-    modulus: int
-    p: int
-    precision: int  # sk
     t_trunc: int | None  # truncation of the solved entries
     probes: list
     holdout: list
@@ -677,6 +673,16 @@ def _seeded_probe_stream(n: int, seed: int, generators=None):
             v = tuple(rng.randint(-3, 3) for _ in range(n))
         if any(v):
             yield v
+
+
+def _fresh_probe(stream, taken):
+    """The next probe of `stream` not in `taken`, or None when 64 draws give
+    none: the one draw of held-out and extra probes."""
+    for _ in range(64):
+        w = next(stream)
+        if w not in taken:
+            return w
+    return None
 
 
 def default_probes(mu: OpenSubset, k: int, base=None):
@@ -716,9 +722,11 @@ def interpolate_cartier(
     monomial basis of the level-k module on (k*mu).  For families (g given)
     expansions are taken at the origin with exact t-coefficients mod
     t^t_trunc (so t_trunc >= 1 is required) and each t-power contributes one
-    equation row; otherwise vertex expansions are used.  A rank-deficient
-    system gets extra probes (`_solve_with_extra_probes`).  Held-out probes
-    must reproduce the congruence exactly, else ResidualError.
+    equation row; otherwise vertex expansions are used.  Both solve one
+    t-series system: without t_trunc it runs at t-precision 1, and the
+    matrix holds the ints its entries reduce to.  A rank-deficient system
+    gets extra probes (`_solve_with_extra_probes`).  Held-out probes must
+    reproduce the congruence exactly, else ResidualError.
     """
     odd_prime(p)
     if not 1 <= k < p:
@@ -727,12 +735,11 @@ def interpolate_cartier(
         raise ValueError(f"need s >= 1, not s = {s!r}")
     if g is not None and (t_trunc is None or t_trunc < 1):
         raise ValueError(f"a family (g given) needs t_trunc >= 1, not {t_trunc!r}")
-    precision = s * k
-    modulus = p**precision
+    T = t_trunc or 1
+    modulus = p ** (s * k)
     points = lattice_points_in_dilate(mu, k)
     if basis is None:
         basis = [(LaurentPoly.monomial(f.n, u), k) for u in points]
-    nb = len(basis)
     generators = None
     if g is None:
         base = unit_vertex(f, p)
@@ -744,32 +751,29 @@ def interpolate_cartier(
     probes = [tuple(w) for w in probes]
     stream = _seeded_probe_stream(f.n, seed, generators)
     holdout = []
-    for _ in range(64):
-        if len(holdout) >= N_HOLDOUT:
+    while len(holdout) < N_HOLDOUT:
+        w = _fresh_probe(stream, probes + holdout)
+        if w is None:
             break
-        w = next(stream)
-        if w not in probes and w not in holdout:
-            holdout.append(w)
+        holdout.append(w)
 
     # one table of [x^w] g^i serves every basis element, retry and the
     # held-out check
-    table = None if g is None else _PowerTable(g, t_trunc, modulus)
+    table = None if g is None else _PowerTable(g, T, modulus)
     (matrix, T_lambda), probes = _solve_with_extra_probes(
-        lambda use: _solve_interpolation(f, table, basis, use, p, sigma, s, modulus, t_trunc),
+        lambda use: _solve_interpolation(f, table, basis, use, p, sigma, s, modulus, T),
         probes, stream, holdout,
     )
-
-    # held-out residual check
     witnesses = _holdout_residuals(
-        f, table, basis, matrix, holdout, p, sigma, s, modulus, t_trunc, T_lambda
+        f, table, basis, matrix, holdout, p, sigma, s, modulus, T, T_lambda
     )
     if witnesses:
         raise ResidualError(
-            f"held-out congruence failed mod {p}^{precision}", witnesses
+            f"held-out congruence failed mod {p}^{s * k}", witnesses
         )
-    return CartierInterpolation(
-        matrix, nb, modulus, p, precision, T_lambda, probes, holdout
-    )
+    if t_trunc is None:
+        matrix, T_lambda = [[e[0] for e in row] for row in matrix], None
+    return CartierInterpolation(matrix, T_lambda, probes, holdout)
 
 
 def _solve_with_extra_probes(solve, probes, stream, holdout=()):
@@ -784,11 +788,8 @@ def _solve_with_extra_probes(solve, probes, stream, holdout=()):
         except RankDeficiencyError:
             if len(use) - len(probes) >= MAX_EXTRA_PROBES:
                 raise
-            for _ in range(64):
-                w = next(stream)
-                if w not in use and w not in holdout:
-                    break
-            else:
+            w = _fresh_probe(stream, use + list(holdout))
+            if w is None:
                 raise
             use = use + [w]
 
@@ -809,8 +810,8 @@ def _basis_expansions(f, table, basis, needed, p, modulus):
 
 
 def _probe_data(f, table, basis, probes, p, s, sigma, modulus):
-    """(lhs_i, rhs_j) coefficient data per probe w: each basis element's
-    expansion at p^s w, and sigma-twisted at p^(s-1) w."""
+    """(lhs_i, rhs_j) coefficient data per probe w, as TPolys: each basis
+    element's expansion at p^s w, and sigma-twisted at p^(s-1) w."""
     lhs_idx = [tuple(p**s * x for x in w) for w in probes]
     rhs_idx = [tuple(p ** (s - 1) * x for x in w) for w in probes]
     exps = _basis_expansions(f, table, basis, lhs_idx + rhs_idx, p, modulus)
@@ -821,8 +822,8 @@ def _probe_data(f, table, basis, probes, p, s, sigma, modulus):
         for E in exps:
             if not (E.is_complete(u) and E.is_complete(v)):
                 raise ValueError("expansion budget does not cover a probe index")
-            lhs.append(E.coefficient(u))
-            rhs.append(sigma.apply_scalar(E.coefficient(v), modulus))
+            lhs.append(TPoly.coerce(E.coefficient(u)))
+            rhs.append(TPoly.coerce(sigma.apply_scalar(E.coefficient(v), modulus)))
         data.append((lhs, rhs))
     return data
 
@@ -834,82 +835,56 @@ def _tval_nonzero(tp: TPoly, modulus: int, default: int) -> int:
     return default
 
 
-def _row_window(rhs_t, modulus: int, t_trunc: int, T_lambda: int) -> int:
+def _row_window(rhs, modulus: int, T: int, T_lambda: int) -> int:
     """The t-degrees below which one probe's congruence rows hold for
     entries cut at t^T_lambda, for the solve and the held-out check alike.
 
     A correct Lambda cut at T_lambda leaves the residual sum_j Lambda^tail_ij
     rhs_j, whose t-valuation mod p^N is at least T_lambda plus the least
     t-valuation mod p^N of the rhs_j: the rows below that degree, and below
-    t_trunc, carry no tail."""
-    return min(t_trunc, T_lambda + min(_tval_nonzero(c, modulus, t_trunc) for c in rhs_t))
+    T, carry no tail."""
+    return min(T, T_lambda + min((_tval_nonzero(c, modulus, T) for c in rhs), default=T))
 
 
-def _solve_interpolation(f, table, basis, probes, p, sigma, s, modulus, t_trunc):
-    """Build and solve the stacked congruence system.
+def _solve_interpolation(f, table, basis, probes, p, sigma, s, modulus, T):
+    """Build and solve the stacked congruence system over (Z/modulus)[t]/t^T.
 
-    For t-families the unknown entries are series; information about basis
-    column j only enters equations from t-degree delay_j onward (the lowest
-    t-valuation of the sigma-twisted coefficient data), so the unknowns are
-    truncated at T_lambda = t_trunc - max_j delay_j and each probe only
-    contributes equation rows whose degree stays below the point where the
-    discarded tail of the unknowns could matter.
+    Information about basis column j only enters equations from t-degree
+    delay_j onward (the lowest t-valuation mod p of the sigma-twisted
+    coefficient data), so the unknown entries are truncated at T_lambda = T -
+    max_j delay_j and each probe only contributes equation rows whose degree
+    stays below the point where the discarded tail of the unknowns could
+    matter.  At T = 1 a column with no p-unit datum leaves T_lambda = 0, and
+    the system is the integer one: one row per probe, in the constant terms.
     """
     nb = len(basis)
     data = _probe_data(f, table, basis, probes, p, s, sigma, modulus)
-
-    # the elimination reduces its input and its solutions mod `modulus`
-    if t_trunc is None:
-        A_all = [rhs for (_, rhs) in data]
-        b_all = [[lhs[i] for (lhs, _) in data] for i in range(nb)]
-        return solve_mod_multi(A_all, b_all, modulus), None
-
-    rhs_t = [[TPoly.coerce(c) for c in rhs] for (_, rhs) in data]
-    lhs_t = [[TPoly.coerce(c) for c in lhs] for (lhs, _) in data]
-    delays = []
-    for j in range(nb):
-        delays.append(
-            min(_tval_nonzero(rhs_t[wi][j], p, t_trunc) for wi in range(len(probes)))
-        )
-    T_lambda = t_trunc - max(delays)
+    delays = [min((_tval_nonzero(rhs[j], p, T) for _, rhs in data), default=T)
+              for j in range(nb)]
+    T_lambda = T - max(delays, default=0)
     if T_lambda < 1:
         raise RankDeficiencyError("truncation too small for the data valuations")
+    # the elimination reduces its input and its solutions mod `modulus`
     A_all = []
     b_all = [[] for _ in range(nb)]
-    for wi in range(len(probes)):
-        for d in range(_row_window(rhs_t[wi], modulus, t_trunc, T_lambda)):
-            row = []
-            for j in range(nb):
-                for dd in range(T_lambda):
-                    row.append(rhs_t[wi][j][d - dd])  # 0 below degree 0
-            A_all.append(row)
+    for lhs, rhs in data:
+        for d in range(_row_window(rhs, modulus, T, T_lambda)):
+            A_all.append([c[d - dd] for c in rhs for dd in range(T_lambda)])  # 0 below degree 0
             for i in range(nb):
-                b_all[i].append(lhs_t[wi][i][d])
+                b_all[i].append(lhs[i][d])
     solutions = solve_mod_multi(A_all, b_all, modulus)
-    rows = []
-    for x in solutions:
-        row = []
-        for j in range(nb):
-            row.append(TPoly([x[j * T_lambda + d] for d in range(T_lambda)]))
-        rows.append(row)
-    return rows, T_lambda
+    return [[TPoly(x[j * T_lambda:(j + 1) * T_lambda]) for j in range(nb)]
+            for x in solutions], T_lambda
 
 
-def _holdout_residuals(f, table, basis, matrix, holdout, p, sigma, s, modulus, t_trunc, T_lambda):
+def _holdout_residuals(f, table, basis, matrix, holdout, p, sigma, s, modulus, T, T_lambda):
     witnesses = []
     if not holdout:
         return witnesses
-    nb = len(basis)
     for w, (lhs, rhs) in zip(holdout, _probe_data(f, table, basis, holdout, p, s, sigma, modulus)):
-        check = Ring(modulus)
-        if T_lambda is not None:
-            rhs_t = [TPoly.coerce(c) for c in rhs]
-            check = Ring(modulus, _row_window(rhs_t, modulus, t_trunc, T_lambda))
-        for i in range(nb):
-            acc = 0
-            for j in range(nb):
-                acc = acc + matrix[i][j] * rhs[j]
-            diff = check.reduce(lhs[i] - acc)
+        check = Ring(modulus, _row_window(rhs, modulus, T, T_lambda))
+        for i, row in enumerate(matrix):
+            diff = check.reduce(lhs[i] - sum((e * c for e, c in zip(row, rhs)), TPoly()))
             if diff:
                 witnesses.append({"probe": w, "row": i, "residual": repr(diff)})
     return witnesses

@@ -162,6 +162,8 @@ def cmd_cartier(args, fmt):
     if g is not None:
         raise ValueError("the cartier oracle works on integer polynomials")
     p, N, m = args.prime, args.precision, args.pole
+    if args.bound < 0:
+        raise ValueError(f"--bound must be >= 0, not {args.bound}")
     one = LaurentPoly.constant(f.n, 1)
     image = cartier_via_formula(one, f, m, p, FrobeniusLift.identity(), N)
     base = unit_vertex(f, p)

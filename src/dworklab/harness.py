@@ -50,6 +50,8 @@ class JobSpec:
         for name in ("s_max", "bound"):
             if getattr(self, name) < 1:
                 raise ValueError(f'"{name}" must be >= 1, not {getattr(self, name)!r}')
+        if min(self.dimensions) < 1:
+            raise ValueError(f'"dimensions" must be >= 1, not {min(self.dimensions)!r}')
 
     @staticmethod
     def from_json(obj) -> "JobSpec":
@@ -449,12 +451,12 @@ def supercongruence_family() -> LaurentPoly:
     )
 
 
-def expansion_coefficient_super(u, T: int | None = None, modulus: int | None = None):
+def expansion_coefficient_super(u, modulus: int | None = None):
     """c_u(t) for the supercongruence family via the generic vertex expansion."""
     f = supercongruence_family()
     one = LaurentPoly.constant(2, 1)
     S = vertex_budget(f, (0, 0), 1, one, [u])
-    E = expand_vertex(one, f, 1, (0, 0), S, modulus, t_trunc=T, targets=[u])
+    E = expand_vertex(one, f, 1, (0, 0), S, modulus, targets=[u])
     c = E.coefficient(u)
     return TPoly.coerce(c)
 

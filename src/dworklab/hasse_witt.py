@@ -44,12 +44,12 @@ class HWConditionError(ArithmeticError):
 
 @dataclass
 class BetaMatrix:
+    """A matrix indexed by lattice points: beta_m, Lambda or HW^(k)."""
+
     index: tuple  # exponent vectors, lexicographically sorted
     entries: list  # square, ints mod p^N or TPoly over Z/p^N
-    m: int
     p: int
-    N: int
-    mu: str = ""
+    N: int | None  # None means exact integers / exact TPoly
 
     def size(self) -> int:
         return len(self.index)
@@ -83,7 +83,7 @@ def beta_matrix(
     modulus = p**N
     if m == 1:
         ent = [[1 if i == j else 0 for j in range(len(points))] for i in range(len(points))]
-        return BetaMatrix(tuple(points), ent, 1, p, N, mu.describe())
+        return BetaMatrix(tuple(points), ent, p, N)
     entries = []
     for u in points:
         row = []
@@ -91,7 +91,7 @@ def beta_matrix(
             w = tuple(m * vv - uu for vv, uu in zip(v, u))
             row.append(coefficient_of_power(f, m - 1, w, modulus))
         entries.append(row)
-    return BetaMatrix(tuple(points), entries, m, p, N, mu.describe())
+    return BetaMatrix(tuple(points), entries, p, N)
 
 
 def hw_matrix(f: LaurentPoly, mu: OpenSubset, p: int, N: int) -> BetaMatrix:
@@ -156,22 +156,10 @@ def lambda_unit_root(
     twisted = sigma_matrix(den.entries, sigma, ring.modulus, ring.T)
     inv = tmat_inv_series(twisted, ring.modulus, ring.T)
     lam = [[ring.reduce(e) for e in row] for row in mat_mul(num.entries, inv)]
-    return BetaMatrix(num.index, lam, 0, p, s, mu.describe())
+    return BetaMatrix(num.index, lam, p, s)
 
 
 # -- higher levels ----------------------------------------------------
-
-
-@dataclass
-class HigherHW:
-    k: int
-    index: tuple
-    entries: list
-    p: int
-    N: int | None  # None means exact integers / exact TPoly
-
-    def size(self) -> int:
-        return len(self.index)
 
 
 def higher_F_polynomial(
@@ -214,7 +202,7 @@ def higher_hw_matrix(
     p: int,
     sigma: FrobeniusLift,
     N: int | None,
-) -> HigherHW:
+) -> BetaMatrix:
     """Level-k Hasse-Witt matrix indexed by the lattice points of k*mu.
 
     With N = None the entries are exact (needed for determinant valuations);
@@ -233,7 +221,7 @@ def higher_hw_matrix(
             w = tuple(p * vv - uu for vv, uu in zip(v, u))
             row.append(F.coefficient_at(w))
         entries.append(row)
-    return HigherHW(k, tuple(points), entries, p, N)
+    return BetaMatrix(tuple(points), entries, p, N)
 
 
 def level_valuation_target(mu: OpenSubset, k: int) -> int:
@@ -331,7 +319,7 @@ def higher_hw_condition(
     ok = True
     for level in range(1, k + 1):
         M = higher_hw_matrix(f, mu, level, p, sigma, None)
-        if any(isinstance(e, TPoly) for row in M.entries for e in row):
+        if M.is_tpoly():
             det = tpoly_det([[TPoly.coerce(e) for e in row] for row in M.entries])
         else:
             det = int_det(M.entries)

@@ -226,15 +226,6 @@ class OpenSubset:
     def lattice_points(self, k: int = 1):
         return [u for u in self.polytope.lattice_points(k) if self.contains(u, k)]
 
-    def describe(self) -> str:
-        if not self.removed:
-            return "full"
-        if len(self.removed) == len(self.polytope.facet_faces()):
-            all_facets = {f.active for f in self.polytope.facet_faces()}
-            if {f.active for f in self.removed} == all_facets:
-                return "interior"
-        return f"minus {len(self.removed)} faces"
-
 
 def whole_polytope(P: LatticePolytope) -> OpenSubset:
     return OpenSubset(P, ())

@@ -238,7 +238,7 @@ def unit_root_elliptic(A: int, B: int, p: int, s: int) -> int:
     return x % p**s
 
 
-def eigenvalue_crosscheck(f: LaurentPoly, p: int, s_max: int, N: int | None = None):
+def eigenvalue_crosscheck(f: LaurentPoly, p: int, s_max: int):
     """Compare Trace(Lambda(Delta)^s) with 1 + (-1)^(n+1) #X_f(F_{p^s}) mod p^s.
 
     Lambda is the unit-root matrix on the full Newton polytope; the count is

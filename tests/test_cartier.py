@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dworklab.arith import Ring, TPoly
@@ -11,7 +11,7 @@ from dworklab.cy import cyclic_basis, preset_family
 from dworklab.laurent import FrobeniusLift, LaurentPoly, coefficient_of_power, family_poly
 from dworklab.linalg import RankDeficiencyError
 from dworklab.polytope import interior, newton_polytope, vertex_star, whole_polytope
-from dworklab.hasse_witt import hw_matrix, lambda_unit_root
+from dworklab.hasse_witt import hw_condition, hw_matrix, lambda_unit_root
 from dworklab import cartier
 from dworklab.cartier import (
     CartierInterpolation,
@@ -94,6 +94,18 @@ class TestExpandVertex:
             got = got if isinstance(got, TPoly) else TPoly([got])
             assert got == expect
 
+    @pytest.mark.parametrize("modulus", [None, 25])
+    def test_mixed_coefficients_give_tpolys(self, modulus):
+        # f mixes int and TPoly coefficients: every stored coefficient is a
+        # TPoly, with the values of the all-TPoly f
+        f = LaurentPoly(2, {(0, 0): 1, (1, 0): -1, (0, 1): TPoly([-1]), (1, 1): TPoly([1, -1])})
+        all_tpoly = LaurentPoly(2, {e: TPoly.coerce(c) for e, c in f.terms.items()})
+        for h in (ONE2, LaurentPoly(2, {(0, 0): 1, (1, 0): TPoly([0, 2])})):
+            for m in (1, 2):
+                E = expand_vertex(h, f, m, (0, 0), 8, modulus)
+                assert E.coeffs and all(isinstance(c, TPoly) for c in E.coeffs.values())
+                assert E.coeffs == expand_vertex(h, all_tpoly, m, (0, 0), 8, modulus).coeffs
+
     def test_budget_helper_certifies(self):
         targets = [(6, 2), (0, 7)]
         S = vertex_budget(TRIANGLE, (0, 0), 1, ONE2, targets)
@@ -103,14 +115,13 @@ class TestExpandVertex:
 
 @st.composite
 def vertex_cases(draw):
-    """(h, f, m, b, budget, modulus, t_trunc): random supports with n <= 3
-    and m <= 3 over Z, Z/p^N, or (Z/p^N)[t]/t^T with TPoly coefficients.
+    """(h, f, m, b, budget, modulus): random supports with n <= 3 and m <= 3
+    over Z, Z/p^N, or (Z/p^N)[t] with TPoly coefficients.
     The support contains the simplex {0, e_1, ..., e_n}, so its hull is full
     dimensional; the chosen vertex gets the unit coefficient +-1."""
     n = draw(st.integers(1, 3))
     ring = draw(st.sampled_from(["exact", "mod", "tpoly"]))
     modulus = None if ring == "exact" else draw(st.sampled_from([3, 5, 9, 25]))
-    t_trunc = draw(st.integers(1, 4)) if ring == "tpoly" else None
     span = 1 if n == 3 else 2
     point = st.tuples(*[st.integers(-span, span)] * n)
 
@@ -129,7 +140,7 @@ def vertex_cases(draw):
     h_terms = draw(st.dictionaries(point, coefficient(), min_size=1, max_size=2))
     m = draw(st.integers(1, 3))
     budget = draw(st.integers(0, 3 if n == 3 else 6))
-    return LaurentPoly(n, h_terms), LaurentPoly(n, terms), m, b, budget, modulus, t_trunc
+    return LaurentPoly(n, h_terms), LaurentPoly(n, terms), m, b, budget, modulus
 
 
 def _near_numerator(h):
@@ -144,9 +155,9 @@ class TestExpandVertexProperties:
     @given(vertex_cases())
     def test_times_f_power_gives_numerator(self, case):
         # (f^m E)_v = h_v wherever the whole stencil v - supp(f^m) is certified
-        h, f, m, b, budget, modulus, t_trunc = case
-        ring = Ring(modulus, t_trunc)
-        E = expand_vertex(h, f, m, b, budget, modulus, t_trunc)
+        h, f, m, b, budget, modulus = case
+        ring = Ring(modulus)
+        E = expand_vertex(h, f, m, b, budget, modulus)
         fm = LaurentPoly.constant(f.n, 1)
         for _ in range(m):
             fm = fm * f
@@ -160,11 +171,11 @@ class TestExpandVertexProperties:
     @settings(max_examples=60, deadline=None)
     @given(vertex_cases(), st.data())
     def test_targets_match_unpruned(self, case, data):
-        h, f, m, b, budget, modulus, t_trunc = case
+        h, f, m, b, budget, modulus = case
         box = _near_numerator(h)
         targets = data.draw(st.lists(st.sampled_from(box), min_size=1, max_size=4))
-        full = expand_vertex(h, f, m, b, budget, modulus, t_trunc)
-        pruned = expand_vertex(h, f, m, b, budget, modulus, t_trunc, targets=targets)
+        full = expand_vertex(h, f, m, b, budget, modulus)
+        pruned = expand_vertex(h, f, m, b, budget, modulus, targets=targets)
         assert set(pruned.coeffs) <= set(targets)
         for v in targets:
             assert pruned.coefficient(v) == full.coefficient(v)
@@ -292,7 +303,7 @@ class TestCartierShift:
     def test_index_decimation(self):
         E = FormalExpansion(
             "vertex", 2, {(0, 0): 1, (3, 0): 5, (1, 0): 2},
-            base=(0, 0), budget=10, psi=(1, 1), delta=1,
+            budget=10, psi=(1, 1), delta=1,
             shifts=((0, 0),), cone_normals=((1, 0), (0, 1)),
         )
         out = cartier_shift(E, 3)
@@ -451,7 +462,7 @@ class TestDerivativeOrder:
             FormalExpansion(
                 "vertex", 2,
                 {v: c for v, c in E.coeffs.items() if v[1] == 0},
-                modulus=None, base=(0, 0), budget=E.budget, psi=E.psi,
+                modulus=None, budget=E.budget, psi=E.psi,
                 delta=E.delta, shifts=E.shifts, cone_normals=E.cone_normals,
             ),
             1, 3, 2,
@@ -464,7 +475,7 @@ class TestDerivativeOrder:
         assert any(v == (3, 0) for v, _, _ in bad)
 
     def test_zero_expansion_passes(self):
-        E = FormalExpansion("vertex", 2, {}, base=(0, 0), budget=5,
+        E = FormalExpansion("vertex", 2, {}, budget=5,
                             psi=(1, 1), delta=1, shifts=(), cone_normals=())
         for k in (1, 2, 3):
             assert formal_derivative_order(E, k, 5, 3)
@@ -500,6 +511,40 @@ class TestInterpolation:
         lam = lambda_unit_root(f, whole_polytope(P), 5, ID, 2)
         interp = interpolate_cartier(f, whole_polytope(P), 1, 5, ID, 2)
         assert [[x % 25 for x in row] for row in interp.matrix] == lam.entries
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                        st.integers(-4, 4).filter(bool), min_size=3, max_size=4),
+        st.sampled_from([3, 5]), st.integers(1, 2), st.sampled_from([whole_polytope, interior]),
+    )
+    def test_random_ordinary_matches_beta_route(self, terms, p, s, subset):
+        # two routes to Lambda mod p^s: the vertex-expansion congruences and
+        # beta_{p^s} sigma(beta_{p^(s-1)})^(-1), on random ordinary inputs
+        f = LaurentPoly(2, terms)
+        try:
+            P = newton_polytope(f.support())
+            unit_vertex(f, p)
+        except ValueError:
+            assume(False)
+        mu = subset(P)
+        assume(mu.lattice_points(1) and hw_condition(f, mu, p))
+        interp = interpolate_cartier(f, mu, 1, p, ID, s)
+        lam = lambda_unit_root(f, mu, p, ID, s)
+        assert [[x % p**s for x in row] for row in interp.matrix] == lam.entries
+
+    def test_empty_basis_on_both_routes(self):
+        P = newton_polytope(TRIANGLE.support())
+        assert interior(P).lattice_points(1) == []
+        for basis in (None, []):
+            interp = interpolate_cartier(TRIANGLE, interior(P), 1, 5, ID, 2, basis=basis)
+            assert interp.matrix == [] and interp.t_trunc is None
+        ft = family_poly(SIMPLICIAL2)
+        interp = interpolate_cartier(
+            ft, interior(newton_polytope(SIMPLICIAL2.support())), 1, 5,
+            FrobeniusLift.t_power(5), 1, basis=[], t_trunc=10, g=SIMPLICIAL2,
+        )
+        assert interp.matrix == [] and interp.t_trunc == 10
 
     @pytest.mark.parametrize("t_trunc", [None, 0])
     def test_family_needs_t_trunc(self, t_trunc):

@@ -184,10 +184,15 @@ class TestExitCodes:
             (["gamma-p", "--prime", "5", "--ratio-check", "0", "--precision", "3"], "s = 0"),
             (["gamma-p", "--prime", "5", "--ratio-check", "-1", "--precision", "3"], "s = -1"),
             (["gamma-p", "--prime", "5", "--precision", "-1"], "N must be >= 1, not -1"),
+            (["cartier", "--poly", "triangle.json", "--prime", "3", "--bound", "-1"],
+             "--bound must be >= 0, not -1"),
+            (["verify", "gauss", "--primes", "3", "--dims", "0"], '"dimensions"'),
+            (["verify", "dwork", "--primes", "3", "--dims", "2,0"], '"dimensions"'),
         ],
         ids=["exponent-limit", "gauss-bound-0", "zeta-count-ext-0", "lambda-t-trunc-0",
              "asd-smax-0", "super-smax-0", "cy-frobenius-steps-0", "cy-frobenius-steps--1",
-             "gamma-ratio-s-0", "gamma-ratio-s--1", "gamma-p-precision--1"],
+             "gamma-ratio-s-0", "gamma-ratio-s--1", "gamma-p-precision--1",
+             "cartier-bound--1", "gauss-dims-0", "dwork-dims-0"],
     )
     def test_out_of_range_input_is_2(
         self, capsys, monkeypatch, tmp_path, triangle_file, family_file, argv, needle

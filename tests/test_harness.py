@@ -59,6 +59,14 @@ class TestJobSpec:
         assert spec.families[0][1] == LaurentPoly(1, {(1,): 1})
         assert spec.curves == ((-1, 0),)
 
+    @pytest.mark.parametrize("dims", [(0,), (2, 0), (3, -1)])
+    def test_rejects_dimension_below_one(self, dims):
+        # the one grid check covers every dimension, also in a --job file
+        for make in (lambda: JobSpec(dimensions=dims),
+                     lambda: JobSpec.from_json({"dimensions": list(dims)})):
+            with pytest.raises(ValueError, match='"dimensions" must be >= 1'):
+                make()
+
 
 class TestSuitePasses:
     def test_hhw_small(self):
@@ -266,8 +274,8 @@ class TestFailurePaths:
         import dworklab.harness as H
         from dworklab.harness import expansion_coefficient_super as real_super
 
-        def corrupted(u, T=None, modulus=None):
-            out = real_super(u, T, modulus)
+        def corrupted(u, modulus=None):
+            out = real_super(u, modulus)
             return out + TPoly([0, 3]) if u == (3, 3) else out
 
         monkeypatch.setattr(H, "expansion_coefficient_super", corrupted)
