@@ -107,7 +107,8 @@ def gamma_p(x, p: int, N: int) -> int:
 
     For an integer n >= 1, Gamma_p(n) = (-1)^n prod_{0<j<n, p | j absent} j.
     The function is continuous on Z_p, so a rational x with denominator prime
-    to p is evaluated at its integer representative mod p^N.  The direct
+    to p is evaluated at its integer representative mod p^N; a denominator
+    divisible by p raises ValueError.  The direct
     product loop is O(p^N), guarded by GAMMA_PRODUCT_BOUND.
     """
     odd_prime(p)
@@ -120,7 +121,7 @@ def gamma_p(x, p: int, N: int) -> int:
         )
     if isinstance(x, Fraction):
         if x.denominator % p == 0:
-            raise NonUnitError("gamma_p argument must be a p-adic integer")
+            raise ValueError("gamma_p argument must be a p-adic integer")
         rep = x.numerator * inv_mod(x.denominator, modulus) % modulus
     else:
         rep = x % modulus

@@ -13,19 +13,19 @@ The Cartier operation acts on either kind of expansion by index decimation
 c_v -> c_{p v}.  It is p-adically approximated by rational functions with
 powers of f^sigma in the denominator (cartier_via_formula); agreement of the
 two routes on certified-complete indices is one of the package's main
-oracles.
+oracles.  On a basis of rational functions, the Cartier matrix is
+interpolated from the expansion-coefficient congruences at lattice probes
+(interpolate_cartier) and checked on held-out probes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from math import gcd
 from operator import le, sub
 
-from .arith import NonUnitError, Ring, TPoly, odd_prime, val_p
+from .arith import NonUnitError, Ring, TPoly, odd_prime
 from .laurent import (
     CramerBlock,
     FrobeniusLift,
@@ -36,7 +36,7 @@ from .laurent import (
     has_tpoly,
     power_mod,
 )
-from .linalg import RankDeficiencyError, solve_mod, solve_mod_multi
+from .linalg import RankDeficiencyError, solve_mod_multi
 from .polytope import (
     OpenSubset,
     cone_facet_normals,
@@ -521,25 +521,14 @@ def cartier_shift(E: FormalExpansion, p: int) -> FormalExpansion:
     return replace(E, coeffs=new, decimation=E.decimation * p)
 
 
-def _theta_quotient(h: LaurentPoly, f: LaurentPoly, m: int, theta_term):
-    """theta(h/f^m) = (theta(h) f - m h theta(f)) / f^(m+1) as (numerator,
-    m+1), for a derivation theta acting on each term as
-    theta_term(exponent, coefficient)."""
+def theta_t_rational(h: LaurentPoly, f: LaurentPoly, m: int):
+    """t d/dt of h/f^m for a family f = 1 - t g: theta(h/f^m) =
+    (theta(h) f - m h theta(f)) / f^(m+1), returned as (numerator, m+1)."""
 
     def theta(q):
-        return LaurentPoly(q.n, {e: theta_term(e, c) for e, c in q.terms.items()})
+        return LaurentPoly(q.n, {e: TPoly.coerce(c).theta() for e, c in q.terms.items()})
 
     return theta(h) * f - h.scale(m) * theta(f), m + 1
-
-
-def theta_rational(h: LaurentPoly, f: LaurentPoly, m: int, i: int):
-    """x_i d/dx_i of h/f^m as a pair (numerator, pole order m+1)."""
-    return _theta_quotient(h, f, m, lambda e, c: c * e[i])
-
-
-def theta_t_rational(h: LaurentPoly, f: LaurentPoly, m: int):
-    """t d/dt of h/f^m for a family f = 1 - t g, as (numerator, m+1)."""
-    return _theta_quotient(h, f, m, lambda e, c: TPoly.coerce(c).theta())
 
 
 # -- explicit rational-function route ---------------------------------
@@ -602,42 +591,6 @@ def cartier_via_formula(
         if r < N:
             Gr = (Gr * G).reduce_mod(modulus)
     return CartierImage(terms, p, N, f_sigma)
-
-
-# -- derivative-order tests -------------------------------------------
-
-
-def _coeff_val_p(c, p: int, cap: int) -> int:
-    if isinstance(c, TPoly):
-        return c.min_val_p(p, cap)
-    return val_p(c, p, cap)
-
-
-def formal_derivative_order(
-    E: FormalExpansion, k: int, p: int, N: int, extra: int = 0
-) -> bool:
-    """Whether every certified coefficient a_v satisfies
-    ord_p(a_v) >= extra + k * ord_p(gcd(v)), capped at the precision N.
-
-    This is the p-part of the k-th formal-derivative criterion; over Z/p^N
-    only the p-part is decidable.
-    """
-    report = derivative_order_failures(E, k, p, N, extra)
-    return not report
-
-
-def derivative_order_failures(E, k, p, N, extra=0):
-    failures = []
-    for v, c in E.coeffs.items():
-        if not E.is_complete(v):
-            continue
-        g = 0
-        for x in v:
-            g = gcd(g, abs(x))
-        required = N if g == 0 else min(extra + k * val_p(g, p), N)
-        if _coeff_val_p(c, p, N) < required:
-            failures.append((v, c, required))
-    return failures
 
 
 # -- congruence interpolation -----------------------------------------
@@ -888,53 +841,3 @@ def _holdout_residuals(f, table, basis, matrix, holdout, p, sigma, s, modulus, T
             if diff:
                 witnesses.append({"probe": w, "row": i, "residual": repr(diff)})
     return witnesses
-
-
-def unit_root_projection_check(
-    f: LaurentPoly,
-    mu: OpenSubset,
-    p: int,
-    sigma: FrobeniusLift,
-    omega,
-    s: int,
-    probes: list | None = None,
-    seed: int = 0,
-) -> bool:
-    """Project omega onto the span of x^u/f (u in mu) modulo formal
-    derivatives, then certify the residual by the derivative-order test.
-
-    omega is a (numerator, pole order) pair.  The projection coefficients are
-    the unique solution mod p^s of the expansion-coefficient congruences at
-    indices p^s * probe; a rank-deficient system gets extra probes
-    (`_solve_with_extra_probes`).
-    """
-    odd_prime(p)
-    if sigma.kind != "identity":
-        raise NotImplementedError("projection check implemented for integer rings")
-    if s < 1:
-        raise ValueError(f"need s >= 1, not s = {s!r}")
-    h, m = omega
-    points = lattice_points_in_dilate(mu, 1)
-    modulus = p**s
-    b_vertex = unit_vertex(f, p)
-    basis = [(LaurentPoly.monomial(f.n, u), 1) for u in points]
-    if probes is None:
-        probes = default_probes(mu, 1, b_vertex)
-    stream = _seeded_probe_stream(f.n, seed, _cone_generators(f, b_vertex))
-
-    def solve(use):
-        needed = [tuple(p**s * x for x in w) for w in use]
-        *basis_exps, E_omega = _basis_expansions(f, None, basis + [omega], needed, p, modulus)
-        A = [[E.coefficient(idx) for E in basis_exps] for idx in needed]
-        return solve_mod(A, [E_omega.coefficient(idx) for idx in needed], modulus)
-
-    a, _ = _solve_with_extra_probes(solve, [tuple(w) for w in probes], stream)
-
-    # residual = omega - sum a_u x^u / f, expanded; must be a formal derivative
-    box = [v for v in itertools.product(range(-2 * p, 2 * p + 1), repeat=f.n)]
-    S = vertex_budget(f, b_vertex, m, h, box)
-    E = expand_vertex(h, f, m, b_vertex, S, modulus)
-    for (hu, _), coef in zip(basis, a):
-        Eu = expand_vertex(hu, f, 1, b_vertex, S, modulus).scaled(-coef)
-        E = E + Eu
-    return formal_derivative_order(E, 1, p, s)

@@ -81,19 +81,24 @@ def _emit(obj, fmt: str):
         print(canonical_json(obj))
 
 
-def _load_poly(args) -> tuple[LaurentPoly, object]:
-    """Returns (f, g_or_None); g is set for 1 - t*g families."""
+def _read_poly_file(path: str) -> tuple[LaurentPoly, LaurentPoly | None]:
+    """(f, g) from a polynomial or family JSON file; g is None unless the
+    file holds a family 1 - t*g."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if isinstance(obj, dict) and obj.get("form") == "1-t*g":
+        return family_from_json(obj)
+    return poly_from_json(obj), None
+
+
+def _load_poly(args) -> tuple[LaurentPoly, LaurentPoly | None]:
+    """(f, g) from --preset or --poly; g is set for 1 - t*g families."""
     if getattr(args, "preset", None):
         preset = preset_family(args.preset, args.dim)
         return family_poly(preset.g), preset.g
     if not getattr(args, "poly", None):
         raise ValueError("provide --poly FILE or --preset NAME --dim N")
-    with open(args.poly) as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict) and obj.get("form") == "1-t*g":
-        f, g = family_from_json(obj)
-        return f, g
-    return poly_from_json(obj), None
+    return _read_poly_file(args.poly)
 
 
 def _select_mu(P, f, name: str):
@@ -227,14 +232,9 @@ def cmd_verify(args, fmt):
             dimensions=tuple(args.dims),
         )
         if args.poly:
-            with open(args.poly) as fh:
-                obj = json.load(fh)
-            if isinstance(obj, dict) and obj.get("form") == "1-t*g":
-                _, g = family_from_json(obj)
-                job = JobSpec(**{**job.__dict__, "families": ((args.poly, g),)})
-            else:
-                f = poly_from_json(obj)
-                job = JobSpec(**{**job.__dict__, "polynomials": ((args.poly, f),)})
+            f, g = _read_poly_file(args.poly)
+            key, value = ("polynomials", f) if g is None else ("families", g)
+            job = JobSpec(**{**job.__dict__, key: ((args.poly, value),)})
     report = suite(job)
     _emit(report.to_json(include_timing=args.timing), fmt)
     return 0 if report.passed else 1
@@ -325,13 +325,12 @@ def cmd_gamma_p(args, fmt):
             fmt,
         )
         return 0 if ok else 1
-    num, _, den = args.x.partition("/")
-    x = Fraction(int(num), int(den)) if den else int(num)
+    text, x = args.x
     val = gamma_p(x, args.prime, args.precision)
     _emit(
         {
             "schema": 1,
-            "x": args.x,
+            "x": text,
             "p": args.prime,
             "N": args.precision,
             "value": val,
@@ -347,6 +346,18 @@ def _odd_prime(text: str) -> int:
         return odd_prime(int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text} is not an odd prime") from None
+
+
+def _rational(text: str) -> tuple[str, int | Fraction]:
+    """argparse type for gamma-p --x: (text, value) for an integer or a/b
+    with b != 0, else exit 2.  The text is echoed in the report."""
+    num, slash, den = text.partition("/")
+    try:
+        return text, Fraction(int(num), int(den)) if slash else int(num)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"{text} is not an integer or a fraction a/b with b != 0"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cy)
 
     p = sub.add_parser("gamma-p", help="Morita p-adic gamma values")
-    p.add_argument("--x", default="1")
+    p.add_argument("--x", type=_rational, default="1")
     p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--precision", type=int, default=2)
     p.add_argument("--ratio-check", type=int, default=None, dest="ratio_check")

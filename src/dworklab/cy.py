@@ -12,9 +12,10 @@ is upper-triangular Toeplitz with diagonal (1, p, ..., p^(n-1)) and its
 normalised corner entries are the zeta-value constants alpha_j.
 
 The Wronskian is factored once as U(t) = W(t) E(log t).  E(l) is the
-unipotent Toeplitz matrix with (j, k) entry l^(k-j)/(k-j)!, and W is log-free
-with W(0) = I: row 0 is (F_0, ..., F_(m-1)) and row i+1 is
-R_(i+1)[j] = theta R_i[j] + R_i[j-1].  All series work is done on W.
+unipotent Toeplitz matrix with (j, k) entry l^(k-j)/(k-j)!, and W
+(wronskian_matrix) is log-free with W(0) = I: row 0 is (F_0, ..., F_(m-1))
+and row i+1 is R_(i+1)[j] = theta R_i[j] + R_i[j-1].  All series work is done
+on W.
 """
 
 from __future__ import annotations
@@ -236,36 +237,6 @@ def standard_solutions(L: ThetaOperator, T: int):
     return [LogSeriesSolution(i, F[: i + 1]) for i in range(m)]
 
 
-def _theta_rows(F, rows: int):
-    """Rows R_0 .. R_(rows-1) of W: R_0 = F and
-    R_(i+1)[j] = theta R_i[j] + R_i[j-1].  For the standard solutions
-    y_j = sum_l F_l log(t)^(j-l)/(j-l)!, theta^i y_j is
-    sum_l R_i[l] log(t)^(j-l)/(j-l)!."""
-    R = [list(F)]
-    for _ in range(rows - 1):
-        prev = R[-1]
-        R.append([prev[0].theta()] + [x.theta() + y for x, y in zip(prev[1:], prev)])
-    return R
-
-
-def apply_operator_log(L: ThetaOperator, sol: LogSeriesSolution, T: int):
-    """Components of L(y) in the log grading; all should vanish mod t^(T-m).
-
-    The log(t)^k component is (R_m + sum_i a_i R_(m-i))[D-k] / k!, with R the
-    theta rows of the components of y = y_D."""
-    m = L.order
-    a = L.coefficient_series(T)
-    D = sol.index
-    R = _theta_rows(sol.components, m + 1)
-    out = []
-    for k in range(D + 1):
-        acc = R[m][D - k]
-        for i in range(1, m + 1):
-            acc = acc + a[i - 1].mul(R[m - i][D - k], T)
-        out.append(acc * Fraction(1, math.factorial(k)))
-    return out
-
-
 def canonical_coordinate(solutions, T: int):
     """q(t) = t exp(F_1/F_0) and its compositional inverse (the mirror map)."""
     if T < 2:
@@ -316,8 +287,11 @@ def yukawa_and_instantons(solutions, mirror: TPoly, T: int):
 def wronskian_matrix(solutions, T: int):
     """The log-free factor W of the Wronskian U = W(t) E(log t), mod t^T:
     U[i][j] = theta^i y_j = sum_l W[i][l] log(t)^(j-l)/(j-l)!, and W(0) = I."""
-    F = [c.truncate(T) for c in solutions[-1].components]
-    return _theta_rows(F, len(F))
+    W = [[c.truncate(T) for c in solutions[-1].components]]
+    for _ in range(len(W[0]) - 1):
+        prev = W[-1]
+        W.append([prev[0].theta()] + [x.theta() + y for x, y in zip(prev[1:], prev)])
+    return W
 
 
 # -- Frobenius structure of a family ------------------------------------

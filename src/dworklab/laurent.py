@@ -3,7 +3,7 @@
 Terms live in a dict keyed by integer exponent tuples (which may be
 negative).  Coefficients are whatever supports ring arithmetic: ints,
 Fractions, or :class:`dworklab.arith.TPoly` for one-parameter families.
-Serialisation always emits terms in ascending lexicographic order so that
+`sorted_terms` reads the terms out in ascending lexicographic order so that
 outputs are bit-stable.
 
 Flat form.  A polynomial with a TPoly coefficient is multiplied with t as its
@@ -167,11 +167,6 @@ class LaurentPoly:
 
     def map_coefficients(self, fn) -> "LaurentPoly":
         return LaurentPoly(self.n, {e: fn(c) for e, c in self.terms.items()})
-
-
-def multiply(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact product with zero coefficients pruned."""
-    return f * g
 
 
 def has_tpoly(f: LaurentPoly) -> bool:
@@ -438,13 +433,7 @@ def frobenius_discrepancy(f: LaurentPoly, sigma: FrobeniusLift, p: int) -> Laure
     return regroup_t(G) if flat else G
 
 
-# -- JSON term format ------------------------------------------------
-
-
-def _coeff_to_json(c):
-    if isinstance(c, TPoly):
-        return {"tpoly": [str(x) for x in c.coeffs]}
-    return str(c)
+# -- JSON term parsing --------------------------------------------
 
 
 def _int_from_json(x, what: str) -> int:
@@ -465,13 +454,6 @@ def _coeff_from_json(obj):
             raise ValueError('a "tpoly" coefficient needs a list')
         return TPoly([_int_from_json(x, "tpoly coefficient") for x in cs])
     return _int_from_json(obj, 'term "c"')
-
-
-def poly_to_json(f: LaurentPoly) -> dict:
-    return {
-        "n": f.n,
-        "terms": [{"e": list(e), "c": _coeff_to_json(c)} for e, c in f.sorted_terms()],
-    }
 
 
 def poly_from_json(obj) -> LaurentPoly:

@@ -91,11 +91,6 @@ class LatticePolytope:
         """Membership in the k-fold dilate."""
         return all(_dot(a, u) >= k * c for a, c in self.facets)
 
-    def active_facets(self, u, k: int = 1):
-        return frozenset(
-            i for i, (a, c) in enumerate(self.facets) if _dot(a, u) == k * c
-        )
-
     def is_interior(self, u, k: int = 1) -> bool:
         return all(_dot(a, u) > k * c for a, c in self.facets)
 
@@ -151,12 +146,6 @@ class LatticePolytope:
             )
             out.append(Face(active=active, vertices=fv))
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": [list(v) for v in self.vertices],
-            "facets": [{"a": list(a), "c": c} for a, c in self.facets],
-        }
 
 
 def newton_polytope(points) -> LatticePolytope:

@@ -179,23 +179,6 @@ def frobenius_trace_elliptic(A: int, B: int, p: int) -> EllipticCurveData:
     return EllipticCurveData(A, B, p, a_p, count)
 
 
-def elliptic_point_count_extension(A: int, B: int, p: int, s: int) -> int:
-    """#E(F_{p^s}) including the point at infinity, by brute force."""
-    F = FiniteField(p, s)
-    q = F.q
-    if 2 * q * q > EVALUATION_BUDGET:
-        raise BudgetExceededError("extension count too large")
-    count = 1  # infinity
-    Ae = A % p
-    Be = B % p
-    for x in range(q):
-        rhs = F.add(F.add(F.mul(F.mul(x, x), x), F.mul(Ae, x)), Be)
-        for y in range(q):
-            if F.mul(y, y) == rhs:
-                count += 1
-    return count
-
-
 def asd_alpha(A: int, B: int, m: int, modulus: int | None = None) -> int:
     """Expansion coefficient alpha_m of the invariant differential:
     the coefficient of x^(m-1) in (x^3 + A x + B)^((m-1)/2) for odd m, 0 for

@@ -184,6 +184,8 @@ class TestExitCodes:
             (["gamma-p", "--prime", "5", "--ratio-check", "0", "--precision", "3"], "s = 0"),
             (["gamma-p", "--prime", "5", "--ratio-check", "-1", "--precision", "3"], "s = -1"),
             (["gamma-p", "--prime", "5", "--precision", "-1"], "N must be >= 1, not -1"),
+            (["gamma-p", "--prime", "5", "--x", "1/0"], "1/0 is not an integer or a fraction"),
+            (["gamma-p", "--prime", "5", "--x", "1/5"], "must be a p-adic integer"),
             (["cartier", "--poly", "triangle.json", "--prime", "3", "--bound", "-1"],
              "--bound must be >= 0, not -1"),
             (["verify", "gauss", "--primes", "3", "--dims", "0"], '"dimensions"'),
@@ -192,6 +194,7 @@ class TestExitCodes:
         ids=["exponent-limit", "gauss-bound-0", "zeta-count-ext-0", "lambda-t-trunc-0",
              "asd-smax-0", "super-smax-0", "cy-frobenius-steps-0", "cy-frobenius-steps--1",
              "gamma-ratio-s-0", "gamma-ratio-s--1", "gamma-p-precision--1",
+             "gamma-p-x-zero-denominator", "gamma-p-x-p-in-denominator",
              "cartier-bound--1", "gauss-dims-0", "dwork-dims-0"],
     )
     def test_out_of_range_input_is_2(
@@ -394,6 +397,14 @@ class TestCommands:
         report = json.loads(out)
         assert report["pass"] is True
         assert report["schema"] == 1
+
+    def test_family_verify(self, capsys, family_file):
+        code, out, _ = run(capsys, ["verify", "dwork", "--poly", family_file, "--primes", "3"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["pass"] is True
+        assert report["grid"]["families"] == [family_file]
+        assert {cell["family"] for cell in report["cells"]} == {family_file}
 
     def test_lambda_family(self, capsys, family_file):
         code, out, _ = run(

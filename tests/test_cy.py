@@ -12,7 +12,6 @@ from dworklab.linalg import RankDeficiencyError
 from dworklab.polytope import newton_polytope, is_reflexive
 from dworklab.cy import (
     _t_constancy_diagnostics,
-    apply_operator_log,
     canonical_coordinate,
     cyclic_basis,
     excellent_lift_check,
@@ -90,13 +89,21 @@ class TestStandardSolutions:
                    ("hyperoctahedral", 4)]
     )
     def test_annihilated_by_operator(self, name, n):
+        # one more step of the theta recursion that builds W gives row m:
+        # theta^i y_j = sum_l R_i[l] log(t)^(j-l)/(j-l)!, so L = theta^m +
+        # sum_i a_i theta^(m-i) kills every solution when each log component
+        # R_m[l] + sum_i a_i R_(m-i)[l] vanishes mod t^(T-m)
         op = preset_operator(name, n)
-        T = 12
-        sols = standard_solutions(op, T)
-        for sol in sols:
-            comps = apply_operator_log(op, sol, T)
-            for comp in comps:
-                assert all(comp[d] == 0 for d in range(T - op.order))
+        T, m = 12, op.order
+        a = op.coefficient_series(T)
+        R = wronskian_matrix(standard_solutions(op, T), T)
+        last = R[-1]
+        R.append([last[0].theta()] + [x.theta() + y for x, y in zip(last[1:], last)])
+        for l in range(m):
+            comp = R[m][l]
+            for i in range(1, m + 1):
+                comp = comp + a[i - 1].mul(R[m - i][l], T)
+            assert all(comp[d] == 0 for d in range(T - m))
 
     def test_normalisation(self):
         op = preset_operator("quintic")

@@ -5,7 +5,10 @@
   package's import graph is acyclic, so every import can sit at the module
   top;
 * no module imports a private (underscore) name from another module of the
-  package.
+  package;
+* every module-level function or class of the package is read by production
+  code: the package, `scripts`, `benchmark/*.py` and
+  `tests/test_acceptance.py`.  Code that only unit tests call is deleted.
 
 `__init__.py` is exempt from the first rule: its imports are re-exports.
 """
@@ -15,8 +18,19 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dworklab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dworklab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PRODUCTION = [
+    *sorted(PACKAGE.glob("*.py")),
+    *sorted((ROOT / "scripts").glob("*.py")),
+    *sorted((ROOT / "benchmark").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
+# Definitions that production code does not read and that stay anyway.
+# lambda_at_teichmuller is an independent route to the Lambda of a fibre:
+# test_two_route_agreement compares it with lambda_unit_root.
+KEEP = {"lambda_at_teichmuller"}
 
 
 def unused_imports(source: str) -> list:
@@ -97,3 +111,54 @@ def test_no_import_inside_a_function(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_import_across_modules(path):
     assert private_imports(path.read_text()) == []
+
+
+def referenced_names(source: str) -> set:
+    """Every name that `source` reads: a loaded Name, an Attribute, an
+    imported name, or a part of a string constant that is a name or a dotted
+    name (the benchmark tracer patches functions and methods by name)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def unreached(package: dict, production: list) -> list:
+    """(module, name) of every module-level function or class of `package`
+    (module name -> source) that no source in `production` reads."""
+    read = set().union(*map(referenced_names, production))
+    return sorted(
+        (module, node.name)
+        for module, source in package.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in read
+    )
+
+
+def test_checker_flags_an_unreached_definition():
+    package = {
+        "m": "def used(): pass\ndef dead(): used()\nclass Patched: pass\n"
+             "def aliased(): pass\n",
+        "n": "import m\nx = m.used\ndead = 1\n",
+    }
+    production = [
+        package["n"],
+        "from m import aliased as a\nTARGETS = [('m', 'Patched.__mul__')]\n",
+    ]
+    assert unreached(package, production) == [("m", "dead")]
+
+
+def test_production_reads_every_definition():
+    package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    production = [p.read_text() for p in PRODUCTION]
+    assert {name for _, name in unreached(package, production)} == KEEP

@@ -16,9 +16,7 @@ from dworklab.laurent import (
     flatten_t,
     frobenius_discrepancy,
     frobenius_twist,
-    multiply,
     poly_from_json,
-    poly_to_json,
     power_mod,
     regroup_t,
 )
@@ -38,21 +36,21 @@ class TestMultiply:
     def test_difference_of_squares(self):
         one_plus = LaurentPoly(1, {(0,): 1, (1,): 1})
         one_minus = LaurentPoly(1, {(0,): 1, (1,): -1})
-        assert multiply(one_plus, one_minus) == LaurentPoly(1, {(0,): 1, (2,): -1})
+        assert one_plus * one_minus == LaurentPoly(1, {(0,): 1, (2,): -1})
 
     def test_square_of_three_terms(self):
         f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
-        sq = multiply(f, f)
+        sq = f * f
         assert sq.coefficient_at((2, 0)) == 1
         assert sq.coefficient_at((1, 1)) == 2
 
     def test_times_zero(self):
         f = LaurentPoly(2, {(1, 0): 1})
-        assert multiply(f, LaurentPoly(2)).is_zero()
+        assert (f * LaurentPoly(2)).is_zero()
 
     def test_variable_count_mismatch(self):
         with pytest.raises(ValueError):
-            multiply(LaurentPoly(1, {(0,): 1}), LaurentPoly(2, {(0, 0): 1}))
+            LaurentPoly(1, {(0,): 1}) * LaurentPoly(2, {(0, 0): 1})
 
 
 class TestPowerMod:
@@ -71,7 +69,7 @@ class TestPowerMod:
     @given(sparse_polys(), st.integers(0, 4), st.integers(0, 4))
     @settings(max_examples=30, deadline=None)
     def test_power_additive(self, f, a, b):
-        assert power_mod(f, a + b) == multiply(power_mod(f, a), power_mod(f, b))
+        assert power_mod(f, a + b) == power_mod(f, a) * power_mod(f, b)
 
     @given(sparse_polys(max_terms=4), st.sampled_from((3, 5)))
     @settings(max_examples=25, deadline=None)
@@ -297,15 +295,14 @@ class TestCartierPoly:
 class TestJson:
     def test_round_trip(self):
         f = LaurentPoly(2, {(-1, -1): 1, (1, 0): 1, (0, 1): -2})
-        obj = poly_to_json(f)
+        obj = {"n": 2, "terms": [{"e": list(e), "c": str(c)} for e, c in f.sorted_terms()]}
         assert obj["terms"][0] == {"e": [-1, -1], "c": "1"}
         assert poly_from_json(json.dumps(obj)) == f
 
     def test_tpoly_coefficients(self):
-        g = LaurentPoly(1, {(1,): 1})
-        ft = family_poly(g)
-        obj = poly_to_json(ft)
-        assert {"e": [0], "c": {"tpoly": ["1"]}} in obj["terms"]
+        ft = family_poly(LaurentPoly(1, {(1,): 1}))
+        obj = {"n": 1, "terms": [{"e": [0], "c": {"tpoly": ["1"]}},
+                                 {"e": [1], "c": {"tpoly": ["0", "-1"]}}]}
         assert poly_from_json(obj) == ft
 
     @pytest.mark.parametrize(
@@ -339,7 +336,8 @@ class TestJson:
         g = LaurentPoly(2, {(1, 0): 1, (0, 1): TPoly([0, 1])})
         with pytest.raises(ValueError, match=r"exponent \[0, 1\]"):
             family_poly(g)
-        obj = {"form": "1-t*g", "g": poly_to_json(g)}
+        obj = {"form": "1-t*g", "g": {"n": 2, "terms": [
+            {"e": [1, 0], "c": "1"}, {"e": [0, 1], "c": {"tpoly": ["0", "1"]}}]}}
         with pytest.raises(ValueError, match=r"exponent \[0, 1\]"):
             family_from_json(obj)
 

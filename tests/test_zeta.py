@@ -14,7 +14,6 @@ from dworklab.zeta import (
     asd_alpha,
     count_torus_points,
     eigenvalue_crosscheck,
-    elliptic_point_count_extension,
     frobenius_trace_elliptic,
     lambda_at_teichmuller,
     teichmuller_specialize,
@@ -140,18 +139,6 @@ class TestEllipticTrace:
     def test_hasse_bound(self, A, B, p):
         data = frobenius_trace_elliptic(A, B, p)
         assert data.a_p**2 <= 4 * p
-
-    @pytest.mark.parametrize("s", [1, 2, 3])
-    def test_extension_counts_from_unit_root(self, s):
-        # #E(F_{p^s}) = 1 + p^s - a^s - (p/a)^s with a the unit root
-        p = 5
-        cnt = elliptic_point_count_extension(-1, 0, p, s)
-        prec = s + 2
-        mod = p**prec
-        a = unit_root_elliptic(-1, 0, p, prec)
-        conj = p * pow(a, -1, mod) % mod
-        pred = (1 + p**s - pow(a, s, mod) - pow(conj, s, mod)) % mod
-        assert cnt % mod == pred
 
 
 class TestAsdAlpha:
