@@ -14,12 +14,13 @@ c_v -> c_{p v}.  It is p-adically approximated by rational functions with
 powers of f^sigma in the denominator (cartier_via_formula); agreement of the
 two routes on certified-complete indices is one of the package's main
 oracles.  On a basis of rational functions, the Cartier matrix is
-interpolated from the expansion-coefficient congruences at lattice probes
-(interpolate_cartier) and checked on held-out probes.
+interpolated from the expansion-coefficient congruences at lattice probes,
+solved once, and checked on held-out probes (interpolate_cartier).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -600,14 +601,10 @@ def cartier_via_formula(
 class CartierInterpolation:
     matrix: list  # rows over Z/p^{sk} or TPoly rows
     t_trunc: int | None  # truncation of the solved entries
-    probes: list
-    holdout: list
 
 
-# Held-out probes drawn per interpolation, and extra probes added before a
-# rank-deficient probe system is given up.
+# Held-out probes drawn per interpolation.
 N_HOLDOUT = 2
-MAX_EXTRA_PROBES = 6
 
 
 def _seeded_probe_stream(n: int, seed: int, generators=None):
@@ -626,16 +623,6 @@ def _seeded_probe_stream(n: int, seed: int, generators=None):
             v = tuple(rng.randint(-3, 3) for _ in range(n))
         if any(v):
             yield v
-
-
-def _fresh_probe(stream, taken):
-    """The next probe of `stream` not in `taken`, or None when 64 draws give
-    none: the one draw of held-out and extra probes."""
-    for _ in range(64):
-        w = next(stream)
-        if w not in taken:
-            return w
-    return None
 
 
 def default_probes(mu: OpenSubset, k: int, base=None):
@@ -663,7 +650,6 @@ def interpolate_cartier(
     sigma: FrobeniusLift,
     s: int,
     basis: list | None = None,
-    probes: list | None = None,
     t_trunc: int | None = None,
     g: LaurentPoly | None = None,
     seed: int = 0,
@@ -677,9 +663,11 @@ def interpolate_cartier(
     t^t_trunc (so t_trunc >= 1 is required) and each t-power contributes one
     equation row; otherwise vertex expansions are used.  Both solve one
     t-series system: without t_trunc it runs at t-precision 1, and the
-    matrix holds the ints its entries reduce to.  A rank-deficient system
-    gets extra probes (`_solve_with_extra_probes`).  Held-out probes must
-    reproduce the congruence exactly, else ResidualError.
+    matrix holds the ints its entries reduce to.  The probes are
+    `default_probes`; N_HOLDOUT more, drawn from a stream seeded by `seed`,
+    must reproduce the congruence exactly, else ResidualError.  The data of
+    both are read in one pass and the system is solved once: a
+    rank-deficient one raises RankDeficiencyError.
     """
     odd_prime(p)
     if not 1 <= k < p:
@@ -690,61 +678,35 @@ def interpolate_cartier(
         raise ValueError(f"a family (g given) needs t_trunc >= 1, not {t_trunc!r}")
     T = t_trunc or 1
     modulus = p ** (s * k)
-    points = lattice_points_in_dilate(mu, k)
     if basis is None:
-        basis = [(LaurentPoly.monomial(f.n, u), k) for u in points]
-    generators = None
+        basis = [(LaurentPoly.monomial(f.n, u), k) for u in lattice_points_in_dilate(mu, k)]
     if g is None:
         base = unit_vertex(f, p)
-        generators = _cone_generators(f, base)
-        if probes is None:
-            probes = default_probes(mu, k, base)
-    elif probes is None:
+        probes = default_probes(mu, k, base)
+        stream = _seeded_probe_stream(f.n, seed, _cone_generators(f, base))
+    else:
         probes = default_probes(mu, k)
-    probes = [tuple(w) for w in probes]
-    stream = _seeded_probe_stream(f.n, seed, generators)
+        stream = _seeded_probe_stream(f.n, seed)
+    # each held-out probe is the first of at most 64 draws that is not taken
     holdout = []
     while len(holdout) < N_HOLDOUT:
-        w = _fresh_probe(stream, probes + holdout)
+        w = next((w for w in itertools.islice(stream, 64) if w not in probes + holdout), None)
         if w is None:
             break
         holdout.append(w)
 
-    # one table of [x^w] g^i serves every basis element, retry and the
-    # held-out check
+    # one table of [x^w] g^i serves every basis element and probe
     table = None if g is None else _PowerTable(g, T, modulus)
-    (matrix, T_lambda), probes = _solve_with_extra_probes(
-        lambda use: _solve_interpolation(f, table, basis, use, p, sigma, s, modulus, T),
-        probes, stream, holdout,
-    )
-    witnesses = _holdout_residuals(
-        f, table, basis, matrix, holdout, p, sigma, s, modulus, T, T_lambda
-    )
+    data = _probe_data(f, table, basis, probes + holdout, p, s, sigma, modulus)
+    matrix, T_lambda = _solve_interpolation(data[:len(probes)], len(basis), p, modulus, T)
+    witnesses = _holdout_residuals(matrix, holdout, data[len(probes):], modulus, T, T_lambda)
     if witnesses:
         raise ResidualError(
             f"held-out congruence failed mod {p}^{s * k}", witnesses
         )
     if t_trunc is None:
         matrix, T_lambda = [[e[0] for e in row] for row in matrix], None
-    return CartierInterpolation(matrix, T_lambda, probes, holdout)
-
-
-def _solve_with_extra_probes(solve, probes, stream, holdout=()):
-    """(solve(probes), the probes it used).  After each RankDeficiencyError
-    one fresh probe of `stream` is added: the next one that is not already a
-    probe, an earlier extra probe or a held-out probe.  Re-raises after
-    MAX_EXTRA_PROBES extra probes, or when 64 draws give no fresh probe."""
-    use = list(probes)
-    while True:
-        try:
-            return solve(use), use
-        except RankDeficiencyError:
-            if len(use) - len(probes) >= MAX_EXTRA_PROBES:
-                raise
-            w = _fresh_probe(stream, use + list(holdout))
-            if w is None:
-                raise
-            use = use + [w]
+    return CartierInterpolation(matrix, T_lambda)
 
 
 def _basis_expansions(f, table, basis, needed, p, modulus):
@@ -799,8 +761,9 @@ def _row_window(rhs, modulus: int, T: int, T_lambda: int) -> int:
     return min(T, T_lambda + min((_tval_nonzero(c, modulus, T) for c in rhs), default=T))
 
 
-def _solve_interpolation(f, table, basis, probes, p, sigma, s, modulus, T):
-    """Build and solve the stacked congruence system over (Z/modulus)[t]/t^T.
+def _solve_interpolation(data, nb, p, modulus, T):
+    """Build and solve the stacked congruence system over (Z/modulus)[t]/t^T
+    from the `_probe_data` rows of the probes, for nb basis elements.
 
     Information about basis column j only enters equations from t-degree
     delay_j onward (the lowest t-valuation mod p of the sigma-twisted
@@ -810,8 +773,6 @@ def _solve_interpolation(f, table, basis, probes, p, sigma, s, modulus, T):
     matter.  At T = 1 a column with no p-unit datum leaves T_lambda = 0, and
     the system is the integer one: one row per probe, in the constant terms.
     """
-    nb = len(basis)
-    data = _probe_data(f, table, basis, probes, p, s, sigma, modulus)
     delays = [min((_tval_nonzero(rhs[j], p, T) for _, rhs in data), default=T)
               for j in range(nb)]
     T_lambda = T - max(delays, default=0)
@@ -830,11 +791,11 @@ def _solve_interpolation(f, table, basis, probes, p, sigma, s, modulus, T):
             for x in solutions], T_lambda
 
 
-def _holdout_residuals(f, table, basis, matrix, holdout, p, sigma, s, modulus, T, T_lambda):
+def _holdout_residuals(matrix, holdout, data, modulus, T, T_lambda):
+    """The witnesses of the held-out probes whose `_probe_data` rows the
+    solved matrix does not reproduce."""
     witnesses = []
-    if not holdout:
-        return witnesses
-    for w, (lhs, rhs) in zip(holdout, _probe_data(f, table, basis, holdout, p, s, sigma, modulus)):
+    for w, (lhs, rhs) in zip(holdout, data):
         check = Ring(modulus, _row_window(rhs, modulus, T, T_lambda))
         for i, row in enumerate(matrix):
             diff = check.reduce(lhs[i] - sum((e * c for e, c in zip(row, rhs)), TPoly()))

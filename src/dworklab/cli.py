@@ -101,7 +101,7 @@ def _load_poly(args) -> tuple[LaurentPoly, LaurentPoly | None]:
     return _read_poly_file(args.poly)
 
 
-def _select_mu(P, f, name: str):
+def _select_mu(P, name: str):
     if name == "interior":
         return interior(P)
     if name == "whole":
@@ -112,25 +112,25 @@ def _select_mu(P, f, name: str):
     raise ValueError(f"unknown mu selector {name!r}")
 
 
-def _poly_hull(f):
-    support = set(f.support())
-    support.add((0,) * f.n)
-    return newton_polytope(support)
+def _load_mu(args):
+    """(f, g, mu): the polynomial of `_load_poly` and the --mu subset of its
+    Newton polytope, which for a family 1 - t*g also holds the origin."""
+    f, g = _load_poly(args)
+    support = f.support()
+    if g is not None:
+        support.add((0,) * f.n)
+    return f, g, _select_mu(newton_polytope(support), args.mu)
 
 
 def cmd_hw(args, fmt):
-    f, g = _load_poly(args)
-    P = _poly_hull(f) if g is not None else newton_polytope(f.support())
-    mu = _select_mu(P, f, args.mu)
+    f, _, mu = _load_mu(args)
     M = hw_matrix(f, mu, args.prime, args.precision)
     _emit(M.to_json(), fmt)
     return 0
 
 
 def cmd_lambda(args, fmt):
-    f, g = _load_poly(args)
-    P = _poly_hull(f) if g is not None else newton_polytope(f.support())
-    mu = _select_mu(P, f, args.mu)
+    f, g, mu = _load_mu(args)
     sigma = (
         FrobeniusLift.t_power(args.prime, args.t_trunc)
         if g is not None
@@ -142,9 +142,7 @@ def cmd_lambda(args, fmt):
 
 
 def cmd_higher_hw(args, fmt):
-    f, g = _load_poly(args)
-    P = _poly_hull(f) if g is not None else newton_polytope(f.support())
-    mu = _select_mu(P, f, args.mu)
+    f, g, mu = _load_mu(args)
     sigma = (
         FrobeniusLift.t_power(args.prime) if g is not None else FrobeniusLift.identity()
     )
@@ -240,15 +238,18 @@ def cmd_verify(args, fmt):
     return 0 if report.passed else 1
 
 
+def _mirror_data(args):
+    """(T, solutions, q, mirror map) of the --family operator to degree
+    --degree + 1."""
+    op = preset_operator(args.family, args.dim if args.family != "quintic" else None)
+    T = args.degree + 2
+    sols = standard_solutions(op, T)
+    return (T, sols, *canonical_coordinate(sols, T))
+
+
 def cmd_cy(args, fmt):
     if args.action == "instanton":
-        if args.family == "quintic":
-            op = preset_operator("quintic")
-        else:
-            op = preset_operator(args.family, args.dim)
-        T = args.degree + 2
-        sols = standard_solutions(op, T)
-        q, mirror = canonical_coordinate(sols, T)
+        T, sols, q, mirror = _mirror_data(args)
         Y, N = yukawa_and_instantons(sols, mirror, T)
         table = [
             {
@@ -267,10 +268,7 @@ def cmd_cy(args, fmt):
         _emit(out, fmt)
         return 0
     if args.action == "mirror":
-        op = preset_operator(args.family, args.dim if args.family != "quintic" else None)
-        T = args.degree + 2
-        sols = standard_solutions(op, T)
-        q, mirror = canonical_coordinate(sols, T)
+        T, _, q, mirror = _mirror_data(args)
         out = {
             "schema": 1,
             "family": args.family,

@@ -321,20 +321,16 @@ def cyclic_basis(f: LaurentPoly, n: int):
 
 
 def family_cartier_matrix(
-    preset: FamilyPreset, p: int, s: int, T: int, seed: int = 0
+    preset: FamilyPreset, k: int, sigma: FrobeniusLift, s: int, T: int, seed: int
 ):
-    """Level-n Cartier matrix of the family in the cyclic basis, as TPoly
-    entries mod (p^(s n), t^T)."""
-    n = preset.n
+    """Level-k Cartier matrix of the family under the lift sigma, on its
+    cyclic basis, as TPoly entries mod (p^(s k), t^T)."""
     f = family_poly(preset.g)
-    P = newton_polytope(preset.g.support())
-    mu = interior(P)
-    basis = cyclic_basis(f, n)
-    interp = interpolate_cartier(
-        f, mu, n, p, FrobeniusLift.t_power(p), s,
-        basis=basis, t_trunc=T, g=preset.g, seed=seed,
+    mu = interior(newton_polytope(preset.g.support()))
+    return interpolate_cartier(
+        f, mu, k, sigma.p, sigma, s,
+        basis=cyclic_basis(f, k), t_trunc=T, g=preset.g, seed=seed,
     )
-    return interp
 
 
 def frobenius_lambda0(
@@ -366,8 +362,7 @@ def frobenius_lambda0(
         T = p**s + 12
     precision = s * n
     modulus = p**precision
-    interp = family_cartier_matrix(preset, p, s, T, seed)
-    lam = interp.matrix
+    lam = family_cartier_matrix(preset, n, FrobeniusLift.t_power(p), s, T, seed).matrix
 
     # L_0 = E(-ell) Lambda(0) E(p ell) in powers of ell = log t: its ell^0
     # part is Lambda(0) itself, and each ell^k part (k >= 1) must vanish
@@ -484,8 +479,6 @@ def excellent_lift_check(
     n: int,
     p: int,
     T: int = 40,
-    s: int = 1,
-    t_check: int | None = None,
     seed: int = 0,
 ) -> dict:
     """Verify the distinguished Frobenius lift q -> c^(p-1) q^p.
@@ -518,23 +511,16 @@ def excellent_lift_check(
         report.update(congruent_mod_p=False, eigenvector=False, passed=False)
         return report
 
-    modulus = p ** (2 * s)
+    modulus = p**2
     sigma_poly = t_sigma.reduce_mod(modulus)
     tp = TPoly.t_power(p)
     diff = (sigma_poly - tp) % p
     report["congruent_mod_p"] = not bool(diff)
 
     # level-2 eigenvector property via interpolation with the series lift
-    f = family_poly(preset.g)
-    P = newton_polytope(preset.g.support())
-    mu = interior(P)
     sigma = FrobeniusLift.series(p, sigma_poly, t_trunc=T)
-    basis = cyclic_basis(f, n)[:2]
-    interp = interpolate_cartier(
-        f, mu, 2, p, sigma, s, basis=basis, t_trunc=T, g=preset.g, seed=seed
-    )
-    lam00, lam01 = interp.matrix[0]
-    t_keep = t_check if t_check is not None else max(4, (T - 1) // p)
+    lam00, lam01 = family_cartier_matrix(preset, 2, sigma, 1, T, seed).matrix[0]
+    t_keep = max(4, (T - 1) // p)
     theta_component_zero = not bool((lam01 % modulus).truncate(t_keep))
 
     F0 = sols[0].components[0].reduce_mod(modulus)

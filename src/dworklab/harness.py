@@ -215,16 +215,18 @@ def suite_generalized_dwork(job: JobSpec) -> SuiteReport:
         P = newton_polytope(f.support() | {(0,) * f.n})
         mu = whole_polytope(P)
         for p in job.primes:
+            ordinary = hw_condition(f, mu, p)
             for s in range(1, job.s_max + 1):
+                if ordinary:
+                    lam = lambda_unit_root(f, mu, p, FrobeniusLift.identity(), s)
                 for m in (1, 2, 3):
                     cell = {"poly": label, "p": p, "s": s, "m": m}
-                    if not hw_condition(f, mu, p):
+                    if not ordinary:
                         cell["status"] = "skip"
                         cell["reason"] = "hasse-witt condition fails"
                         cells.append(cell)
                         continue
                     modulus = p**s
-                    lam = lambda_unit_root(f, mu, p, FrobeniusLift.identity(), s)
                     lhs = beta_matrix(f, mu, m * p**s, p, s).entries
                     rhs = mat_mul(
                         lam.entries,
@@ -328,6 +330,11 @@ def suite_gauss(job: JobSpec) -> SuiteReport:
     Each cell checks every v = p u with 0 != v in [-bound, bound]^n, in
     lexicographic order of v (see `_gauss_cell`)."""
     t0 = time.time()
+    if job.bound < max(job.primes):
+        # no v = p u != 0 lies in the box: a usage error, not a failed theorem
+        raise ValueError(
+            f'"bound" {job.bound} is below p = {max(job.primes)}: the box holds no index p u'
+        )
     polys = list(job.polynomials) or _default_gauss_polys()
     cells = []
     for label, f in polys:

@@ -232,8 +232,10 @@ def level_valuation_target(mu: OpenSubset, k: int) -> int:
     return sum((level - 1) * (counts[level] - counts[level - 1]) for level in range(1, k + 1))
 
 
-def _det_valuation_report(det, p: int, cap: int = 64) -> dict:
-    """Valuation data for an exact determinant (int or TPoly)."""
+def _det_valuation_report(det, p: int) -> dict:
+    """Valuation data for an exact determinant (int or TPoly).  A zero
+    determinant reads as ord 64, the cap of a TPoly's valuations."""
+    cap = 64
     if isinstance(det, TPoly):
         if not det.coeffs:
             return {"ord": cap, "unit_cofactor": False, "t_degree": None}
@@ -255,7 +257,6 @@ def higher_hw_alternative_check(
     p: int,
     sigma: FrobeniusLift | None = None,
     g: LaurentPoly | None = None,
-    t_check: int | None = None,
 ) -> bool:
     """Cross-validate HW^(k) entries against the series route mod p^k:
     the (u, v) entry must match the coefficient of x^(p v - u) in the formal
@@ -281,7 +282,7 @@ def higher_hw_alternative_check(
         }
     )
     if g is not None:
-        T = t_check if t_check is not None else k * (p - 1) + p + 2
+        T = k * (p - 1) + p + 2
         E = expand_origin(numerator, g, k, T, modulus, targets=targets)
     else:
         b = unit_vertex(f, p)

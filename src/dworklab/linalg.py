@@ -21,8 +21,8 @@ class InconsistentSystemError(ArithmeticError):
     """The stacked congruence system has no solution at the stated modulus."""
 
 
-def identity_matrix(k, one=1, zero=0):
-    return [[one if i == j else zero for j in range(k)] for i in range(k)]
+def identity_matrix(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
 
 
 def mat_mul(A, B, modulus=None):
@@ -101,9 +101,7 @@ def _eliminate(A, bs, ring: Ring):
     for col in range(cols):
         piv = next((i for i in range(col, rows) if ring.is_unit(work[i][col])), None)
         if piv is None:
-            raise RankDeficiencyError(
-                f"no unit pivot in column {col}; add probes or raise truncation"
-            )
+            raise RankDeficiencyError(f"no unit pivot in column {col}")
         work[col], work[piv] = work[piv], work[col]
         inv = ring.inv(work[col][col])
         work[col] = [reduce(x * inv) for x in work[col]]

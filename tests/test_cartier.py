@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dworklab.arith import Ring, TPoly
 from dworklab.cy import cyclic_basis, preset_family
 from dworklab.laurent import FrobeniusLift, LaurentPoly, coefficient_of_power, family_poly
-from dworklab.linalg import RankDeficiencyError
 from dworklab.polytope import interior, newton_polytope, vertex_star, whole_polytope
 from dworklab.hasse_witt import hw_condition, hw_matrix, lambda_unit_root
 from dworklab import cartier
@@ -538,27 +537,29 @@ class TestInterpolation:
         assert lhs == (gam % 5).truncate(T_l)
 
     def test_family_solves_each_demand_point_once(self, monkeypatch):
-        # one table serves the basis, every extra-probe retry and the held-out
-        # check: the part solver never sees the same demand point twice
-        calls, attempts = [], []
-        part_sequence, solve = cartier._part_sequence, cartier._solve_interpolation
+        # the probes and the held-out probes are read in one pass over one
+        # table and the system is solved once: the part solver never sees the
+        # same demand point twice
+        calls, reads, solves = [], [], []
+        part_sequence = cartier._part_sequence
+        probe_data, solve = cartier._probe_data, cartier._solve_interpolation
         monkeypatch.setattr(cartier, "_part_sequence",
                             lambda block, w, *a: calls.append(w) or part_sequence(block, w, *a))
+        monkeypatch.setattr(cartier, "_probe_data",
+                            lambda *a: reads.append(a[3]) or probe_data(*a))
         monkeypatch.setattr(cartier, "_solve_interpolation",
-                            lambda *a: attempts.append(a[3]) or solve(*a))
+                            lambda *a: solves.append(a) or solve(*a))
         ft = family_poly(SIMPLICIAL2)
         mu = interior(newton_polytope(SIMPLICIAL2.support()))
-        interp = interpolate_cartier(
+        interpolate_cartier(
             ft, mu, 2, 5, FrobeniusLift.t_power(5), 1, basis=cyclic_basis(ft, 2),
-            probes=[(0, 0)], t_trunc=30, g=SIMPLICIAL2, seed=2,
+            t_trunc=30, g=SIMPLICIAL2, seed=2,
         )
-        assert len(attempts) > 1 and len(interp.holdout) == 2
-        assert len(calls) > 40
+        assert len(solves) == 1 and len(calls) > 40
         assert len(calls) == len(set(calls))
-        # the held-out and extra probes are drawn from the seeded stream in a
-        # fixed order
-        assert interp.probes == [(0, 0), (-3, -1), (3, -2), (2, 3), (-1, -1)]
-        assert interp.holdout == [(3, 3), (-3, -3)]
+        # the held-out probes follow the probes, drawn from the seeded stream
+        # in a fixed order
+        assert reads == [default_probes(mu, 2) + [(3, 3), (-3, -3)]]
 
     def test_rejects_s_below_one(self):
         f = LaurentPoly(1, {(1,): 1, (0,): -3})
@@ -579,21 +580,6 @@ class TestInterpolation:
         P = newton_polytope(f.support())
         interp = interpolate_cartier(f, whole_polytope(P), 1, 5, ID, 2)
         assert [[x % 25 for x in row] for row in interp.matrix] == [[1, 0], [0, 1]]
-
-    def test_vertex_independence(self):
-        # triangle has three unit vertices; Lambda must not depend on the one
-        # used for expansion
-        f = TRIANGLE
-        P = newton_polytope(f.support())
-        st0 = vertex_star(P, (0, 0))
-        results = []
-        for b in P.vertices:
-            probes = default_probes(st0, 1, b)
-            interp = interpolate_cartier(
-                f, st0, 1, 5, ID, 2, probes=probes, seed=3
-            )
-            results.append([[x % 25 for x in r] for r in interp.matrix])
-        assert results[0] == results[1] == results[2]
 
     def test_mu_stability(self):
         f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2})
@@ -616,54 +602,6 @@ class TestInterpolation:
         for v, c in shifted.coeffs.items():
             if shifted.is_complete(v):
                 assert c % p**2 == 0
-
-
-class TestExtraProbes:
-    @staticmethod
-    def solve_failing(k, calls):
-        """A solve that records its probes and is rank-deficient k times."""
-
-        def solve(use):
-            calls.append(use)
-            if len(calls) <= k:
-                raise RankDeficiencyError("no unit pivot")
-            return "solved"
-
-        return solve
-
-    @pytest.mark.parametrize("k", [0, 2, cartier.MAX_EXTRA_PROBES])
-    def test_fresh_probes_in_stream_order(self, k):
-        gens = [(1, 0), (0, 1), (1, 1)]
-        probes, holdout = [(1, 0), (0, 1)], [(2, 2)]
-        fresh = []
-        for w in cartier._seeded_probe_stream(2, 5, gens):
-            if len(fresh) == k:
-                break
-            if w not in probes + holdout + fresh:
-                fresh.append(w)
-        calls = []
-        solved, used = cartier._solve_with_extra_probes(
-            self.solve_failing(k, calls), probes, cartier._seeded_probe_stream(2, 5, gens), holdout
-        )
-        assert solved == "solved" and used == probes + fresh
-        assert calls == [probes + fresh[:j] for j in range(k + 1)]
-
-    def test_reraises_after_max_extra_probes(self):
-        calls = []
-        with pytest.raises(RankDeficiencyError):
-            cartier._solve_with_extra_probes(
-                self.solve_failing(99, calls), [(0, 0)], cartier._seeded_probe_stream(2, 0)
-            )
-        assert len(calls) == cartier.MAX_EXTRA_PROBES + 1
-        assert len(set(calls[-1])) == cartier.MAX_EXTRA_PROBES + 1
-
-    def test_reraises_when_the_stream_has_no_fresh_probe(self):
-        calls = []
-        with pytest.raises(RankDeficiencyError):
-            cartier._solve_with_extra_probes(
-                self.solve_failing(1, calls), [(1,)], itertools.cycle([(1,)]), ()
-            )
-        assert calls == [[(1,)]]
 
 
 class TestRowWindow:

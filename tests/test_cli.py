@@ -171,6 +171,7 @@ class TestExitCodes:
         [
             (["hw", "--poly", "big.json", "--prime", "5"], "exponent"),
             (["verify", "gauss", "--primes", "3", "--bound", "0"], "bound"),
+            (["verify", "gauss", "--primes", "7", "--bound", "5"], '"bound" 5 is below p = 7'),
             (["zeta-count", "--poly", "triangle.json", "--prime", "5", "--ext", "0"],
              "extension degree s must be 1, 2 or 3"),
             (["lambda", "--poly", "simplicial.json", "--prime", "5", "--t-trunc", "0"],
@@ -191,7 +192,7 @@ class TestExitCodes:
             (["verify", "gauss", "--primes", "3", "--dims", "0"], '"dimensions"'),
             (["verify", "dwork", "--primes", "3", "--dims", "2,0"], '"dimensions"'),
         ],
-        ids=["exponent-limit", "gauss-bound-0", "zeta-count-ext-0", "lambda-t-trunc-0",
+        ids=["exponent-limit", "gauss-bound-0", "gauss-bound-below-p", "zeta-count-ext-0", "lambda-t-trunc-0",
              "asd-smax-0", "super-smax-0", "cy-frobenius-steps-0", "cy-frobenius-steps--1",
              "gamma-ratio-s-0", "gamma-ratio-s--1", "gamma-p-precision--1",
              "gamma-p-x-zero-denominator", "gamma-p-x-p-in-denominator",

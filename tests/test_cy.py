@@ -333,7 +333,8 @@ class TestFrobeniusLambda0:
 
     @pytest.mark.xfail(strict=True, raises=RankDeficiencyError,
                        reason="for n >= 3 the level-n family interpolation finds no "
-                              "unit pivot in the theta^2 column, with or without extra probes")
+                              "unit pivot in the theta^2 column: the rank defect is "
+                              "structural, so more probes would not remove it")
     def test_simplicial_3_interpolation(self):
         frobenius_lambda0("simplicial", 3, 5, s=1, T=20)
 

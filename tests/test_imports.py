@@ -8,7 +8,10 @@
   package;
 * every module-level function or class of the package is read by production
   code: the package, `scripts`, `benchmark/*.py` and
-  `tests/test_acceptance.py`.  Code that only unit tests call is deleted.
+  `tests/test_acceptance.py`.  Code that only unit tests call is deleted;
+* every defaulted parameter of a module-level function of the package is
+  passed, by keyword or by position, by some call in production code.  An
+  option that only unit tests set is deleted.
 
 `__init__.py` is exempt from the first rule: its imports are re-exports.
 """
@@ -31,6 +34,9 @@ PRODUCTION = [
 # lambda_at_teichmuller is an independent route to the Lambda of a fibre:
 # test_two_route_agreement compares it with lambda_unit_root.
 KEEP = {"lambda_at_teichmuller"}
+# Defaulted parameters that production code does not pass and that stay
+# anyway: the tests drive the CLI through cli_main's argv.
+KEEP_OPTIONS = {("cli", "cli_main", "argv")}
 
 
 def unused_imports(source: str) -> list:
@@ -162,3 +168,77 @@ def test_production_reads_every_definition():
     package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     production = [p.read_text() for p in PRODUCTION]
     assert {name for _, name in unreached(package, production)} == KEEP
+
+
+def defaulted_parameters(source: str) -> list:
+    """(function, position or None, name) of every parameter with a default
+    of a module-level function; keyword-only parameters have no position."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found += [(node.name, i, a.arg) for i, a in enumerate(positional) if i >= first]
+        found += [(node.name, None, a.arg)
+                  for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def passed_arguments(source: str) -> set:
+    """(callee, argument) for every call in `source` by a name or an
+    attribute: the argument is the number of positional arguments, or "*"
+    when they are unpacked, and each keyword, or "**" when they are
+    unpacked."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        found.add((name, "*" if starred else len(node.args)))
+        found.update((name, k.arg or "**") for k in node.keywords)
+    return found
+
+
+def unpassed(package: dict, production: list) -> list:
+    """(module, function, parameter) of every defaulted parameter of a
+    module-level function of `package` that no call in `production` passes."""
+    calls = set().union(*map(passed_arguments, production))
+
+    def is_passed(fn, i, name):
+        if {(fn, name), (fn, "**")} & calls:
+            return True
+        return i is not None and any(
+            callee == fn and (arg == "*" or type(arg) is int and arg > i)
+            for callee, arg in calls
+        )
+
+    return sorted(
+        (module, fn, name)
+        for module, source in package.items()
+        for fn, i, name in defaulted_parameters(source)
+        if not is_passed(fn, i, name)
+    )
+
+
+def test_checker_flags_an_unpassed_option():
+    package = {
+        "m": "def f(a, b=1, c=2, *, d=3, e=None): pass\n"
+             "def g(x=0): pass\ndef h(y=0): pass\ndef k(z=0): pass\n",
+    }
+    production = [
+        "import m\nm.f(0, 1)\nf(0, e=5)\ng(*args)\nh(**opts)\n",
+        "def k(z=0): pass\nk\n",
+    ]
+    assert unpassed(package, production) == [("m", "f", "c"), ("m", "f", "d"), ("m", "k", "z")]
+
+
+def test_production_passes_every_option():
+    package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    production = [p.read_text() for p in PRODUCTION]
+    assert set(unpassed(package, production)) == KEEP_OPTIONS
