@@ -14,15 +14,14 @@ c_v -> c_{p v}.  It is p-adically approximated by rational functions with
 powers of f^sigma in the denominator (cartier_via_formula); agreement of the
 two routes on certified-complete indices is one of the package's main
 oracles.  On a basis of rational functions, the Cartier matrix is
-interpolated from the expansion-coefficient congruences at lattice probes,
-solved once, and checked on held-out probes (interpolate_cartier).
+interpolated from the expansion-coefficient congruences at the lattice points
+of the dilates of mu, solved once, and checked on the first points of the
+next dilate (interpolate_cartier).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from dataclasses import dataclass, replace
 from operator import le, sub
 
@@ -33,7 +32,6 @@ from .laurent import (
     LaurentPoly,
     cartier_poly,
     frobenius_discrepancy,
-    frobenius_twist,
     has_tpoly,
     power_mod,
 )
@@ -130,17 +128,12 @@ class FormalExpansion:
         return out
 
 
-def _cone_generators(f: LaurentPoly, b):
-    """The exponents of f other than the vertex b, minus b: the generators of
-    the cone at b."""
-    b = tuple(b)
-    return [tuple(e - x for e, x in zip(u, b)) for u in f.support() if tuple(u) != b]
-
-
 def vertex_frame(f: LaurentPoly, b):
     """Cone data at a vertex: inner facet normals, the positivity functional
-    psi (their sum), and delta = min psi over the generator support."""
-    gens = _cone_generators(f, b)
+    psi (their sum), and delta = min psi over the generator support (the
+    exponents of f other than b, minus b)."""
+    b = tuple(b)
+    gens = [tuple(e - x for e, x in zip(u, b)) for u in f.support() if tuple(u) != b]
     normals = cone_facet_normals(gens, f.n)
     psi = tuple(sum(a[i] for a in normals) for i in range(f.n))
     delta = min(_dot(psi, g) for g in gens)
@@ -578,7 +571,7 @@ def cartier_via_formula(
     mceil = -(-m // p)
     G = frobenius_discrepancy(f, sigma, p)
     fpow = power_mod(f, p * mceil - m, modulus)
-    f_sigma = frobenius_twist(f, sigma, substitute_x_p=False, p=p, modulus=modulus)
+    f_sigma = sigma.apply_poly(f, modulus)
     terms = []
     Gr = LaurentPoly.constant(f.n, 1)
     r = 0
@@ -603,43 +596,25 @@ class CartierInterpolation:
     t_trunc: int | None  # truncation of the solved entries
 
 
-# Held-out probes drawn per interpolation.
+# Held-out probes per interpolation.
 N_HOLDOUT = 2
 
 
-def _seeded_probe_stream(n: int, seed: int, generators=None):
-    """Deterministic pseudo-random probe vectors.
-
-    With cone generators given, emits small nonnegative combinations of them
-    (vertex-mode expansions vanish identically outside the cone, so probes
-    must stay inside it to carry information)."""
-    rng = random.Random(seed)
-    while True:
-        if generators:
-            v = tuple(
-                sum(rng.randint(0, 2) * g[i] for g in generators) for i in range(n)
-            )
-        else:
-            v = tuple(rng.randint(-3, 3) for _ in range(n))
-        if any(v):
-            yield v
-
-
 def default_probes(mu: OpenSubset, k: int, base=None):
-    """Lattice points of the dilates of mu, shifted into the cone at `base`
-    for vertex-mode expansions.  Origin-mode (t-family) interpolation uses
-    the dilates of the full polytope instead: the congruences hold for every
+    """The lattice points of level * mu for level = 1..k, each shifted by
+    -level * base into the cone at `base` for vertex-mode expansions (a
+    vertex expansion vanishes outside that cone, so a probe there carries no
+    data).  Origin-mode (t-family) interpolation passes no base and uses the
+    dilates of the full polytope instead: the congruences hold for every
     index, and boundary points carry the low-t-degree information that the
     open-subset points alone may lack."""
-    pts = []
     source = whole_polytope(mu.polytope) if base is None else mu
-    for level in range(1, k + 1):
-        for u in lattice_points_in_dilate(source, level):
-            if base is not None:
-                u = tuple(x - y for x, y in zip(u, base))
-            if u not in pts:
-                pts.append(u)
-    return pts
+    base = (0,) * mu.polytope.n if base is None else base
+    return list(dict.fromkeys(
+        tuple(x - level * y for x, y in zip(u, base))
+        for level in range(1, k + 1)
+        for u in lattice_points_in_dilate(source, level)
+    ))
 
 
 def interpolate_cartier(
@@ -652,7 +627,6 @@ def interpolate_cartier(
     basis: list | None = None,
     t_trunc: int | None = None,
     g: LaurentPoly | None = None,
-    seed: int = 0,
 ) -> CartierInterpolation:
     """Solve the stacked congruences c_{p^s u}(w_i) = sum_j L_ij c_{p^{s-1} u}(w_j^sigma)
     for the level-k Cartier matrix L mod p^{sk}.
@@ -663,10 +637,10 @@ def interpolate_cartier(
     t^t_trunc (so t_trunc >= 1 is required) and each t-power contributes one
     equation row; otherwise vertex expansions are used.  Both solve one
     t-series system: without t_trunc it runs at t-precision 1, and the
-    matrix holds the ints its entries reduce to.  The probes are
-    `default_probes`; N_HOLDOUT more, drawn from a stream seeded by `seed`,
-    must reproduce the congruence exactly, else ResidualError.  The data of
-    both are read in one pass and the system is solved once: a
+    matrix holds the ints its entries reduce to.  The probes are the
+    `default_probes` of levels 1..k; the first N_HOLDOUT points that level
+    k + 1 adds must reproduce the congruence exactly, else ResidualError.
+    The data of both are read in one pass and the system is solved once: a
     rank-deficient one raises RankDeficiencyError.
     """
     odd_prime(p)
@@ -680,24 +654,13 @@ def interpolate_cartier(
     modulus = p ** (s * k)
     if basis is None:
         basis = [(LaurentPoly.monomial(f.n, u), k) for u in lattice_points_in_dilate(mu, k)]
-    if g is None:
-        base = unit_vertex(f, p)
-        probes = default_probes(mu, k, base)
-        stream = _seeded_probe_stream(f.n, seed, _cone_generators(f, base))
-    else:
-        probes = default_probes(mu, k)
-        stream = _seeded_probe_stream(f.n, seed)
-    # each held-out probe is the first of at most 64 draws that is not taken
-    holdout = []
-    while len(holdout) < N_HOLDOUT:
-        w = next((w for w in itertools.islice(stream, 64) if w not in probes + holdout), None)
-        if w is None:
-            break
-        holdout.append(w)
+    base = unit_vertex(f, p) if g is None else None
+    probes = default_probes(mu, k, base)
+    holdout = default_probes(mu, k + 1, base)[len(probes):][:N_HOLDOUT]
 
     # one table of [x^w] g^i serves every basis element and probe
     table = None if g is None else _PowerTable(g, T, modulus)
-    data = _probe_data(f, table, basis, probes + holdout, p, s, sigma, modulus)
+    data = _probe_data(f, base, table, basis, probes + holdout, p, s, sigma, modulus)
     matrix, T_lambda = _solve_interpolation(data[:len(probes)], len(basis), p, modulus, T)
     witnesses = _holdout_residuals(matrix, holdout, data[len(probes):], modulus, T, T_lambda)
     if witnesses:
@@ -709,27 +672,22 @@ def interpolate_cartier(
     return CartierInterpolation(matrix, T_lambda)
 
 
-def _basis_expansions(f, table, basis, needed, p, modulus):
-    """Expansions of all basis elements covering the needed indices; for a
-    family, at the origin from the shared `_PowerTable`."""
-    out = []
+def _basis_expansions(f, base, table, basis, needed, modulus):
+    """Expansions of all basis elements covering the needed indices: at the
+    vertex `base`, or for a family at the origin from the shared
+    `_PowerTable`."""
     if table is not None:
-        for h, m in basis:
-            out.append(table.expansion(h, m, needed))
-    else:
-        b = unit_vertex(f, p)
-        for h, m in basis:
-            S = vertex_budget(f, b, m, h, needed)
-            out.append(expand_vertex(h, f, m, b, S, modulus))
-    return out
+        return [table.expansion(h, m, needed) for h, m in basis]
+    return [expand_vertex(h, f, m, base, vertex_budget(f, base, m, h, needed), modulus)
+            for h, m in basis]
 
 
-def _probe_data(f, table, basis, probes, p, s, sigma, modulus):
+def _probe_data(f, base, table, basis, probes, p, s, sigma, modulus):
     """(lhs_i, rhs_j) coefficient data per probe w, as TPolys: each basis
     element's expansion at p^s w, and sigma-twisted at p^(s-1) w."""
     lhs_idx = [tuple(p**s * x for x in w) for w in probes]
     rhs_idx = [tuple(p ** (s - 1) * x for x in w) for w in probes]
-    exps = _basis_expansions(f, table, basis, lhs_idx + rhs_idx, p, modulus)
+    exps = _basis_expansions(f, base, table, basis, lhs_idx + rhs_idx, modulus)
     data = []
     for u, v in zip(lhs_idx, rhs_idx):
         lhs = []

@@ -278,9 +278,7 @@ def cmd_cy(args, fmt):
         _emit(out, fmt)
         return 0
     if args.action == "frobenius":
-        rep = frobenius_lambda0(
-            args.family, args.dim, args.prime, s=args.steps, seed=args.seed
-        )
+        rep = frobenius_lambda0(args.family, args.dim, args.prime, s=args.steps)
         ok = (
             rep.ell_cancellation
             and rep.ode_residual_ok
@@ -303,7 +301,7 @@ def cmd_cy(args, fmt):
         _emit(out, fmt)
         return 0 if ok else 1
     if args.action == "excellent":
-        rep = excellent_lift_check(args.family, args.dim, args.prime, seed=args.seed)
+        rep = excellent_lift_check(args.family, args.dim, args.prime)
         rep["schema"] = 1
         _emit(rep, fmt)
         return 0 if rep["passed"] else 1
@@ -364,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact p-adic Frobenius data for toric hypersurfaces",
     )
     ap.add_argument("--format", choices=("json", "pretty"), default="json")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0, help="recorded in verify reports")
     ap.add_argument("--timing", action="store_true", help="include timings in reports")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -452,7 +450,6 @@ def cli_main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
-    # seed is honoured by commands that randomise probes
     try:
         return args.fn(args, args.format)
     except USAGE_ERRORS as ex:

@@ -321,7 +321,7 @@ def cyclic_basis(f: LaurentPoly, n: int):
 
 
 def family_cartier_matrix(
-    preset: FamilyPreset, k: int, sigma: FrobeniusLift, s: int, T: int, seed: int
+    preset: FamilyPreset, k: int, sigma: FrobeniusLift, s: int, T: int
 ):
     """Level-k Cartier matrix of the family under the lift sigma, on its
     cyclic basis, as TPoly entries mod (p^(s k), t^T)."""
@@ -329,7 +329,7 @@ def family_cartier_matrix(
     mu = interior(newton_polytope(preset.g.support()))
     return interpolate_cartier(
         f, mu, k, sigma.p, sigma, s,
-        basis=cyclic_basis(f, k), t_trunc=T, g=preset.g, seed=seed,
+        basis=cyclic_basis(f, k), t_trunc=T, g=preset.g,
     )
 
 
@@ -341,7 +341,6 @@ def frobenius_lambda0(
     T: int | None = None,
     t_check: int = 8,
     ode_t_check: int = 10,
-    seed: int = 0,
 ) -> Lambda0Report:
     """Extract the constant Frobenius matrix L_0 with U(t) L_0 U(t^p)^(-1)
     equal to the interpolated Cartier matrix, plus the alpha_j constants.
@@ -356,13 +355,14 @@ def frobenius_lambda0(
     if p <= n + 1:
         raise ValueError("need p > n + 1")
     preset = preset_family(family, n)
+    operator = preset_operator(family, n)
     if not all_proper_faces_volume_one(newton_polytope(preset.g.support())):
         raise ValueError("family polytope does not satisfy the simplex-face hypothesis")
     if T is None:
         T = p**s + 12
     precision = s * n
     modulus = p**precision
-    lam = family_cartier_matrix(preset, n, FrobeniusLift.t_power(p), s, T, seed).matrix
+    lam = family_cartier_matrix(preset, n, FrobeniusLift.t_power(p), s, T).matrix
 
     # L_0 = E(-ell) Lambda(0) E(p ell) in powers of ell = log t: its ell^0
     # part is Lambda(0) itself, and each ell^k part (k >= 1) must vanish
@@ -388,7 +388,6 @@ def frobenius_lambda0(
         else:
             alphas.append((j, (entry // p**j) % residue_mod, precision - j))
 
-    operator = preset_operator(family, n)
     sols = standard_solutions(operator, max(t_check + 2, ode_t_check + 2))
     t_diag = _t_constancy_diagnostics(sols, lam, p, precision, t_check)
     ode_ok = _ode_residual_ok(operator, lam, p, min(2, precision), ode_t_check)
@@ -479,7 +478,6 @@ def excellent_lift_check(
     n: int,
     p: int,
     T: int = 40,
-    seed: int = 0,
 ) -> dict:
     """Verify the distinguished Frobenius lift q -> c^(p-1) q^p.
 
@@ -519,7 +517,7 @@ def excellent_lift_check(
 
     # level-2 eigenvector property via interpolation with the series lift
     sigma = FrobeniusLift.series(p, sigma_poly, t_trunc=T)
-    lam00, lam01 = family_cartier_matrix(preset, 2, sigma, 1, T, seed).matrix[0]
+    lam00, lam01 = family_cartier_matrix(preset, 2, sigma, 1, T).matrix[0]
     t_keep = max(4, (T - 1) // p)
     theta_component_zero = not bool((lam01 % modulus).truncate(t_keep))
 

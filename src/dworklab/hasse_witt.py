@@ -173,7 +173,7 @@ def higher_F_polynomial(
     """
     if not 1 <= k < p:
         raise ValueError("need 1 <= k < p")
-    fxp = frobenius_twist(f, sigma, substitute_x_p=True, p=p, modulus=modulus)
+    fxp = frobenius_twist(f, sigma, p, modulus)
     if has_tpoly(f):
         return regroup_t(_F_formula(flatten_t(f), flatten_t(fxp), k, p, modulus))
     return _F_formula(f, fxp, k, p, modulus)
@@ -272,7 +272,7 @@ def higher_hw_alternative_check(
     modulus = p**k
     M = higher_hw_matrix(f, mu, k, p, sigma, k)
     points = M.index
-    numerator = frobenius_twist(f, sigma, substitute_x_p=True, p=p, modulus=modulus)
+    numerator = frobenius_twist(f, sigma, p, modulus)
     numerator = power_mod(numerator, k, modulus)
     targets = sorted(
         {

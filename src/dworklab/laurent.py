@@ -391,21 +391,11 @@ class FrobeniusLift:
 
 
 def frobenius_twist(
-    f: LaurentPoly,
-    sigma: FrobeniusLift,
-    substitute_x_p: bool = False,
-    p: int | None = None,
-    modulus: int | None = None,
+    f: LaurentPoly, sigma: FrobeniusLift, p: int, modulus: int | None = None
 ) -> LaurentPoly:
-    """Apply sigma to coefficients and optionally map exponents u -> p*u."""
+    """f^sigma(x^p): sigma applied to the coefficients, exponents u -> p*u."""
     out = sigma.apply_poly(f, modulus)
-    if substitute_x_p:
-        if p is None:
-            raise ValueError("substitute_x_p requires p")
-        out = LaurentPoly(
-            f.n, {tuple(p * x for x in e): c for e, c in out.terms.items()}
-        )
-    return out
+    return LaurentPoly(f.n, {tuple(p * x for x in e): c for e, c in out.terms.items()})
 
 
 def cartier_poly(f: LaurentPoly, p: int) -> LaurentPoly:
@@ -420,7 +410,7 @@ def cartier_poly(f: LaurentPoly, p: int) -> LaurentPoly:
 def frobenius_discrepancy(f: LaurentPoly, sigma: FrobeniusLift, p: int) -> LaurentPoly:
     """G with f(x)^p = f^sigma(x^p) - p*G(x); division by p must be exact.
     An f with a TPoly coefficient is worked in the flat form."""
-    twisted = frobenius_twist(f, sigma, substitute_x_p=True, p=p)
+    twisted = frobenius_twist(f, sigma, p)
     flat = has_tpoly(f)
     if flat:
         f, twisted = flatten_t(f), flatten_t(twisted)

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from dworklab.arith import TPoly, val_p_fraction
+from dworklab.arith import val_p_fraction
 from dworklab.laurent import FrobeniusLift, LaurentPoly, family_poly
-from dworklab.polytope import interior, newton_polytope, whole_polytope
+from dworklab.polytope import newton_polytope, whole_polytope
 from dworklab.hasse_witt import (
     higher_hw_alternative_check,
     higher_hw_condition,

@@ -8,14 +8,27 @@ from hypothesis import strategies as st
 
 from dworklab.arith import Ring, TPoly
 from dworklab.cy import cyclic_basis, preset_family
-from dworklab.laurent import FrobeniusLift, LaurentPoly, coefficient_of_power, family_poly
-from dworklab.polytope import interior, newton_polytope, vertex_star, whole_polytope
+from dworklab.laurent import (
+    FrobeniusLift,
+    LaurentPoly,
+    coefficient_of_power,
+    family_poly,
+    power_mod,
+)
+from dworklab.linalg import RankDeficiencyError
+from dworklab.polytope import (
+    interior,
+    lattice_points_in_dilate,
+    newton_polytope,
+    vertex_star,
+    whole_polytope,
+)
 from dworklab.hasse_witt import hw_condition, hw_matrix, lambda_unit_root
 from dworklab import cartier
 from dworklab.cartier import (
-    CartierInterpolation,
     _PowerTable,
     FormalExpansion,
+    ResidualError,
     cartier_shift,
     cartier_via_formula,
     constant_term_series,
@@ -471,6 +484,42 @@ class TestUnitVertex:
             unit_vertex(f, p)
 
 
+# random f with coefficients on the 3x3 box, for the vertex-route oracles
+SMALL_TERMS = st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                              st.integers(-4, 4).filter(bool), min_size=3, max_size=4)
+
+
+def assume_ordinary(terms, p, subset):
+    """(f, mu) for the drawn terms, assuming f has a unit vertex and mu
+    lattice points and the Hasse-Witt condition at p."""
+    f = LaurentPoly(2, terms)
+    try:
+        P = newton_polytope(f.support())
+        unit_vertex(f, p)
+    except ValueError:
+        assume(False)
+    mu = subset(P)
+    assume(mu.lattice_points(1) and hw_condition(f, mu, p))
+    return f, mu
+
+
+def level_change_sides(f, mu, k, p, s):
+    """(F Lambda_k, Lambda_1 F) mod p^s, with F[u][v] = [x^(v-u)] f^(k-1)
+    writing x^u / f as a combination of the x^v / f^k.  The Cartier
+    operation commutes with that rewriting, so the two sides agree."""
+    lam_k = interpolate_cartier(f, mu, k, p, ID, s).matrix
+    lam_1 = lambda_unit_root(f, mu, p, ID, s).entries
+    fk = power_mod(f, k - 1)
+    F = [[fk.coefficient_at(tuple(a - b for a, b in zip(v, u)))
+          for v in lattice_points_in_dilate(mu, k)]
+         for u in lattice_points_in_dilate(mu, 1)]
+
+    def product(A, B):
+        return [[sum(x * y for x, y in zip(row, col)) % p**s for col in zip(*B)] for row in A]
+
+    return product(F, lam_k), product(lam_1, F)
+
+
 class TestInterpolation:
     def test_matches_beta_route(self):
         f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2})
@@ -480,25 +529,71 @@ class TestInterpolation:
         assert [[x % 25 for x in row] for row in interp.matrix] == lam.entries
 
     @settings(max_examples=20, deadline=None)
-    @given(
-        st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
-                        st.integers(-4, 4).filter(bool), min_size=3, max_size=4),
-        st.sampled_from([3, 5]), st.integers(1, 2), st.sampled_from([whole_polytope, interior]),
-    )
+    @given(SMALL_TERMS, st.sampled_from([3, 5]), st.integers(1, 2),
+           st.sampled_from([whole_polytope, interior]))
     def test_random_ordinary_matches_beta_route(self, terms, p, s, subset):
         # two routes to Lambda mod p^s: the vertex-expansion congruences and
         # beta_{p^s} sigma(beta_{p^(s-1)})^(-1), on random ordinary inputs
-        f = LaurentPoly(2, terms)
-        try:
-            P = newton_polytope(f.support())
-            unit_vertex(f, p)
-        except ValueError:
-            assume(False)
-        mu = subset(P)
-        assume(mu.lattice_points(1) and hw_condition(f, mu, p))
+        f, mu = assume_ordinary(terms, p, subset)
         interp = interpolate_cartier(f, mu, 1, p, ID, s)
         lam = lambda_unit_root(f, mu, p, ID, s)
         assert [[x % p**s for x in row] for row in interp.matrix] == lam.entries
+
+    @settings(max_examples=8, deadline=None)
+    @given(SMALL_TERMS, st.sampled_from([2, 3]), st.integers(1, 2),
+           st.sampled_from([whole_polytope, interior]))
+    def test_random_level_k_matches_level_one(self, terms, k, s, subset):
+        # F Lambda_k = Lambda_1 F mod p^s on random ordinary inputs, wherever
+        # the level-k interpolation solves
+        f, mu = assume_ordinary(terms, 5, subset)
+        try:
+            lhs, rhs = level_change_sides(f, mu, k, 5, s)
+        except RankDeficiencyError:
+            return
+        assert lhs == rhs
+
+    def test_level_two_solves_on_the_vertex_route(self):
+        # each level of probes is shifted by level * b into the cone at the
+        # unit vertex b, so every probe row carries data
+        f = LaurentPoly(2, {(-1, -1): 4, (0, -1): -3, (0, 0): -3})
+        lhs, rhs = level_change_sides(f, whole_polytope(newton_polytope(f.support())), 2, 5, 1)
+        assert lhs == rhs
+
+    def assert_held_out_check_fires(self, monkeypatch, interpolate, size, delta, holdout):
+        """Each diagonal entry of the solved matrix, put off by delta, fails
+        the congruence on a held-out probe."""
+        solve = cartier._solve_interpolation
+        for i in range(size):
+            def off_by_delta(*a, i=i):
+                matrix, T_lambda = solve(*a)
+                matrix[i][i] += delta
+                return matrix, T_lambda
+
+            monkeypatch.setattr(cartier, "_solve_interpolation", off_by_delta)
+            with pytest.raises(ResidualError) as err:
+                interpolate()
+            probes = {w["probe"] for w in err.value.witnesses}
+            assert probes and probes <= set(holdout)
+
+    def test_held_out_check_fires_on_the_vertex_route(self, monkeypatch):
+        # the held-out probes are the first points of the second dilate,
+        # shifted by 2 b for the unit vertex b = (-1, -1)
+        f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2})
+        mu = whole_polytope(newton_polytope(f.support()))
+        self.assert_held_out_check_fires(
+            monkeypatch, lambda: interpolate_cartier(f, mu, 1, 5, ID, 2),
+            len(mu.lattice_points(1)), 5, [(2, 2), (2, 3)],
+        )
+
+    def test_held_out_check_fires_on_the_family_route(self, monkeypatch):
+        ft = family_poly(SIMPLICIAL2)
+        mu = interior(newton_polytope(SIMPLICIAL2.support()))
+        self.assert_held_out_check_fires(
+            monkeypatch,
+            lambda: interpolate_cartier(ft, mu, 2, 5, FrobeniusLift.t_power(5), 1,
+                                        basis=cyclic_basis(ft, 2), t_trunc=25, g=SIMPLICIAL2),
+            2, 5, [(-3, -3), (-2, -1)],
+        )
 
     def test_empty_basis_on_both_routes(self):
         P = newton_polytope(TRIANGLE.support())
@@ -546,20 +641,20 @@ class TestInterpolation:
         monkeypatch.setattr(cartier, "_part_sequence",
                             lambda block, w, *a: calls.append(w) or part_sequence(block, w, *a))
         monkeypatch.setattr(cartier, "_probe_data",
-                            lambda *a: reads.append(a[3]) or probe_data(*a))
+                            lambda *a: reads.append(a[4]) or probe_data(*a))
         monkeypatch.setattr(cartier, "_solve_interpolation",
                             lambda *a: solves.append(a) or solve(*a))
         ft = family_poly(SIMPLICIAL2)
         mu = interior(newton_polytope(SIMPLICIAL2.support()))
         interpolate_cartier(
             ft, mu, 2, 5, FrobeniusLift.t_power(5), 1, basis=cyclic_basis(ft, 2),
-            t_trunc=30, g=SIMPLICIAL2, seed=2,
+            t_trunc=30, g=SIMPLICIAL2,
         )
         assert len(solves) == 1 and len(calls) > 40
         assert len(calls) == len(set(calls))
-        # the held-out probes follow the probes, drawn from the seeded stream
-        # in a fixed order
-        assert reads == [default_probes(mu, 2) + [(3, 3), (-3, -3)]]
+        # the held-out probes follow the probes: the first two points that
+        # the third dilate adds
+        assert reads == [default_probes(mu, 2) + [(-3, -3), (-2, -1)]]
 
     def test_rejects_s_below_one(self):
         f = LaurentPoly(1, {(1,): 1, (0,): -3})

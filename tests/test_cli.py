@@ -182,6 +182,8 @@ class TestExitCodes:
               "--steps", "0"], "s = 0"),
             (["cy", "frobenius", "--family", "simplicial", "--dim", "2", "--prime", "5",
               "--steps", "-1"], "s = -1"),
+            (["cy", "frobenius", "--family", "hyperoctahedral", "--dim", "3", "--prime", "7"],
+             "hyperoctahedral operator shipped for n = 4 only"),
             (["gamma-p", "--prime", "5", "--ratio-check", "0", "--precision", "3"], "s = 0"),
             (["gamma-p", "--prime", "5", "--ratio-check", "-1", "--precision", "3"], "s = -1"),
             (["gamma-p", "--prime", "5", "--precision", "-1"], "N must be >= 1, not -1"),
@@ -194,6 +196,7 @@ class TestExitCodes:
         ],
         ids=["exponent-limit", "gauss-bound-0", "gauss-bound-below-p", "zeta-count-ext-0", "lambda-t-trunc-0",
              "asd-smax-0", "super-smax-0", "cy-frobenius-steps-0", "cy-frobenius-steps--1",
+             "cy-frobenius-no-operator",
              "gamma-ratio-s-0", "gamma-ratio-s--1", "gamma-p-precision--1",
              "gamma-p-x-zero-denominator", "gamma-p-x-p-in-denominator",
              "cartier-bound--1", "gauss-dims-0", "dwork-dims-0"],

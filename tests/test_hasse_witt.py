@@ -319,7 +319,7 @@ def F_by_products(f, k, p, sigma, modulus=None):
             result = reduce(result * reduce(g))
         return result
 
-    fxp = frobenius_twist(f, sigma, substitute_x_p=True, p=p, modulus=modulus)
+    fxp = frobenius_twist(f, sigma, p, modulus)
     diff = reduce(fxp - power(f, p))
     acc = LaurentPoly(f.n)
     for r in range(k):

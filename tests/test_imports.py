@@ -1,6 +1,6 @@
 """Import hygiene of the package (stdlib ast only):
 
-* every module reads each name it imports;
+* every module, and every test module, reads each name it imports;
 * a function body imports nothing, from the package or outside it.  The
   package's import graph is acyclic, so every import can sit at the module
   top;
@@ -24,6 +24,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dworklab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 PRODUCTION = [
     *sorted(PACKAGE.glob("*.py")),
     *sorted((ROOT / "scripts").glob("*.py")),
@@ -104,7 +105,7 @@ def test_checker_flags_a_private_import():
     assert private_imports(source) == [(".cartier", "_PowerTable")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,12 +1,9 @@
-import itertools
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dworklab.polytope import (
     DegenerateSupportError,
-    LatticePolytope,
     all_proper_faces_volume_one,
     cone_facet_normals,
     interior,

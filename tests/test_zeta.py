@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dworklab.arith import teichmuller
 from dworklab.laurent import FrobeniusLift, LaurentPoly, family_poly
-from dworklab.polytope import interior, newton_polytope, whole_polytope
+from dworklab.polytope import interior, newton_polytope
 from dworklab.hasse_witt import lambda_unit_root
 from dworklab.zeta import (
     BudgetExceededError,
