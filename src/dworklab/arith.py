@@ -368,18 +368,19 @@ class TPoly:
         return TPoly([Fraction(0)] + [Fraction(c, d) for d, c in enumerate(ratio.coeffs, 1)])
 
     def reversion(self, T: int) -> "TPoly":
-        """Compositional inverse mod t^T of a series t + O(t^2), by Newton iteration."""
+        """Compositional inverse g mod t^T of a series f = t + O(t^2), over Q,
+        by Lagrange inversion: [t^k] g = [z^(k-1)] h^k / k with h = z/f(z)."""
         if self[0] != 0 or self[1] != 1:
             raise ValueError("reversion needs a monic series t + O(t^2)")
-        t = TPoly([Fraction(0), Fraction(1)])
-        df = self.derivative()
-        g = t
-        for _ in range(max(1, T.bit_length() + 1)):
-            err = self.compose(g, T) - t
-            if not err:
-                break
-            g = g - err.mul(df.compose(g, T).inverse_series(T), T)
-        return g
+        if T < 2:
+            raise ValueError(f"reversion needs T >= 2, not T = {T!r}")
+        h = TPoly(self.coeffs[1:]).inverse_series(T - 1)
+        g = [Fraction(0), Fraction(1)]
+        hk = h
+        for k in range(2, T):
+            hk = hk.mul(h, T - 1)
+            g.append(Fraction(hk[k - 1], k))
+        return TPoly(g)
 
     def __repr__(self):
         return f"TPoly({list(self.coeffs)!r})"

@@ -730,20 +730,23 @@ def _solve_interpolation(data, nb, p, modulus, T):
     stays below the point where the discarded tail of the unknowns could
     matter.  At T = 1 a column with no p-unit datum leaves T_lambda = 0, and
     the system is the integer one: one row per probe, in the constant terms.
+    Rows that repeat an earlier (row, rhs) pair mod `modulus` are dropped
+    before elimination: they leave the solution, and the column at which a
+    rank-deficient system fails, unchanged.
     """
     delays = [min((_tval_nonzero(rhs[j], p, T) for _, rhs in data), default=T)
               for j in range(nb)]
     T_lambda = T - max(delays, default=0)
     if T_lambda < 1:
         raise RankDeficiencyError("truncation too small for the data valuations")
-    # the elimination reduces its input and its solutions mod `modulus`
-    A_all = []
-    b_all = [[] for _ in range(nb)]
+    # each distinct (row, rhs) pair mod `modulus` once, in order of first use
+    rows = {}
     for lhs, rhs in data:
         for d in range(_row_window(rhs, modulus, T, T_lambda)):
-            A_all.append([c[d - dd] for c in rhs for dd in range(T_lambda)])  # 0 below degree 0
-            for i in range(nb):
-                b_all[i].append(lhs[i][d])
+            row = tuple(c[d - dd] % modulus for c in rhs for dd in range(T_lambda))  # 0 below degree 0
+            rows[row, tuple(b[d] % modulus for b in lhs)] = None
+    A_all = [list(row) for row, _ in rows]
+    b_all = [[b[i] for _, b in rows] for i in range(nb)]
     solutions = solve_mod_multi(A_all, b_all, modulus)
     return [[TPoly(x[j * T_lambda:(j + 1) * T_lambda]) for j in range(nb)]
             for x in solutions], T_lambda

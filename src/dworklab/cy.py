@@ -201,37 +201,32 @@ class LogSeriesSolution:
 
 def _eps_pow_linear(e0, m, k):
     """(e0 + eps)^k as an epsilon-polynomial mod eps^m."""
-    return TPoly([
-        Fraction(math.comb(k, j)) * Fraction(e0) ** (k - j)
-        for j in range(min(k, m - 1) + 1)
-    ])
+    return TPoly([math.comb(k, j) * e0 ** (k - j) for j in range(min(k, m - 1) + 1)])
 
 
 def standard_solutions(L: ThetaOperator, T: int):
     """The unique maximally-unipotent solution basis, by the Frobenius method.
 
-    Works in Q[eps]/(eps^m): with c_0(eps)=1 the recursion
-    (d+eps)^m c_d = - sum_i sum_{e<d} a_{i,d-e} (e+eps)^(m-i) c_e
+    Works in Q[eps]/(eps^m) on the operator's polynomials A_0, ..., A_m of
+    degree <= D: with c_0(eps) = 1 the recursion
+    A_{0,0} (d+eps)^m c_d = - sum_{j=1..D} sum_{i=0..m} A_{i,j} (d-j+eps)^(m-i) c_{d-j}
     has unit leading factors for d >= 1, and F_j(t) = sum_d [eps^j] c_d(eps) t^d.
     """
     m = L.order
-    a = L.coefficient_series(T)
+    A = [[Fraction(x) for x in coeffs] for coeffs in (L.leading, *L.lower)]
+    D = max(len(a) for a in A) - 1
     c = [TPoly([Fraction(1)])]
     # shifted[e][k] = (e + eps)^k c_e, made once per e and reused for every d
     shifted = []
     for d in range(1, T):
-        shifted.append([_eps_pow_linear(d - 1, m, k).mul(c[-1], m) for k in range(m)])
-        acc = [Fraction(0)] * m
-        for i in range(1, m + 1):
-            ai = a[i - 1]
-            for e in range(d):
-                coef = ai[d - e]
-                if coef == 0:
-                    continue
-                for j, x in enumerate(shifted[e][m - i].coeffs):
-                    acc[j] += coef * x
-        lead_inv = _eps_pow_linear(d, m, m).inverse_series(m)
-        c.append(-lead_inv.mul(TPoly(acc), m))
+        shifted.append([_eps_pow_linear(d - 1, m, k).mul(c[-1], m) for k in range(m + 1)])
+        acc = TPoly()
+        for j in range(1, min(D, d) + 1):
+            for i, a in enumerate(A):
+                if j < len(a) and a[j]:
+                    acc += shifted[d - j][m - i] * a[j]
+        lead_inv = (_eps_pow_linear(d, m, m) * A[0][0]).inverse_series(m)
+        c.append(-lead_inv.mul(acc, m))
     # Fraction(...) keeps the zeros stripped from c_d rational
     F = [TPoly([Fraction(cd[j]) for cd in c]) for j in range(m)]
     return [LogSeriesSolution(i, F[: i + 1]) for i in range(m)]

@@ -232,6 +232,28 @@ class TestTPolySeries:
         assert s.compose(inv, 10) == t
         assert inv.compose(s, 10) == t
 
+    @pytest.mark.parametrize("T", [0, 1])
+    def test_reversion_needs_t_at_least_two(self, T):
+        with pytest.raises(ValueError, match="T >= 2"):
+            TPoly([0, 1, 3]).reversion(T)
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([1, Fraction(1)]),
+        st.one_of(
+            st.lists(st.integers(-5, 5), max_size=8),
+            st.lists(st.fractions(-3, 3, max_denominator=6), max_size=8),
+        ),
+        st.integers(2, 16),
+    )
+    def test_reversion_is_a_two_sided_inverse(self, one, tail, T):
+        f = TPoly([0, one] + tail)
+        g = f.reversion(T)
+        t = TPoly([0, 1])
+        assert f.compose(g, T) == t
+        assert g.compose(f, T) == t
+        assert all(type(c) is Fraction for c in g.coeffs)
+
     def test_reduce_mod_rejects_p_denominator(self):
         assert TPoly([Fraction(1, 2), 30]).reduce_mod(25) == TPoly([13, 5])
         with pytest.raises(NonUnitError):

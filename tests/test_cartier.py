@@ -656,6 +656,27 @@ class TestInterpolation:
         # the third dilate adds
         assert reads == [default_probes(mu, 2) + [(-3, -3), (-2, -1)]]
 
+    def test_family_system_drops_duplicate_rows(self, monkeypatch):
+        # simplicial(2) at level 2: the probes repeat one another's rows, and
+        # each distinct (row, rhs) pair reaches the elimination once
+        ft = family_poly(SIMPLICIAL2)
+        mu = interior(newton_polytope(SIMPLICIAL2.support()))
+        basis = cyclic_basis(ft, 2)
+        data = cartier._probe_data(ft, None, _PowerTable(SIMPLICIAL2, 25, 25), basis,
+                                   default_probes(mu, 2), 5, 1, FrobeniusLift.t_power(5), 25)
+        systems = []
+        solve = cartier.solve_mod_multi
+        monkeypatch.setattr(cartier, "solve_mod_multi",
+                            lambda A, bs, modulus: systems.append((A, bs)) or solve(A, bs, modulus))
+        once = cartier._solve_interpolation(data, len(basis), 5, 25, 25)
+        twice = cartier._solve_interpolation(data + data, len(basis), 5, 25, 25)
+        assert once == twice
+        assert systems[0] == systems[1]
+        A, bs = systems[0]
+        pairs = [(tuple(row), tuple(b[i] for b in bs)) for i, row in enumerate(A)]
+        rows = sum(cartier._row_window(rhs, 25, 25, once[1]) for _, rhs in data)
+        assert len(set(pairs)) == len(pairs) < rows
+
     def test_rejects_s_below_one(self):
         f = LaurentPoly(1, {(1,): 1, (0,): -3})
         P = newton_polytope(f.support())

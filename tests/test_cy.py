@@ -11,6 +11,7 @@ from dworklab.laurent import LaurentPoly
 from dworklab.linalg import RankDeficiencyError
 from dworklab.polytope import newton_polytope, is_reflexive
 from dworklab.cy import (
+    ThetaOperator,
     _t_constancy_diagnostics,
     canonical_coordinate,
     cyclic_basis,
@@ -73,8 +74,6 @@ class TestPresetOperators:
         assert [F0[0], F0[1], F0[2]] == [1, 120, 113400]
 
     def test_non_mum_rejected(self):
-        from dworklab.cy import ThetaOperator
-
         with pytest.raises(ValueError):
             ThetaOperator(1, (Fraction(1),), ((Fraction(1), Fraction(0)),))
 
@@ -83,27 +82,50 @@ class TestPresetOperators:
             preset_operator("hyperoctahedral", 3)
 
 
+def assert_annihilated(op, T):
+    """One more step of the theta recursion that builds W gives row m:
+    theta^i y_j = sum_l R_i[l] log(t)^(j-l)/(j-l)!, so L = theta^m +
+    sum_i a_i theta^(m-i) kills every solution when each log component
+    R_m[l] + sum_i a_i R_(m-i)[l] vanishes mod t^(T-m).  The monic a_i come
+    from `coefficient_series`, a route the recursion does not take."""
+    m = op.order
+    a = op.coefficient_series(T)
+    R = wronskian_matrix(standard_solutions(op, T), T)
+    last = R[-1]
+    R.append([last[0].theta()] + [x.theta() + y for x, y in zip(last[1:], last)])
+    for l in range(m):
+        comp = R[m][l]
+        for i in range(1, m + 1):
+            comp = comp + a[i - 1].mul(R[m - i][l], T)
+        assert all(comp[d] == 0 for d in range(T - m))
+
+
+@st.composite
+def mum_operators(draw):
+    """Operators of order 2-4 whose A_i have degree 1-3 and small Fraction
+    coefficients, with A_0(0) not 1 and A_i(0) = 0 for i >= 1."""
+    small = st.fractions(-3, 3, max_denominator=4)
+
+    def poly(constant):
+        return (constant,) + tuple(draw(st.lists(small, min_size=1, max_size=3)))
+
+    m = draw(st.integers(2, 4))
+    leading = poly(draw(st.sampled_from([Fraction(2), Fraction(-3), Fraction(3, 2)])))
+    return ThetaOperator(m, leading, tuple(poly(Fraction(0)) for _ in range(m)))
+
+
 class TestStandardSolutions:
     @pytest.mark.parametrize(
         "name,n", [("simplicial", 2), ("simplicial", 3), ("quintic", None),
                    ("hyperoctahedral", 4)]
     )
     def test_annihilated_by_operator(self, name, n):
-        # one more step of the theta recursion that builds W gives row m:
-        # theta^i y_j = sum_l R_i[l] log(t)^(j-l)/(j-l)!, so L = theta^m +
-        # sum_i a_i theta^(m-i) kills every solution when each log component
-        # R_m[l] + sum_i a_i R_(m-i)[l] vanishes mod t^(T-m)
-        op = preset_operator(name, n)
-        T, m = 12, op.order
-        a = op.coefficient_series(T)
-        R = wronskian_matrix(standard_solutions(op, T), T)
-        last = R[-1]
-        R.append([last[0].theta()] + [x.theta() + y for x, y in zip(last[1:], last)])
-        for l in range(m):
-            comp = R[m][l]
-            for i in range(1, m + 1):
-                comp = comp + a[i - 1].mul(R[m - i][l], T)
-            assert all(comp[d] == 0 for d in range(T - m))
+        assert_annihilated(preset_operator(name, n), 12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(mum_operators())
+    def test_random_mum_operator_annihilates_its_solutions(self, op):
+        assert_annihilated(op, 8)
 
     def test_normalisation(self):
         op = preset_operator("quintic")
