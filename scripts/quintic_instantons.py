@@ -18,9 +18,17 @@ from dworklab.cy import (
 )
 
 
+def degree(text: str) -> int:
+    """A --degree value: an int >= 0."""
+    d = int(text)
+    if d < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {d}")
+    return d
+
+
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--degree", type=int, default=10)
+    ap.add_argument("--degree", type=degree, default=10)
     args = ap.parse_args()
 
     T = args.degree + 2

@@ -294,7 +294,13 @@ class TPoly:
     def compose(self, other: "TPoly", T: int | None = None,
                 modulus: int | None = None) -> "TPoly":
         """Horner composition self(other), optionally mod t^T and mod `modulus`.
-        Each nonzero Horner constant is added to the constant term alone."""
+        Each nonzero Horner constant is added to the constant term alone.  On
+        ints an inner t^k (k >= 1) is the substitution `subs_t_power(k)`,
+        which gives what the loop would, types included."""
+        k = other.degree()
+        if (k >= 1 and other.coeffs == (0,) * k + (1,)
+                and all(type(c) is int for c in self.coeffs + other.coeffs)):
+            return Ring(modulus, T).reduce(self.subs_t_power(k))
         acc = TPoly()
         for c in reversed(self.coeffs):
             acc = acc * other if T is None else acc.mul(other, T)

@@ -660,7 +660,7 @@ def interpolate_cartier(
 
     # one table of [x^w] g^i serves every basis element and probe
     table = None if g is None else _PowerTable(g, T, modulus)
-    data = _probe_data(f, base, table, basis, probes + holdout, p, s, sigma, modulus)
+    data = _probe_data(f, base, table, basis, probes + holdout, p, s, sigma, modulus, T)
     matrix, T_lambda = _solve_interpolation(data[:len(probes)], len(basis), p, modulus, T)
     witnesses = _holdout_residuals(matrix, holdout, data[len(probes):], modulus, T, T_lambda)
     if witnesses:
@@ -682,9 +682,9 @@ def _basis_expansions(f, base, table, basis, needed, modulus):
             for h, m in basis]
 
 
-def _probe_data(f, base, table, basis, probes, p, s, sigma, modulus):
+def _probe_data(f, base, table, basis, probes, p, s, sigma, modulus, T):
     """(lhs_i, rhs_j) coefficient data per probe w, as TPolys: each basis
-    element's expansion at p^s w, and sigma-twisted at p^(s-1) w."""
+    element's expansion at p^s w, and sigma-twisted mod t^T at p^(s-1) w."""
     lhs_idx = [tuple(p**s * x for x in w) for w in probes]
     rhs_idx = [tuple(p ** (s - 1) * x for x in w) for w in probes]
     exps = _basis_expansions(f, base, table, basis, lhs_idx + rhs_idx, modulus)
@@ -696,7 +696,7 @@ def _probe_data(f, base, table, basis, probes, p, s, sigma, modulus):
             if not (E.is_complete(u) and E.is_complete(v)):
                 raise ValueError("expansion budget does not cover a probe index")
             lhs.append(TPoly.coerce(E.coefficient(u)))
-            rhs.append(TPoly.coerce(sigma.apply_scalar(E.coefficient(v), modulus)))
+            rhs.append(TPoly.coerce(sigma.apply_scalar(E.coefficient(v), modulus, T)))
         data.append((lhs, rhs))
     return data
 

@@ -113,39 +113,33 @@ def _select_mu(P, name: str):
 
 
 def _load_mu(args):
-    """(f, g, mu): the polynomial of `_load_poly` and the --mu subset of its
+    """(f, mu): the polynomial of `_load_poly` and the --mu subset of its
     Newton polytope, which for a family 1 - t*g also holds the origin."""
     f, g = _load_poly(args)
     support = f.support()
     if g is not None:
         support.add((0,) * f.n)
-    return f, g, _select_mu(newton_polytope(support), args.mu)
+    return f, _select_mu(newton_polytope(support), args.mu)
 
 
 def cmd_hw(args, fmt):
-    f, _, mu = _load_mu(args)
+    f, mu = _load_mu(args)
     M = hw_matrix(f, mu, args.prime, args.precision)
     _emit(M.to_json(), fmt)
     return 0
 
 
 def cmd_lambda(args, fmt):
-    f, g, mu = _load_mu(args)
-    sigma = (
-        FrobeniusLift.t_power(args.prime, args.t_trunc)
-        if g is not None
-        else FrobeniusLift.identity()
-    )
+    f, mu = _load_mu(args)
+    sigma = FrobeniusLift.t_power(args.prime)
     M = lambda_unit_root(f, mu, args.prime, sigma, args.steps, t_trunc=args.t_trunc)
     _emit(M.to_json(), fmt)
     return 0
 
 
 def cmd_higher_hw(args, fmt):
-    f, g, mu = _load_mu(args)
-    sigma = (
-        FrobeniusLift.t_power(args.prime) if g is not None else FrobeniusLift.identity()
-    )
+    f, mu = _load_mu(args)
+    sigma = FrobeniusLift.t_power(args.prime)
     ok, report = higher_hw_condition(f, mu, args.level, args.prime, sigma)
     out = {
         "schema": 1,

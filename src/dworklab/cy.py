@@ -316,14 +316,14 @@ def cyclic_basis(f: LaurentPoly, n: int):
 
 
 def family_cartier_matrix(
-    preset: FamilyPreset, k: int, sigma: FrobeniusLift, s: int, T: int
+    preset: FamilyPreset, k: int, p: int, sigma: FrobeniusLift, s: int, T: int
 ):
     """Level-k Cartier matrix of the family under the lift sigma, on its
     cyclic basis, as TPoly entries mod (p^(s k), t^T)."""
     f = family_poly(preset.g)
     mu = interior(newton_polytope(preset.g.support()))
     return interpolate_cartier(
-        f, mu, k, sigma.p, sigma, s,
+        f, mu, k, p, sigma, s,
         basis=cyclic_basis(f, k), t_trunc=T, g=preset.g,
     )
 
@@ -357,7 +357,7 @@ def frobenius_lambda0(
         T = p**s + 12
     precision = s * n
     modulus = p**precision
-    lam = family_cartier_matrix(preset, n, FrobeniusLift.t_power(p), s, T).matrix
+    lam = family_cartier_matrix(preset, n, p, FrobeniusLift.t_power(p), s, T).matrix
 
     # L_0 = E(-ell) Lambda(0) E(p ell) in powers of ell = log t: its ell^0
     # part is Lambda(0) itself, and each ell^k part (k >= 1) must vanish
@@ -443,8 +443,7 @@ def _ode_residual_ok(operator, lam, p, check_precision, t_check):
     """theta(Lambda) = N Lambda - p Lambda N(t^p) mod (p^check, t^t_check)."""
     m = operator.order
     modulus = p**check_precision
-    Tn = t_check * p + 1
-    companion = operator.companion_series(Tn)
+    companion = operator.companion_series(t_check + 1)
     # only degrees <= t_check are compared, so the factors are truncated there
     reduce = Ring(modulus, t_check + 1).reduce
     try:
@@ -511,8 +510,8 @@ def excellent_lift_check(
     report["congruent_mod_p"] = not bool(diff)
 
     # level-2 eigenvector property via interpolation with the series lift
-    sigma = FrobeniusLift.series(p, sigma_poly, t_trunc=T)
-    lam00, lam01 = family_cartier_matrix(preset, 2, sigma, 1, T).matrix[0]
+    sigma = FrobeniusLift.series(p, sigma_poly)
+    lam00, lam01 = family_cartier_matrix(preset, 2, p, sigma, 1, T).matrix[0]
     t_keep = max(4, (T - 1) // p)
     theta_component_zero = not bool((lam01 % modulus).truncate(t_keep))
 

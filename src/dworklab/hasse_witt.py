@@ -121,12 +121,6 @@ def hw_condition(f: LaurentPoly, mu: OpenSubset, p: int) -> bool:
     return _det_mod_p(M) != 0
 
 
-def sigma_matrix(M, sigma: FrobeniusLift, modulus: int, t_trunc: int | None = None):
-    """sigma applied to every entry, reduced in Ring(modulus, t_trunc)."""
-    reduce = Ring(modulus, t_trunc).reduce
-    return [[reduce(sigma.apply_scalar(e, modulus)) for e in row] for row in M]
-
-
 def lambda_unit_root(
     f: LaurentPoly,
     mu: OpenSubset,
@@ -153,7 +147,8 @@ def lambda_unit_root(
     if series and (t_trunc is None or t_trunc < 1):
         raise ValueError("t-family Lambda needs a truncation order t_trunc >= 1")
     ring = Ring(p**s, t_trunc if series else None)
-    twisted = sigma_matrix(den.entries, sigma, ring.modulus, ring.T)
+    twisted = [[ring.reduce(sigma.apply_scalar(e, ring.modulus, ring.T)) for e in row]
+               for row in den.entries]
     inv = tmat_inv_series(twisted, ring.modulus, ring.T)
     lam = [[ring.reduce(e) for e in row] for row in mat_mul(num.entries, inv)]
     return BetaMatrix(num.index, lam, p, s)
@@ -260,7 +255,8 @@ def higher_hw_alternative_check(
 ) -> bool:
     """Cross-validate HW^(k) entries against the series route mod p^k:
     the (u, v) entry must match the coefficient of x^(p v - u) in the formal
-    expansion of f^sigma(x^p)^k / f(x)^k.
+    expansion of f^sigma(x^p)^k / f(x)^k.  sigma defaults to t -> t^p, which,
+    like every lift, leaves an int f as it is.
 
     The polynomial route has t-degree at most k(p-1); the series route is an
     infinite expansion, so the comparison also asserts that the tail of the
@@ -268,7 +264,7 @@ def higher_hw_alternative_check(
     """
     odd_prime(p)
     if sigma is None:
-        sigma = FrobeniusLift.identity()
+        sigma = FrobeniusLift.t_power(p)
     modulus = p**k
     M = higher_hw_matrix(f, mu, k, p, sigma, k)
     points = M.index
@@ -305,7 +301,8 @@ def higher_hw_condition(
 ):
     """Check ord_p(det HW^(l)(mu)) = L(l, mu) with unit cofactor for all l <= k.
 
-    Returns (ok, report) where report[l] holds both numbers per level.  For
+    sigma defaults to t -> t^p, which, like every lift, leaves an int f as it
+    is.  Returns (ok, report) where report[l] holds both numbers per level.  For
     t-families ord_p is the Gauss valuation (minimum over t-coefficients) and
     the unit test applies to the lowest-degree coefficient achieving it, which
     operationalises invertibility after clearing the declared Hasse-Witt
@@ -315,7 +312,7 @@ def higher_hw_condition(
     if k < 1:
         raise ValueError("level k must be >= 1")
     if sigma is None:
-        sigma = FrobeniusLift.identity()
+        sigma = FrobeniusLift.t_power(p)
     report = {}
     ok = True
     for level in range(1, k + 1):

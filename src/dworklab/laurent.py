@@ -338,53 +338,32 @@ def coefficient_of_power(f: LaurentPoly, m: int, w, modulus: int | None = None):
 
 @dataclass(frozen=True)
 class FrobeniusLift:
-    """Coefficient-ring endomorphism congruent to the p-th power map mod p.
+    """Coefficient-ring endomorphism congruent to the p-th power map mod p:
+    t -> image on TPoly coefficients, the identity on ints (and on
+    everything when image is None).  The precision is the caller's."""
 
-    kind 'identity' works for Z or Z/p^N coefficients.  kind 'series' carries
-    an image polynomial for t (typically t^p) and acts on TPoly coefficients
-    by substitution.
-    """
-
-    kind: str  # "identity" | "series"
-    p: int | None = None
-    image: TPoly | None = None
-    t_trunc: int | None = None
+    image: TPoly | None
 
     @staticmethod
     def identity() -> "FrobeniusLift":
-        return FrobeniusLift("identity")
+        return FrobeniusLift(None)
 
     @staticmethod
-    def t_power(p: int, t_trunc: int | None = None) -> "FrobeniusLift":
-        return FrobeniusLift("series", p=p, image=TPoly.t_power(p), t_trunc=t_trunc)
+    def t_power(p: int) -> "FrobeniusLift":
+        return FrobeniusLift(TPoly.t_power(p))
 
     @staticmethod
-    def series(p: int, image: TPoly, t_trunc: int | None = None) -> "FrobeniusLift":
-        lift = FrobeniusLift("series", p=p, image=image, t_trunc=t_trunc)
-        lift.validate()
-        return lift
-
-    def validate(self):
-        """Check t^sigma = t^p mod p through the stored truncation."""
-        if self.kind != "series":
-            return
-        diff = self.image - TPoly.t_power(self.p)
-        if any(c % self.p for c in (diff % self.p**30).coeffs):
+    def series(p: int, image: TPoly) -> "FrobeniusLift":
+        """The lift t -> image; raises ValueError unless image = t^p mod p."""
+        if any(c % p for c in (image - TPoly.t_power(p)).coeffs):
             raise ValueError("series image is not congruent to t^p mod p")
+        return FrobeniusLift(image)
 
-    def is_t_power(self) -> bool:
-        return self.kind == "series" and self.image == TPoly.t_power(self.p)
-
-    def apply_scalar(self, c, modulus: int | None = None):
-        if self.kind == "identity":
+    def apply_scalar(self, c, modulus: int | None = None, T: int | None = None):
+        """sigma(c) in Ring(modulus, T) for a TPoly c; any other c unchanged."""
+        if self.image is None or not isinstance(c, TPoly):
             return c
-        if not isinstance(c, TPoly):
-            return c
-        if self.is_t_power():
-            out = c.subs_t_power(self.p)
-        else:
-            out = c.compose(self.image, T=self.t_trunc, modulus=modulus)
-        return Ring(modulus, self.t_trunc).reduce(out)
+        return c.compose(self.image, T, modulus)
 
     def apply_poly(self, f: LaurentPoly, modulus: int | None = None) -> LaurentPoly:
         return f.map_coefficients(lambda c: self.apply_scalar(c, modulus))

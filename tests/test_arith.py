@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dworklab.arith import (
     GAMMA_PRODUCT_BOUND,
     NonUnitError,
+    Ring,
     TPoly,
     gamma_p,
     gamma_ratio_check,
@@ -160,6 +161,8 @@ class TestTPoly:
     )
     @example([Fraction(0), 1], [3, 1], None, None)  # a Fraction zero constant term
     @example([Fraction(1, 2), 0, 2], [0, Fraction(1, 3)], 3, 25)
+    @example([3, Fraction(1, 2), 0, 2], [0, 0, 1], None, None)  # t^k on a Fraction
+    @example([3, 0, 2], [Fraction(0), 1], None, None)  # t with a Fraction zero
     def test_compose_matches_horner_loop(self, f, g, T, modulus):
         # the Horner loop that adds each constant through TPoly.__add__
         f, g = TPoly(f), TPoly(g)
@@ -170,6 +173,21 @@ class TestTPoly:
                 acc = acc % modulus
         out = f.compose(g, T, modulus)
         assert [(type(x), x) for x in out.coeffs] == [(type(x), x) for x in acc.coeffs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-30, 30) | st.fractions(-9, 9, max_denominator=5), max_size=8),
+        st.integers(1, 5),
+        st.none() | st.integers(1, 12),
+        st.none() | st.sampled_from([9, 25]),
+    )
+    def test_compose_with_t_power_substitutes(self, c, k, T, modulus):
+        # c(t^k) = sum c_i t^(k i), reduced in Ring(modulus, T)
+        f = TPoly(c)
+        expect = sum((TPoly.t_power(k * i, ci) for i, ci in enumerate(c)), TPoly())
+        assert f.compose(TPoly.t_power(k), T, modulus) == Ring(modulus, T).reduce(expect)
+        # t^0 = 1 is no substitution: c(1) is the constant sum c_i
+        assert f.compose(TPoly([1]), T, modulus) == Ring(modulus, T).reduce(TPoly([sum(c)]))
 
 
 MODULI = st.sampled_from(PRIMES).flatmap(lambda p: st.sampled_from((p, p**2, p**4)))

@@ -663,7 +663,7 @@ class TestInterpolation:
         mu = interior(newton_polytope(SIMPLICIAL2.support()))
         basis = cyclic_basis(ft, 2)
         data = cartier._probe_data(ft, None, _PowerTable(SIMPLICIAL2, 25, 25), basis,
-                                   default_probes(mu, 2), 5, 1, FrobeniusLift.t_power(5), 25)
+                                   default_probes(mu, 2), 5, 1, FrobeniusLift.t_power(5), 25, 25)
         systems = []
         solve = cartier.solve_mod_multi
         monkeypatch.setattr(cartier, "solve_mod_multi",

@@ -73,6 +73,12 @@ GOLDEN = {
          "--steps", "2", "--t-trunc", "9"],
         "adfc028b5e6c4f474234528b99c1f30c236390f4128bec164514409391ad9b68",
     ),
+    # --steps 2: sigma = t -> t^5 acts on beta_5, mod t^20
+    "lambda-sigma": (
+        ["lambda", "--preset", "simplicial", "--dim", "2", "--prime", "5", "--mu",
+         "interior", "--steps", "2", "--t-trunc", "20"],
+        "37dd5476d6339642188d85217ad288fd6ae2e1d611d3420b52a4a7e101604967",
+    ),
 }
 
 

@@ -181,6 +181,13 @@ class TestLambdaUnitRoot:
             lhs = (lam.entries[0][0] * gam.subs_t_power(p)).truncate(T) % p**s
             assert lhs == gam % p**s
 
+    def test_family_lift_runs_at_the_ring_precision(self):
+        # sigma(beta_5) is taken mod t^20, the precision of Lambda's ring
+        ft = family_poly(SIMPLICIAL2)
+        P = newton_polytope(SIMPLICIAL2.support())
+        lam = lambda_unit_root(ft, interior(P), 5, FrobeniusLift.t_power(5), 2, t_trunc=20)
+        assert lam.entries == [[TPoly([1, 0, 0, 6, 0, 0, 15, 0, 0, 5])]]
+
 
 BETA_TEST_POLYS = [
     ("simplicial+1", LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 1})),
@@ -307,6 +314,14 @@ class TestHigherHW:
         f1 = LaurentPoly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (-1, -1): -1})
         assert higher_hw_alternative_check(f1, whole_polytope(P), 2, 5)
 
+    def test_default_lift_is_t_power(self):
+        # with no lift passed a family gets t -> t^p, the lift of `dworklab higher-hw`
+        ft = family_poly(SIMPLICIAL2)
+        W = whole_polytope(newton_polytope(SIMPLICIAL2.support()))
+        ok, report = higher_hw_condition(ft, W, 2, 5)
+        assert (ok, report) == higher_hw_condition(ft, W, 2, 5, FrobeniusLift.t_power(5))
+        assert report[2]["t_degree"] == 60
+
 
 def F_by_products(f, k, p, sigma, modulus=None):
     """higher_F_polynomial with plain LaurentPoly products on f's own
@@ -335,7 +350,7 @@ def typed_terms(f):
 @st.composite
 def F_inputs(draw):
     """(f, k, p, sigma, modulus): f all-int, a family 1 - t*g or all-TPoly, in
-    n <= 3 variables; sigma the identity, t -> t^p or a series image with t_trunc."""
+    n <= 3 variables; sigma the identity, t -> t^p or a series image."""
     p = draw(st.sampled_from((3, 5)))
     n = draw(st.integers(1, 3 if p == 3 else 2))
     k = draw(st.integers(1, p - 1))
@@ -357,7 +372,7 @@ def F_inputs(draw):
         sigma = FrobeniusLift.t_power(p)
     else:
         h = TPoly(draw(st.lists(st.integers(-2, 2), max_size=3)))
-        sigma = FrobeniusLift.series(p, TPoly.t_power(p) + p * h, draw(st.integers(1, 8)))
+        sigma = FrobeniusLift.series(p, TPoly.t_power(p) + p * h)
     return f, k, p, sigma, modulus
 
 
