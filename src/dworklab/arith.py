@@ -171,8 +171,8 @@ class TPoly:
         self.coeffs = tuple(cs)
 
     @staticmethod
-    def t_power(k: int, c=1) -> "TPoly":
-        return TPoly([0] * k + [c])
+    def t_power(k: int) -> "TPoly":
+        return TPoly([0] * k + [1])
 
     @staticmethod
     def coerce(x):

@@ -1,12 +1,13 @@
 """Formal expansions of h/f^m and the p-adic Cartier operation on them.
 
-Two expansion procedures are provided.  *Vertex mode* expands at a vertex b
-of the Newton polytope whose coefficient is a unit, giving a Laurent series
-supported in the cone over (Delta - b); truncation is controlled by an
-explicit budget S (every monomial of psi-weight at most S * delta is exact),
-and every coefficient carries a sound completeness certificate.  *Origin
-mode* applies to one-parameter families f = 1 - t*g and produces exact
-polynomial-in-t coefficients, so there is no completeness subtlety.  It and
+Two expansion procedures are provided, and both return a FormalExpansion.
+A *vertex expansion* is taken at a vertex b of the Newton polytope whose
+coefficient is a unit, giving a Laurent series supported in the cone over
+(Delta - b); truncation is controlled by an explicit budget S (every monomial
+of psi-weight at most S * delta is exact), and every coefficient carries a
+sound completeness certificate.  An *origin expansion* applies to
+one-parameter families f = 1 - t*g and produces exact polynomial-in-t
+coefficients, so its certificate is empty: every index is complete.  It and
 the family's constant-term series read one table of [x^w] g^i.
 
 The Cartier operation acts on either kind of expansion by index decimation
@@ -61,15 +62,16 @@ def _dot(a, v):
 class FormalExpansion:
     """Truncated Laurent-series expansion of h / f^m with completeness data.
 
-    Vertex mode fields: psi (a linear functional that is >= delta on every
-    monomial of the series generator ell), budget S, and the exponent shifts
-    coming from the numerator.  The expansion holds the exact
+    Vertex expansions carry psi (a linear functional that is >= delta on
+    every monomial of the series generator ell), the budget S, and the
+    exponent shifts coming from the numerator.  The expansion holds the exact
     coefficients of (1 + ell)^(-m) at every w with psi(w) <= S * delta, each
     times the numerator.  So a coefficient at v is certain iff
-    psi(v - w) <= S * delta for every numerator shift w with v - w in the cone.
+    psi(v - w) <= S * delta for every numerator shift w with v - w in the
+    cone.  Origin expansions are exact at every stored index and carry no
+    shifts, so each index is certain.  A missing index reads as 0.
     """
 
-    mode: str  # "vertex" | "origin"
     n: int
     coeffs: dict
     modulus: int | None = None
@@ -81,18 +83,13 @@ class FormalExpansion:
     decimation: int = 1
 
     def coefficient(self, v):
-        return self.coeffs.get(tuple(v), TPoly() if self.mode == "origin" else 0)
-
-    def in_cone(self, w) -> bool:
-        return all(_dot(a, w) >= 0 for a in self.cone_normals)
+        return self.coeffs.get(tuple(v), 0)
 
     def is_complete(self, v) -> bool:
-        if self.mode == "origin":
-            return True
         v = tuple(self.decimation * x for x in v)
         for w in self.shifts:
             d = tuple(x - y for x, y in zip(v, w))
-            if not self.in_cone(d):
+            if not all(_dot(a, d) >= 0 for a in self.cone_normals):
                 continue
             if _dot(self.psi, d) > self.budget * self.delta:
                 return False
@@ -100,11 +97,6 @@ class FormalExpansion:
 
     def complete_indices(self):
         return [v for v in sorted(self.coeffs) if self.is_complete(v)]
-
-    def theta(self, i: int) -> "FormalExpansion":
-        """x_i d/dx_i, acting coefficientwise as multiplication by v_i."""
-        new = {v: c * v[i] for v, c in self.coeffs.items() if c * v[i] != 0}
-        return replace(self, coeffs=new)
 
     def scaled(self, c) -> "FormalExpansion":
         add_into = Ring(self.modulus).add_into
@@ -114,18 +106,14 @@ class FormalExpansion:
         return replace(self, coeffs=new)
 
     def __add__(self, other: "FormalExpansion") -> "FormalExpansion":
-        if self.mode != other.mode:
-            raise ValueError("cannot add expansions of different modes")
+        """The sum of two vertex expansions at one base: it is certain where
+        both are, under the union of the shifts and the smaller budget."""
         add_into = Ring(self.modulus).add_into
         new = dict(self.coeffs)
         for v, c in other.coeffs.items():
             add_into(new, v, c)
-        # completeness: keep the weaker certificate (max needed budget)
-        out = replace(self, coeffs=new)
-        if self.mode == "vertex":
-            out.shifts = tuple(sorted(set(self.shifts) | set(other.shifts)))
-            out.budget = min(self.budget, other.budget)
-        return out
+        shifts = tuple(sorted(set(self.shifts) | set(other.shifts)))
+        return replace(self, coeffs=new, shifts=shifts, budget=min(self.budget, other.budget))
 
 
 def vertex_frame(f: LaurentPoly, b):
@@ -199,7 +187,7 @@ def expand_vertex(
     if m < 1:
         raise ValueError(f"pole order m must be >= 1, not {m}")
     if h.is_zero():
-        return FormalExpansion("vertex", f.n, {}, modulus, budget, (0,) * f.n, 1)
+        return FormalExpansion(f.n, {}, modulus, budget, (0,) * f.n, 1)
     b = tuple(b)
     ring = Ring(modulus)
     add_into = ring.add_into
@@ -289,7 +277,7 @@ def expand_vertex(
                 continue
             add_into(out, v, cc * scale)
     return FormalExpansion(
-        "vertex", f.n, out, modulus, budget, psi, delta, tuple(sorted(set(shifts))), normals
+        f.n, out, modulus, budget, psi, delta, tuple(sorted(set(shifts))), normals
     )
 
 
@@ -466,7 +454,7 @@ class _PowerTable:
             c = ring.reduce(TPoly(acc))
             if c:
                 coeffs[v] = c
-        return FormalExpansion("origin", self.g.n, coeffs, self.modulus)
+        return FormalExpansion(self.g.n, coeffs, self.modulus)
 
 
 def expand_origin(
@@ -537,15 +525,16 @@ class CartierImage:
     N: int
     f_sigma: LaurentPoly
 
-    def expansion(self, base, budget, modulus=None) -> FormalExpansion:
-        modulus = modulus if modulus is not None else self.p**self.N
+    def expansion(self, base, budget) -> FormalExpansion:
+        """The vertex expansion at `base`, to `budget`, mod p^N."""
+        modulus = self.p**self.N
         total = None
         for c_r, Q_r, pole in self.terms:
             E = expand_vertex(Q_r, self.f_sigma, pole, base, budget, modulus)
             E = E.scaled(c_r)
             total = E if total is None else total + E
         if total is None:
-            total = FormalExpansion("vertex", self.f_sigma.n, {}, modulus)
+            total = FormalExpansion(self.f_sigma.n, {}, modulus)
         return total
 
 
@@ -602,9 +591,9 @@ N_HOLDOUT = 2
 
 def default_probes(mu: OpenSubset, k: int, base=None):
     """The lattice points of level * mu for level = 1..k, each shifted by
-    -level * base into the cone at `base` for vertex-mode expansions (a
-    vertex expansion vanishes outside that cone, so a probe there carries no
-    data).  Origin-mode (t-family) interpolation passes no base and uses the
+    -level * base into the cone at `base` for vertex expansions (a vertex
+    expansion vanishes outside that cone, so a probe there carries no
+    data).  Origin (t-family) interpolation passes no base and uses the
     dilates of the full polytope instead: the congruences hold for every
     index, and boundary points carry the low-t-degree information that the
     open-subset points alone may lack."""
@@ -641,13 +630,23 @@ def interpolate_cartier(
     `default_probes` of levels 1..k; the first N_HOLDOUT points that level
     k + 1 adds must reproduce the congruence exactly, else ResidualError.
     The data of both are read in one pass and the system is solved once: a
-    rank-deficient one raises RankDeficiencyError.
+    rank-deficient one raises RankDeficiencyError.  The vertex route solves
+    level k >= 2 at s = 1 only, and raises ValueError at s >= 2.
     """
     odd_prime(p)
     if not 1 <= k < p:
         raise ValueError("need 1 <= k < p")
     if s < 1:
         raise ValueError(f"need s >= 1, not s = {s!r}")
+    if g is None and k >= 2 and s >= 2:
+        # on every input tried, these systems were either rank-deficient or
+        # solved and failed the held-out probes: the one-step relation on the
+        # monomial basis of k*mu does not fix the level-k matrix mod p^(sk)
+        raise ValueError(
+            f"the vertex route (no g) interpolates level k >= 2 only at s = 1, "
+            f"not at k = {k}, s = {s}: its one-step congruences mod p^(sk) do "
+            f"not determine the level-k Cartier matrix"
+        )
     if g is not None and (t_trunc is None or t_trunc < 1):
         raise ValueError(f"a family (g given) needs t_trunc >= 1, not {t_trunc!r}")
     T = t_trunc or 1

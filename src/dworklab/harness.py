@@ -252,13 +252,12 @@ def suite_asd(job: JobSpec) -> SuiteReport:
         for p in job.primes:
             cell = {"curve": [A, B], "p": p}
             try:
-                data = frobenius_trace_elliptic(A, B, p)
+                a_p = frobenius_trace_elliptic(A, B, p)
             except ValueError:
                 cell["status"] = "skip"
                 cell["reason"] = "singular reduction"
                 cells.append(cell)
                 continue
-            a_p = data.a_p
             cell["a_p"] = a_p
             def alpha_at(m, power, modulus):
                 # expansion coefficients at fractional indices vanish

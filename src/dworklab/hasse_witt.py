@@ -99,26 +99,18 @@ def hw_matrix(f: LaurentPoly, mu: OpenSubset, p: int, N: int) -> BetaMatrix:
     return beta_matrix(f, mu, p, p, N)
 
 
-def _det_mod_p(M: BetaMatrix) -> int:
-    """Determinant mod p; TPoly entries contribute their constant term.
+def hw_condition(f: LaurentPoly, mu: OpenSubset, p: int) -> bool:
+    """Whether det(beta_p(mu)) is a unit mod p (p ordinary for (f, mu)).
 
     For one-parameter families "unit" is operationalised as: the constant
-    t-coefficient of the determinant is a unit mod p.  This captures
-    invertibility in Z_p[[t]]; families needing a cleared denominator are
-    handled by the valuation-aware higher_hw_condition instead.
+    t-coefficient of the determinant is a unit mod p, so TPoly entries
+    contribute their constant term.  This captures invertibility in
+    Z_p[[t]]; families needing a cleared denominator are handled by the
+    valuation-aware higher_hw_condition instead.
     """
-    p = M.p
-    ent = [
-        [e[0] % p if isinstance(e, TPoly) else e % p for e in row]
-        for row in M.entries
-    ]
-    return int_det(ent) % p
-
-
-def hw_condition(f: LaurentPoly, mu: OpenSubset, p: int) -> bool:
-    """Whether det(beta_p(mu)) is a unit mod p (p ordinary for (f, mu))."""
     M = hw_matrix(f, mu, p, 1)
-    return _det_mod_p(M) != 0
+    ent = [[e[0] % p if isinstance(e, TPoly) else e % p for e in row] for row in M.entries]
+    return int_det(ent) % p != 0
 
 
 def lambda_unit_root(
@@ -135,10 +127,8 @@ def lambda_unit_root(
     order must be supplied and the result is exact mod (p^s, t^t_trunc).
     """
     odd_prime(p)
-    hw = hw_matrix(f, mu, p, 1)
-    det = _det_mod_p(hw)
-    if det == 0:
-        raise HWConditionError(det)
+    if not hw_condition(f, mu, p):
+        raise HWConditionError(0)
     num = beta_matrix(f, mu, p**s, p, s)
     den = beta_matrix(f, mu, p ** (s - 1), p, s)
     # a t-family's beta entries are TPolys, and its Lambda lives in the

@@ -68,8 +68,8 @@ class LaurentPoly:
         return out
 
     @staticmethod
-    def monomial(n: int, e, c=1) -> "LaurentPoly":
-        return LaurentPoly(n, {tuple(e): c})
+    def monomial(n: int, e) -> "LaurentPoly":
+        return LaurentPoly(n, {tuple(e): 1})
 
     @staticmethod
     def constant(n: int, c) -> "LaurentPoly":

@@ -91,8 +91,8 @@ class LatticePolytope:
         """Membership in the k-fold dilate."""
         return all(_dot(a, u) >= k * c for a, c in self.facets)
 
-    def is_interior(self, u, k: int = 1) -> bool:
-        return all(_dot(a, u) > k * c for a, c in self.facets)
+    def is_interior(self, u) -> bool:
+        return all(_dot(a, u) > c for a, c in self.facets)
 
     def bounding_box(self, k: int = 1):
         lo = [min(k * v[i] for v in self.vertices) for i in range(self.n)]

@@ -2,7 +2,10 @@
 
 Point counting here is deliberately naive (exhaustive evaluation): it is the
 independent oracle against which the p-adic route (traces of unit-root
-matrices) is tested, so it must not share any machinery with it.
+matrices) is tested, so it must not share any machinery with it.  The only
+field data it needs is the table of powers of a generator of F_{p^s}^*
+(`unit_group`): a monomial at x = g^l is a shifted table entry, and a sum of
+entries is a sum of coefficient tuples.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .arith import TPoly, odd_prime, teichmuller
 from .laurent import FrobeniusLift, LaurentPoly
@@ -25,103 +27,50 @@ class BudgetExceededError(RuntimeError):
     pass
 
 
-class FiniteField:
-    """F_{p^s} as polynomials mod (p, modulus), modulus found by search.
+def irreducible_modulus(p: int, s: int) -> tuple:
+    """(a_0, ..., a_(s-1)) of the first monic irreducible x^s + a_(s-1)
+    x^(s-1) + ... + a_0 over F_p, in lexicographic order of (a_(s-1), ...,
+    a_0).  For s = 2 or 3, irreducible means no root in F_p."""
+    for tail in itertools.product(range(p), repeat=s):
+        a = tail[::-1]
+        if all((x**s + sum(c * x**i for i, c in enumerate(a))) % p for x in range(p)):
+            return a
+    raise RuntimeError("no irreducible polynomial found")
 
-    Elements are integers encoding coefficient vectors in base p.  Each
-    instance also tabulates discrete logarithms: `exp[i]` is g^i for a
-    generator g of the unit group, found by its order, and `log` inverts
-    `exp`.  The fields used here are small (p^s <= a few hundred).
-    """
 
-    def __init__(self, p: int, s: int):
-        odd_prime(p)
-        if s < 1 or s > 3:
-            raise ValueError(f"extension degree s must be 1, 2 or 3, not {s}")
-        self.p = p
-        self.s = s
-        self.q = p**s
-        self.modulus = self._find_irreducible() if s > 1 else (0,)
-        self.exp = self._generator_powers()
-        self.log = {x: i for i, x in enumerate(self.exp)}
+def unit_group(p: int, s: int) -> list:
+    """[g^0, ..., g^(q-2)] for a generator g of F_q^*, q = p^s: each power as
+    its coefficient tuple (c_0, ..., c_(s-1)) mod (p, `irreducible_modulus`).
+    g is the first unit of order q - 1 in base-p order.  The fields used here
+    are small (q <= a few hundred)."""
+    odd_prime(p)
+    if s < 1 or s > 3:
+        raise ValueError(f"extension degree s must be 1, 2 or 3, not {s}")
+    modulus = irreducible_modulus(p, s) if s > 1 else ()
+    one = (1,) + (0,) * (s - 1)
 
-    def _find_irreducible(self):
-        p, s = self.p, self.s
-        # smallest lexicographic monic irreducible: x^s + a_{s-1} x^{s-1} + ... + a_0
-        for tail in itertools.product(range(p), repeat=s):
-            coeffs = tuple(reversed(tail)) + (1,)  # a_0 .. a_{s-1}, 1
-            if self._is_irreducible(coeffs):
-                return coeffs[:-1]
-        raise RuntimeError("no irreducible polynomial found")
+    def mul(a, b):
+        prod = [0] * (2 * s - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        # reduce by x^s = -(a_0 + ... + a_(s-1) x^(s-1)), top degree first
+        for d in range(2 * s - 2, s - 1, -1):
+            for i, m in enumerate(modulus):
+                prod[d - s + i] -= prod[d] * m
+        return tuple(c % p for c in prod[:s])
 
-    def _is_irreducible(self, coeffs):
-        # degree 2 or 3: irreducible iff no root in F_p
-        p = self.p
-        for x in range(p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * x + c) % p
-            if acc == 0:
-                return False
-        return True
-
-    def _generator_powers(self):
-        # the powers of the first unit of order q - 1
-        for g in range(2, self.q):
-            powers, x = [1], g
-            while x != 1:
-                powers.append(x)
-                x = self.mul(x, g)
-            if len(powers) == self.q - 1:
-                return powers
-        raise RuntimeError("no generator found")
-
-    # -- element encoding: e = sum c_i p^i with c_i the coefficients --
-
-    def decode(self, e):
-        out = []
-        for _ in range(self.s):
-            out.append(e % self.p)
-            e //= self.p
-        return out
-
-    def encode(self, cs):
-        e = 0
-        for c in reversed(cs):
-            e = e * self.p + (c % self.p)
-        return e
-
-    def add(self, a, b):
-        ca, cb = self.decode(a), self.decode(b)
-        return self.encode([(x + y) % self.p for x, y in zip(ca, cb)])
-
-    def mul(self, a, b):
-        if self.s == 1:
-            return a * b % self.p
-        ca, cb = self.decode(a), self.decode(b)
-        prod = [0] * (2 * self.s - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce by x^s = -modulus
-        for d in range(len(prod) - 1, self.s - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for i, m in enumerate(self.modulus):
-                    prod[d - self.s + i] = (prod[d - self.s + i] - c * m) % self.p
-        return self.encode(prod[: self.s])
-
-    def pow(self, a, k):
-        if a == 0:
-            if k < 0:
-                raise ZeroDivisionError
-            return 0 if k else 1
-        return self.exp[self.log[a] * k % (self.q - 1)]
-
-    def units(self):
-        return range(1, self.q)
+    for digits in itertools.product(range(p), repeat=s):
+        g = digits[::-1]
+        if not any(g):
+            continue
+        powers, x = [one], g
+        while x != one:
+            powers.append(x)
+            x = mul(x, g)
+        if len(powers) == p**s - 1:
+            return powers
+    raise RuntimeError("no generator found")
 
 
 def count_torus_points(f: LaurentPoly, p: int, s: int) -> int:
@@ -131,16 +80,17 @@ def count_torus_points(f: LaurentPoly, p: int, s: int) -> int:
         raise BudgetExceededError(
             f"{(q - 1) ** f.n} evaluations exceed the budget {EVALUATION_BUDGET}"
         )
-    F = FiniteField(p, s)
+    exp = unit_group(p, s)
+    log = {x: i for i, x in enumerate(exp)}
     if any(isinstance(c, TPoly) for c in f.terms.values()):
         raise ValueError("point counting needs integer coefficients")
-    terms = [(F.log[c % p], e) for e, c in f.terms.items() if c % p]
+    terms = [(log[(c % p,) + (0,) * (s - 1)], e) for e, c in f.terms.items() if c % p]
     # At x = g^l the term c x^e is exp[log c + e.l].  A sum of field elements
-    # adds their base-p digit vectors: packed in base > len(terms) (p - 1)
-    # they add without carries, and the sum is zero when every digit is a
-    # multiple of p.
+    # adds their coefficient tuples: packed as digits in base > len(terms)
+    # (p - 1) they add without carries, and the sum is zero when every digit
+    # is a multiple of p.
     base = len(terms) * (p - 1) + 1
-    packed = [sum(d * base**i for i, d in enumerate(F.decode(x))) for x in F.exp]
+    packed = [sum(d * base**i for i, d in enumerate(x)) for x in exp]
     zeros = {sum(d * base**i for i, d in enumerate(ds))
              for ds in itertools.product(range(0, base, p), repeat=s)}
     count = 0
@@ -150,16 +100,7 @@ def count_torus_points(f: LaurentPoly, p: int, s: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class EllipticCurveData:
-    A: int
-    B: int
-    p: int
-    a_p: int
-    affine_count: int
-
-
-def frobenius_trace_elliptic(A: int, B: int, p: int) -> EllipticCurveData:
+def frobenius_trace_elliptic(A: int, B: int, p: int) -> int:
     """a_p = p - #{(x, y) in F_p^2 : y^2 = x^3 + A x + B}, with Hasse check."""
     odd_prime(p)
     disc = (-16 * (4 * A**3 + 27 * B**2)) % p
@@ -176,7 +117,7 @@ def frobenius_trace_elliptic(A: int, B: int, p: int) -> EllipticCurveData:
     a_p = p - count
     if a_p * a_p > 4 * p:
         raise AssertionError("Hasse bound violated: internal error")
-    return EllipticCurveData(A, B, p, a_p, count)
+    return a_p
 
 
 def asd_alpha(A: int, B: int, m: int, modulus: int | None = None) -> int:
@@ -208,7 +149,7 @@ def asd_alpha(A: int, B: int, m: int, modulus: int | None = None) -> int:
 def unit_root_elliptic(A: int, B: int, p: int, s: int) -> int:
     """Unit root of X^2 - a_p X + p mod p^s by Hensel lifting from the
     residue a_p mod p.  Requires the curve ordinary (p does not divide a_p)."""
-    a_p = frobenius_trace_elliptic(A, B, p).a_p
+    a_p = frobenius_trace_elliptic(A, B, p)
     if a_p % p == 0:
         raise ValueError("supersingular: no unit root")
     x = a_p % p

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +16,6 @@ from dworklab.laurent import (
     family_poly,
     power_mod,
 )
-from dworklab.linalg import RankDeficiencyError
 from dworklab.polytope import (
     interior,
     lattice_points_in_dilate,
@@ -45,6 +45,11 @@ ID = FrobeniusLift.identity()
 TRIANGLE = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
 ONE2 = LaurentPoly.constant(2, 1)
 SIMPLICIAL2 = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
+
+
+def theta(E, i):
+    """x_i d/dx_i on an expansion: the coefficient at v times v_i."""
+    return replace(E, coeffs={v: c * v[i] for v, c in E.coeffs.items() if c * v[i]})
 
 
 class TestExpandVertex:
@@ -194,7 +199,7 @@ def origin_reference(h, g, m, T, modulus):
     mod `modulus` and t^T, zeros dropped."""
     total, gi = LaurentPoly(h.n), LaurentPoly.constant(g.n, 1)
     for i in range(T):
-        total = total + (h * gi).scale(TPoly.t_power(i, math.comb(i + m - 1, m - 1)))
+        total = total + (h * gi).scale(TPoly([0] * i + [math.comb(i + m - 1, m - 1)]))
         gi = gi * g
     reduce = Ring(modulus, T).reduce
     return {e: r for e, c in total.terms.items() if (r := reduce(c))}
@@ -310,7 +315,7 @@ class TestExpandOrigin:
 class TestCartierShift:
     def test_index_decimation(self):
         E = FormalExpansion(
-            "vertex", 2, {(0, 0): 1, (3, 0): 5, (1, 0): 2},
+            2, {(0, 0): 1, (3, 0): 5, (1, 0): 2},
             budget=10, psi=(1, 1), delta=1,
             shifts=((0, 0),), cone_normals=((1, 0), (0, 1)),
         )
@@ -433,8 +438,8 @@ class TestThetaOperations:
         E = expand_vertex(ONE2, TRIANGLE, 1, (0, 0), 16)
         p = 3
         for i in range(2):
-            lhs = cartier_shift(E.theta(i), p)
-            rhs = cartier_shift(E, p).theta(i).scaled(p)
+            lhs = cartier_shift(theta(E, i), p)
+            rhs = theta(cartier_shift(E, p), i).scaled(p)
             for v in [(0, 0), (1, 0), (1, 1), (2, 1)]:
                 assert lhs.coefficient(v) == rhs.coefficient(v)
 
@@ -444,7 +449,7 @@ class TestThetaOperations:
         num = LaurentPoly(2, {(1, 0): -1})
         S = 14
         E_direct = expand_vertex(num, TRIANGLE, 2, (0, 0), S)
-        E_theta = expand_vertex(ONE2, TRIANGLE, 1, (0, 0), S).theta(0)
+        E_theta = theta(expand_vertex(ONE2, TRIANGLE, 1, (0, 0), S), 0)
         for v in [(1, 0), (2, 1), (0, 3), (3, 2)]:
             assert E_direct.coefficient(v) == E_theta.coefficient(v)
 
@@ -540,17 +545,21 @@ class TestInterpolation:
         assert [[x % p**s for x in row] for row in interp.matrix] == lam.entries
 
     @settings(max_examples=8, deadline=None)
-    @given(SMALL_TERMS, st.sampled_from([2, 3]), st.integers(1, 2),
-           st.sampled_from([whole_polytope, interior]))
-    def test_random_level_k_matches_level_one(self, terms, k, s, subset):
-        # F Lambda_k = Lambda_1 F mod p^s on random ordinary inputs, wherever
-        # the level-k interpolation solves
+    @given(SMALL_TERMS, st.sampled_from([2, 3]), st.sampled_from([whole_polytope, interior]))
+    def test_random_level_k_matches_level_one(self, terms, k, subset):
+        # F Lambda_k = Lambda_1 F mod p on random ordinary inputs: the vertex
+        # route interpolates level k >= 2 at s = 1 only
         f, mu = assume_ordinary(terms, 5, subset)
-        try:
-            lhs, rhs = level_change_sides(f, mu, k, 5, s)
-        except RankDeficiencyError:
-            return
+        lhs, rhs = level_change_sides(f, mu, k, 5, 1)
         assert lhs == rhs
+
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 2), (2, 3)])
+    def test_vertex_route_rejects_level_k_above_s_one(self, k, s):
+        # the input of test_level_two_solves_on_the_vertex_route, at s >= 2
+        f = LaurentPoly(2, {(-1, -1): 4, (0, -1): -3, (0, 0): -3})
+        mu = whole_polytope(newton_polytope(f.support()))
+        with pytest.raises(ValueError, match=f"only at s = 1, not at k = {k}, s = {s}"):
+            interpolate_cartier(f, mu, k, 5, ID, s)
 
     def test_level_two_solves_on_the_vertex_route(self):
         # each level of probes is shifted by level * b into the cone at the
@@ -712,7 +721,7 @@ class TestInterpolation:
 
     def test_divisibility_contract(self):
         # expansions of theta images stay divisible by p^s after s decimations
-        E = expand_vertex(ONE2, TRIANGLE, 1, (0, 0), 40).theta(0).theta(1)
+        E = theta(theta(expand_vertex(ONE2, TRIANGLE, 1, (0, 0), 40), 0), 1)
         p = 3
         shifted = cartier_shift(cartier_shift(E, p), p)
         for v, c in shifted.coeffs.items():

@@ -11,7 +11,10 @@
   `tests/test_acceptance.py`.  Code that only unit tests call is deleted;
 * every defaulted parameter of a module-level function of the package is
   passed, by keyword or by position, by some call in production code.  An
-  option that only unit tests set is deleted.
+  option that only unit tests set is deleted;
+* the same two rules hold for the members of the package's classes: every
+  non-dunder method is read by production code, and every defaulted method
+  parameter is passed by it.  These match a member by its name alone.
 
 `__init__.py` is exempt from the first rule: its imports are re-exports.
 """
@@ -38,6 +41,10 @@ KEEP = {"lambda_at_teichmuller"}
 # Defaulted parameters that production code does not pass and that stay
 # anyway: the tests drive the CLI through cli_main's argv.
 KEEP_OPTIONS = {("cli", "cli_main", "argv")}
+# Methods, as "Class.method", and (module, "Class.method", parameter) method
+# options that production code does not reach and that stay anyway: none.
+KEEP_MEMBERS = set()
+KEEP_MEMBER_OPTIONS = set()
 
 
 def unused_imports(source: str) -> list:
@@ -171,20 +178,26 @@ def test_production_reads_every_definition():
     assert {name for _, name in unreached(package, production)} == KEEP
 
 
+def defaults(args: ast.arguments, skip: int = 0) -> list:
+    """(position or None, name) of every parameter with a default; the first
+    `skip` positional parameters (self or cls) take no position, and
+    keyword-only parameters have none."""
+    positional = (args.posonlyargs + args.args)[skip:]
+    first = len(positional) - len(args.defaults)
+    return [(i, a.arg) for i, a in enumerate(positional) if i >= first] + [
+        (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+
+
 def defaulted_parameters(source: str) -> list:
     """(function, position or None, name) of every parameter with a default
-    of a module-level function; keyword-only parameters have no position."""
-    found = []
-    for node in ast.parse(source).body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        args = node.args
-        positional = args.posonlyargs + args.args
-        first = len(positional) - len(args.defaults)
-        found += [(node.name, i, a.arg) for i, a in enumerate(positional) if i >= first]
-        found += [(node.name, None, a.arg)
-                  for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-    return found
+    of a module-level function."""
+    return [
+        (node.name, i, name)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for i, name in defaults(node.args)
+    ]
 
 
 def passed_arguments(source: str) -> set:
@@ -206,24 +219,26 @@ def passed_arguments(source: str) -> set:
     return found
 
 
+def is_passed(calls: set, fn: str, i, name: str) -> bool:
+    """Whether some call in `calls` (see `passed_arguments`) to a callee
+    named `fn` passes the parameter `name` at position `i`."""
+    if {(fn, name), (fn, "**")} & calls:
+        return True
+    return i is not None and any(
+        callee == fn and (arg == "*" or type(arg) is int and arg > i)
+        for callee, arg in calls
+    )
+
+
 def unpassed(package: dict, production: list) -> list:
     """(module, function, parameter) of every defaulted parameter of a
     module-level function of `package` that no call in `production` passes."""
     calls = set().union(*map(passed_arguments, production))
-
-    def is_passed(fn, i, name):
-        if {(fn, name), (fn, "**")} & calls:
-            return True
-        return i is not None and any(
-            callee == fn and (arg == "*" or type(arg) is int and arg > i)
-            for callee, arg in calls
-        )
-
     return sorted(
         (module, fn, name)
         for module, source in package.items()
         for fn, i, name in defaulted_parameters(source)
-        if not is_passed(fn, i, name)
+        if not is_passed(calls, fn, i, name)
     )
 
 
@@ -243,3 +258,92 @@ def test_production_passes_every_option():
     package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     production = [p.read_text() for p in PRODUCTION]
     assert set(unpassed(package, production)) == KEEP_OPTIONS
+
+
+# -- class members ------------------------------------------------------
+#
+# The two gates below match a member by its name alone, as the calls they
+# read carry no type: a member whose name another class of the package also
+# uses counts as read, or its option as passed, when the other one is.
+
+
+def methods(source: str) -> list:
+    """(class, method node, is static) for every method of a module-level
+    class."""
+    return [
+        (node.name, item, any(getattr(d, "id", None) == "staticmethod"
+                              for d in item.decorator_list))
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def unreached_members(package: dict, production: list) -> list:
+    """(module, "Class.method") of every non-dunder method of a class of
+    `package` whose name no source in `production` reads."""
+    read = set().union(*map(referenced_names, production))
+    return sorted(
+        (module, f"{cls}.{fn.name}")
+        for module, source in package.items()
+        for cls, fn, _ in methods(source)
+        if not (fn.name.startswith("__") and fn.name.endswith("__")) and fn.name not in read
+    )
+
+
+def test_checker_flags_an_unreached_member():
+    package = {
+        "m": "class A:\n"
+             "    def __mul__(self, o): pass\n"
+             "    def used(self): self.helper()\n"
+             "    def helper(self): pass\n"
+             "    @staticmethod\n"
+             "    def dead(): pass\n"
+             "    def patched(self): pass\n",
+    }
+    production = [package["m"], "a.used()\nTARGETS = [('m', 'A.patched')]\n"]
+    assert unreached_members(package, production) == [("m", "A.dead")]
+
+
+def test_production_reads_every_member():
+    package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    production = [p.read_text() for p in PRODUCTION]
+    assert {name for _, name in unreached_members(package, production)} == KEEP_MEMBERS
+
+
+def unpassed_member_options(package: dict, production: list) -> list:
+    """(module, "Class.method", parameter) of every defaulted parameter of a
+    method of a class of `package` that no call in `production` passes.  A
+    non-static method's positions start after self (or cls), and `__init__`
+    is called by the class name."""
+    calls = set().union(*map(passed_arguments, production))
+    return sorted(
+        (module, f"{cls}.{fn.name}", name)
+        for module, source in package.items()
+        for cls, fn, static in methods(source)
+        for i, name in defaults(fn.args, 0 if static else 1)
+        if not is_passed(calls, cls if fn.name == "__init__" else fn.name, i, name)
+    )
+
+
+def test_checker_flags_an_unpassed_member_option():
+    package = {
+        "m": "class A:\n"
+             "    def __init__(self, a, b=0, c=0): pass\n"
+             "    def f(self, x, y=1, *, z=2): pass\n"
+             "    @staticmethod\n"
+             "    def g(u, v=1): pass\n"
+             "    @classmethod\n"
+             "    def h(cls, w=1): pass\n",
+    }
+    production = ["A(0, 1)\na.f(0, 1)\nA.g(0, 1)\nA.h()\n"]
+    assert unpassed_member_options(package, production) == [
+        ("m", "A.__init__", "c"), ("m", "A.f", "z"), ("m", "A.h", "w"),
+    ]
+
+
+def test_production_passes_every_member_option():
+    package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    production = [p.read_text() for p in PRODUCTION]
+    assert set(unpassed_member_options(package, production)) == KEEP_MEMBER_OPTIONS

@@ -1,3 +1,5 @@
+from operator import mul
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -114,7 +116,8 @@ class TestLatticePoints:
                 layers = [
                     j
                     for j in range(1, k + 1)
-                    if P.contains(u, j) and not P.is_interior(u, j)
+                    if P.contains(u, j)
+                    and any(sum(map(mul, a, u)) == j * c for a, c in P.facets)
                 ]
                 assert len(layers) == 1
 
