@@ -20,6 +20,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -151,6 +152,30 @@ def gamma_ratio_check(p: int, s: int, N: int) -> bool:
     return lhs == rhs
 
 
+def _numerators(cs):
+    """(A, D): the ints A_i = c_i D over D, the lcm of the denominators of the
+    ints and Fractions `cs` (1 for none)."""
+    D = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (D // c.denominator) for c in cs], D
+
+
+def _recurrence(x0: Fraction, c: list, k, T: int) -> list:
+    """x_0..x_(T-1) over Q with x_n = (sum_{j<n} c_j x_(n-1-j)) / k(n), for
+    ints c_j and k(n).  The x_j are kept as integer numerators over their
+    common denominator, the lcm of their denominators so far, so each step is
+    one integer dot product and builds one Fraction."""
+    out, X, M = [x0], [x0.numerator], x0.denominator
+    for n in range(1, T):
+        x = Fraction(sum(a * b for a, b in zip(c, reversed(X))), k(n) * M)
+        out.append(x)
+        m = x.denominator
+        if M % m:
+            s = m // gcd(M, m)
+            X, M = [v * s for v in X], M * s
+        X.append(x.numerator * (M // m))
+    return out
+
+
 class TPoly:
     """Exact dense polynomial in one variable t, and the one dense series type.
 
@@ -160,6 +185,13 @@ class TPoly:
     Q[[t]]/t^T are not a property of the object: the series methods (`mul`,
     `inverse_series`, `compose`, `exp`, `log`, `reversion`) take the precision
     T, and the modulus where there is one, as arguments.
+
+    Over Q the series kernels work on integer numerators: a series with
+    Fraction coefficients is A/D, A integral and D the lcm of its
+    denominators below t^T, the kernel's recurrence runs on ints, and each
+    output coefficient is built as one Fraction at the end.  Their values and
+    coefficient types are those of the same recurrences run one Fraction at a
+    time; each kernel's docstring states its type rule.
     """
 
     __slots__ = ("coeffs",)
@@ -245,9 +277,8 @@ class TPoly:
             return TPoly()
         zero = 0 * a[0] * b[0]  # a zero of the coefficient type
         if type(zero) is Fraction:
-            da, db = lcm(*[x.denominator for x in a[:n]]), lcm(*[y.denominator for y in b[:n]])
-            ints = TPoly([x.numerator * (da // x.denominator) for x in a[:n]]).mul(
-                TPoly([y.numerator * (db // y.denominator) for y in b[:n]]), T)
+            (A, da), (B, db) = _numerators(a[:n]), _numerators(b[:n])
+            ints = TPoly(A).mul(TPoly(B), T)
             return TPoly([Fraction(c, da * db) for c in ints.coeffs])
         out = [zero] * n
         for i, x in enumerate(a if la <= n else a[:n]):
@@ -293,30 +324,14 @@ class TPoly:
 
     def compose(self, other: "TPoly", T: int | None = None,
                 modulus: int | None = None) -> "TPoly":
-        """Horner composition self(other), optionally mod t^T and mod `modulus`.
-        Each nonzero Horner constant is added to the constant term alone.  On
-        ints an inner t^k (k >= 1) is the substitution `subs_t_power(k)`,
-        which gives what the loop would, types included."""
-        k = other.degree()
-        if (k >= 1 and other.coeffs == (0,) * k + (1,)
-                and all(type(c) is int for c in self.coeffs + other.coeffs)):
-            return Ring(modulus, T).reduce(self.subs_t_power(k))
-        acc = TPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * other if T is None else acc.mul(other, T)
-            if c:
-                acc = TPoly((acc[0] + c,) + acc.coeffs[1:])
-            if modulus is not None:
-                acc = acc % modulus
-        return acc
+        """self(other), optionally mod t^T and mod `modulus`: the
+        `ComposeTable` of `other` built and applied once.  Its docstring
+        gives the type rule."""
+        return ComposeTable(other, T, modulus)(self)
 
     def theta(self) -> "TPoly":
         """t d/dt."""
         return TPoly([i * c for i, c in enumerate(self.coeffs)])
-
-    def derivative(self) -> "TPoly":
-        """d/dt."""
-        return TPoly([i * c for i, c in enumerate(self.coeffs[1:], 1)])
 
     def evaluate(self, x, modulus: int | None = None):
         acc = 0
@@ -333,63 +348,177 @@ class TPoly:
 
     def inverse_series(self, T: int, modulus: int | None = None) -> "TPoly":
         """Multiplicative inverse mod t^T over Z/modulus, or over Q when
-        `modulus` is None; needs a unit constant term."""
+        `modulus` is None; needs a unit constant term.
+
+        Over Q, with A the integer numerators of the coefficients below t^T
+        over their common denominator, the inverse b solves
+        b_d = -(sum_{i>=1} A_i b_(d-i)) / A_0 by `_recurrence`.  Types: an int
+        constant term +-1 gives ints up to the first Fraction coefficient and
+        Fractions from its degree on; any other constant term gives Fractions
+        throughout."""
         a = self.coeffs
         c0 = a[0] if a else 0
-        if modulus is not None:
-            try:
-                c0inv = inv_mod(c0, modulus)
-            except NonUnitError:
-                raise NonUnitError("constant term is not a unit") from None
-        elif c0 in (1, -1):
-            c0inv = c0
-        elif c0:
-            c0inv = Fraction(1) / c0
-        else:
-            raise NonUnitError("constant term is zero")
+        if modulus is None:
+            if not c0:
+                raise NonUnitError("constant term is zero")
+            if T < 1:
+                return TPoly()
+            A, D = _numerators(a[:T])
+            b = _recurrence(Fraction(D, A[0]), [-x for x in A[1:]], lambda n: A[0], T)
+            # with an int c0 = +-1, b_d is an int until a Fraction A_i enters
+            ints = 0
+            if type(c0) is int and c0 in (1, -1):
+                ints = next((d for d, x in enumerate(a[:T]) if type(x) is not int), T)
+            return TPoly([x.numerator for x in b[:ints]] + b[ints:])
+        try:
+            c0inv = inv_mod(c0, modulus)
+        except NonUnitError:
+            raise NonUnitError("constant term is not a unit") from None
         tail = a[1:]
         inv = [c0inv]
         for _ in range(1, T):
             # [t^d] of a * inv = 0: sum_{i=1..d} a_i inv_{d-i} = -a_0 inv_d
             v = -c0inv * sum(x * y for x, y in zip(tail, reversed(inv)))
-            inv.append(v % modulus if modulus is not None else v)
+            inv.append(v % modulus)
         return TPoly(inv[:T])
 
     def exp(self, T: int) -> "TPoly":
-        """exp mod t^T of a series with zero constant term, over Q."""
+        """exp mod t^T of a series with zero constant term, over Q; every
+        output coefficient is a Fraction.  E' = f' E term by term: with f =
+        F/D, E_(d+1) = (sum_i (i+1) F_(i+1) E_(d-i)) / (D (d+1)), by
+        `_recurrence`."""
         if self[0] != 0:
             raise ValueError("exp needs zero constant term")
-        # E' = f' E, solved term by term: (d+1) e_{d+1} = sum_i (i+1) f_{i+1} e_{d-i}
-        df = self.derivative().coeffs
-        out = [Fraction(1)]
-        for d in range(T - 1):
-            out.append(Fraction(sum(x * y for x, y in zip(df, reversed(out))), d + 1))
-        return TPoly(out[:T])
+        if T < 1:
+            return TPoly()
+        F, D = _numerators(self.coeffs[:T])
+        return TPoly(_recurrence(Fraction(1), [i * x for i, x in enumerate(F[1:], 1)],
+                                 lambda n: D * n, T))
 
     def log(self, T: int) -> "TPoly":
-        """log mod t^T of a series with constant term 1, over Q: the integral of f'/f."""
+        """log mod t^T of a series with constant term 1, over Q: the integral
+        of f' times `inverse_series`; every output coefficient is a
+        Fraction."""
         if self[0] != 1:
             raise ValueError("log needs constant term 1")
-        ratio = self.derivative().mul(self.inverse_series(T - 1), T - 1)
+        df = TPoly([i * c for i, c in enumerate(self.coeffs[1:T], 1)])
+        ratio = df.mul(self.inverse_series(T - 1), T - 1)
         return TPoly([Fraction(0)] + [Fraction(c, d) for d, c in enumerate(ratio.coeffs, 1)])
 
     def reversion(self, T: int) -> "TPoly":
         """Compositional inverse g mod t^T of a series f = t + O(t^2), over Q,
-        by Lagrange inversion: [t^k] g = [z^(k-1)] h^k / k with h = z/f(z)."""
+        by Lagrange inversion: [t^k] g = [z^(k-1)] h^k / k with h = z/f(z).
+        With h = H/D for integer numerators H, h^k = H^k / D^k, and the
+        coefficients of P = H^k below z^k follow from J. C. P. Miller's
+        recurrence n H_0 P_n = sum_{j=1..n} ((k+1) j - n) H_j P_(n-j), whose
+        division is exact over Z.  Every output coefficient is a Fraction."""
         if self[0] != 0 or self[1] != 1:
             raise ValueError("reversion needs a monic series t + O(t^2)")
         if T < 2:
             raise ValueError(f"reversion needs T >= 2, not T = {T!r}")
-        h = TPoly(self.coeffs[1:]).inverse_series(T - 1)
+        H, D = _numerators(TPoly(self.coeffs[1:]).inverse_series(T - 1).coeffs)
+        H += [0] * (T - 1 - len(H))
+        jH = [j * x for j, x in enumerate(H)]
         g = [Fraction(0), Fraction(1)]
-        hk = h
+        den = D
         for k in range(2, T):
-            hk = hk.mul(h, T - 1)
-            g.append(Fraction(hk[k - 1], k))
+            P = [H[0] ** k]
+            for n in range(1, k):
+                rP = P[::-1]
+                P.append(((k + 1) * sum(map(operator.mul, jH[1:n + 1], rP))
+                          - n * sum(map(operator.mul, H[1:n + 1], rP))) // (n * H[0]))
+            den *= D
+            g.append(Fraction(P[-1], k * den))
         return TPoly(g)
 
     def __repr__(self):
         return f"TPoly({list(self.coeffs)!r})"
+
+
+def _horner(f: TPoly, g: TPoly, T: int | None, modulus: int | None) -> TPoly:
+    """f(g) by Horner, one coefficient ring operation at a time: each nonzero
+    constant is added to the constant term alone, and the accumulator is
+    reduced mod `modulus` after every step."""
+    acc = TPoly()
+    for c in reversed(f.coeffs):
+        acc = acc * g if T is None else acc.mul(g, T)
+        if c:
+            acc = TPoly((acc[0] + c,) + acc.coeffs[1:])
+        if modulus is not None:
+            acc = acc % modulus
+    return acc
+
+
+class ComposeTable:
+    """One inner series g and its powers mod t^T (and mod `modulus`), built
+    as far as the outer series need them: `table(f)` is f.compose(g, T,
+    modulus), and the outer series composed with one g share the powers.
+
+    The powers are integer polynomials.  A g with Fraction coefficients is
+    G/D with G integral, so g^i = G^i / D^i, and an outer f = F/E of degree n
+    gives f(g) = (sum_i F_i D^(n-i) G^i) / (E D^n): integer products, then
+    one Fraction per output coefficient.  A power that vanishes mod t^T (and
+    `modulus`) ends the table, since every higher one vanishes too.
+
+    Types are those of the Horner loop `_horner`, by this rule:
+    - an int t^k (k >= 1) with an all-int f is substituted, and reduced in
+      Ring(modulus, T);
+    - all-int f and g give ints, reduced mod `modulus`;
+    - all-Fraction f and g give Fractions when there is no modulus;
+    - everything else runs `_horner` itself: f and g that mix ints and
+      Fractions, Fractions with a modulus (`%` on a Fraction is no ring map,
+      so the loop's reduction after every step is part of its value), and
+      T < 1 (where the loop keeps the constant of f).  No caller in the
+      package composes such inputs.
+    """
+
+    __slots__ = ("inner", "T", "modulus", "_den", "_powers")
+
+    def __init__(self, inner: TPoly, T: int | None = None, modulus: int | None = None):
+        self.inner, self.T, self.modulus = inner, T, modulus
+        self._den = None  # D, and the powers of G = g D, set on first use
+        self._powers = []
+
+    def _power_list(self, n: int) -> list:
+        """G^0..G^m for the largest m <= n whose power does not vanish."""
+        P, reduce = self._powers, Ring(self.modulus).reduce
+        if not P:
+            G, self._den = _numerators(self.inner.coeffs[:self.T])
+            P.extend([TPoly([1]), reduce(TPoly(G))])
+        while len(P) <= n and P[-1]:
+            G, last = P[1], P[-1]
+            P.append(reduce(last.mul(G, len(last.coeffs) + len(G.coeffs)
+                                     if self.T is None else self.T)))
+        m = min(n, len(P) - 1)
+        while m and not P[m]:
+            m -= 1
+        return P[:m + 1]
+
+    def __call__(self, outer: TPoly) -> TPoly:
+        g, T, modulus = self.inner, self.T, self.modulus
+        if not outer.coeffs:
+            return TPoly()
+        types = {type(c) for c in outer.coeffs + g.coeffs}
+        k = g.degree()
+        if types <= {int} and k >= 1 and g.coeffs == (0,) * k + (1,):
+            return Ring(modulus, T).reduce(outer.subs_t_power(k))
+        rational = modulus is None and types <= {Fraction}
+        if (T is not None and T < 1) or not (types <= {int} or rational):
+            return _horner(outer, g, T, modulus)
+        powers = self._power_list(outer.degree())
+        F, E = _numerators(outer.coeffs[:len(powers)])
+        num = [0] * max(len(P.coeffs) for P in powers)
+        scale = 1  # D^(m-i) for the power G^i, m = len(powers) - 1
+        for i in range(len(powers) - 1, -1, -1):
+            w = F[i] * scale
+            if w:
+                for d, x in enumerate(powers[i].coeffs):
+                    num[d] += w * x
+            scale *= self._den
+        if rational:
+            den = E * scale // self._den
+            return TPoly([Fraction(x, den) for x in num])
+        return TPoly(num if modulus is None else [x % modulus for x in num])
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from operator import le, sub
 
 from .arith import NonUnitError, Ring, TPoly, odd_prime
@@ -687,6 +688,7 @@ def _probe_data(f, base, table, basis, probes, p, s, sigma, modulus, T):
     lhs_idx = [tuple(p**s * x for x in w) for w in probes]
     rhs_idx = [tuple(p ** (s - 1) * x for x in w) for w in probes]
     exps = _basis_expansions(f, base, table, basis, lhs_idx + rhs_idx, modulus)
+    twist = sigma.scalar_map(modulus, T)
     data = []
     for u, v in zip(lhs_idx, rhs_idx):
         lhs = []
@@ -695,7 +697,7 @@ def _probe_data(f, base, table, basis, probes, p, s, sigma, modulus, T):
             if not (E.is_complete(u) and E.is_complete(v)):
                 raise ValueError("expansion budget does not cover a probe index")
             lhs.append(TPoly.coerce(E.coefficient(u)))
-            rhs.append(TPoly.coerce(sigma.apply_scalar(E.coefficient(v), modulus, T)))
+            rhs.append(TPoly.coerce(twist(E.coefficient(v))))
         data.append((lhs, rhs))
     return data
 
@@ -741,8 +743,13 @@ def _solve_interpolation(data, nb, p, modulus, T):
     # each distinct (row, rhs) pair mod `modulus` once, in order of first use
     rows = {}
     for lhs, rhs in data:
+        # each rhs_j reduced once, reversed from degree T - 1 down to degree
+        # 1 - T_lambda with zeros below degree 0: the row entries c_j[d - dd],
+        # dd < T_lambda, are its slice from position T - 1 - d
+        rev = [[0] * (T - len(cs)) + [x % modulus for x in reversed(cs)] + [0] * (T_lambda - 1)
+               for cs in (c.coeffs[:T] for c in rhs)]
         for d in range(_row_window(rhs, modulus, T, T_lambda)):
-            row = tuple(c[d - dd] % modulus for c in rhs for dd in range(T_lambda))  # 0 below degree 0
+            row = tuple(chain.from_iterable(r[T - 1 - d:T - 1 - d + T_lambda] for r in rev))
             rows[row, tuple(b[d] % modulus for b in lhs)] = None
     A_all = [list(row) for row, _ in rows]
     b_all = [[b[i] for _, b in rows] for i in range(nb)]

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import NonUnitError, Ring, TPoly, odd_prime, val_p_fraction
+from .arith import ComposeTable, NonUnitError, Ring, TPoly, odd_prime, val_p_fraction
 from .laurent import FrobeniusLift, LaurentPoly, family_poly
 from .polytope import (
     all_proper_faces_volume_one,
@@ -259,14 +259,16 @@ def yukawa_and_instantons(solutions, mirror: TPoly, T: int):
     F2 = solutions[2].components[2]
     F0inv = F0.inverse_series(T)
     G = F1.mul(F0inv, T)
+    # G and phi share one table of the powers of the mirror map
+    at_mirror = ComposeTable(mirror, T)
     # log-cancellation certificate: log(t(q)/q) + G(t(q)) = 0
     tq_over_q = TPoly(mirror.coeffs[1:T])  # t(q)/q, constant 1
-    if tq_over_q.log(T - 1) + G.compose(mirror, T - 1):
+    if tq_over_q.log(T - 1) + at_mirror(G).truncate(T - 1):
         raise ArithmeticError(
             "mirror-map/log consistency failed; solutions are inconsistent"
         )
     phi = F2.mul(F0inv, T) - G.mul(G, T) * Fraction(1, 2)
-    Y = phi.compose(mirror, T).theta().theta() + 1
+    Y = at_mirror(phi).theta().theta() + 1
     # instanton numbers: [q^D] Y = sum_{d | D} d^3 N_d for D >= 1
     D_max = T - 1
     N = {}

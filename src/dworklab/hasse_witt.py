@@ -137,8 +137,8 @@ def lambda_unit_root(
     if series and (t_trunc is None or t_trunc < 1):
         raise ValueError("t-family Lambda needs a truncation order t_trunc >= 1")
     ring = Ring(p**s, t_trunc if series else None)
-    twisted = [[ring.reduce(sigma.apply_scalar(e, ring.modulus, ring.T)) for e in row]
-               for row in den.entries]
+    twist = sigma.scalar_map(ring.modulus, ring.T)
+    twisted = [[ring.reduce(twist(e)) for e in row] for row in den.entries]
     inv = tmat_inv_series(twisted, ring.modulus, ring.T)
     lam = [[ring.reduce(e) for e in row] for row in mat_mul(num.entries, inv)]
     return BetaMatrix(num.index, lam, p, s)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from operator import add
 
-from .arith import Ring, TPoly
+from .arith import ComposeTable, Ring, TPoly
 from .linalg import independent_rows, int_det
 
 EXPONENT_LIMIT = 10**5  # machine-int guard for exponent arithmetic
@@ -359,14 +359,16 @@ class FrobeniusLift:
             raise ValueError("series image is not congruent to t^p mod p")
         return FrobeniusLift(image)
 
-    def apply_scalar(self, c, modulus: int | None = None, T: int | None = None):
-        """sigma(c) in Ring(modulus, T) for a TPoly c; any other c unchanged."""
-        if self.image is None or not isinstance(c, TPoly):
-            return c
-        return c.compose(self.image, T, modulus)
+    def scalar_map(self, modulus: int | None = None, T: int | None = None):
+        """The map c -> sigma(c) in Ring(modulus, T) for a TPoly c, any other
+        c unchanged.  Its calls share one `ComposeTable` of the image."""
+        if self.image is None:
+            return lambda c: c
+        table = ComposeTable(self.image, T, modulus)
+        return lambda c: table(c) if isinstance(c, TPoly) else c
 
     def apply_poly(self, f: LaurentPoly, modulus: int | None = None) -> LaurentPoly:
-        return f.map_coefficients(lambda c: self.apply_scalar(c, modulus))
+        return f.map_coefficients(self.scalar_map(modulus))
 
 
 def frobenius_twist(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dworklab.arith import (
     GAMMA_PRODUCT_BOUND,
+    ComposeTable,
     NonUnitError,
     Ring,
     TPoly,
@@ -126,6 +127,16 @@ class TestGammaP:
             assert (lhs - (-1) ** ((p - 1) // 2)) % mod == 0
 
 
+def horner_loop(f, g, T, modulus):
+    """Reference composition: Horner, adding each constant through TPoly.__add__."""
+    acc = TPoly()
+    for c in reversed(f.coeffs):
+        acc = (acc * g if T is None else acc.mul(g, T)) + c
+        if modulus is not None:
+            acc = acc % modulus
+    return acc
+
+
 class TestTPoly:
     def test_arithmetic(self):
         a = TPoly([1, 2])
@@ -164,13 +175,8 @@ class TestTPoly:
     @example([3, Fraction(1, 2), 0, 2], [0, 0, 1], None, None)  # t^k on a Fraction
     @example([3, 0, 2], [Fraction(0), 1], None, None)  # t with a Fraction zero
     def test_compose_matches_horner_loop(self, f, g, T, modulus):
-        # the Horner loop that adds each constant through TPoly.__add__
         f, g = TPoly(f), TPoly(g)
-        acc = TPoly()
-        for c in reversed(f.coeffs):
-            acc = (acc * g if T is None else acc.mul(g, T)) + c
-            if modulus is not None:
-                acc = acc % modulus
+        acc = horner_loop(f, g, T, modulus)
         out = f.compose(g, T, modulus)
         assert [(type(x), x) for x in out.coeffs] == [(type(x), x) for x in acc.coeffs]
 
@@ -218,6 +224,133 @@ def convolution(a, b, T):
 
 def typed(s: TPoly):
     return [(type(c), c) for c in s.coeffs]
+
+
+def inverse_loop(a, T):
+    """Reference inverse over Q, one Fraction operation at a time."""
+    c0 = a[0]
+    if c0 in (1, -1):
+        c0inv = c0
+    elif c0:
+        c0inv = Fraction(1) / c0
+    else:
+        raise NonUnitError("constant term is zero")
+    tail = a.coeffs[1:]
+    inv = [c0inv]
+    for _ in range(1, T):
+        inv.append(-c0inv * sum(x * y for x, y in zip(tail, reversed(inv))))
+    return TPoly(inv[:T])
+
+
+def derivative(f):
+    return TPoly([i * c for i, c in enumerate(f.coeffs[1:], 1)])
+
+
+def exp_loop(f, T):
+    """Reference exp: (d+1) e_(d+1) = sum_i (i+1) f_(i+1) e_(d-i) in Fractions."""
+    df = derivative(f).coeffs
+    out = [Fraction(1)]
+    for d in range(T - 1):
+        out.append(Fraction(sum(x * y for x, y in zip(df, reversed(out))), d + 1))
+    return TPoly(out[:T])
+
+
+def log_loop(f, T):
+    """Reference log: the integral of f' times the reference inverse."""
+    ratio = derivative(f).mul(inverse_loop(f, T - 1), T - 1)
+    return TPoly([Fraction(0)] + [Fraction(c, d) for d, c in enumerate(ratio.coeffs, 1)])
+
+
+def reversion_loop(f, T):
+    """Reference Lagrange inversion on Fraction powers of h = t/f."""
+    h = inverse_loop(TPoly(f.coeffs[1:]), T - 1)
+    g = [Fraction(0), Fraction(1)]
+    hk = h
+    for k in range(2, T):
+        hk = hk.mul(h, T - 1)
+        g.append(Fraction(hk[k - 1], k))
+    return TPoly(g)
+
+
+SERIES = st.one_of(RATIONAL_SERIES, MIXED_SERIES)
+PRECISIONS = st.integers(0, 16)
+ZERO = st.sampled_from([0, Fraction(0)])
+ONE = st.sampled_from([1, Fraction(1)])
+
+
+class TestRationalKernelsMatchLoops:
+    """The integer-numerator kernels over Q give the values and coefficient
+    types of the one-Fraction-at-a-time loops they replace."""
+
+    @given(SERIES.filter(lambda a: a[0] != 0), PRECISIONS)
+    @example(TPoly([Fraction(2, 3), 1, Fraction(-1, 2)]), 6)  # constant not +-1
+    @example(TPoly([2, 3, 1]), 5)  # an int constant that is no unit of Z
+    @example(TPoly([1, 2, Fraction(0), 3, Fraction(1, 2)]), 8)  # a Fraction zero
+    @example(TPoly([-1, Fraction(0), 2]), 5)
+    @example(TPoly([Fraction(2, 3), 1]), 0)
+    def test_inverse_series(self, a, T):
+        assert typed(a.inverse_series(T)) == typed(inverse_loop(a, T))
+
+    @given(ZERO, SERIES, PRECISIONS)
+    @example(0, TPoly([Fraction(2, 3), Fraction(0), 5]), 9)
+    @example(Fraction(0), TPoly([Fraction(0), 1]), 6)
+    @example(0, TPoly([1]), 0)
+    def test_exp(self, zero, tail, T):
+        f = TPoly((zero,) + tail.coeffs)
+        assert typed(f.exp(T)) == typed(exp_loop(f, T))
+
+    @given(ONE, SERIES, PRECISIONS)
+    @example(1, TPoly([Fraction(2, 3), Fraction(0), 5]), 9)
+    @example(Fraction(1), TPoly([Fraction(0), 3]), 6)
+    @example(1, TPoly([1, 2]), 0)
+    def test_log(self, one, tail, T):
+        f = TPoly((one,) + tail.coeffs)
+        assert typed(f.log(T)) == typed(log_loop(f, T))
+
+    @given(ZERO, ONE, SERIES, st.integers(2, 16))
+    @example(0, 1, TPoly([Fraction(2, 3), Fraction(0), 5]), 9)
+    @example(Fraction(0), Fraction(1), TPoly([Fraction(0), 3]), 6)
+    @example(0, 1, TPoly(), 2)
+    def test_reversion(self, zero, one, tail, T):
+        f = TPoly((zero, one) + tail.coeffs)
+        assert typed(f.reversion(T)) == typed(reversion_loop(f, T))
+
+    def test_exp_at_large_precision(self):
+        # the numerators carry (T-1)! D^d: the division by d+1 stays exact
+        f = TPoly([0, Fraction(1, 3), Fraction(-2, 7), 5])
+        assert typed(f.exp(60)) == typed(exp_loop(f, 60))
+
+
+class TestComposeTable:
+    @settings(deadline=None)
+    @given(st.data(), st.lists(st.integers(0, 10), min_size=1, max_size=4),
+           st.none() | st.integers(0, 12))
+    def test_shared_table_over_residues(self, data, lengths, T):
+        m = data.draw(MODULI)
+        g = data.draw(residue_series(m))
+        table = ComposeTable(g, T, m)
+        for n in lengths:  # later outer series may extend the table
+            f = data.draw(st.lists(st.integers(0, m - 1), max_size=n).map(TPoly))
+            out = table(f)
+            assert typed(out) == typed(f.compose(g, T, m)) == typed(horner_loop(f, g, T, m))
+
+    @settings(deadline=None)
+    @given(st.data(), RATIONAL_SERIES, st.none() | st.integers(0, 12))
+    def test_shared_table_over_rationals(self, data, g, T):
+        table = ComposeTable(g, T)
+        for _ in range(3):
+            f = data.draw(RATIONAL_SERIES)
+            out = table(f)
+            assert typed(out) == typed(f.compose(g, T)) == typed(horner_loop(f, g, T, None))
+
+    @pytest.mark.parametrize("T", [None, 4])
+    def test_rational_zeros_stay_fractions(self, T):
+        # t^2 at t + t^3/2: the zero coefficients below t^4 are Fraction(0)
+        f = TPoly([Fraction(0), Fraction(0), Fraction(1)])
+        g = TPoly([Fraction(0), Fraction(1), Fraction(0), Fraction(1, 2)])
+        out = ComposeTable(g, T)(f)
+        assert typed(out) == typed(horner_loop(f, g, T, None))
+        assert typed(out)[:3] == [(Fraction, 0), (Fraction, 0), (Fraction, 1)]
 
 
 class TestTPolySeries:

@@ -295,6 +295,22 @@ class TestExitCodes:
         assert code == 2 and not out
         assert "exponent [0, 1]" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "mu,needle",
+        [
+            ("star:", "invalid literal for int() with base 10: ''"),
+            ("star:a", "invalid literal for int() with base 10: 'a'"),
+            ("bogus", "unknown mu selector 'bogus'"),
+            ("star:1,2", "(1, 2) is not a vertex"),
+        ],
+        ids=["star-empty", "star-not-int", "unknown", "star-not-vertex"],
+    )
+    def test_bad_mu_selector_is_2(self, capsys, triangle_file, mu, needle):
+        code, out, err = run(capsys, ["hw", "--poly", triangle_file, "--prime", "5",
+                                      "--mu", mu])
+        assert code == 2 and not out
+        assert needle in err and "Traceback" not in err
+
     def test_crosscheck_zero_cells_is_2(self, capsys, triangle_file):
         code, out, _ = run(capsys, ["crosscheck", "--poly", triangle_file, "--prime", "5",
                                     "--smax", "0"])

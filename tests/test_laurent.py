@@ -263,10 +263,10 @@ class TestFrobeniusTwist:
         with pytest.raises(ValueError):
             FrobeniusLift.series(3, TPoly([0, 1]))  # t is not = t^3 mod 3
         ok = FrobeniusLift.series(3, TPoly([0, 3, 0, 1]))  # t^3 + 3t
-        assert ok.apply_scalar(TPoly([0, 1]), 9) == TPoly([0, 3, 0, 1])
+        assert ok.scalar_map(9)(TPoly([0, 1])) == TPoly([0, 3, 0, 1])
         # at the caller's precision: t + t^2 -> 3t + 9t^2 + t^3 + 6t^4 + t^6 mod (9, t^4)
-        assert ok.apply_scalar(TPoly([0, 1, 1]), 9, 4) == TPoly([0, 3, 0, 1])
-        assert ok.apply_scalar(7, 9, 4) == 7  # every lift fixes ints
+        assert ok.scalar_map(9, 4)(TPoly([0, 1, 1])) == TPoly([0, 3, 0, 1])
+        assert ok.scalar_map(9, 4)(7) == 7  # every lift fixes ints
 
 
 class TestDiscrepancy:
