@@ -24,6 +24,9 @@ digests) for BENCHMARK.json's run_seconds, and records the JSON object each
 run prints on its last line: the end-to-end metrics with correct, attempted
 and failed.
 
+It also records `source_lines`, the total that `wc -l src/dworklab/*.py`
+prints, so a refactor's line count comes from the same run as its times.
+
 Gates and criterion numbers are read from the `_report(...)` call in each
 test's source, so a gate is never restated here.  The output also names the
 host and Python version: the times are only comparable on one machine.
@@ -187,6 +190,8 @@ def main(argv=None):
         "default_tier": criteria,
         "slow_tier": slow_tier(table),
         "workloads": workloads(),
+        "source_lines": sum(path.read_bytes().count(b"\n")
+                            for path in (ROOT / "src" / "dworklab").glob("*.py")),
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)

@@ -179,19 +179,24 @@ def _recurrence(x0: Fraction, c: list, k, T: int) -> list:
 class TPoly:
     """Exact dense polynomial in one variable t, and the one dense series type.
 
-    Coefficients are ints, residues mod p^N (as ints) or Fractions.  An
-    instance is an exact polynomial with trailing zeros stripped; it is
+    An instance is an exact polynomial with trailing zeros stripped; it is
     immutable by convention.  The truncated rings (Z/p^N)[t]/t^T and
     Q[[t]]/t^T are not a property of the object: the series methods (`mul`,
     `inverse_series`, `compose`, `exp`, `log`, `reversion`) take the precision
     T, and the modulus where there is one, as arguments.
 
-    Over Q the series kernels work on integer numerators: a series with
-    Fraction coefficients is A/D, A integral and D the lcm of its
-    denominators below t^T, the kernel's recurrence runs on ints, and each
-    output coefficient is built as one Fraction at the end.  Their values and
-    coefficient types are those of the same recurrences run one Fraction at a
-    time; each kernel's docstring states its type rule.
+    One rule gives the coefficient ring of a series:
+    - a series that holds any Fraction is over Q, and every kernel output on
+      it holds only Fractions;
+    - the kernels that divide without a modulus (`inverse_series`, `exp`,
+      `log`, `reversion`) work over Q;
+    - a series over Z or Z/p^N holds ints (residues in [0, p^N));
+    - Fractions never meet a modulus: `reduce_mod` is the one bridge from Q
+      to Z/p^N, and a kernel given both raises TypeError.
+
+    Over Q the kernels work on integer numerators: a series is A/D, A
+    integral and D the lcm of its denominators below t^T, the recurrence runs
+    on ints, and each output coefficient is built as one Fraction at the end.
     """
 
     __slots__ = ("coeffs",)
@@ -266,9 +271,11 @@ class TPoly:
     def mul(self, other: "TPoly", T: int) -> "TPoly":
         """Product mod t^T; only the degrees below T are computed.
 
-        When a constant term is a Fraction, so is every output coefficient:
-        the factors are scaled to integers by the lcm of their denominators,
-        multiplied as ints, and each output coefficient is one Fraction.
+        Over Q the factors are scaled to integers by the lcm of their
+        denominators, multiplied as ints, and each output coefficient is one
+        Fraction.  The ring is read from the constant terms alone, an O(1)
+        test that keeps the short int products fast: a series over Q whose
+        constant term is an int is multiplied term by term.
         """
         a, b = self.coeffs, other.coeffs
         la, lb = len(a), len(b)
@@ -325,8 +332,7 @@ class TPoly:
     def compose(self, other: "TPoly", T: int | None = None,
                 modulus: int | None = None) -> "TPoly":
         """self(other), optionally mod t^T and mod `modulus`: the
-        `ComposeTable` of `other` built and applied once.  Its docstring
-        gives the type rule."""
+        `ComposeTable` of `other` built and applied once."""
         return ComposeTable(other, T, modulus)(self)
 
     def theta(self) -> "TPoly":
@@ -352,10 +358,7 @@ class TPoly:
 
         Over Q, with A the integer numerators of the coefficients below t^T
         over their common denominator, the inverse b solves
-        b_d = -(sum_{i>=1} A_i b_(d-i)) / A_0 by `_recurrence`.  Types: an int
-        constant term +-1 gives ints up to the first Fraction coefficient and
-        Fractions from its degree on; any other constant term gives Fractions
-        throughout."""
+        b_d = -(sum_{i>=1} A_i b_(d-i)) / A_0 by `_recurrence`."""
         a = self.coeffs
         c0 = a[0] if a else 0
         if modulus is None:
@@ -364,12 +367,9 @@ class TPoly:
             if T < 1:
                 return TPoly()
             A, D = _numerators(a[:T])
-            b = _recurrence(Fraction(D, A[0]), [-x for x in A[1:]], lambda n: A[0], T)
-            # with an int c0 = +-1, b_d is an int until a Fraction A_i enters
-            ints = 0
-            if type(c0) is int and c0 in (1, -1):
-                ints = next((d for d, x in enumerate(a[:T]) if type(x) is not int), T)
-            return TPoly([x.numerator for x in b[:ints]] + b[ints:])
+            return TPoly(_recurrence(Fraction(D, A[0]), [-x for x in A[1:]], lambda n: A[0], T))
+        if Fraction in {type(c) for c in a}:
+            raise TypeError("Fraction coefficients with a modulus: map them with reduce_mod")
         try:
             c0inv = inv_mod(c0, modulus)
         except NonUnitError:
@@ -435,41 +435,17 @@ class TPoly:
         return f"TPoly({list(self.coeffs)!r})"
 
 
-def _horner(f: TPoly, g: TPoly, T: int | None, modulus: int | None) -> TPoly:
-    """f(g) by Horner, one coefficient ring operation at a time: each nonzero
-    constant is added to the constant term alone, and the accumulator is
-    reduced mod `modulus` after every step."""
-    acc = TPoly()
-    for c in reversed(f.coeffs):
-        acc = acc * g if T is None else acc.mul(g, T)
-        if c:
-            acc = TPoly((acc[0] + c,) + acc.coeffs[1:])
-        if modulus is not None:
-            acc = acc % modulus
-    return acc
-
-
 class ComposeTable:
     """One inner series g and its powers mod t^T (and mod `modulus`), built
     as far as the outer series need them: `table(f)` is f.compose(g, T,
     modulus), and the outer series composed with one g share the powers.
 
-    The powers are integer polynomials.  A g with Fraction coefficients is
-    G/D with G integral, so g^i = G^i / D^i, and an outer f = F/E of degree n
-    gives f(g) = (sum_i F_i D^(n-i) G^i) / (E D^n): integer products, then
-    one Fraction per output coefficient.  A power that vanishes mod t^T (and
-    `modulus`) ends the table, since every higher one vanishes too.
-
-    Types are those of the Horner loop `_horner`, by this rule:
-    - an int t^k (k >= 1) with an all-int f is substituted, and reduced in
-      Ring(modulus, T);
-    - all-int f and g give ints, reduced mod `modulus`;
-    - all-Fraction f and g give Fractions when there is no modulus;
-    - everything else runs `_horner` itself: f and g that mix ints and
-      Fractions, Fractions with a modulus (`%` on a Fraction is no ring map,
-      so the loop's reduction after every step is part of its value), and
-      T < 1 (where the loop keeps the constant of f).  No caller in the
-      package composes such inputs.
+    The powers are integer polynomials.  Over Q, g is G/D with G integral, so
+    g^i = G^i / D^i, and an outer f = F/E of degree n gives
+    f(g) = (sum_i F_i D^(n-i) G^i) / (E D^n): integer products, then one
+    Fraction per output coefficient.  A power that vanishes mod t^T (and
+    `modulus`) ends the table, since every higher one vanishes too.  An int
+    g = t^k (k >= 1) is substituted instead.
     """
 
     __slots__ = ("inner", "T", "modulus", "_den", "_powers")
@@ -496,15 +472,14 @@ class ComposeTable:
 
     def __call__(self, outer: TPoly) -> TPoly:
         g, T, modulus = self.inner, self.T, self.modulus
-        if not outer.coeffs:
+        rational = Fraction in {type(c) for c in outer.coeffs + g.coeffs}
+        if rational and modulus is not None:
+            raise TypeError("Fraction coefficients with a modulus: map them with reduce_mod")
+        if not outer.coeffs or T is not None and T < 1:
             return TPoly()
-        types = {type(c) for c in outer.coeffs + g.coeffs}
         k = g.degree()
-        if types <= {int} and k >= 1 and g.coeffs == (0,) * k + (1,):
+        if not rational and k >= 1 and g.coeffs == (0,) * k + (1,):
             return Ring(modulus, T).reduce(outer.subs_t_power(k))
-        rational = modulus is None and types <= {Fraction}
-        if (T is not None and T < 1) or not (types <= {int} or rational):
-            return _horner(outer, g, T, modulus)
         powers = self._power_list(outer.degree())
         F, E = _numerators(outer.coeffs[:len(powers)])
         num = [0] * max(len(P.coeffs) for P in powers)

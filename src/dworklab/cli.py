@@ -248,15 +248,15 @@ def cmd_cy(args, fmt):
         table = [
             {
                 "d": d + 1,
-                "Nd_num": str(Fraction(N[d]).numerator),
-                "Nd_den": str(Fraction(N[d]).denominator),
+                "Nd_num": str(N[d].numerator),
+                "Nd_den": str(N[d].denominator),
             }
             for d in range(min(args.degree, len(N)))
         ]
         out = {
             "schema": 1,
             "family": args.family,
-            "yukawa": [str(Fraction(Y[i])) for i in range(min(6, T))],
+            "yukawa": [str(Y[i]) for i in range(min(6, T))],
             "instantons": table,
         }
         _emit(out, fmt)
@@ -266,8 +266,8 @@ def cmd_cy(args, fmt):
         out = {
             "schema": 1,
             "family": args.family,
-            "q_coefficients": [str(Fraction(q[d])) for d in range(T)],
-            "mirror_coefficients": [str(Fraction(mirror[d])) for d in range(T)],
+            "q_coefficients": [str(q[d]) for d in range(T)],
+            "mirror_coefficients": [str(mirror[d]) for d in range(T)],
         }
         _emit(out, fmt)
         return 0

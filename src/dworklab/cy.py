@@ -107,16 +107,16 @@ class ThetaOperator:
     lower: tuple  # tuple of coefficient tuples for A_1..A_m
 
     def __post_init__(self):
-        if Fraction(self.leading[0]) == 0:
+        if self.leading[0] == 0:
             raise ValueError("leading coefficient must be a unit series")
         for coeffs in self.lower:
-            if coeffs and Fraction(coeffs[0]) != 0:
+            if coeffs and coeffs[0] != 0:
                 raise ValueError("operator is not maximally unipotent at 0")
 
     def coefficient_series(self, T: int):
         """Monic coefficients a_1..a_m as series mod t^T."""
-        den = TPoly([Fraction(c) for c in self.leading]).inverse_series(T)
-        return [TPoly([Fraction(c) for c in coeffs]).mul(den, T) for coeffs in self.lower]
+        den = TPoly(self.leading).inverse_series(T)
+        return [TPoly(coeffs).mul(den, T) for coeffs in self.lower]
 
     def companion_series(self, T: int):
         """Matrix N(t) of theta on the cyclic basis (1, theta, ..., theta^(m-1))."""
@@ -173,18 +173,13 @@ def preset_operator(name: str, n: int | None = None) -> ThetaOperator:
     if name == "hyperoctahedral":
         if n != 4:
             raise ValueError("hyperoctahedral operator shipped for n = 4 only")
-        lead = (1, 0, -80, 0, 1024)
         lower = (
             (0, 0, -320, 0, 8192),
             (0, 0, -528, 0, 23552),
             (0, 0, -416, 0, 28672),
             (0, 0, -128, 0, 12288),
         )
-        return ThetaOperator(
-            4,
-            tuple(Fraction(c) for c in lead),
-            tuple(tuple(Fraction(c) for c in row) for row in lower),
-        )
+        return ThetaOperator(4, (1, 0, -80, 0, 1024), lower)
     raise ValueError(f"no shipped operator for {name!r}")
 
 

@@ -128,13 +128,33 @@ class TestGammaP:
 
 
 def horner_loop(f, g, T, modulus):
-    """Reference composition: Horner, adding each constant through TPoly.__add__."""
+    """Reference composition: Horner, adding each constant through TPoly.__add__,
+    then cut at t^T (which leaves nothing at T = 0)."""
     acc = TPoly()
     for c in reversed(f.coeffs):
         acc = (acc * g if T is None else acc.mul(g, T)) + c
         if modulus is not None:
             acc = acc % modulus
-    return acc
+    return acc if T is None else acc.truncate(T)
+
+
+def typed(s: TPoly):
+    return [(type(c), c) for c in s.coeffs]
+
+
+def holds_fraction(*series):
+    return any(type(c) is Fraction for s in series for c in s.coeffs)
+
+
+def assert_one_rule(out, expect, *inputs):
+    """`out` has the values of the reference `expect`.  An input that holds a
+    Fraction makes every output coefficient a Fraction, and inputs that hold
+    one coefficient type give the reference's types too."""
+    assert out == expect
+    if holds_fraction(*inputs):
+        assert all(type(c) is Fraction for c in out.coeffs)
+    if len({type(c) for s in inputs for c in s.coeffs}) <= 1:
+        assert typed(out) == typed(expect)
 
 
 class TestTPoly:
@@ -171,14 +191,16 @@ class TestTPoly:
         st.none() | st.sampled_from([9, 25, 7**4]),
     )
     @example([Fraction(0), 1], [3, 1], None, None)  # a Fraction zero constant term
-    @example([Fraction(1, 2), 0, 2], [0, Fraction(1, 3)], 3, 25)
+    @example([Fraction(1, 2), 0, 2], [0, Fraction(1, 3)], 3, 25)  # rejected
     @example([3, Fraction(1, 2), 0, 2], [0, 0, 1], None, None)  # t^k on a Fraction
     @example([3, 0, 2], [Fraction(0), 1], None, None)  # t with a Fraction zero
     def test_compose_matches_horner_loop(self, f, g, T, modulus):
         f, g = TPoly(f), TPoly(g)
-        acc = horner_loop(f, g, T, modulus)
-        out = f.compose(g, T, modulus)
-        assert [(type(x), x) for x in out.coeffs] == [(type(x), x) for x in acc.coeffs]
+        if modulus is not None and holds_fraction(f, g):
+            with pytest.raises(TypeError, match="reduce_mod"):
+                f.compose(g, T, modulus)
+            return
+        assert_one_rule(f.compose(g, T, modulus), horner_loop(f, g, T, modulus), f, g)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -187,13 +209,21 @@ class TestTPoly:
         st.none() | st.integers(1, 12),
         st.none() | st.sampled_from([9, 25]),
     )
+    @example([1, Fraction(0)], 1, None, None)  # a stripped Fraction zero: f is all-int
     def test_compose_with_t_power_substitutes(self, c, k, T, modulus):
-        # c(t^k) = sum c_i t^(k i), reduced in Ring(modulus, T)
-        f = TPoly(c)
-        expect = sum((TPoly([0] * (k * i) + [ci]) for i, ci in enumerate(c)), TPoly())
-        assert f.compose(TPoly.t_power(k), T, modulus) == Ring(modulus, T).reduce(expect)
+        f, tk, one = TPoly(c), TPoly.t_power(k), TPoly([1])
+        if modulus is not None and holds_fraction(f):
+            for g in (tk, one):
+                with pytest.raises(TypeError, match="reduce_mod"):
+                    f.compose(g, T, modulus)
+            return
+        # c(t^k) = sum c_i t^(k i), reduced in Ring(modulus, T); f drops
+        # trailing zeros of c, whose type would otherwise enter the sums
+        expect = sum((TPoly([0] * (k * i) + [ci]) for i, ci in enumerate(f.coeffs)), TPoly())
+        assert_one_rule(f.compose(tk, T, modulus), Ring(modulus, T).reduce(expect), f, tk)
         # t^0 = 1 is no substitution: c(1) is the constant sum c_i
-        assert f.compose(TPoly([1]), T, modulus) == Ring(modulus, T).reduce(TPoly([sum(c)]))
+        assert_one_rule(f.compose(one, T, modulus),
+                        Ring(modulus, T).reduce(TPoly([sum(f.coeffs)])), f, one)
 
 
 MODULI = st.sampled_from(PRIMES).flatmap(lambda p: st.sampled_from((p, p**2, p**4)))
@@ -222,19 +252,11 @@ def convolution(a, b, T):
     ])
 
 
-def typed(s: TPoly):
-    return [(type(c), c) for c in s.coeffs]
-
-
 def inverse_loop(a, T):
     """Reference inverse over Q, one Fraction operation at a time."""
-    c0 = a[0]
-    if c0 in (1, -1):
-        c0inv = c0
-    elif c0:
-        c0inv = Fraction(1) / c0
-    else:
+    if not a[0]:
         raise NonUnitError("constant term is zero")
+    c0inv = Fraction(1) / a[0]
     tail = a.coeffs[1:]
     inv = [c0inv]
     for _ in range(1, T):
@@ -279,8 +301,8 @@ ONE = st.sampled_from([1, Fraction(1)])
 
 
 class TestRationalKernelsMatchLoops:
-    """The integer-numerator kernels over Q give the values and coefficient
-    types of the one-Fraction-at-a-time loops they replace."""
+    """The integer-numerator kernels over Q give the values of the
+    one-Fraction-at-a-time loops they replace, and only Fractions."""
 
     @given(SERIES.filter(lambda a: a[0] != 0), PRECISIONS)
     @example(TPoly([Fraction(2, 3), 1, Fraction(-1, 2)]), 6)  # constant not +-1
@@ -289,7 +311,7 @@ class TestRationalKernelsMatchLoops:
     @example(TPoly([-1, Fraction(0), 2]), 5)
     @example(TPoly([Fraction(2, 3), 1]), 0)
     def test_inverse_series(self, a, T):
-        assert typed(a.inverse_series(T)) == typed(inverse_loop(a, T))
+        assert_one_rule(a.inverse_series(T), inverse_loop(a, T), a)
 
     @given(ZERO, SERIES, PRECISIONS)
     @example(0, TPoly([Fraction(2, 3), Fraction(0), 5]), 9)
@@ -297,7 +319,7 @@ class TestRationalKernelsMatchLoops:
     @example(0, TPoly([1]), 0)
     def test_exp(self, zero, tail, T):
         f = TPoly((zero,) + tail.coeffs)
-        assert typed(f.exp(T)) == typed(exp_loop(f, T))
+        assert_one_rule(f.exp(T), exp_loop(f, T), f)
 
     @given(ONE, SERIES, PRECISIONS)
     @example(1, TPoly([Fraction(2, 3), Fraction(0), 5]), 9)
@@ -305,7 +327,7 @@ class TestRationalKernelsMatchLoops:
     @example(1, TPoly([1, 2]), 0)
     def test_log(self, one, tail, T):
         f = TPoly((one,) + tail.coeffs)
-        assert typed(f.log(T)) == typed(log_loop(f, T))
+        assert_one_rule(f.log(T), log_loop(f, T), f)
 
     @given(ZERO, ONE, SERIES, st.integers(2, 16))
     @example(0, 1, TPoly([Fraction(2, 3), Fraction(0), 5]), 9)
@@ -313,7 +335,7 @@ class TestRationalKernelsMatchLoops:
     @example(0, 1, TPoly(), 2)
     def test_reversion(self, zero, one, tail, T):
         f = TPoly((zero, one) + tail.coeffs)
-        assert typed(f.reversion(T)) == typed(reversion_loop(f, T))
+        assert_one_rule(f.reversion(T), reversion_loop(f, T), f)
 
     def test_exp_at_large_precision(self):
         # the numerators carry (T-1)! D^d: the division by d+1 stays exact
@@ -440,6 +462,31 @@ class TestTPolySeries:
     @given(RATIONAL_SERIES.filter(lambda a: a[0] != 0), st.integers(1, 16))
     def test_inverse_series_over_rationals(self, a, T):
         assert a.mul(a.inverse_series(T), T) == 1
+
+
+@pytest.mark.parametrize("series", [
+    pytest.param(lambda: TPoly([3, 1]).compose(TPoly([0, 2]), 0), id="compose"),
+    pytest.param(lambda: TPoly([3, 1]).mul(TPoly([2, 5]), 0), id="mul"),
+    pytest.param(lambda: TPoly([3, 1]).inverse_series(0), id="inverse_series"),
+    pytest.param(lambda: TPoly([0, 1]).exp(0), id="exp"),
+    pytest.param(lambda: TPoly([1, 1]).log(0), id="log"),
+    pytest.param(lambda: Ring(25, 0).reduce(TPoly([3, 1])), id="reduce"),
+])
+def test_series_mod_t_to_the_zero_is_zero(series):
+    assert series() == TPoly()
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(lambda: TPoly([Fraction(1, 2), 1]).compose(TPoly([0, 3]), 3, 25),
+                 id="compose"),
+    pytest.param(lambda: TPoly([1, Fraction(1, 2)]).inverse_series(3, 25),
+                 id="inverse_series"),
+    pytest.param(lambda: TPoly([Fraction(1, 2), 1]).inverse_series(3, 25),
+                 id="inverse_series_constant"),
+])
+def test_fractions_never_meet_a_modulus(kernel):
+    with pytest.raises(TypeError, match="reduce_mod"):
+        kernel()
 
 
 def test_val_p():
