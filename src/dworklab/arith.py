@@ -26,6 +26,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
 
+_Q_ZERO = Fraction(0)
+
 # Ceiling for the direct product loop in gamma_p: p^N must stay below this.
 GAMMA_PRODUCT_BOUND = 10**7
 
@@ -240,10 +242,17 @@ class TPoly:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
 
     def __add__(self, other):
+        """The sum; over Q when either operand is, read from the constant
+        terms as in `mul`, so every coefficient is then a Fraction."""
         o = self.coerce(other)
         if o is None:
             return NotImplemented
-        return TPoly([x + y for x, y in zip_longest(self.coeffs, o.coeffs, fillvalue=0)])
+        a, b = self.coeffs, o.coeffs
+        # past the end of the shorter operand the longer one's coefficients
+        # stand alone: a shorter one over Q pads a longer one over Z with Q's 0
+        longer, shorter = (b, a) if len(a) < len(b) else (a, b)
+        q_pad = shorter and type(shorter[0]) is Fraction and type(longer[0]) is not Fraction
+        return TPoly([x + y for x, y in zip_longest(a, b, fillvalue=_Q_ZERO if q_pad else 0)])
 
     __radd__ = __add__
 
@@ -321,10 +330,11 @@ class TPoly:
         return TPoly(self.coeffs[:T])
 
     def subs_t_power(self, k: int) -> "TPoly":
-        """Substitute t -> t^k."""
+        """Substitute t -> t^k; the new zero coefficients have the type of
+        the constant term."""
         if not self.coeffs:
             return TPoly()
-        out = [0] * ((len(self.coeffs) - 1) * k + 1)
+        out = [0 * self.coeffs[0]] * ((len(self.coeffs) - 1) * k + 1)
         for i, c in enumerate(self.coeffs):
             out[i * k] = c
         return TPoly(out)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from operator import le, sub
+from operator import add, le, mul, sub
 
 from .arith import NonUnitError, Ring, TPoly, odd_prime
 from .laurent import (
@@ -56,7 +56,7 @@ class ResidualError(ArithmeticError):
 
 
 def _dot(a, v):
-    return sum(x * y for x, y in zip(a, v))
+    return sum(map(mul, a, v))
 
 
 @dataclass
@@ -87,12 +87,14 @@ class FormalExpansion:
         return self.coeffs.get(tuple(v), 0)
 
     def is_complete(self, v) -> bool:
-        v = tuple(self.decimation * x for x in v)
+        if not self.shifts:
+            return True
+        if self.decimation != 1:
+            v = [self.decimation * x for x in v]
+        cap = self.budget * self.delta
         for w in self.shifts:
-            d = tuple(x - y for x, y in zip(v, w))
-            if not all(_dot(a, d) >= 0 for a in self.cone_normals):
-                continue
-            if _dot(self.psi, d) > self.budget * self.delta:
+            d = list(map(sub, v, w))
+            if _dot(self.psi, d) > cap and all(_dot(a, d) >= 0 for a in self.cone_normals):
                 return False
         return True
 
@@ -153,9 +155,11 @@ def vertex_budget(f: LaurentPoly, b, m: int, h: LaurentPoly, targets) -> int:
     need = 0
     for v in targets:
         for w in shifts:
-            d = tuple(x - y for x, y in zip(v, w))
-            if all(_dot(a, d) >= 0 for a in normals):
-                need = max(need, -(-_dot(psi, d) // delta))
+            d = list(map(sub, v, w))
+            k = _dot(psi, d)
+            # psi(d) only raises the budget past need when it exceeds need * delta
+            if k > need * delta and all(_dot(a, d) >= 0 for a in normals):
+                need = -(-k // delta)
     return need + BUDGET_SLACK
 
 
@@ -177,8 +181,14 @@ def expand_vertex(
     G[w] = F[w] - sum_e ell_e G[w - e], visiting R in increasing psi.  This
     is the exact series on R: a monomial of ell^s has psi >= s * delta, so
     only powers s <= budget reach R.  The vertex coefficient must be +-1 for
-    exact arithmetic, or any p-unit when a modulus is supplied.  When f or h
-    has a TPoly coefficient, every stored coefficient is a TPoly.
+    exact arithmetic, or any p-unit when a modulus is supplied.
+
+    R is built once per call as index arrays (`_region`), and the divisions
+    run on flat lists of ints: the scalar kernel `_quotient` when no
+    coefficient of f or h is a TPoly, else the t-kernel `_t_quotient` on
+    dense lists of t-coefficients.  Each point, and each output index, is
+    reduced once.  With the t-kernel a TPoly is built only for each stored
+    output coefficient, and every stored coefficient is a TPoly.
 
     With `targets` given, intermediate monomials that can no longer reach any
     target index (the remaining gap is outside the cone) are pruned and only
@@ -191,7 +201,6 @@ def expand_vertex(
         return FormalExpansion(f.n, {}, modulus, budget, (0,) * f.n, 1)
     b = tuple(b)
     ring = Ring(modulus)
-    add_into = ring.add_into
     fb = f.coefficient_at(b)
     if isinstance(fb, TPoly):
         if fb.degree() > 0:
@@ -199,22 +208,23 @@ def expand_vertex(
         fb = fb[0]
     fb_inv = ring.inv(fb)
     normals, psi, delta = vertex_frame(f, b)
+    by_t = has_tpoly(f) or has_tpoly(h)
 
     # f = f_b x^b (1 + ell); each generator e of ell as (e, -ell_e, psi(e))
     gens = []
     for e, c in f.terms.items():
         if tuple(e) == b:
             continue
-        w = tuple(x - y for x, y in zip(e, b))
-        gens.append((w, ring.reduce(-(c * fb_inv)), _dot(psi, w)))
+        w = tuple(map(sub, e, b))
+        c = ring.reduce(-(c * fb_inv))
+        gens.append((w, _t_pairs(c) if by_t else c, _dot(psi, w)))
+    gens.sort(key=lambda g: g[2])
     cap = budget * delta
 
     shifts = [tuple(x - m * y for x, y in zip(e, b)) for e in h.support()]
     normal_caps = None
     if targets is not None:
-        demand = {
-            tuple(v[i] - sh[i] for i in range(f.n)) for v in targets for sh in shifts
-        }
+        demand = {tuple(map(sub, v, sh)) for v in targets for sh in shifts}
         # sound relaxation of "some demand point minus w stays in the cone":
         # for every inner normal a, a.w may not exceed max over demand of a.d
         normal_caps = [
@@ -224,62 +234,128 @@ def expand_vertex(
     def reachable(w):
         return all(_dot(a, w) <= cap for a, cap in normal_caps)
 
-    # The region: the monoid spanned by the generators, cut by psi <= cap and
-    # the normal caps.  Both bounds only grow along a generator, so adding
-    # generators under the prunes finds all of it, and every w - e of a
-    # region point w in the monoid is in the region.  Visiting psi levels in
-    # increasing order (psi(e) >= delta >= 1) puts each w - e before w.
-    zero = (0,) * f.n
-    preds = {zero: []}  # w -> [(w - e, -ell_e)] with w - e in the region
-    levels = {0: [zero]}
-    order = []
-    while levels:
-        k = min(levels)
-        for w1 in levels.pop(k):
-            order.append(w1)
-            for e, c, pe in gens:
-                w = tuple(x + y for x, y in zip(w1, e))
-                into = preds.get(w)
-                if into is None:
-                    if k + pe > cap or (normal_caps and not reachable(w)):
-                        continue
-                    preds[w] = into = []
-                    levels.setdefault(k + pe, []).append(w)
-                into.append((w1, c))
-
-    # acc = (1 + ell)^(-m) on the region, by m divisions by 1 + ell; a
-    # missing key is a zero coefficient.  Every other stored value is a sum
-    # of products with stored values, so a TPoly at the origin makes them all
-    # TPolys, whichever coefficients of f are ints.
-    acc = {zero: TPoly([1]) if has_tpoly(f) or has_tpoly(h) else 1}
-    for _ in range(m):
-        for w in order:
-            c = acc.get(w, 0)
-            for u, cu in preds[w]:
-                g = acc.get(u)
-                if g is not None:
-                    c = c + cu * g
-            c = ring.reduce(c)
-            if c:
-                acc[w] = c
-            else:
-                acc.pop(w, None)
+    order, rows = _region(gens, cap, f.n, reachable if normal_caps else None)
+    acc = (_t_quotient if by_t else _quotient)(rows, m, modulus)
+    del rows  # the output needs only the points and their coefficients
 
     # multiply by h * x^{-m b} * f_b^{-m}
     fbm = ring.reduce(fb_inv**m)
+    target_set = set(map(tuple, targets)) if targets is not None else None
     out = {}
-    target_set = set(tuple(v) for v in targets) if targets is not None else None
     for e, c in h.terms.items():
         w0 = tuple(x - m * y for x, y in zip(e, b))
-        scale = c * fbm
-        for w, cc in acc.items():
-            v = tuple(x + y for x, y in zip(w0, w))
+        scale = _t_pairs(c * fbm) if by_t else c * fbm
+        for w, g in zip(order, acc):
+            if not g:
+                continue
+            v = tuple(map(add, w0, w))
             if target_set is not None and v not in target_set:
                 continue
-            add_into(out, v, cc * scale)
+            if by_t:
+                _mul_into(out.setdefault(v, []), scale, g)
+            else:
+                out[v] = out.get(v, 0) + g * scale
+    # each output index reduced once, in place; zeros are dropped
+    for v, c in out.items():
+        c = _reduced(c, modulus) if by_t else ring.reduce(c)
+        out[v] = TPoly(c) if by_t and c else c
+    for v in [v for v, c in out.items() if not c]:
+        del out[v]
     return FormalExpansion(
         f.n, out, modulus, budget, psi, delta, tuple(sorted(set(shifts))), normals
     )
+
+
+def _region(gens, cap: int, n: int, reachable):
+    """The region of a vertex expansion as index arrays: (order, rows), with
+    order its points (the origin first) and rows, in increasing psi, one
+    (i, [-ell_e], [index of w - e]) per point w = order[i] past the origin.
+
+    It is the monoid spanned by the generators (e, -ell_e, psi(e)), cut by
+    psi <= cap and, when `reachable` is given, by it.  Both bounds only grow
+    along a generator, so adding generators under the prunes finds all of
+    it, and every w - e of a region point w in the monoid is in the region.
+    Visiting psi levels in increasing order (psi(e) >= 1) puts each w - e
+    before w.  A point of level k has psi = k, so with the generators in
+    increasing psi the first one past the cap ends its walk."""
+    order = [(0,) * n]
+    index = {order[0]: 0}  # point -> its position in order
+    preds, coefs = [[]], [[]]
+    levels = {0: [0]}
+    visit = []  # indices in increasing psi
+    while levels:
+        k = min(levels)
+        for i in levels.pop(k):
+            visit.append(i)
+            w1 = order[i]
+            for e, c, pe in gens:
+                if k + pe > cap:
+                    break
+                w = tuple(map(add, w1, e))
+                j = index.get(w)
+                if j is None:
+                    if reachable and not reachable(w):
+                        continue
+                    j = index[w] = len(order)
+                    order.append(w)
+                    preds.append([])
+                    coefs.append([])
+                    levels.setdefault(k + pe, []).append(j)
+                preds[j].append(i)
+                coefs[j].append(c)
+    return order, [(i, coefs[i], preds[i]) for i in visit[1:]]
+
+
+def _quotient(rows, m: int, modulus: int | None) -> list:
+    """The scalar kernel: (1 + ell)^(-m) on the region of `rows` as a list of
+    ints, by m divisions by 1 + ell, each point one dot product over its
+    predecessors reduced mod `modulus` once."""
+    acc = [1] + [0] * len(rows)
+    get = acc.__getitem__
+    for _ in range(m):
+        for i, cs, js in rows:
+            c = acc[i] + sum(map(mul, cs, map(get, js)))
+            acc[i] = c if modulus is None else c % modulus
+    return acc
+
+
+def _t_quotient(rows, m: int, modulus: int | None) -> list:
+    """The t-kernel: as `_quotient`, with each -ell_e as its nonzero (degree,
+    int) pairs and each coefficient a dense list of ints in t, reduced mod
+    `modulus` once per point."""
+    acc = [[1]] + [[] for _ in rows]
+    for _ in range(m):
+        for i, cs, js in rows:
+            s = acc[i]
+            for pairs, j in zip(cs, js):
+                if acc[j]:
+                    _mul_into(s, pairs, acc[j])
+            acc[i] = _reduced(s, modulus)
+    return acc
+
+
+def _t_pairs(c):
+    """The nonzero (degree, coefficient) pairs of an int or TPoly."""
+    return [(d, x) for d, x in enumerate(TPoly.coerce(c).coeffs) if x]
+
+
+def _mul_into(dst: list, pairs, src: list) -> None:
+    """dst += (sum over pairs of c t^d) * src on dense coefficient lists,
+    growing dst as needed."""
+    for d, c in pairs:
+        top = d + len(src)
+        if len(dst) < top:
+            dst.extend([0] * (top - len(dst)))
+        dst[d:top] = [x + c * y for x, y in zip(dst[d:top], src)]
+
+
+def _reduced(cs: list, modulus: int | None) -> list:
+    """A dense coefficient list mod `modulus` (if any), trailing zeros cut."""
+    if modulus is not None:
+        cs = [x % modulus for x in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
 
 def _powers(g: LaurentPoly, T: int, modulus: int | None, demand):

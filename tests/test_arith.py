@@ -168,6 +168,18 @@ class TestTPoly:
     def test_subs_t_power(self):
         assert TPoly([1, 2, 3]).subs_t_power(3).coeffs == (1, 0, 0, 2, 0, 0, 3)
 
+    def test_sum_and_substitution_over_q_hold_only_fractions(self):
+        # a series over Q gives a series over Q: the zeros that subs_t_power
+        # inserts, and the coefficients that only the int operand of a sum
+        # holds, are Fractions too
+        half = TPoly([Fraction(1, 2)])
+        assert typed(TPoly([Fraction(1), Fraction(2)]).subs_t_power(2)) == [
+            (Fraction, 1), (Fraction, 0), (Fraction, 2)]
+        assert typed(half + TPoly([0, 3])) == [(Fraction, Fraction(1, 2)), (Fraction, 3)]
+        assert typed(TPoly([0, 3]) + half) == typed(half + TPoly([0, 3]))
+        assert typed(TPoly([0, 3]) - half) == [(Fraction, Fraction(-1, 2)), (Fraction, 3)]
+        assert typed(TPoly([1, 2]) + TPoly([3])) == [(int, 4), (int, 2)]
+
     def test_inverse_series(self):
         a = TPoly([1, 3, 5])
         inv = a.inverse_series(8, 7**2)

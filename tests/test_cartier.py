@@ -14,6 +14,7 @@ from dworklab.laurent import (
     LaurentPoly,
     coefficient_of_power,
     family_poly,
+    has_tpoly,
     power_mod,
 )
 from dworklab.polytope import (
@@ -27,6 +28,7 @@ from dworklab.hasse_witt import hw_condition, hw_matrix, lambda_unit_root
 from dworklab import cartier
 from dworklab.cartier import (
     _PowerTable,
+    CartierImage,
     FormalExpansion,
     ResidualError,
     cartier_shift,
@@ -125,6 +127,15 @@ class TestExpandVertex:
         E = expand_vertex(ONE2, TRIANGLE, 1, (0, 0), S)
         assert all(E.is_complete(v) for v in targets)
 
+    def test_empty_certificate_is_complete_everywhere(self):
+        # no shifts and no budget: the expansion of a Cartier image with no
+        # terms, and an origin expansion, certify every index
+        empty = CartierImage([], 5, 2, TRIANGLE).expansion((0, 0), 4)
+        origin = expand_origin(ONE2, TRIANGLE, 1, 3, 25, targets=[(1, 1)])
+        for E in (empty, origin):
+            assert E.shifts == () and E.budget is None
+            assert E.is_complete((0, 0)) and E.is_complete((3, -2))
+
 
 @st.composite
 def vertex_cases(draw):
@@ -163,7 +174,41 @@ def _near_numerator(h):
     return list(itertools.product(*[range(a, c + 1) for a, c in zip(lo, hi)]))
 
 
+def vertex_reference(h, f, m, b, budget, modulus):
+    """The coefficients `expand_vertex` stores, by LaurentPoly arithmetic: G =
+    sum_{s <= budget} C(-m, s) ell^s, kept where psi <= budget * delta (each
+    ell^s is cut there, which is exact as psi > 0 on ell), times
+    h x^(-m b) f_b^(-m), reduced through Ring(modulus) with zeros dropped; every
+    value a TPoly when f or h has a TPoly coefficient.  f_b is +-1."""
+    _, psi, delta = cartier.vertex_frame(f, b)
+    fb = TPoly.coerce(f.coefficient_at(b))[0]
+
+    def cut(q):
+        return LaurentPoly(q.n, {w: c for w, c in q.terms.items()
+                                 if sum(x * y for x, y in zip(psi, w)) <= budget * delta})
+
+    one = LaurentPoly.constant(f.n, 1)
+    ell = f * LaurentPoly.monomial(f.n, [-x for x in b]).scale(fb) - one
+    G, ell_s = LaurentPoly(f.n), one
+    for s in range(budget + 1):
+        G = G + ell_s.scale((-1) ** s * math.comb(m + s - 1, s))
+        ell_s = cut(ell_s * ell)
+    total = h * LaurentPoly.monomial(f.n, [-m * x for x in b]).scale(fb**m) * G
+    reduce = Ring(modulus).reduce
+    lift = TPoly.coerce if has_tpoly(f) or has_tpoly(h) else (lambda c: c)
+    return {v: lift(r) for v, c in total.terms.items() if (r := reduce(c))}
+
+
 class TestExpandVertexProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(vertex_cases())
+    def test_every_coefficient_matches_the_series(self, case):
+        # every stored coefficient, with its type: int stays int, TPoly stays TPoly
+        h, f, m, b, budget, modulus = case
+        E = expand_vertex(h, f, m, b, budget, modulus)
+        ref = vertex_reference(h, f, m, b, budget, modulus)
+        assert typed(E.coeffs) == typed(ref)
+
     @settings(max_examples=60, deadline=None)
     @given(vertex_cases())
     def test_times_f_power_gives_numerator(self, case):
