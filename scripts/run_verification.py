@@ -11,24 +11,15 @@ import pathlib
 import sys
 import time
 
-from dworklab.harness import (
-    JobSpec,
-    canonical_json,
-    suite_asd,
-    suite_dwork,
-    suite_gauss,
-    suite_generalized_dwork,
-    suite_hhw,
-    suite_super,
-)
+from dworklab.harness import SUITES, JobSpec, canonical_json
 
 GRIDS = {
-    "hhw": (suite_hhw, dict(primes=(5, 7), s_max=2)),
-    "generalized-dwork": (suite_generalized_dwork, dict(primes=(5, 7), s_max=2)),
-    "asd": (suite_asd, dict(primes=(3, 5, 7, 11, 13), s_max=3)),
-    "gauss": (suite_gauss, dict(primes=(3, 5, 7), bound=30)),
-    "dwork": (suite_dwork, dict(primes=(3, 5, 7), dimensions=(2, 3))),
-    "super": (suite_super, dict(primes=(3, 5), s_max=2)),
+    "hhw": dict(primes=(5, 7), s_max=2),
+    "generalized-dwork": dict(primes=(5, 7), s_max=2),
+    "asd": dict(primes=(3, 5, 7, 11, 13), s_max=3),
+    "gauss": dict(primes=(3, 5, 7), bound=30),
+    "dwork": dict(primes=(3, 5, 7), dimensions=(2, 3)),
+    "super": dict(primes=(3, 5), s_max=2),
 }
 
 QUICK = {
@@ -48,10 +39,10 @@ def main():
     args = ap.parse_args()
 
     failures = 0
-    for name, (fn, grid) in GRIDS.items():
+    for name, grid in GRIDS.items():
         params = QUICK[name] if args.quick else grid
         t0 = time.time()
-        report = fn(JobSpec(**params))
+        report = SUITES[name](JobSpec(**params))
         status = "PASS" if report.passed else "FAIL"
         n_skip = sum(1 for c in report.cells if c.get("status") == "skip")
         print(

@@ -11,6 +11,7 @@ import argparse
 import itertools
 import json
 import sys
+import time
 from fractions import Fraction
 
 from .arith import NonUnitError, gamma_p, gamma_ratio_check, odd_prime
@@ -227,7 +228,9 @@ def cmd_verify(args, fmt):
             f, g = _read_poly_file(args.poly)
             key, value = ("polynomials", f) if g is None else ("families", g)
             job = JobSpec(**{**job.__dict__, key: ((args.poly, value),)})
+    t0 = time.perf_counter()
     report = suite(job)
+    report.elapsed = time.perf_counter() - t0
     _emit(report.to_json(include_timing=args.timing), fmt)
     return 0 if report.passed else 1
 

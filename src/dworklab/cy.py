@@ -329,7 +329,7 @@ def frobenius_lambda0(
     family: str,
     n: int,
     p: int,
-    s: int = 2,
+    s: int,
     T: int | None = None,
     t_check: int = 8,
     ode_t_check: int = 10,

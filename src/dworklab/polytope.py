@@ -1,9 +1,9 @@
-"""Newton polytopes, their faces, and open subsets in the finite face topology.
+"""Newton polytopes and open subsets in the finite face topology.
 
 A lattice polytope is stored by vertices plus facet inequalities a.u >= c
-with primitive integer normals.  An *open subset* is the polytope minus a
-union of closed faces; complements of faces are exactly the sets whose
-lattice points index beta and Hasse-Witt matrices.
+with primitive integer normals.  An *open subset* here is the polytope minus
+a set of its facets: the interior, the whole polytope and the vertex stars,
+whose lattice points index beta and Hasse-Witt matrices, all have this form.
 
 The hull algorithm is deliberately brute force (every n-subset of the
 support is tested as a facet candidate): exact integer arithmetic at desk
@@ -50,19 +50,18 @@ def _dot(a, u):
     return sum(x * y for x, y in zip(a, u))
 
 
-@dataclass(frozen=True)
-class Face:
-    """A closed face, recorded by its active facet set and its vertices."""
-
-    active: frozenset
-    vertices: frozenset
-
-    def dim(self) -> int:
-        verts = sorted(self.vertices)
-        if len(verts) == 1:
-            return 0
-        base = verts[0]
-        return _rank([[v[i] - base[i] for i in range(len(base))] for v in verts[1:]])
+def _supporting_normal(rows, points, n):
+    """The primitive normal of the n - 1 vectors `rows`, signed so that every
+    vector of `points` is on its nonnegative side, or None."""
+    normal = _kernel_vector(rows, n)
+    if normal is None:
+        return None
+    vals = [_dot(normal, q) for q in points]
+    if all(v >= 0 for v in vals):
+        return normal
+    if all(v <= 0 for v in vals):
+        return tuple(-x for x in normal)
+    return None
 
 
 class LatticePolytope:
@@ -72,7 +71,6 @@ class LatticePolytope:
         self.n = n
         self.vertices = tuple(sorted(tuple(v) for v in vertices))
         self.facets = tuple(facets)  # (normal tuple, offset int), polytope = {a.u >= c}
-        self._faces = None
 
     def __repr__(self):
         return f"LatticePolytope(n={self.n}, vertices={list(self.vertices)})"
@@ -105,48 +103,6 @@ class LatticePolytope:
         ranges = [range(lo[i], hi[i] + 1) for i in range(self.n)]
         return [u for u in itertools.product(*ranges) if self.contains(u, k)]
 
-    def faces(self):
-        """All proper nonempty faces, computed by closing facet vertex sets
-        under intersection."""
-        if self._faces is not None:
-            return self._faces
-        facet_verts = []
-        for i, (a, c) in enumerate(self.facets):
-            fv = frozenset(v for v in self.vertices if _dot(a, v) == c)
-            facet_verts.append(fv)
-        seen = {}
-        frontier = set(facet_verts)
-        while frontier:
-            new = set()
-            for fv in frontier:
-                if not fv or fv in seen:
-                    continue
-                active = frozenset(
-                    i for i, (a, c) in enumerate(self.facets)
-                    if all(_dot(a, v) == c for v in fv)
-                )
-                seen[fv] = Face(active=active, vertices=fv)
-                for other in facet_verts:
-                    inter = fv & other
-                    if inter and inter not in seen:
-                        new.add(inter)
-            frontier = new
-        self._faces = tuple(
-            sorted(seen.values(), key=lambda f: (len(f.vertices), sorted(f.vertices)))
-        )
-        return self._faces
-
-    def facet_faces(self):
-        out = []
-        for i, (a, c) in enumerate(self.facets):
-            fv = frozenset(v for v in self.vertices if _dot(a, v) == c)
-            active = frozenset(
-                j for j, (b, d) in enumerate(self.facets)
-                if all(_dot(b, v) == d for v in fv)
-            )
-            out.append(Face(active=active, vertices=fv))
-        return out
-
 
 def newton_polytope(points) -> LatticePolytope:
     """Convex hull with facet description; rejects non-full-dimensional input."""
@@ -168,20 +124,13 @@ def newton_polytope(points) -> LatticePolytope:
         hi = max(p[0] for p in pts)
         return LatticePolytope(1, [(lo,), (hi,)], [((1,), lo), ((-1,), -hi)])
 
-    facets = {}
-    for subset in itertools.combinations(pts, n):
-        b0 = subset[0]
-        rows = [[q[i] - b0[i] for i in range(n)] for q in subset[1:]]
-        normal = _kernel_vector(rows, n)
-        if normal is None:
-            continue
-        c = _dot(normal, b0)
-        vals = [_dot(normal, p) - c for p in pts]
-        if all(v >= 0 for v in vals):
-            facets[(normal, c)] = True
-        elif all(v <= 0 for v in vals):
-            neg = tuple(-x for x in normal)
-            facets[(neg, -c)] = True
+    facets = set()
+    for j, b0 in enumerate(pts):
+        diffs = [[p[i] - b0[i] for i in range(n)] for p in pts]
+        for rows in itertools.combinations(diffs[j + 1:], n - 1):
+            normal = _supporting_normal(rows, diffs, n)
+            if normal is not None:
+                facets.add((normal, _dot(normal, b0)))
     facet_list = sorted(facets)
     # vertices: points whose active facet normals span the whole space
     verts = []
@@ -194,23 +143,17 @@ def newton_polytope(points) -> LatticePolytope:
 
 @dataclass(frozen=True)
 class OpenSubset:
-    """polytope minus a union of closed faces (complement open in the face
-    topology)."""
+    """The polytope minus a set of its facets, open in the face topology."""
 
     polytope: LatticePolytope
-    removed: tuple  # of Face
+    removed: tuple  # of facet indices
 
     def contains(self, u, k: int = 1) -> bool:
         """Membership of u in the k-fold dilate k*mu."""
         P = self.polytope
-        if not P.contains(u, k):
-            return False
-        for face in self.removed:
-            if all(
-                _dot(P.facets[i][0], u) == k * P.facets[i][1] for i in face.active
-            ):
-                return False
-        return True
+        return P.contains(u, k) and all(
+            _dot(P.facets[i][0], u) != k * P.facets[i][1] for i in self.removed
+        )
 
     def lattice_points(self, k: int = 1):
         return [u for u in self.polytope.lattice_points(k) if self.contains(u, k)]
@@ -222,11 +165,11 @@ def whole_polytope(P: LatticePolytope) -> OpenSubset:
 
 def interior(P: LatticePolytope) -> OpenSubset:
     """The open interior: remove every facet (hence every proper face)."""
-    return OpenSubset(P, tuple(P.facet_faces()))
+    return OpenSubset(P, tuple(range(len(P.facets))))
 
 
 def vertex_star(P: LatticePolytope, u) -> OpenSubset:
-    """Remove the union of all faces that avoid u.
+    """Remove every face that avoids u.
 
     Every maximal face avoiding u is a facet (if all facets through a face
     contain u, the face itself does), so it suffices to remove the facets
@@ -235,8 +178,7 @@ def vertex_star(P: LatticePolytope, u) -> OpenSubset:
     u = tuple(u)
     if u not in P.vertices:
         raise ValueError(f"{u} is not a vertex")
-    removed = [f for f in P.facet_faces() if u not in f.vertices]
-    return OpenSubset(P, tuple(removed))
+    return OpenSubset(P, tuple(i for i, (a, c) in enumerate(P.facets) if _dot(a, u) != c))
 
 
 def lattice_points_in_dilate(mu: OpenSubset, k: int):
@@ -258,22 +200,11 @@ def cone_facet_normals(generators, n):
     """Primitive inner normals of the facets of the cone spanned by the
     generators (assumed pointed and full-dimensional)."""
     gens = [tuple(g) for g in generators if any(g)]
-    if n == 1:
-        s = 1 if gens[0][0] > 0 else -1
-        if any((g[0] > 0) != (s > 0) for g in gens):
-            raise ValueError("cone is not pointed")
-        return [(s,)]
-    normals = {}
-    for subset in itertools.combinations(gens, n - 1):
-        normal = _kernel_vector([list(g) for g in subset], n)
-        if normal is None:
-            continue
-        vals = [_dot(normal, g) for g in gens]
-        if all(v >= 0 for v in vals):
-            normals[normal] = True
-        elif all(v <= 0 for v in vals):
-            normals[tuple(-x for x in normal)] = True
-    return sorted(normals)
+    normals = {
+        _supporting_normal(subset, gens, n)
+        for subset in itertools.combinations(gens, n - 1)
+    }
+    return sorted(normals - {None})
 
 
 def simplex_cone_volume_one(vertex_vectors, n) -> bool:
@@ -298,12 +229,14 @@ def simplex_cone_volume_one(vertex_vectors, n) -> bool:
 
 def all_proper_faces_volume_one(P: LatticePolytope) -> bool:
     """Check that every proper face is a simplex of volume one (the shape
-    hypothesis under which higher Hasse-Witt conditions hold generically)."""
-    for face in P.faces():
-        verts = sorted(face.vertices)
-        if len(verts) != face.dim() + 1:
-            return False
-        if not simplex_cone_volume_one(verts, P.n):
+    hypothesis under which higher Hasse-Witt conditions hold generically).
+
+    The facets decide this: every proper face lies in a facet, and any
+    subset of a basis of Z^n spans a saturated sublattice.
+    """
+    for a, c in P.facets:
+        verts = [v for v in P.vertices if _dot(a, v) == c]
+        if len(verts) != P.n or not simplex_cone_volume_one(verts, P.n):
             return False
     return True
 

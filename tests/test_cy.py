@@ -362,12 +362,12 @@ class TestFrobeniusLambda0:
 
     def test_small_prime_rejected(self):
         with pytest.raises(ValueError):
-            frobenius_lambda0("simplicial", 2, 3)
+            frobenius_lambda0("simplicial", 2, 3, s=1)
 
     @pytest.mark.parametrize("p", [1, 4, 9])
     def test_non_prime_rejected(self, p):
         with pytest.raises(ValueError, match="not an odd prime"):
-            frobenius_lambda0("simplicial", 2, p)
+            frobenius_lambda0("simplicial", 2, p, s=1)
 
 
 class TestExcellentLift:

@@ -1,3 +1,4 @@
+import random
 from operator import mul
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from dworklab.polytope import (
     DegenerateSupportError,
+    _rank,
     all_proper_faces_volume_one,
     cone_facet_normals,
     interior,
@@ -89,23 +91,6 @@ class TestLatticePoints:
         ]
         assert strict == lattice_points_in_dilate(interior(P), k)
 
-    @given(st.integers(1, 4))
-    def test_face_interior_partition(self, k):
-        # every lattice point of k*Delta has a unique minimal face
-        P = newton_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
-        for u in P.lattice_points(k):
-            active = frozenset(
-                i for i, (a, c) in enumerate(P.facets)
-                if sum(x * y for x, y in zip(a, u)) == k * c
-            )
-            matching = [
-                f for f in P.faces() if f.active <= active and active <= f.active
-            ]
-            if active:
-                assert len(matching) == 1
-            else:
-                assert not matching  # interior points lie in no proper face
-
     def test_reflexive_layering(self):
         # every nonzero lattice point sits on the boundary of exactly one dilate
         P = newton_polytope(SIMPLEX)
@@ -161,12 +146,64 @@ class TestVertexStar:
             vertex_star(P, (0, 0))
 
 
+def _dot(a, u):
+    return sum(map(mul, a, u))
+
+
+def _facet_vertex_sets(P):
+    return [frozenset(v for v in P.vertices if _dot(a, v) == c) for a, c in P.facets]
+
+
+def _faces_volume_one_oracle(P):
+    """Every proper face, found by closing the facet vertex sets under
+    nonempty intersection, is a simplex of volume one."""
+    facets = _facet_vertex_sets(P)
+    faces, frontier = set(), set(facets)
+    while frontier:
+        faces |= frontier
+        frontier = {f & g for f in frontier for g in facets if f & g} - faces
+    for face in faces:
+        verts = sorted(face)
+        dim = _rank([[x - y for x, y in zip(v, verts[0])] for v in verts[1:]])
+        if len(verts) != dim + 1 or not simplex_cone_volume_one(verts, P.n):
+            return False
+    return True
+
+
 class TestFaces:
-    def test_face_count_square(self):
-        P = newton_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
-        faces = P.faces()
-        dims = sorted(f.dim() for f in faces)
-        assert dims == [0, 0, 0, 0, 1, 1, 1, 1]
+    def test_volume_one_matches_face_closure(self):
+        # the facets decide the check that the whole face lattice states
+        rng = random.Random(0)
+        drawn = true_cases = 0
+        while drawn < 1000:
+            n = rng.randint(1, 3)
+            k = rng.randint(n + 1, 8)
+            support = {tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(k)}
+            try:
+                P = newton_polytope(support)
+            except DegenerateSupportError:
+                continue
+            drawn += 1
+            expected = _faces_volume_one_oracle(P)
+            assert all_proper_faces_volume_one(P) == expected, support
+            true_cases += expected
+        assert true_cases > 0
+
+    @pytest.mark.parametrize("support", [
+        SIMPLEX,
+        [(0, 0), (1, 0), (0, 1), (1, 1)],
+        [(0,), (2,)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    ])
+    def test_vertex_star_is_off_the_facets_missing_the_vertex(self, support):
+        P = newton_polytope(support)
+        facets = list(zip(P.facets, _facet_vertex_sets(P)))
+        for v in P.vertices:
+            mu = vertex_star(P, v)
+            for k in range(1, 4):
+                for u in P.lattice_points(k):
+                    off = all(_dot(a, u) != k * c for (a, c), verts in facets if v not in verts)
+                    assert mu.contains(u, k) == off
 
     def test_volume_one_checks(self):
         assert simplex_cone_volume_one([(1, 0), (0, 1)], 2)
