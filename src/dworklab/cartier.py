@@ -14,10 +14,11 @@ The Cartier operation acts on either kind of expansion by index decimation
 c_v -> c_{p v}.  It is p-adically approximated by rational functions with
 powers of f^sigma in the denominator (cartier_via_formula); agreement of the
 two routes on certified-complete indices is one of the package's main
-oracles.  On a basis of rational functions, the Cartier matrix is
-interpolated from the expansion-coefficient congruences at the lattice points
-of the dilates of mu, solved once, and checked on the first points of the
-next dilate (interpolate_cartier).
+oracles.  For a family f = 1 - t*g, the Cartier matrix on a basis of
+rational functions is interpolated from the congruences of their origin
+expansions at the lattice points of the dilates of Delta, the Newton polytope
+of g, solved once, and checked on the first points of the next dilate
+(interpolate_cartier).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .laurent import (
 )
 from .linalg import RankDeficiencyError, solve_mod_multi
 from .polytope import (
-    OpenSubset,
+    LatticePolytope,
     cone_facet_normals,
     lattice_points_in_dilate,
     newton_polytope,
@@ -658,124 +659,80 @@ def cartier_via_formula(
 
 @dataclass
 class CartierInterpolation:
-    matrix: list  # rows over Z/p^{sk} or TPoly rows
-    t_trunc: int | None  # truncation of the solved entries
+    matrix: list  # TPoly rows over Z/p^{sk}
+    t_trunc: int  # truncation of the solved entries
 
 
 # Held-out probes per interpolation.
 N_HOLDOUT = 2
 
 
-def default_probes(mu: OpenSubset, k: int, base=None):
-    """The lattice points of level * mu for level = 1..k, each shifted by
-    -level * base into the cone at `base` for vertex expansions (a vertex
-    expansion vanishes outside that cone, so a probe there carries no
-    data).  Origin (t-family) interpolation passes no base and uses the
-    dilates of the full polytope instead: the congruences hold for every
-    index, and boundary points carry the low-t-degree information that the
-    open-subset points alone may lack."""
-    source = whole_polytope(mu.polytope) if base is None else mu
-    base = (0,) * mu.polytope.n if base is None else base
+def default_probes(P: LatticePolytope, k: int):
+    """The lattice points of level * P for level = 1..k, each once.  The
+    congruences hold at every index of an origin expansion, and boundary
+    points carry the low-t-degree information that the interior points
+    alone may lack."""
+    whole = whole_polytope(P)
     return list(dict.fromkeys(
-        tuple(x - level * y for x, y in zip(u, base))
-        for level in range(1, k + 1)
-        for u in lattice_points_in_dilate(source, level)
+        u for level in range(1, k + 1) for u in lattice_points_in_dilate(whole, level)
     ))
 
 
 def interpolate_cartier(
-    f: LaurentPoly,
-    mu: OpenSubset,
+    g: LaurentPoly,
+    basis: list,
     k: int,
     p: int,
     sigma: FrobeniusLift,
     s: int,
-    basis: list | None = None,
-    t_trunc: int | None = None,
-    g: LaurentPoly | None = None,
+    T: int,
 ) -> CartierInterpolation:
     """Solve the stacked congruences c_{p^s u}(w_i) = sum_j L_ij c_{p^{s-1} u}(w_j^sigma)
-    for the level-k Cartier matrix L mod p^{sk}.
+    for the level-k Cartier matrix L of the family 1 - t g, as TPoly entries
+    mod (p^{sk}, t^t_trunc) with t_trunc <= T.
 
-    basis entries are (numerator, pole-order) pairs; the default is the
-    monomial basis of the level-k module on (k*mu).  For families (g given)
-    expansions are taken at the origin with exact t-coefficients mod
-    t^t_trunc (so t_trunc >= 1 is required) and each t-power contributes one
-    equation row; otherwise vertex expansions are used.  Both solve one
-    t-series system: without t_trunc it runs at t-precision 1, and the
-    matrix holds the ints its entries reduce to.  The probes are the
-    `default_probes` of levels 1..k; the first N_HOLDOUT points that level
-    k + 1 adds must reproduce the congruence exactly, else ResidualError.
-    The data of both are read in one pass and the system is solved once: a
-    rank-deficient one raises RankDeficiencyError.  The vertex route solves
-    level k >= 2 at s = 1 only, and raises ValueError at s >= 2.
+    basis entries are (numerator, pole-order) pairs.  Their expansions are
+    taken at the origin with exact t-coefficients mod t^T (T >= 1), and each
+    t-power contributes one equation row.  The probes are the
+    `default_probes` of levels 1..k on Delta, the Newton polytope of g; the
+    first N_HOLDOUT points that level k + 1 adds must reproduce the
+    congruence exactly, else ResidualError.  The data of both are read in
+    one pass and the system is solved once: a rank-deficient one raises
+    RankDeficiencyError.
     """
     odd_prime(p)
     if not 1 <= k < p:
         raise ValueError("need 1 <= k < p")
     if s < 1:
         raise ValueError(f"need s >= 1, not s = {s!r}")
-    if g is None and k >= 2 and s >= 2:
-        # on every input tried, these systems were either rank-deficient or
-        # solved and failed the held-out probes: the one-step relation on the
-        # monomial basis of k*mu does not fix the level-k matrix mod p^(sk)
-        raise ValueError(
-            f"the vertex route (no g) interpolates level k >= 2 only at s = 1, "
-            f"not at k = {k}, s = {s}: its one-step congruences mod p^(sk) do "
-            f"not determine the level-k Cartier matrix"
-        )
-    if g is not None and (t_trunc is None or t_trunc < 1):
-        raise ValueError(f"a family (g given) needs t_trunc >= 1, not {t_trunc!r}")
-    T = t_trunc or 1
     modulus = p ** (s * k)
-    if basis is None:
-        basis = [(LaurentPoly.monomial(f.n, u), k) for u in lattice_points_in_dilate(mu, k)]
-    base = unit_vertex(f, p) if g is None else None
-    probes = default_probes(mu, k, base)
-    holdout = default_probes(mu, k + 1, base)[len(probes):][:N_HOLDOUT]
+    P = newton_polytope(g.support())
+    probes = default_probes(P, k)
+    holdout = default_probes(P, k + 1)[len(probes):][:N_HOLDOUT]
 
     # one table of [x^w] g^i serves every basis element and probe
-    table = None if g is None else _PowerTable(g, T, modulus)
-    data = _probe_data(f, base, table, basis, probes + holdout, p, s, sigma, modulus, T)
+    table = _PowerTable(g, T, modulus)
+    data = _probe_data(table, basis, probes + holdout, p, s, sigma)
     matrix, T_lambda = _solve_interpolation(data[:len(probes)], len(basis), p, modulus, T)
     witnesses = _holdout_residuals(matrix, holdout, data[len(probes):], modulus, T, T_lambda)
     if witnesses:
         raise ResidualError(
             f"held-out congruence failed mod {p}^{s * k}", witnesses
         )
-    if t_trunc is None:
-        matrix, T_lambda = [[e[0] for e in row] for row in matrix], None
     return CartierInterpolation(matrix, T_lambda)
 
 
-def _basis_expansions(f, base, table, basis, needed, modulus):
-    """Expansions of all basis elements covering the needed indices: at the
-    vertex `base`, or for a family at the origin from the shared
-    `_PowerTable`."""
-    if table is not None:
-        return [table.expansion(h, m, needed) for h, m in basis]
-    return [expand_vertex(h, f, m, base, vertex_budget(f, base, m, h, needed), modulus)
-            for h, m in basis]
-
-
-def _probe_data(f, base, table, basis, probes, p, s, sigma, modulus, T):
+def _probe_data(table, basis, probes, p, s, sigma):
     """(lhs_i, rhs_j) coefficient data per probe w, as TPolys: each basis
-    element's expansion at p^s w, and sigma-twisted mod t^T at p^(s-1) w."""
+    element's origin expansion at p^s w, and sigma-twisted mod t^T at
+    p^(s-1) w, all read from the one `_PowerTable`."""
     lhs_idx = [tuple(p**s * x for x in w) for w in probes]
     rhs_idx = [tuple(p ** (s - 1) * x for x in w) for w in probes]
-    exps = _basis_expansions(f, base, table, basis, lhs_idx + rhs_idx, modulus)
-    twist = sigma.scalar_map(modulus, T)
-    data = []
-    for u, v in zip(lhs_idx, rhs_idx):
-        lhs = []
-        rhs = []
-        for E in exps:
-            if not (E.is_complete(u) and E.is_complete(v)):
-                raise ValueError("expansion budget does not cover a probe index")
-            lhs.append(TPoly.coerce(E.coefficient(u)))
-            rhs.append(TPoly.coerce(twist(E.coefficient(v))))
-        data.append((lhs, rhs))
-    return data
+    exps = [table.expansion(h, m, lhs_idx + rhs_idx) for h, m in basis]
+    twist = sigma.scalar_map(table.modulus, table.T)
+    return [([TPoly.coerce(E.coefficient(u)) for E in exps],
+             [TPoly.coerce(twist(E.coefficient(v))) for E in exps])
+            for u, v in zip(lhs_idx, rhs_idx)]
 
 
 def _tval_nonzero(tp: TPoly, modulus: int, default: int) -> int:
@@ -805,11 +762,10 @@ def _solve_interpolation(data, nb, p, modulus, T):
     coefficient data), so the unknown entries are truncated at T_lambda = T -
     max_j delay_j and each probe only contributes equation rows whose degree
     stays below the point where the discarded tail of the unknowns could
-    matter.  At T = 1 a column with no p-unit datum leaves T_lambda = 0, and
-    the system is the integer one: one row per probe, in the constant terms.
-    Rows that repeat an earlier (row, rhs) pair mod `modulus` are dropped
-    before elimination: they leave the solution, and the column at which a
-    rank-deficient system fails, unchanged.
+    matter; a column with no p-unit datum below t^T leaves T_lambda < 1 and
+    raises RankDeficiencyError.  Rows that repeat an earlier (row, rhs) pair
+    mod `modulus` are dropped before elimination: they leave the solution,
+    and the column at which a rank-deficient system fails, unchanged.
     """
     delays = [min((_tval_nonzero(rhs[j], p, T) for _, rhs in data), default=T)
               for j in range(nb)]

@@ -317,12 +317,7 @@ def family_cartier_matrix(
 ):
     """Level-k Cartier matrix of the family under the lift sigma, on its
     cyclic basis, as TPoly entries mod (p^(s k), t^T)."""
-    f = family_poly(preset.g)
-    mu = interior(newton_polytope(preset.g.support()))
-    return interpolate_cartier(
-        f, mu, k, p, sigma, s,
-        basis=cyclic_basis(f, k), t_trunc=T, g=preset.g,
-    )
+    return interpolate_cartier(preset.g, cyclic_basis(family_poly(preset.g), k), k, p, sigma, s, T)
 
 
 def frobenius_lambda0(

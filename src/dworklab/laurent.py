@@ -68,10 +68,6 @@ class LaurentPoly:
         return out
 
     @staticmethod
-    def monomial(n: int, e) -> "LaurentPoly":
-        return LaurentPoly(n, {tuple(e): 1})
-
-    @staticmethod
     def constant(n: int, c) -> "LaurentPoly":
         return LaurentPoly(n, {(0,) * n: c})
 

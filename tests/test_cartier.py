@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dworklab.arith import Ring, TPoly
@@ -15,16 +15,14 @@ from dworklab.laurent import (
     coefficient_of_power,
     family_poly,
     has_tpoly,
-    power_mod,
 )
 from dworklab.polytope import (
     interior,
-    lattice_points_in_dilate,
     newton_polytope,
     vertex_star,
     whole_polytope,
 )
-from dworklab.hasse_witt import hw_condition, hw_matrix, lambda_unit_root
+from dworklab.hasse_witt import hw_matrix, lambda_unit_root
 from dworklab import cartier
 from dworklab.cartier import (
     _PowerTable,
@@ -188,12 +186,12 @@ def vertex_reference(h, f, m, b, budget, modulus):
                                  if sum(x * y for x, y in zip(psi, w)) <= budget * delta})
 
     one = LaurentPoly.constant(f.n, 1)
-    ell = f * LaurentPoly.monomial(f.n, [-x for x in b]).scale(fb) - one
+    ell = f * LaurentPoly(f.n, {tuple(-x for x in b): 1}).scale(fb) - one
     G, ell_s = LaurentPoly(f.n), one
     for s in range(budget + 1):
         G = G + ell_s.scale((-1) ** s * math.comb(m + s - 1, s))
         ell_s = cut(ell_s * ell)
-    total = h * LaurentPoly.monomial(f.n, [-m * x for x in b]).scale(fb**m) * G
+    total = h * LaurentPoly(f.n, {tuple(-m * x for x in b): 1}).scale(fb**m) * G
     reduce = Ring(modulus).reduce
     lift = TPoly.coerce if has_tpoly(f) or has_tpoly(h) else (lambda c: c)
     return {v: lift(r) for v, c in total.terms.items() if (r := reduce(c))}
@@ -393,7 +391,7 @@ class TestCartierViaFormula:
         pts = whole_polytope(P).lattice_points(1)
         hw = hw_matrix(f, whole_polytope(P), 5, 1)
         for iu, u in enumerate(pts):
-            img = cartier_via_formula(LaurentPoly.monomial(2, u), f, 1, 5, ID, 1)
+            img = cartier_via_formula(LaurentPoly(2, {u: 1}), f, 1, 5, ID, 1)
             assert len(img.terms) == 1
             _, Q0, pole = img.terms[0]
             assert pole == 1
@@ -534,84 +532,25 @@ class TestUnitVertex:
             unit_vertex(f, p)
 
 
-# random f with coefficients on the 3x3 box, for the vertex-route oracles
-SMALL_TERMS = st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
-                              st.integers(-4, 4).filter(bool), min_size=3, max_size=4)
-
-
-def assume_ordinary(terms, p, subset):
-    """(f, mu) for the drawn terms, assuming f has a unit vertex and mu
-    lattice points and the Hasse-Witt condition at p."""
-    f = LaurentPoly(2, terms)
-    try:
-        P = newton_polytope(f.support())
-        unit_vertex(f, p)
-    except ValueError:
-        assume(False)
-    mu = subset(P)
-    assume(mu.lattice_points(1) and hw_condition(f, mu, p))
-    return f, mu
-
-
-def level_change_sides(f, mu, k, p, s):
-    """(F Lambda_k, Lambda_1 F) mod p^s, with F[u][v] = [x^(v-u)] f^(k-1)
-    writing x^u / f as a combination of the x^v / f^k.  The Cartier
-    operation commutes with that rewriting, so the two sides agree."""
-    lam_k = interpolate_cartier(f, mu, k, p, ID, s).matrix
-    lam_1 = lambda_unit_root(f, mu, p, ID, s).entries
-    fk = power_mod(f, k - 1)
-    F = [[fk.coefficient_at(tuple(a - b for a, b in zip(v, u)))
-          for v in lattice_points_in_dilate(mu, k)]
-         for u in lattice_points_in_dilate(mu, 1)]
-
-    def product(A, B):
-        return [[sum(x * y for x, y in zip(row, col)) % p**s for col in zip(*B)] for row in A]
-
-    return product(F, lam_k), product(lam_1, F)
-
-
 class TestInterpolation:
-    def test_matches_beta_route(self):
-        f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2})
-        P = newton_polytope(f.support())
-        lam = lambda_unit_root(f, whole_polytope(P), 5, ID, 2)
-        interp = interpolate_cartier(f, whole_polytope(P), 1, 5, ID, 2)
-        assert [[x % 25 for x in row] for row in interp.matrix] == lam.entries
-
-    @settings(max_examples=20, deadline=None)
-    @given(SMALL_TERMS, st.sampled_from([3, 5]), st.integers(1, 2),
-           st.sampled_from([whole_polytope, interior]))
-    def test_random_ordinary_matches_beta_route(self, terms, p, s, subset):
-        # two routes to Lambda mod p^s: the vertex-expansion congruences and
-        # beta_{p^s} sigma(beta_{p^(s-1)})^(-1), on random ordinary inputs
-        f, mu = assume_ordinary(terms, p, subset)
-        interp = interpolate_cartier(f, mu, 1, p, ID, s)
-        lam = lambda_unit_root(f, mu, p, ID, s)
-        assert [[x % p**s for x in row] for row in interp.matrix] == lam.entries
-
-    @settings(max_examples=8, deadline=None)
-    @given(SMALL_TERMS, st.sampled_from([2, 3]), st.sampled_from([whole_polytope, interior]))
-    def test_random_level_k_matches_level_one(self, terms, k, subset):
-        # F Lambda_k = Lambda_1 F mod p on random ordinary inputs: the vertex
-        # route interpolates level k >= 2 at s = 1 only
-        f, mu = assume_ordinary(terms, 5, subset)
-        lhs, rhs = level_change_sides(f, mu, k, 5, 1)
-        assert lhs == rhs
-
-    @pytest.mark.parametrize("k,s", [(2, 2), (3, 2), (2, 3)])
-    def test_vertex_route_rejects_level_k_above_s_one(self, k, s):
-        # the input of test_level_two_solves_on_the_vertex_route, at s >= 2
-        f = LaurentPoly(2, {(-1, -1): 4, (0, -1): -3, (0, 0): -3})
-        mu = whole_polytope(newton_polytope(f.support()))
-        with pytest.raises(ValueError, match=f"only at s = 1, not at k = {k}, s = {s}"):
-            interpolate_cartier(f, mu, k, 5, ID, s)
-
-    def test_level_two_solves_on_the_vertex_route(self):
-        # each level of probes is shifted by level * b into the cone at the
-        # unit vertex b, so every probe row carries data
-        f = LaurentPoly(2, {(-1, -1): 4, (0, -1): -3, (0, 0): -3})
-        lhs, rhs = level_change_sides(f, whole_polytope(newton_polytope(f.support())), 2, 5, 1)
-        assert lhs == rhs
+    @pytest.mark.parametrize("n,p,s,T", [
+        (2, 5, 1, 30), (2, 5, 2, 50), (2, 7, 1, 40), (2, 7, 2, 70),
+        (3, 5, 1, 30), (3, 5, 2, 50),
+    ])
+    def test_family_matches_beta_route(self, n, p, s, T):
+        # two routes to the level-1 Lambda of the family 1 - t g mod
+        # (p^s, t^T_lambda): the origin-expansion congruences on the interior
+        # monomial basis, and beta_{p^s} sigma(beta_{p^(s-1)})^(-1)
+        g = preset_family("simplicial", n).g
+        mu = interior(newton_polytope(g.support()))
+        basis = [(LaurentPoly(n, {u: 1}), 1) for u in mu.lattice_points(1)]
+        sigma = FrobeniusLift.t_power(p)
+        interp = interpolate_cartier(g, basis, 1, p, sigma, s, T)
+        lam = lambda_unit_root(family_poly(g), mu, p, sigma, s, t_trunc=T)
+        assert interp.t_trunc > p
+        cut = Ring(p**s, interp.t_trunc).reduce
+        assert [[cut(e) for e in row] for row in interp.matrix] == \
+            [[cut(e) for e in row] for row in lam.entries]
 
     def assert_held_out_check_fires(self, monkeypatch, interpolate, size, delta, holdout):
         """Each diagonal entry of the solved matrix, put off by delta, fails
@@ -629,55 +568,27 @@ class TestInterpolation:
             probes = {w["probe"] for w in err.value.witnesses}
             assert probes and probes <= set(holdout)
 
-    def test_held_out_check_fires_on_the_vertex_route(self, monkeypatch):
-        # the held-out probes are the first points of the second dilate,
-        # shifted by 2 b for the unit vertex b = (-1, -1)
-        f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2})
-        mu = whole_polytope(newton_polytope(f.support()))
-        self.assert_held_out_check_fires(
-            monkeypatch, lambda: interpolate_cartier(f, mu, 1, 5, ID, 2),
-            len(mu.lattice_points(1)), 5, [(2, 2), (2, 3)],
-        )
-
     def test_held_out_check_fires_on_the_family_route(self, monkeypatch):
-        ft = family_poly(SIMPLICIAL2)
-        mu = interior(newton_polytope(SIMPLICIAL2.support()))
+        basis = cyclic_basis(family_poly(SIMPLICIAL2), 2)
         self.assert_held_out_check_fires(
             monkeypatch,
-            lambda: interpolate_cartier(ft, mu, 2, 5, FrobeniusLift.t_power(5), 1,
-                                        basis=cyclic_basis(ft, 2), t_trunc=25, g=SIMPLICIAL2),
+            lambda: interpolate_cartier(SIMPLICIAL2, basis, 2, 5, FrobeniusLift.t_power(5), 1, 25),
             2, 5, [(-3, -3), (-2, -1)],
         )
 
-    def test_empty_basis_on_both_routes(self):
-        P = newton_polytope(TRIANGLE.support())
-        assert interior(P).lattice_points(1) == []
-        for basis in (None, []):
-            interp = interpolate_cartier(TRIANGLE, interior(P), 1, 5, ID, 2, basis=basis)
-            assert interp.matrix == [] and interp.t_trunc is None
-        ft = family_poly(SIMPLICIAL2)
-        interp = interpolate_cartier(
-            ft, interior(newton_polytope(SIMPLICIAL2.support())), 1, 5,
-            FrobeniusLift.t_power(5), 1, basis=[], t_trunc=10, g=SIMPLICIAL2,
-        )
+    def test_empty_basis(self):
+        interp = interpolate_cartier(SIMPLICIAL2, [], 1, 5, FrobeniusLift.t_power(5), 1, 10)
         assert interp.matrix == [] and interp.t_trunc == 10
 
-    @pytest.mark.parametrize("t_trunc", [None, 0])
-    def test_family_needs_t_trunc(self, t_trunc):
-        P = newton_polytope(SIMPLICIAL2.support())
-        with pytest.raises(ValueError, match="t_trunc >= 1"):
-            interpolate_cartier(
-                family_poly(SIMPLICIAL2), interior(P), 1, 5, FrobeniusLift.t_power(5), 1,
-                t_trunc=t_trunc, g=SIMPLICIAL2,
-            )
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_family_needs_t_trunc(self, T):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            interpolate_cartier(SIMPLICIAL2, [(ONE2, 1)], 1, 5, FrobeniusLift.t_power(5), 1, T)
 
     def test_family_gamma_relation(self):
-        ft = family_poly(SIMPLICIAL2)
-        P = newton_polytope(SIMPLICIAL2.support())
         T = 30
         interp = interpolate_cartier(
-            ft, interior(P), 1, 5, FrobeniusLift.t_power(5), 1,
-            t_trunc=T, g=SIMPLICIAL2,
+            SIMPLICIAL2, [(ONE2, 1)], 1, 5, FrobeniusLift.t_power(5), 1, T
         )
         lam = interp.matrix[0][0]
         T_l = interp.t_trunc
@@ -695,29 +606,25 @@ class TestInterpolation:
         monkeypatch.setattr(cartier, "_part_sequence",
                             lambda block, w, *a: calls.append(w) or part_sequence(block, w, *a))
         monkeypatch.setattr(cartier, "_probe_data",
-                            lambda *a: reads.append(a[4]) or probe_data(*a))
+                            lambda *a: reads.append(a[2]) or probe_data(*a))
         monkeypatch.setattr(cartier, "_solve_interpolation",
                             lambda *a: solves.append(a) or solve(*a))
-        ft = family_poly(SIMPLICIAL2)
-        mu = interior(newton_polytope(SIMPLICIAL2.support()))
-        interpolate_cartier(
-            ft, mu, 2, 5, FrobeniusLift.t_power(5), 1, basis=cyclic_basis(ft, 2),
-            t_trunc=30, g=SIMPLICIAL2,
-        )
+        basis = cyclic_basis(family_poly(SIMPLICIAL2), 2)
+        interpolate_cartier(SIMPLICIAL2, basis, 2, 5, FrobeniusLift.t_power(5), 1, 30)
         assert len(solves) == 1 and len(calls) > 40
         assert len(calls) == len(set(calls))
         # the held-out probes follow the probes: the first two points that
         # the third dilate adds
-        assert reads == [default_probes(mu, 2) + [(-3, -3), (-2, -1)]]
+        P = newton_polytope(SIMPLICIAL2.support())
+        assert reads == [default_probes(P, 2) + [(-3, -3), (-2, -1)]]
 
     def test_family_system_drops_duplicate_rows(self, monkeypatch):
         # simplicial(2) at level 2: the probes repeat one another's rows, and
         # each distinct (row, rhs) pair reaches the elimination once
-        ft = family_poly(SIMPLICIAL2)
-        mu = interior(newton_polytope(SIMPLICIAL2.support()))
-        basis = cyclic_basis(ft, 2)
-        data = cartier._probe_data(ft, None, _PowerTable(SIMPLICIAL2, 25, 25), basis,
-                                   default_probes(mu, 2), 5, 1, FrobeniusLift.t_power(5), 25, 25)
+        basis = cyclic_basis(family_poly(SIMPLICIAL2), 2)
+        P = newton_polytope(SIMPLICIAL2.support())
+        data = cartier._probe_data(_PowerTable(SIMPLICIAL2, 25, 25), basis,
+                                   default_probes(P, 2), 5, 1, FrobeniusLift.t_power(5))
         systems = []
         solve = cartier.solve_mod_multi
         monkeypatch.setattr(cartier, "solve_mod_multi",
@@ -732,24 +639,16 @@ class TestInterpolation:
         assert len(set(pairs)) == len(pairs) < rows
 
     def test_rejects_s_below_one(self):
-        f = LaurentPoly(1, {(1,): 1, (0,): -3})
-        P = newton_polytope(f.support())
         for s in (0, -1):
             with pytest.raises(ValueError, match=f"s = {s}"):
-                interpolate_cartier(f, whole_polytope(P), 1, 5, ID, s)
+                interpolate_cartier(
+                    SIMPLICIAL2, [(ONE2, 1)], 1, 5, FrobeniusLift.t_power(5), s, 10
+                )
 
     @pytest.mark.parametrize("p", [9, 4])
     def test_rejects_non_prime(self, p):
-        f = LaurentPoly(1, {(1,): 1, (0,): -3})
-        P = newton_polytope(f.support())
         with pytest.raises(ValueError, match=f"{p} is not an odd prime"):
-            interpolate_cartier(f, whole_polytope(P), 1, p, ID, 2)
-
-    def test_x_minus_a_identity(self):
-        f = LaurentPoly(1, {(1,): 1, (0,): -3})
-        P = newton_polytope(f.support())
-        interp = interpolate_cartier(f, whole_polytope(P), 1, 5, ID, 2)
-        assert [[x % 25 for x in row] for row in interp.matrix] == [[1, 0], [0, 1]]
+            interpolate_cartier(SIMPLICIAL2, [(ONE2, 1)], 1, p, FrobeniusLift.t_power(p), 2, 10)
 
     def test_mu_stability(self):
         f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2})
