@@ -553,14 +553,6 @@ class Ring:
             return c.inverse_series(self.T, self.modulus)
         return c if self.modulus is None else inv_mod(c, self.modulus)
 
-    def add_into(self, d: dict, key, c) -> None:
-        """d[key] += c, reduced in this ring; a key whose sum is zero is removed."""
-        c = self.reduce(d.get(key, 0) + c)
-        if c:
-            d[key] = c
-        else:
-            d.pop(key, None)
-
 
 # The old name of the rational series type: benchmark/workloads.py imports it
 # and benchmark/tracer.py wraps its __mul__, and the benchmark is not edited

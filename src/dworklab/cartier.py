@@ -33,7 +33,6 @@ from .laurent import (
     CramerBlock,
     FrobeniusLift,
     LaurentPoly,
-    cartier_poly,
     frobenius_discrepancy,
     has_tpoly,
     power_mod,
@@ -101,23 +100,6 @@ class FormalExpansion:
 
     def complete_indices(self):
         return [v for v in sorted(self.coeffs) if self.is_complete(v)]
-
-    def scaled(self, c) -> "FormalExpansion":
-        add_into = Ring(self.modulus).add_into
-        new = {}
-        for v, co in self.coeffs.items():
-            add_into(new, v, co * c)
-        return replace(self, coeffs=new)
-
-    def __add__(self, other: "FormalExpansion") -> "FormalExpansion":
-        """The sum of two vertex expansions at one base: it is certain where
-        both are, under the union of the shifts and the smaller budget."""
-        add_into = Ring(self.modulus).add_into
-        new = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            add_into(new, v, c)
-        shifts = tuple(sorted(set(self.shifts) | set(other.shifts)))
-        return replace(self, coeffs=new, shifts=shifts, budget=min(self.budget, other.budget))
 
 
 def vertex_frame(f: LaurentPoly, b):
@@ -604,16 +586,21 @@ class CartierImage:
     f_sigma: LaurentPoly
 
     def expansion(self, base, budget) -> FormalExpansion:
-        """The vertex expansion at `base`, to `budget`, mod p^N."""
+        """The vertex expansion at `base`, to `budget`, mod p^N: sum_r c_r
+        times the expansion of Q_r / f^sigma^{M_r}, reduced once.  Every term
+        shares f^sigma, base and budget, so the sum is certain where each
+        term is: under the union of their shifts.  With no terms it is the
+        zero expansion, certain everywhere."""
         modulus = self.p**self.N
-        total = None
+        E = FormalExpansion(self.f_sigma.n, {}, modulus)
+        coeffs, shifts = {}, set()
         for c_r, Q_r, pole in self.terms:
             E = expand_vertex(Q_r, self.f_sigma, pole, base, budget, modulus)
-            E = E.scaled(c_r)
-            total = E if total is None else total + E
-        if total is None:
-            total = FormalExpansion(self.f_sigma.n, {}, modulus)
-        return total
+            for v, c in E.coeffs.items():
+                coeffs[v] = coeffs.get(v, 0) + c_r * c
+            shifts.update(E.shifts)
+        coeffs = {v: r for v, c in coeffs.items() if (r := c % modulus)}
+        return replace(E, coeffs=coeffs, shifts=tuple(sorted(shifts)))
 
 
 def cartier_via_formula(
@@ -628,8 +615,12 @@ def cartier_via_formula(
 
     Writing f^p = f^sigma(x^p) - pG with integral G, the image of h/f^m is
     sum_{r} p^r binom(ceil(m/p)+r-1, r) Q_r / f^sigma^{r+ceil(m/p)} where
-    Q_r decimates G^r h f^{p ceil(m/p) - m}.  Terms with r >= N vanish mod
-    p^N and are dropped.
+    Q_r = sum_u ([x^(p u)] G^r B) x^u mod p^N, with B = h f^{p ceil(m/p) - m}
+    formed once.  Terms with r >= N vanish mod p^N and are dropped.
+
+    Only the products that land on exponents divisible by p are formed: B's
+    terms are bucketed by exponent mod p, and each term x^e of G^r meets
+    only the bucket of -e mod p.
     """
     odd_prime(p)  # the Cartier contraction bound needs p > 2
     if N < 1:
@@ -637,20 +628,25 @@ def cartier_via_formula(
     modulus = p**N
     mceil = -(-m // p)
     G = frobenius_discrepancy(f, sigma, p)
-    fpow = power_mod(f, p * mceil - m, modulus)
+    B = (h * power_mod(f, p * mceil - m, modulus)).reduce_mod(modulus)
+    buckets = {}
+    for e, c in B.terms.items():
+        buckets.setdefault(tuple(x % p for x in e), []).append((e, c))
     f_sigma = sigma.apply_poly(f, modulus)
     terms = []
     Gr = LaurentPoly.constant(f.n, 1)
-    r = 0
-    while r < N:
-        c_r = pow(p, r, modulus) * math.comb(mceil + r - 1, r) % modulus
-        body = (Gr * h * fpow).reduce_mod(modulus)
-        Q_r = cartier_poly(body, p)
-        if c_r != 0 and not Q_r.is_zero():
-            terms.append((c_r, Q_r, r + mceil))
-        r += 1
-        if r < N:
+    for r in range(N):
+        if r:
             Gr = (Gr * G).reduce_mod(modulus)
+        Q = {}
+        for e, c in Gr.terms.items():
+            for e2, c2 in buckets.get(tuple(-x % p for x in e), ()):
+                u = tuple((x + y) // p for x, y in zip(e, e2))
+                Q[u] = Q.get(u, 0) + c * c2
+        Q_r = LaurentPoly(f.n, {u: c % modulus for u, c in Q.items()})
+        c_r = pow(p, r, modulus) * math.comb(mceil + r - 1, r) % modulus
+        if c_r and not Q_r.is_zero():
+            terms.append((c_r, Q_r, r + mceil))
     return CartierImage(terms, p, N, f_sigma)
 
 

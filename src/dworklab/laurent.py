@@ -375,15 +375,6 @@ def frobenius_twist(
     return LaurentPoly(f.n, {tuple(p * x for x in e): c for e, c in out.terms.items()})
 
 
-def cartier_poly(f: LaurentPoly, p: int) -> LaurentPoly:
-    """Keep only exponents divisible by p; divide the kept exponents by p."""
-    out = {}
-    for e, c in f.terms.items():
-        if all(x % p == 0 for x in e):
-            out[tuple(x // p for x in e)] = c
-    return LaurentPoly(f.n, out)
-
-
 def frobenius_discrepancy(f: LaurentPoly, sigma: FrobeniusLift, p: int) -> LaurentPoly:
     """G with f(x)^p = f^sigma(x^p) - p*G(x); division by p must be exact.
     An f with a TPoly coefficient is worked in the flat form."""

@@ -14,7 +14,9 @@ from dworklab.laurent import (
     LaurentPoly,
     coefficient_of_power,
     family_poly,
+    frobenius_discrepancy,
     has_tpoly,
+    power_mod,
 )
 from dworklab.polytope import (
     interior,
@@ -418,6 +420,63 @@ class TestCartierViaFormula:
         assert formula.coefficient((0,)) % 25 == direct.coefficient((0,)) % 25
 
 
+def whole_product_terms(h, f, m, p, N):
+    """The terms of `cartier_via_formula` under the identity lift by whole
+    products: G^r h f^(p ceil(m/p) - m) mod p^N for each r < N, then its
+    exponents divisible by p, divided by p."""
+    modulus = p**N
+    mceil = -(-m // p)
+    G = frobenius_discrepancy(f, ID, p)
+    fpow = power_mod(f, p * mceil - m, modulus)
+    terms = []
+    Gr = LaurentPoly.constant(f.n, 1)
+    for r in range(N):
+        c_r = p**r * math.comb(mceil + r - 1, r) % modulus
+        body = (Gr * h * fpow).reduce_mod(modulus)
+        Q_r = LaurentPoly(f.n, {
+            tuple(x // p for x in e): c
+            for e, c in body.terms.items() if all(x % p == 0 for x in e)
+        })
+        if c_r and not Q_r.is_zero():
+            terms.append((c_r, Q_r, r + mceil))
+        Gr = (Gr * G).reduce_mod(modulus)
+    return terms
+
+
+class TestCartierImage:
+    def test_terms_and_expansion_match_whole_products(self):
+        # random integer h and f with negative exponents, n <= 3, p in
+        # {3, 5, 7}, m <= 4, N <= 3: the decimating product gives the terms
+        # of the whole products, and the image expansion is the sum of the
+        # term expansions under the union of their shifts
+        rng = random.Random(27)
+        with_terms = 0
+        for _ in range(150):
+            n, p = rng.randint(1, 3), rng.choice((3, 5, 7))
+            f, base = random_unit_vertex_poly(rng, n, p)
+            h = LaurentPoly(n, {
+                tuple(rng.randint(-2, 2) for _ in range(n)): rng.randint(-5, 5)
+                for _ in range(rng.randint(1, 3))
+            })
+            m, N = rng.randint(1, 4), rng.randint(1, 3)
+            img = cartier_via_formula(h, f, m, p, ID, N)
+            assert img.terms == whole_product_terms(h, f, m, p, N), (h, f, m, p, N)
+            with_terms += bool(img.terms)
+
+            modulus, budget = p**N, rng.randint(1, 5)
+            coeffs, shifts = {}, set()
+            for c_r, Q_r, pole in img.terms:
+                E = expand_vertex(Q_r, img.f_sigma, pole, base, budget, modulus)
+                for v, c in E.coeffs.items():
+                    coeffs[v] = (coeffs.get(v, 0) + c_r * c) % modulus
+                shifts |= set(E.shifts)
+            image = img.expansion(base, budget)
+            assert image.coeffs == {v: c for v, c in coeffs.items() if c}
+            assert image.shifts == tuple(sorted(shifts))
+            assert image.budget == (budget if img.terms else None)
+        assert with_terms > 100
+
+
 def random_unit_vertex_poly(rng, n, p):
     """Sparse Laurent polynomial guaranteed to have a p-unit vertex coefficient."""
     while True:
@@ -482,9 +541,9 @@ class TestThetaOperations:
         p = 3
         for i in range(2):
             lhs = cartier_shift(theta(E, i), p)
-            rhs = theta(cartier_shift(E, p), i).scaled(p)
+            rhs = theta(cartier_shift(E, p), i)
             for v in [(0, 0), (1, 0), (1, 1), (2, 1)]:
-                assert lhs.coefficient(v) == rhs.coefficient(v)
+                assert lhs.coefficient(v) == p * rhs.coefficient(v)
 
     def test_theta_rational_expansion(self):
         # expansion of theta_x(1/f) = -x/f^2 for f = 1 + x + y is the

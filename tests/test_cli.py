@@ -79,46 +79,66 @@ GOLDEN = {
          "interior", "--steps", "2", "--t-trunc", "20"],
         "37dd5476d6339642188d85217ad288fd6ae2e1d611d3420b52a4a7e101604967",
     ),
+    # g in two variable-disjoint parts: the power table convolves the parts
+    "verify-dwork-parts": (
+        ["verify", "dwork", "--poly", "hyperoctahedral.json", "--primes", "3,5"],
+        "03b25957d2475a30ba8572e176b51f8bd13177a8963d244f33427b895f9f153d",
+    ),
+    # g with free multiplicities: the power table takes products of g
+    "verify-dwork-products": (
+        ["verify", "dwork", "--poly", "A_n.json", "--primes", "3,5"],
+        "7061a22903591d79ada489a699a9264718c2c936c655a811091f8c15d9ec0ce2",
+    ),
+    "verify-generalized-dwork": (
+        ["verify", "generalized-dwork", "--primes", "3,5", "--smax", "2"],
+        "1fb6e13c9eb5371bedbb5d058293ad0fcdb9a204ceee6c2e07b5001467771976",
+    ),
+    # the open subset at a vertex, and an integer (t-free) matrix
+    "hw-star": (
+        ["hw", "--poly", "star.json", "--prime", "5", "--mu", "star:1,0",
+         "--precision", "2"],
+        "c0520431b09b42517b7c6a6841660753047f9e79d7b145acc4a71103cff4c0e1",
+    ),
 }
+
+
+def write_poly(path, terms, family=False):
+    """A polynomial file with `terms` {exponent: coefficient}, as the family
+    1 - t*g with g given by them when `family` is set."""
+    poly = {"n": 2, "terms": [{"e": list(e), "c": str(c)} for e, c in terms.items()]}
+    path.write_text(json.dumps({"form": "1-t*g", "g": poly} if family else poly))
+    return str(path)
 
 
 @pytest.fixture()
 def triangle_file(tmp_path):
-    path = tmp_path / "triangle.json"
-    path.write_text(
-        json.dumps(
-            {
-                "n": 2,
-                "terms": [
-                    {"e": [0, 0], "c": "1"},
-                    {"e": [1, 0], "c": "1"},
-                    {"e": [0, 1], "c": "1"},
-                ],
-            }
-        )
-    )
-    return str(path)
+    return write_poly(tmp_path / "triangle.json", {(0, 0): 1, (1, 0): 1, (0, 1): 1})
 
 
 @pytest.fixture()
 def family_file(tmp_path):
-    path = tmp_path / "simplicial.json"
-    path.write_text(
-        json.dumps(
-            {
-                "form": "1-t*g",
-                "g": {
-                    "n": 2,
-                    "terms": [
-                        {"e": [1, 0], "c": "1"},
-                        {"e": [0, 1], "c": "1"},
-                        {"e": [-1, -1], "c": "1"},
-                    ],
-                },
-            }
-        )
-    )
-    return str(path)
+    terms = {(1, 0): 1, (0, 1): 1, (-1, -1): 1}
+    return write_poly(tmp_path / "simplicial.json", terms, family=True)
+
+
+@pytest.fixture()
+def hyperoctahedral_file(tmp_path):
+    terms = {(-1, 0): 1, (0, -1): 1, (0, 1): 1, (1, 0): 1}
+    return write_poly(tmp_path / "hyperoctahedral.json", terms, family=True)
+
+
+@pytest.fixture()
+def a_n_file(tmp_path):
+    # (1 + x + y)(1 + 1/x + 1/y), the A_n family at n = 2
+    terms = {(-1, 0): 1, (-1, 1): 1, (0, -1): 1, (0, 0): 3, (0, 1): 1, (1, -1): 1, (1, 0): 1}
+    return write_poly(tmp_path / "A_n.json", terms, family=True)
+
+
+@pytest.fixture()
+def star_file(tmp_path):
+    # x + y + 1/(xy) + 2
+    terms = {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2}
+    return write_poly(tmp_path / "star.json", terms)
 
 
 def run(capsys, argv):
@@ -531,7 +551,8 @@ class TestCommands:
         "argv,digest", list(GOLDEN.values()), ids=list(GOLDEN)
     )
     def test_byte_identical_output(
-        self, capsys, monkeypatch, tmp_path, triangle_file, family_file, argv, digest
+        self, capsys, monkeypatch, tmp_path, triangle_file, family_file,
+        hyperoctahedral_file, a_n_file, star_file, argv, digest
     ):
         # relative paths: verify reports echo the polynomial file name
         monkeypatch.chdir(tmp_path)

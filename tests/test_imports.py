@@ -19,14 +19,10 @@
 `__init__.py` is exempt from the first rule: its imports are re-exports.
 
 These gates see definitions and options, not branches: a branch that only
-unit tests reach passes them.  To find such code, trace lines.  Install a
-`sys.settrace` tracer that records (file, line) for frames under
-`src/dworklab`; with it on, run pytest in-process on
-`tests/test_acceptance.py` and `tests/test_cli.py`, then every cell of
-`benchmark.workloads.build(w, seed)` (`cell.verdict(cell.run())`) for each
-workload w at seeds 0 and 1.  List, per module, the executable lines (the
-`dis.findlinestarts` of its code objects, nested ones included) that the
-trace never hit.  What is left is error paths and code only unit tests run.
+unit tests reach passes them.  To find such code, run
+`python scripts/line_trace.py`, which lists per module the lines that the
+acceptance tests, the CLI tests and every benchmark cell at seeds 0 and 1
+never run.
 """
 
 import ast

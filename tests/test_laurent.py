@@ -9,7 +9,6 @@ from dworklab.arith import Ring, TPoly
 from dworklab.laurent import (
     FrobeniusLift,
     LaurentPoly,
-    cartier_poly,
     coefficient_of_power,
     family_from_json,
     family_poly,
@@ -285,12 +284,6 @@ class TestDiscrepancy:
         # f^3 = 1 - 3tx + 3t^2x^2 - t^3x^3 and f^sigma(x^3) = 1 - t^3 x^3
         assert G.coefficient_at((1,)) == TPoly([0, 1])
         assert G.coefficient_at((2,)) == TPoly([0, 0, -1])
-
-
-class TestCartierPoly:
-    def test_decimation(self):
-        f = LaurentPoly(1, {(0,): 1, (3,): 5, (1,): 2})
-        assert cartier_poly(f, 3) == LaurentPoly(1, {(0,): 1, (1,): 5})
 
 
 class TestJson:
