@@ -116,12 +116,20 @@ def vertex_frame(f: LaurentPoly, b):
     return tuple(normals), psi, delta
 
 
+def _vertex_scalar(c):
+    """The int a vertex expansion divides by for the coefficient c: c, or the
+    constant term of a TPoly of degree <= 0; None when c depends on t."""
+    if isinstance(c, TPoly):
+        return c[0] if c.degree() <= 0 else None
+    return c
+
+
 def unit_vertex(f: LaurentPoly, p: int):
     """The first Newton-polytope vertex whose coefficient is a p-adic unit
-    integer: the base point of vertex expansions."""
+    scalar (`_vertex_scalar`): the base point of vertex expansions."""
     for v in newton_polytope(f.support()).vertices:
-        c = f.coefficient_at(v)
-        if not isinstance(c, TPoly) and c % p:
+        c = _vertex_scalar(f.coefficient_at(v))
+        if c is not None and c % p:
             return v
     raise ValueError("no vertex with p-unit coefficient")
 
@@ -184,11 +192,9 @@ def expand_vertex(
         return FormalExpansion(f.n, {}, modulus, budget, (0,) * f.n, 1)
     b = tuple(b)
     ring = Ring(modulus)
-    fb = f.coefficient_at(b)
-    if isinstance(fb, TPoly):
-        if fb.degree() > 0:
-            raise NonUnitError("vertex coefficient must be a scalar unit")
-        fb = fb[0]
+    fb = _vertex_scalar(f.coefficient_at(b))
+    if fb is None:
+        raise NonUnitError("vertex coefficient must be a scalar unit")
     fb_inv = ring.inv(fb)
     normals, psi, delta = vertex_frame(f, b)
     by_t = has_tpoly(f) or has_tpoly(h)
@@ -209,9 +215,10 @@ def expand_vertex(
     if targets is not None:
         demand = {tuple(map(sub, v, sh)) for v in targets for sh in shifts}
         # sound relaxation of "some demand point minus w stays in the cone":
-        # for every inner normal a, a.w may not exceed max over demand of a.d
+        # for every inner normal a, a.w may not exceed max over demand of a.d;
+        # with no demand nothing is reachable, as a.w >= 0 on the cone
         normal_caps = [
-            (a, max(_dot(a, d) for d in demand)) for a in normals
+            (a, max((_dot(a, d) for d in demand), default=-1)) for a in normals
         ]
 
     def reachable(w):

@@ -412,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a congruence verification suite")
     p.add_argument("suite")
-    p.add_argument("--poly")
-    p.add_argument("--job", help="JobSpec JSON file")
+    source = p.add_mutually_exclusive_group()  # a job file names its own polynomials
+    source.add_argument("--poly")
+    source.add_argument("--job", help="JobSpec JSON file")
     p.add_argument("--primes", type=lambda s: [_odd_prime(x) for x in s.split(",")],
                    default=[3, 5, 7])
     p.add_argument("--smax", type=int, default=2)

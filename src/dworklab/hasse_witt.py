@@ -8,9 +8,11 @@ beta_{p^s} sigma(beta_{p^{s-1}})^{-1} stabilise p-adically and their limit is
 the unit-root (Cartier) matrix Lambda(mu), which we always manipulate at a
 finite precision p^s.
 
-Entries come from laurent.coefficient_of_power, which enumerates only the
-multiplicities outside one nonsingular block of the support and solves that
-block exactly (Cramer's rule with a precomputed adjugate), so m in the
+Every matrix here reads its (u, v) entry at one index rule, m*v - u (m = p
+for Hasse-Witt matrices), row by row.  A beta matrix is one call of
+laurent.coefficient_of_power for all its entries: it builds f's one
+nonsingular block of the support (Cramer's rule with a precomputed adjugate)
+once and enumerates only the multiplicities outside it, so m in the
 thousands stays cheap; nothing here ever expands f^(m-1) in full for large m.
 """
 
@@ -70,28 +72,28 @@ class BetaMatrix:
         }
 
 
+def _shifts(points, m: int) -> list:
+    """The index rule: m*v - u for u in points for v in points, row by row."""
+    return [tuple(m * x - y for x, y in zip(v, u)) for u in points for v in points]
+
+
+def _rows(flat: list, r: int) -> list:
+    """The r x r matrix whose rows are the consecutive r-blocks of flat."""
+    return [flat[i * r:(i + 1) * r] for i in range(r)]
+
+
 def beta_matrix(
     f: LaurentPoly, mu: OpenSubset, m: int, p: int, N: int
 ) -> BetaMatrix:
-    """beta_m(mu) with entries mod p^N; beta_1 is the identity by convention."""
+    """beta_m(mu) with entries mod p^N; beta_1 is the identity (f^0 = 1)."""
     odd_prime(p)
     if m < 1:
         raise ValueError("m must be >= 1")
     if N < 1:
         raise ValueError("precision N must be >= 1")
     points = lattice_points_in_dilate(mu, 1)
-    modulus = p**N
-    if m == 1:
-        ent = [[1 if i == j else 0 for j in range(len(points))] for i in range(len(points))]
-        return BetaMatrix(tuple(points), ent, p, N)
-    entries = []
-    for u in points:
-        row = []
-        for v in points:
-            w = tuple(m * vv - uu for vv, uu in zip(v, u))
-            row.append(coefficient_of_power(f, m - 1, w, modulus))
-        entries.append(row)
-    return BetaMatrix(tuple(points), entries, p, N)
+    flat = coefficient_of_power(f, m - 1, _shifts(points, m), p**N)
+    return BetaMatrix(tuple(points), _rows(flat, len(points)), p, N)
 
 
 def hw_matrix(f: LaurentPoly, mu: OpenSubset, p: int, N: int) -> BetaMatrix:
@@ -199,14 +201,8 @@ def higher_hw_matrix(
     modulus = None if N is None else p**N
     F = higher_F_polynomial(f, k, p, sigma, modulus)
     points = lattice_points_in_dilate(mu, k)
-    entries = []
-    for u in points:
-        row = []
-        for v in points:
-            w = tuple(p * vv - uu for vv, uu in zip(v, u))
-            row.append(F.coefficient_at(w))
-        entries.append(row)
-    return BetaMatrix(tuple(points), entries, p, N)
+    flat = [F.coefficient_at(w) for w in _shifts(points, p)]
+    return BetaMatrix(tuple(points), _rows(flat, len(points)), p, N)
 
 
 def level_valuation_target(mu: OpenSubset, k: int) -> int:
@@ -257,16 +253,9 @@ def higher_hw_alternative_check(
         sigma = FrobeniusLift.t_power(p)
     modulus = p**k
     M = higher_hw_matrix(f, mu, k, p, sigma, k)
-    points = M.index
     numerator = frobenius_twist(f, sigma, p, modulus)
     numerator = power_mod(numerator, k, modulus)
-    targets = sorted(
-        {
-            tuple(p * vv - uu for vv, uu in zip(v, u))
-            for u in points
-            for v in points
-        }
-    )
+    targets = _shifts(M.index, p)
     if g is not None:
         T = k * (p - 1) + p + 2
         E = expand_origin(numerator, g, k, T, modulus, targets=targets)
@@ -274,16 +263,11 @@ def higher_hw_alternative_check(
         b = unit_vertex(f, p)
         S = vertex_budget(f, b, k, numerator, targets)
         E = expand_vertex(numerator, f, k, b, S, modulus, targets=targets)
-    for iu, u in enumerate(points):
-        for iv, v in enumerate(points):
-            w = tuple(p * vv - uu for vv, uu in zip(v, u))
-            if not E.is_complete(w):
-                continue
-            lhs = TPoly.coerce(M.entries[iu][iv])
-            rhs = TPoly.coerce(E.coefficient(w))
-            if bool((lhs - rhs) % modulus):
-                return False
-    return True
+    entries = [e for row in M.entries for e in row]
+    return not any(
+        E.is_complete(w) and (TPoly.coerce(e) - TPoly.coerce(E.coefficient(w))) % modulus
+        for w, e in zip(targets, entries)
+    )
 
 
 def higher_hw_condition(

@@ -287,39 +287,39 @@ class CramerBlock:
         return term
 
 
-def coefficient_of_power(f: LaurentPoly, m: int, w, modulus: int | None = None):
-    """Coefficient of x^w in f^m without expanding the full power.
+def coefficient_of_power(f: LaurentPoly, m: int, ws, modulus: int | None = None):
+    """The coefficients of x^w in f^m for the exponents w of ws, in order,
+    without expanding the full power.
 
-    Sums m!/prod(k_i!) * prod(c_i^k_i) over the solutions k >= 0 of
-    sum k_i = m, sum k_i u_i = w, where f = sum c_i x^u_i.  Only the free
-    multiplicities of f's `CramerBlock` are enumerated, pruned by
-    per-coordinate suffix bounds; each choice leaves one Cramer solve.  So
-    the work grows with the number of solutions, not with the support of
-    f^m, and a degenerate support (collinear, coplanar, a single point) is
-    just a smaller block.
+    Each sums m!/prod(k_i!) * prod(c_i^k_i) over the solutions k >= 0 of
+    sum k_i = m, sum k_i u_i = w, where f = sum c_i x^u_i.  One `CramerBlock`
+    of f and one set of per-coordinate suffix bounds serve all of ws: only
+    the free multiplicities are enumerated, pruned by the bounds, and each
+    choice leaves one Cramer solve.  So the work grows with the number of
+    solutions, not with the support of f^m, and a degenerate support
+    (collinear, coplanar, a single point) is just a smaller block.
     """
-    w = tuple(w)
-    if len(w) != f.n:
+    ws = [tuple(w) for w in ws]
+    if any(len(w) != f.n for w in ws):
         raise ValueError("exponent length does not match variable count")
     if m < 0:
         raise ValueError("m must be >= 0")
     terms = f.sorted_terms()
     if not terms:
-        return 1 if m == 0 and all(x == 0 for x in w) else 0
+        return [1 if m == 0 and not any(w) else 0 for w in ws]
     ring = Ring(modulus)
     block = CramerBlock.of(terms)
     exps, free = block.exps, block.free
     bounds = [(tuple(map(min, zip(*exps[i:]))), tuple(map(max, zip(*exps[i:]))))
               for i in range(len(exps))]
     solve, term = block.solve, block.term
-    total = 0
+    totals = []  # one running total per w of ws
 
     def rec(i, remaining, target, ks):
-        nonlocal total
         if i == free:
             xs = solve((remaining,) + target)
             if xs is not None:
-                total = ring.reduce(total + term(ks + xs, m, ring))
+                totals[-1] = ring.reduce(totals[-1] + term(ks + xs, m, ring))
             return
         lo, hi = bounds[i + 1]
         for kk in range(remaining + 1):
@@ -328,8 +328,10 @@ def coefficient_of_power(f: LaurentPoly, m: int, w, modulus: int | None = None):
             if all(a * rem <= t <= z * rem for a, t, z in zip(lo, new_target, hi)):
                 rec(i + 1, rem, new_target, ks + [kk])
 
-    rec(0, m, w, [])
-    return total
+    for w in ws:
+        totals.append(0)
+        rec(0, m, w, [])
+    return totals
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from dworklab.polytope import (
     vertex_star,
     whole_polytope,
 )
+from dworklab.harness import supercongruence_family
 from dworklab.hasse_witt import hw_matrix, lambda_unit_root
 from dworklab import cartier
 from dworklab.cartier import (
@@ -65,6 +66,11 @@ class TestExpandVertex:
     def test_empty_numerator(self):
         E = expand_vertex(LaurentPoly(2), TRIANGLE, 1, (0, 0), 5)
         assert E.coeffs == {}
+
+    def test_no_targets_store_nothing(self):
+        E = expand_vertex(ONE2, TRIANGLE, 1, (0, 0), 5, 25, targets=[])
+        assert E.coeffs == {}
+        assert not E.is_complete((6, 0))  # psi = 6 is past the budget
 
     def test_unit_square_multiplicative(self):
         # 1/((1+x)(1+y)) has (-1)^(a+b) coefficients; contributions to a
@@ -325,7 +331,7 @@ class TestExpandOrigin:
         table = _PowerTable(g, T, modulus)
         table.require(demand)
         for w in demand:
-            column = [coefficient_of_power(g, i, w, modulus) for i in range(T)]
+            column = [coefficient_of_power(g, i, [w], modulus)[0] for i in range(T)]
             assert table.columns[w] == [(i, c) for i, c in enumerate(column) if c], w
 
     @pytest.mark.parametrize("family, n, parts, by_parts", [
@@ -578,6 +584,13 @@ class TestUnitVertex:
         f = family_poly(SIMPLICIAL2)  # only the interior origin is constant in t
         with pytest.raises(ValueError, match="no vertex with p-unit coefficient"):
             unit_vertex(f, 5)
+
+    def test_accepts_t_constant_units(self):
+        # (1 - x1)(1 - x2) - t x1 x2: TPoly([1]) at the origin is a scalar unit
+        f = supercongruence_family()
+        assert unit_vertex(f, 5) == (0, 0)
+        f5 = LaurentPoly(2, {**f.terms, (0, 0): TPoly([5])})
+        assert unit_vertex(f5, 5) == (0, 1)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([3, 5, 7]), st.lists(st.integers(1, 4), min_size=3, max_size=3),

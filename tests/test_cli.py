@@ -352,6 +352,15 @@ class TestExitCodes:
                                     "--precision", "0"])
         assert code == 2 and not out
 
+    def test_job_with_poly_is_2(self, capsys, tmp_path, triangle_file):
+        # a job file names its own polynomials, so --poly beside it is refused
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"primes": [5], "s_max": 1}))
+        code, out, err = run(capsys, ["verify", "hhw", "--job", str(job),
+                                      "--poly", str(triangle_file)])
+        assert code == 2 and not out
+        assert "not allowed with argument" in err
+
     def test_empty_suite_does_not_pass(self, capsys):
         # zero s levels would be a suite of no cells: rejected before it runs
         code, out, err = run(capsys, ["verify", "hhw", "--primes", "5", "--smax", "0"])

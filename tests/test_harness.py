@@ -257,7 +257,9 @@ class TestFailurePaths:
         assert not report.passed
 
     def test_corrupted_hhw_fails(self, monkeypatch):
+        # the second congruence reads beta_{p^2} through lambda_unit_root
         import dworklab.harness as H
+        import dworklab.hasse_witt as HW
         from dworklab.hasse_witt import beta_matrix as real_beta
 
         def corrupted(f, mu, m, p, N):
@@ -267,6 +269,7 @@ class TestFailurePaths:
             return M
 
         monkeypatch.setattr(H, "beta_matrix", corrupted)
+        monkeypatch.setattr(HW, "beta_matrix", corrupted)
         report = suite_hhw(JobSpec(primes=(5,), s_max=2))
         assert not report.passed
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,20 @@ from hypothesis import strategies as st
 
 from dworklab.arith import Ring, TPoly
 from dworklab.cartier import constant_term_series
-from dworklab.laurent import FrobeniusLift, LaurentPoly, family_poly, frobenius_twist
+from dworklab.harness import supercongruence_family
+from dworklab.laurent import (
+    CramerBlock,
+    FrobeniusLift,
+    LaurentPoly,
+    family_poly,
+    frobenius_twist,
+    power_mod,
+)
 from dworklab.linalg import int_det, mat_mul, mat_inv_mod
 from dworklab.polytope import (
+    DegenerateSupportError,
     interior,
+    lattice_points_in_dilate,
     newton_polytope,
     vertex_star,
     whole_polytope,
@@ -42,6 +54,43 @@ class TestBetaMatrix:
         P = newton_polytope(SIMPLICIAL2.support())
         M = beta_matrix(SIMPLICIAL2, whole_polytope(P), 1, 5, 2)
         assert M.entries == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+
+    def test_matches_full_power(self):
+        # (u, v) entry = [x^(m v - u)] f^(m-1), read off the whole power
+        rng = random.Random(28)
+        box = list(itertools.product(range(-1, 2), repeat=2))
+        cases = 0
+        while cases < 60:
+            g = LaurentPoly(2, {e: rng.choice([-3, -2, -1, 1, 2, 3])
+                                for e in rng.sample(box, rng.randint(3, 5))})
+            f = family_poly(g) if rng.random() < 0.3 else g
+            try:
+                P = newton_polytope(f.support())
+            except DegenerateSupportError:
+                continue
+            cases += 1
+            p = rng.choice([3, 5])
+            mu = rng.choice([whole_polytope(P), interior(P),
+                             vertex_star(P, rng.choice(P.vertices))])
+            m, N = rng.choice([1, 2, p]), rng.randint(1, 3)
+            points = lattice_points_in_dilate(mu, 1)
+            fm = power_mod(f, m - 1, p**N)
+            M = beta_matrix(f, mu, m, p, N)
+            assert M.index == tuple(points)
+            assert M.entries == [
+                [fm.coefficient_at(tuple(m * x - y for x, y in zip(v, u))) for v in points]
+                for u in points
+            ], (f, m, p, N)
+
+    def test_one_cramer_block_per_matrix(self, monkeypatch):
+        calls, of = [], CramerBlock.of
+        monkeypatch.setattr(CramerBlock, "of",
+                            staticmethod(lambda terms: calls.append(1) or of(terms)))
+        W = whole_polytope(newton_polytope(SIMPLICIAL2.support()))
+        for m in (1, 5, 25):
+            calls.clear()
+            assert beta_matrix(SIMPLICIAL2, W, m, 5, 2).size() == 4
+            assert len(calls) == 1
 
     def test_elliptic_beta5(self):
         M = beta_matrix(ELLIPTIC, mu_interior(ELLIPTIC), 5, 5, 3)
@@ -82,7 +131,7 @@ class TestHWMatrix:
                 [
                     (-1) ** i
                     * math.comb(p - 1, i)
-                    * coefficient_of_power(SIMPLICIAL2, i, (0, 0))
+                    * coefficient_of_power(SIMPLICIAL2, i, [(0, 0)])[0]
                     % p**2
                     for i in range(p)
                 ]
@@ -313,6 +362,21 @@ class TestHigherHW:
         )
         f1 = LaurentPoly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (-1, -1): -1})
         assert higher_hw_alternative_check(f1, whole_polytope(P), 2, 5)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_alternative_formula_at_a_t_constant_vertex(self, p, k):
+        # the vertex route expands at the origin, whose coefficient is TPoly([1])
+        f = supercongruence_family()
+        assert higher_hw_alternative_check(f, whole_polytope(newton_polytope(f.support())), k, p)
+
+    def test_alternative_formula_on_an_empty_level(self):
+        # the unit square has no interior point: HW^(1) is 0 x 0 on both routes
+        g = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 3})
+        mu = interior(newton_polytope(g.support()))
+        assert higher_hw_matrix(g, mu, 1, 5, ID, 1).size() == 0
+        assert higher_hw_alternative_check(g, mu, 1, 5)
+        assert higher_hw_alternative_check(family_poly(g), mu, 1, 5, g=g)
 
     def test_default_lift_is_t_power(self):
         # with no lift passed a family gets t -> t^p, the lift of `dworklab higher-hw`

@@ -213,8 +213,8 @@ class TestCoefficientOfPower:
     def test_degenerate_supports_match_full_power(self, case):
         # collinear, single-point and planar supports solve a smaller block
         f, m, w, modulus = case
-        assert coefficient_of_power(f, m, w, modulus) == \
-            power_mod(f, m, modulus).coefficient_at(w)
+        assert coefficient_of_power(f, m, [w], modulus) == \
+            [power_mod(f, m, modulus).coefficient_at(w)]
 
     @given(sparse_polys(max_terms=5), st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
@@ -224,20 +224,30 @@ class TestCoefficientOfPower:
         probes = list(fm.support())[:3] + [
             tuple(rng.randint(-4, 4) for _ in range(2)) for _ in range(3)
         ]
-        for w in probes:
-            assert coefficient_of_power(f, m, w) == fm.coefficient_at(w)
+        assert coefficient_of_power(f, m, probes) == [fm.coefficient_at(w) for w in probes]
 
     def test_modular(self):
         f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 1})
         w = (0, 0)
-        exact = coefficient_of_power(f, 48, w)
-        assert coefficient_of_power(f, 48, w, 7**2) == exact % 49
+        [exact] = coefficient_of_power(f, 48, [w])
+        assert coefficient_of_power(f, 48, [w], 7**2) == [exact % 49]
+
+    def test_reads_ws_in_order_with_duplicates(self):
+        f = LaurentPoly(2, {(1, 0): 1, (0, 1): 2, (-1, -1): 3, (0, 0): 1})
+        f4 = power_mod(f, 4)
+        ws = [(0, 0), (2, 1), (0, 0), (9, 9), (-1, 0), (2, 1), (1, -1)]
+        expect = [f4.coefficient_at(w) for w in ws]
+        assert len(set(expect)) == 5
+        assert coefficient_of_power(f, 4, ws) == expect
+        assert coefficient_of_power(f, 4, ws[::-1]) == expect[::-1]
+        assert coefficient_of_power(f, 4, []) == []
+        assert coefficient_of_power(LaurentPoly(2), 0, ws) == [1, 0, 1, 0, 0, 0, 0]
 
     def test_tpoly_coefficients(self):
         g = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
         ft = family_poly(g)
         # constant term of f^4 = sum (-1)^i C(4,i) c_i t^i with c_3 = 6
-        c = coefficient_of_power(ft, 4, (0, 0), 5**3)
+        [c] = coefficient_of_power(ft, 4, [(0, 0)], 5**3)
         assert isinstance(c, TPoly)
         assert c[0] == 1 and c[3] == (-4 * 6) % 125
 
