@@ -7,16 +7,16 @@ Usage:
 Runs tests/test_acceptance.py under pytest in fresh subprocesses, with
 ./src on PYTHONPATH:
 
-* the default tier (criteria 1-12) five times; the file records each
-  criterion's time in every run and their median.  Before each run it
+* the default tier (criteria 1-12, with the n = 3 level-3 check of
+  criterion 9) five times; the file records each criterion's time in every
+  run and their median.  Before each run it
   times `benchmark/worker.reference_kernel`, a fixed pure-Python kernel, in
   a fresh interpreter (the median of five calls).  The host's Python speed
   drifts by up to 1.5x over time, so two BENCH files made apart compare by the
   ratio of a criterion's time to the reference time, not by raw seconds;
-* the slow tier (the n = 3 level-3 check of criterion 9, and criterion 13)
-  once each.  Its outcome is "pass", the name of the exception the test
-  raised, or "over budget" when the test exceeds its gate (a run is cut
-  off 60 s after the gate).
+* the slow tier (criterion 13) once.  Its outcome is "pass", the name of
+  the exception the test raised, or "over budget" when the test exceeds its
+  gate (a run is cut off 60 s after the gate).
 
 Then it runs `benchmark/run.py --trace 0` once per workload of
 BENCHMARK.json, at seed 0 (the acceptance inputs, checked against the golden
@@ -49,7 +49,7 @@ from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ROOT / "tests" / "test_acceptance.py"
-SLOW = ("test_criterion_09_n3_family_level_3", "test_criterion_13_alpha3_cross_family_ratio")
+SLOW = ("test_criterion_13_alpha3_cross_family_ratio",)
 RUNS = 5  # default-tier runs; each criterion's time is their median
 WORKLOAD_SEED = 0
 

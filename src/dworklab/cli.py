@@ -208,22 +208,25 @@ def cmd_crosscheck(args, fmt):
     return 0 if report["pass"] else 1
 
 
+# `verify`'s grid flags and their values without --job; they default to None,
+# so that one given beside --job can be refused
+VERIFY_GRID = {"primes": [3, 5, 7], "smax": 2, "bound": 30, "dims": [2]}
+
+
 def cmd_verify(args, fmt):
     suite = SUITES.get(args.suite)
     if suite is None:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    kwargs = {}
+    grid = {flag: getattr(args, flag) for flag in VERIFY_GRID}
     if args.job:
+        if given := [f"--{flag}" for flag, value in grid.items() if value is not None]:
+            raise ValueError(f"{', '.join(given)} not allowed with --job: the job file sets the grid")
         with open(args.job) as fh:
             job = JobSpec.from_json(fh.read())
     else:
-        job = JobSpec(
-            primes=tuple(args.primes),
-            s_max=args.smax,
-            bound=args.bound,
-            seed=args.seed,
-            dimensions=tuple(args.dims),
-        )
+        primes, smax, bound, dims = (VERIFY_GRID[f] if v is None else v for f, v in grid.items())
+        job = JobSpec(primes=tuple(primes), s_max=smax, bound=bound, seed=args.seed,
+                      dimensions=tuple(dims))
         if args.poly:
             f, g = _read_poly_file(args.poly)
             key, value = ("polynomials", f) if g is None else ("families", g)
@@ -415,12 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()  # a job file names its own polynomials
     source.add_argument("--poly")
     source.add_argument("--job", help="JobSpec JSON file")
-    p.add_argument("--primes", type=lambda s: [_odd_prime(x) for x in s.split(",")],
-                   default=[3, 5, 7])
-    p.add_argument("--smax", type=int, default=2)
-    p.add_argument("--bound", type=int, default=30)
-    p.add_argument("--dims", type=lambda s: [int(x) for x in s.split(",")],
-                   default=[2])
+    p.add_argument("--primes", type=lambda s: [_odd_prime(x) for x in s.split(",")])
+    p.add_argument("--smax", type=int)
+    p.add_argument("--bound", type=int)
+    p.add_argument("--dims", type=lambda s: [int(x) for x in s.split(",")])
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("cy", help="Calabi-Yau family pipeline")

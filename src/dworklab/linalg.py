@@ -5,7 +5,8 @@ TPoly values.  mat_inv_mod, solve_mod, solve_mod_multi and tmat_inv_series
 are wrappers over one Gauss-Jordan elimination over an arith.Ring: Z/p^N, or
 for tmat_inv_series the series ring (Z/p^N)[t]/t^T, or Q[[t]]/t^T when its
 modulus is None.  It insists on unit pivots, because over Z/p^N a non-unit
-pivot silently destroys precision.
+pivot silently destroys precision.  tpoly_det is exact over Z[t]: it divides
+the least t-powers out of rows and columns, then interpolates int_det values.
 """
 
 from __future__ import annotations
@@ -161,16 +162,27 @@ def independent_rows(rows) -> list:
 def tpoly_det(A) -> TPoly:
     """Exact determinant of a matrix of integer TPoly entries.
 
-    Evaluates at the integer points 0..d, d the sum of the row-max degrees,
-    and interpolates over Z; this avoids the coefficient blow-up of
-    fraction-free elimination over Z[t].
+    Divides t^r_i out of each row i, r_i its least t-degree, and then t^c_j
+    out of each column j, so det A = t^(sum r + sum c) det B exactly.  det B
+    is evaluated at the integer points 0..d, d the smaller of the sums of B's
+    row-max and column-max degrees, and interpolated over Z; this avoids the
+    coefficient blow-up of fraction-free elimination over Z[t].
     """
-    k = len(A)
-    if k == 0:
-        return TPoly([1])
-    deg_bound = sum(max(e.degree() for e in row) for row in A)
+    shift = 0
+    for _ in range(2):  # rows, then (after a transpose) columns
+        vals = [_t_valuation(row) for row in A]
+        if None in vals:
+            return TPoly()
+        shift += sum(vals)
+        A = list(zip(*[[TPoly(e.coeffs[v:]) for e in row] for row, v in zip(A, vals)]))
+    deg_bound = min(sum(max(e.degree() for e in line) for line in M) for M in (A, zip(*A)))
     values = [int_det([[e.evaluate(x) for e in row] for row in A]) for x in range(deg_bound + 1)]
-    return TPoly(_interpolate(values))
+    return TPoly([0] * shift + _interpolate(values))
+
+
+def _t_valuation(entries):
+    """Least t-degree of a nonzero coefficient of the TPoly entries; None if all are zero."""
+    return min((next(d for d, c in enumerate(e.coeffs) if c) for e in entries if e), default=None)
 
 
 def _interpolate(values):

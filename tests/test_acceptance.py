@@ -2,8 +2,7 @@
 
 Every check is an exact congruence or equality (tolerances are zero); each
 test prints a single PASS line with its runtime when it completes.  Criterion
-13 and the n = 3 level-3 check of criterion 9 are stretch-tier and excluded
-from the default run (pytest -m slow).
+13 is stretch-tier and excluded from the default run (pytest -m slow).
 """
 
 import math
@@ -164,9 +163,9 @@ def test_criterion_09_higher_hasse_witt():
         P = newton_polytope(g.support())
         W = whole_polytope(P)
         # t-family: all levels for n = 2, levels 1..2 for n = 3 (the 35x35
-        # exact polynomial determinant at level 3 takes over a minute, so
-        # test_criterion_09_n3_family_level_3 checks it in the slow tier; the
-        # integer specialisations below cover level 3)
+        # exact polynomial determinant at level 3 is checked on its own, in
+        # test_criterion_09_n3_family_level_3; the integer specialisations
+        # below cover level 3)
         ft = family_poly(g)
         k_family = 2
         ok, report = higher_hw_condition(ft, W, k_family, p, FrobeniusLift.t_power(p))
@@ -194,9 +193,8 @@ def test_criterion_09_higher_hasse_witt():
     _report(9, "higher Hasse-Witt valuations L(k) with unit cofactors", t0, 120)
 
 
-@pytest.mark.slow
 def test_criterion_09_n3_family_level_3():
-    """Slow tier: the level-3 check criterion 9 leaves out, an exact 35 x 35
+    """The level-3 check criterion 9 leaves out, an exact 35 x 35
     determinant over Z[t] of t-degree bound 630 for the n = 3 simplicial
     t-family at p = 7."""
     t0 = time.time()

@@ -361,6 +361,16 @@ class TestExitCodes:
         assert code == 2 and not out
         assert "not allowed with argument" in err
 
+    @pytest.mark.parametrize("flag,value", [("--primes", "3,7"), ("--smax", "2"),
+                                            ("--bound", "5"), ("--dims", "2")])
+    def test_job_with_grid_flag_is_2(self, capsys, tmp_path, flag, value):
+        # the job file sets the grid, so a grid flag beside it is refused by name
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"primes": [5], "s_max": 1}))
+        code, out, err = run(capsys, ["verify", "hhw", "--job", str(job), flag, value])
+        assert code == 2 and not out
+        assert flag in err and "--job" in err
+
     def test_empty_suite_does_not_pass(self, capsys):
         # zero s levels would be a suite of no cells: rejected before it runs
         code, out, err = run(capsys, ["verify", "hhw", "--primes", "5", "--smax", "0"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dworklab import linalg
 from dworklab.arith import NonUnitError, TPoly
 from dworklab.linalg import (
     InconsistentSystemError,
@@ -171,15 +172,23 @@ class TestSeriesInverse:
 @st.composite
 def tpoly_matrix(draw):
     """A k x k matrix (k <= 4) of integer TPolys of degree <= 4, with zero
-    entries; some draws get an all-zero row or only constant entries."""
+    entries; some draws get an all-zero row or column, only constant entries,
+    or row i times t^a_i and column j times t^b_j with a, b in [0, 6]."""
     k = draw(st.integers(1, 4))
     entry = st.one_of(st.just(TPoly()), st.lists(st.integers(-9, 9), max_size=5).map(TPoly))
     A = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
-    shape = draw(st.sampled_from(["plain", "zero row", "constant"]))
+    shape = draw(st.sampled_from(["plain", "zero row", "zero column", "constant", "planted"]))
     if shape == "zero row":
         A[draw(st.integers(0, k - 1))] = [TPoly()] * k
+    elif shape == "zero column":
+        j = draw(st.integers(0, k - 1))
+        for row in A:
+            row[j] = TPoly()
     elif shape == "constant":
         A = [[TPoly([e[0]]) for e in row] for row in A]
+    elif shape == "planted":
+        a, b = (draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)) for _ in range(2))
+        A = [[e * TPoly.t_power(ai + bj) for e, bj in zip(row, b)] for row, ai in zip(A, a)]
     return A
 
 
@@ -187,12 +196,25 @@ class TestPolynomialDeterminant:
     @settings(max_examples=80, deadline=None)
     @given(tpoly_matrix())
     def test_matches_leibniz(self, A):
-        assert tpoly_det(A) == leibniz_det(A)
+        det = tpoly_det(A)
+        assert det == leibniz_det(A)
+        assert all(type(c) is int for c in det.coeffs)
 
     def test_empty_and_one_by_one(self):
         assert tpoly_det([]) == TPoly([1])
         assert tpoly_det([[TPoly([3, -1, 0, 2])]]) == TPoly([3, -1, 0, 2])
         assert tpoly_det([[TPoly()]]) == TPoly()
+
+    def test_divided_out_powers_leave_one_evaluation(self, monkeypatch):
+        # A = diag(t^a) C with C constant: det A = t^(sum a) det C, and the
+        # reduced matrix is C itself, of degree bound 0
+        C = [[2, -1, 3], [1, 4, -2], [5, 0, 1]]
+        a = [3, 0, 5]
+        A = [[TPoly.t_power(ai) * c for c in row] for row, ai in zip(C, a)]
+        calls = []
+        monkeypatch.setattr(linalg, "int_det", lambda M: calls.append(M) or int_det(M))
+        assert tpoly_det(A) == TPoly.t_power(sum(a)) * int_det(C)
+        assert len(calls) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-50, 50), max_size=6), st.integers(2, 6), st.data())
