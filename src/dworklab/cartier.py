@@ -73,9 +73,7 @@ class FormalExpansion:
     shifts, so each index is certain.  A missing index reads as 0.
     """
 
-    n: int
     coeffs: dict
-    modulus: int | None = None
     budget: int | None = None
     psi: tuple | None = None
     delta: int | None = None
@@ -189,7 +187,7 @@ def expand_vertex(
     if m < 1:
         raise ValueError(f"pole order m must be >= 1, not {m}")
     if h.is_zero():
-        return FormalExpansion(f.n, {}, modulus, budget, (0,) * f.n, 1)
+        return FormalExpansion({}, budget, (0,) * f.n, 1)
     b = tuple(b)
     ring = Ring(modulus)
     fb = _vertex_scalar(f.coefficient_at(b))
@@ -251,9 +249,7 @@ def expand_vertex(
         out[v] = TPoly(c) if by_t and c else c
     for v in [v for v, c in out.items() if not c]:
         del out[v]
-    return FormalExpansion(
-        f.n, out, modulus, budget, psi, delta, tuple(sorted(set(shifts))), normals
-    )
+    return FormalExpansion(out, budget, psi, delta, tuple(sorted(set(shifts))), normals)
 
 
 def _region(gens, cap: int, n: int, reachable):
@@ -521,7 +517,7 @@ class _PowerTable:
             c = ring.reduce(TPoly(acc))
             if c:
                 coeffs[v] = c
-        return FormalExpansion(self.g.n, coeffs, self.modulus)
+        return FormalExpansion(coeffs)
 
 
 def expand_origin(
@@ -593,21 +589,17 @@ class CartierImage:
     f_sigma: LaurentPoly
 
     def expansion(self, base, budget) -> FormalExpansion:
-        """The vertex expansion at `base`, to `budget`, mod p^N: sum_r c_r
-        times the expansion of Q_r / f^sigma^{M_r}, reduced once.  Every term
-        shares f^sigma, base and budget, so the sum is certain where each
-        term is: under the union of their shifts.  With no terms it is the
-        zero expansion, certain everywhere."""
+        """The vertex expansion at `base`, to `budget`, mod p^N, of the image
+        as one fraction H / f^sigma^M over its largest pole order M, with H =
+        sum_r c_r Q_r (f^sigma)^(M - M_r).  Each shift of H is a shift of
+        some Q_r / f^sigma^{M_r} plus cone generators, so H certifies every
+        index that its terms certify.  With no terms H is zero, and its
+        expansion is the zero expansion, certain everywhere."""
         modulus = self.p**self.N
-        E = FormalExpansion(self.f_sigma.n, {}, modulus)
-        coeffs, shifts = {}, set()
-        for c_r, Q_r, pole in self.terms:
-            E = expand_vertex(Q_r, self.f_sigma, pole, base, budget, modulus)
-            for v, c in E.coeffs.items():
-                coeffs[v] = coeffs.get(v, 0) + c_r * c
-            shifts.update(E.shifts)
-        coeffs = {v: r for v, c in coeffs.items() if (r := c % modulus)}
-        return replace(E, coeffs=coeffs, shifts=tuple(sorted(shifts)))
+        M = max((pole for _, _, pole in self.terms), default=1)
+        H = sum((Q_r.scale(c_r) * power_mod(self.f_sigma, M - pole, modulus)
+                 for c_r, Q_r, pole in self.terms), LaurentPoly(self.f_sigma.n))
+        return expand_vertex(H.reduce_mod(modulus), self.f_sigma, M, base, budget, modulus)
 
 
 def cartier_via_formula(
@@ -632,6 +624,8 @@ def cartier_via_formula(
     odd_prime(p)  # the Cartier contraction bound needs p > 2
     if N < 1:
         raise ValueError("precision N must be >= 1")
+    if m < 1:
+        raise ValueError(f"pole order m must be >= 1, not {m}")
     modulus = p**N
     mceil = -(-m // p)
     G = frobenius_discrepancy(f, sigma, p)

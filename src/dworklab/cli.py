@@ -208,29 +208,29 @@ def cmd_crosscheck(args, fmt):
     return 0 if report["pass"] else 1
 
 
-# `verify`'s grid flags and their values without --job; they default to None,
-# so that one given beside --job can be refused
-VERIFY_GRID = {"primes": [3, 5, 7], "smax": 2, "bound": 30, "dims": [2]}
+# `verify`'s grid flags and the JobSpec fields they set; they default to
+# None, so that one given beside --job can be refused
+VERIFY_GRID = {"primes": "primes", "smax": "s_max", "bound": "bound", "dims": "dimensions"}
 
 
 def cmd_verify(args, fmt):
     suite = SUITES.get(args.suite)
     if suite is None:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    grid = {flag: getattr(args, flag) for flag in VERIFY_GRID}
+    given = {flag: getattr(args, flag) for flag in VERIFY_GRID if getattr(args, flag) is not None}
     if args.job:
-        if given := [f"--{flag}" for flag, value in grid.items() if value is not None]:
-            raise ValueError(f"{', '.join(given)} not allowed with --job: the job file sets the grid")
+        if given:
+            flags = ", ".join(f"--{flag}" for flag in given)
+            raise ValueError(f"{flags} not allowed with --job: the job file sets the grid")
         with open(args.job) as fh:
             job = JobSpec.from_json(fh.read())
     else:
-        primes, smax, bound, dims = (VERIFY_GRID[f] if v is None else v for f, v in grid.items())
-        job = JobSpec(primes=tuple(primes), s_max=smax, bound=bound, seed=args.seed,
-                      dimensions=tuple(dims))
+        fields = {VERIFY_GRID[flag]: value for flag, value in given.items()}
         if args.poly:
             f, g = _read_poly_file(args.poly)
             key, value = ("polynomials", f) if g is None else ("families", g)
-            job = JobSpec(**{**job.__dict__, key: ((args.poly, value),)})
+            fields[key] = ((args.poly, value),)
+        job = JobSpec(seed=args.seed, **fields)
     t0 = time.perf_counter()
     report = suite(job)
     report.elapsed = time.perf_counter() - t0
@@ -418,10 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()  # a job file names its own polynomials
     source.add_argument("--poly")
     source.add_argument("--job", help="JobSpec JSON file")
-    p.add_argument("--primes", type=lambda s: [_odd_prime(x) for x in s.split(",")])
+    p.add_argument("--primes", type=lambda s: tuple(_odd_prime(x) for x in s.split(",")))
     p.add_argument("--smax", type=int)
     p.add_argument("--bound", type=int)
-    p.add_argument("--dims", type=lambda s: [int(x) for x in s.split(",")])
+    p.add_argument("--dims", type=lambda s: tuple(int(x) for x in s.split(",")))
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("cy", help="Calabi-Yau family pipeline")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .arith import TPoly, odd_prime, val_p
 from .laurent import FrobeniusLift, LaurentPoly, family_from_json, poly_from_json
-from .linalg import mat_mul
+from .linalg import mat_mul, mat_pow
 from .polytope import interior, newton_polytope, whole_polytope
 from .hasse_witt import beta_matrix, hw_condition, lambda_unit_root
 from .cartier import constant_term_series, expand_vertex, vertex_budget
@@ -59,11 +59,13 @@ class JobSpec:
         if not isinstance(obj, dict):
             raise ValueError("job JSON must be an object at the top level")
 
-        def field(name, default, ok, what):
-            value = obj.get(name, default)
-            if not ok(value):
-                raise ValueError(f'"{name}" must be {what}, not {value!r}')
-            return value
+        fields = {}  # a key the file omits keeps the field's default
+
+        def field(name, ok, what, value_of=tuple):
+            if name in obj:
+                if not ok(obj[name]):
+                    raise ValueError(f'"{name}" must be {what}, not {obj[name]!r}')
+                fields[name] = value_of(obj[name])
 
         def int_list(v):
             return isinstance(v, (list, tuple)) and all(type(x) is int for x in v)
@@ -71,23 +73,18 @@ class JobSpec:
         def objects(v):
             return isinstance(v, list) and all(isinstance(x, dict) for x in v)
 
-        curves = field("curves", [], lambda v: isinstance(v, list) and all(
+        field("curves", lambda v: isinstance(v, list) and all(
             isinstance(c, list) and len(c) == 2 and int_list(c) for c in v),
-            "a list of integer pairs [A, B]")
-        polys = field("polynomials", [], objects, "a list of polynomial objects")
-        fams = field("families", [], objects, "a list of family objects")
-        primes = field("primes", (3, 5, 7), lambda v: isinstance(v, (list, tuple)),
-                       "a list of odd primes")
-        return JobSpec(
-            primes=tuple(primes),
-            s_max=field("s_max", 2, lambda v: type(v) is int, "an integer"),
-            bound=field("bound", 30, lambda v: type(v) is int, "an integer"),
-            seed=field("seed", 0, lambda v: type(v) is int, "an integer"),
-            polynomials=tuple((e.get("label", "poly"), poly_from_json(e)) for e in polys),
-            families=tuple((e.get("label", "family"), family_from_json(e)[1]) for e in fams),
-            curves=tuple(tuple(c) for c in curves),
-            dimensions=tuple(field("dimensions", (2,), int_list, "a list of integers")),
-        )
+            "a list of integer pairs [A, B]", lambda v: tuple(map(tuple, v)))
+        field("polynomials", objects, "a list of polynomial objects", lambda v: tuple(
+            (e.get("label", "poly"), poly_from_json(e)) for e in v))
+        field("families", objects, "a list of family objects", lambda v: tuple(
+            (e.get("label", "family"), family_from_json(e)[1]) for e in v))
+        field("primes", lambda v: isinstance(v, (list, tuple)), "a list of odd primes")
+        for name in ("s_max", "bound", "seed"):
+            field(name, lambda v: type(v) is int, "an integer", int)
+        field("dimensions", int_list, "a list of integers")
+        return JobSpec(**fields)
 
 
 @dataclass
@@ -166,14 +163,7 @@ def _hhw_cell(label, f, mu_name, mu, p, s):
     # first congruence, mod p
     bp = beta_matrix(f, mu, p, p, 1)
     bps = beta_matrix(f, mu, p**s, p, 1)
-    prod = bp.entries
-    for _ in range(s - 1):
-        prod = mat_mul(prod, bp.entries, p)
-    first_ok = all(
-        (prod[i][j] - bps.entries[i][j]) % p == 0
-        for i in range(len(prod))
-        for j in range(len(prod))
-    )
+    first_ok = mat_pow(bp.entries, s, p) == bps.entries
     cell["first_congruence"] = first_ok
     # second congruence, mod p^s
     if not hw_condition(f, mu, p):

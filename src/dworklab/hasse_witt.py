@@ -129,6 +129,8 @@ def lambda_unit_root(
     order must be supplied and the result is exact mod (p^s, t^t_trunc).
     """
     odd_prime(p)
+    if s < 1:
+        raise ValueError(f"need s >= 1, not s = {s!r}")
     if not hw_condition(f, mu, p):
         raise HWConditionError(0)
     num = beta_matrix(f, mu, p**s, p, s)
@@ -169,7 +171,8 @@ def higher_F_polynomial(
 def _F_formula(f: LaurentPoly, fxp: LaurentPoly, k: int, p: int, modulus: int | None):
     """The formula of `higher_F_polynomial` given f and fxp = f^sigma(x^p)."""
     reduce = Ring(modulus).reduce
-    diff = reduce(fxp - power_mod(f, p, modulus))
+    if k > 1:  # level 1 is F = f^(p-1), which reads no diff
+        diff = reduce(fxp - power_mod(f, p, modulus))
     acc = LaurentPoly(f.n)
     diff_pow = LaurentPoly.constant(f.n, 1)
     fxp_pows = [LaurentPoly.constant(f.n, 1)]

@@ -119,11 +119,6 @@ def newton_polytope(points) -> LatticePolytope:
         raise DegenerateSupportError(
             "support is not full-dimensional; the Newton polytope must have interior"
         )
-    if n == 1:
-        lo = min(p[0] for p in pts)
-        hi = max(p[0] for p in pts)
-        return LatticePolytope(1, [(lo,), (hi,)], [((1,), lo), ((-1,), -hi)])
-
     facets = set()
     for j, b0 in enumerate(pts):
         diffs = [[p[i] - b0[i] for i in range(n)] for p in pts]

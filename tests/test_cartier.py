@@ -134,12 +134,14 @@ class TestExpandVertex:
         assert all(E.is_complete(v) for v in targets)
 
     def test_empty_certificate_is_complete_everywhere(self):
-        # no shifts and no budget: the expansion of a Cartier image with no
-        # terms, and an origin expansion, certify every index
+        # no shifts: the expansion of a Cartier image with no terms (the zero
+        # expansion, to the budget asked) and an origin expansion (no budget)
+        # certify every index
         empty = CartierImage([], 5, 2, TRIANGLE).expansion((0, 0), 4)
         origin = expand_origin(ONE2, TRIANGLE, 1, 3, 25, targets=[(1, 1)])
+        assert empty.budget == 4 and origin.budget is None
         for E in (empty, origin):
-            assert E.shifts == () and E.budget is None
+            assert E.shifts == ()
             assert E.is_complete((0, 0)) and E.is_complete((3, -2))
 
 
@@ -366,7 +368,7 @@ class TestExpandOrigin:
 class TestCartierShift:
     def test_index_decimation(self):
         E = FormalExpansion(
-            2, {(0, 0): 1, (3, 0): 5, (1, 0): 2},
+            {(0, 0): 1, (3, 0): 5, (1, 0): 2},
             budget=10, psi=(1, 1), delta=1,
             shifts=((0, 0),), cone_normals=((1, 0), (0, 1)),
         )
@@ -453,10 +455,11 @@ class TestCartierImage:
     def test_terms_and_expansion_match_whole_products(self):
         # random integer h and f with negative exponents, n <= 3, p in
         # {3, 5, 7}, m <= 4, N <= 3: the decimating product gives the terms
-        # of the whole products, and the image expansion is the sum of the
-        # term expansions under the union of their shifts
+        # of the whole products, and on [-4, 4]^n the image expansion
+        # certifies every index that the sum of the term expansions does,
+        # with the same coefficient mod p^N
         rng = random.Random(27)
-        with_terms = 0
+        with_terms = checked = 0
         for _ in range(150):
             n, p = rng.randint(1, 3), rng.choice((3, 5, 7))
             f, base = random_unit_vertex_poly(rng, n, p)
@@ -469,18 +472,38 @@ class TestCartierImage:
             assert img.terms == whole_product_terms(h, f, m, p, N), (h, f, m, p, N)
             with_terms += bool(img.terms)
 
+            # the oracle: the sum of the term expansions, certain under the
+            # union of their shifts
             modulus, budget = p**N, rng.randint(1, 5)
-            coeffs, shifts = {}, set()
+            oracle = FormalExpansion({})
             for c_r, Q_r, pole in img.terms:
                 E = expand_vertex(Q_r, img.f_sigma, pole, base, budget, modulus)
-                for v, c in E.coeffs.items():
-                    coeffs[v] = (coeffs.get(v, 0) + c_r * c) % modulus
-                shifts |= set(E.shifts)
+                coeffs = {v: (oracle.coefficient(v) + c_r * E.coefficient(v)) % modulus
+                          for v in oracle.coeffs.keys() | E.coeffs.keys()}
+                shifts = set(oracle.shifts) | set(E.shifts)
+                oracle = replace(E, coeffs=coeffs, shifts=tuple(sorted(shifts)))
             image = img.expansion(base, budget)
-            assert image.coeffs == {v: c for v, c in coeffs.items() if c}
-            assert image.shifts == tuple(sorted(shifts))
-            assert image.budget == (budget if img.terms else None)
-        assert with_terms > 100
+            for v in itertools.product(range(-4, 5), repeat=n):
+                if oracle.is_complete(v):
+                    checked += 1
+                    assert image.is_complete(v), (h, f, m, p, N, budget, v)
+                    assert (image.coefficient(v) - oracle.coefficient(v)) % modulus == 0
+        assert with_terms > 100 and checked > 20000
+
+    def test_one_vertex_expansion_per_image(self, monkeypatch):
+        # the image is one fraction over f^sigma: one expansion, not one per term
+        img = cartier_via_formula(ONE2, TRIANGLE, 1, 3, ID, 3)
+        assert [pole for _, _, pole in img.terms] == [1, 2, 3]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return expand_vertex(*args)
+
+        monkeypatch.setattr(cartier, "expand_vertex", counting)
+        image = img.expansion((0, 0), 6)
+        assert len(calls) == 1 and calls[0][2] == 3
+        assert image.coeffs
 
 
 def random_unit_vertex_poly(rng, n, p):

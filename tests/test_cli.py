@@ -217,6 +217,14 @@ class TestExitCodes:
             (["gamma-p", "--prime", "5", "--x", "1/5"], "must be a p-adic integer"),
             (["cartier", "--poly", "triangle.json", "--prime", "3", "--bound", "-1"],
              "--bound must be >= 0, not -1"),
+            (["cartier", "--poly", "triangle.json", "--prime", "5", "--pole", "0"],
+             "pole order m must be >= 1, not 0"),
+            (["cartier", "--poly", "triangle.json", "--prime", "5", "--pole", "-2"],
+             "pole order m must be >= 1, not -2"),
+            (["lambda", "--poly", "simplicial.json", "--prime", "5", "--steps", "0"],
+             "need s >= 1, not s = 0"),
+            (["lambda", "--poly", "simplicial.json", "--prime", "5", "--steps", "-1"],
+             "need s >= 1, not s = -1"),
             (["verify", "gauss", "--primes", "3", "--dims", "0"], '"dimensions"'),
             (["verify", "dwork", "--primes", "3", "--dims", "2,0"], '"dimensions"'),
         ],
@@ -225,7 +233,8 @@ class TestExitCodes:
              "cy-frobenius-no-operator",
              "gamma-ratio-s-0", "gamma-ratio-s--1", "gamma-p-precision--1",
              "gamma-p-x-zero-denominator", "gamma-p-x-p-in-denominator",
-             "cartier-bound--1", "gauss-dims-0", "dwork-dims-0"],
+             "cartier-bound--1", "cartier-pole-0", "cartier-pole--2", "lambda-steps-0",
+             "lambda-steps--1", "gauss-dims-0", "dwork-dims-0"],
     )
     def test_out_of_range_input_is_2(
         self, capsys, monkeypatch, tmp_path, triangle_file, family_file, argv, needle

@@ -378,6 +378,22 @@ class TestHigherHW:
         assert higher_hw_alternative_check(g, mu, 1, 5)
         assert higher_hw_alternative_check(family_poly(g), mu, 1, 5, g=g)
 
+    def test_level_one_F_is_one_power(self, monkeypatch):
+        # F = f^(p-1) at level 1: f^p and the difference it feeds are not formed
+        import dworklab.hasse_witt as H
+
+        calls = []
+
+        def counting(f, m, modulus=None):
+            calls.append(m)
+            return power_mod(f, m, modulus)
+
+        monkeypatch.setattr(H, "power_mod", counting)
+        f = LaurentPoly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (-1, -1): -1})
+        F = higher_F_polynomial(f, 1, 5, ID)
+        assert calls == [4]
+        assert F == power_mod(f, 4)
+
     def test_default_lift_is_t_power(self):
         # with no lift passed a family gets t -> t^p, the lift of `dworklab higher-hw`
         ft = family_poly(SIMPLICIAL2)

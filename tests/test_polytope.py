@@ -35,7 +35,8 @@ class TestHull:
     def test_segment(self):
         P = newton_polytope([(0,), (1,)])
         assert P.vertices == ((0,), (1,))
-        assert P.facets == (((1,), 0), ((-1,), -1))
+        # the general hull: facets in sorted order, as in every dimension
+        assert P.facets == (((-1,), -1), ((1,), 0))
 
     def test_interior_point_not_vertex(self):
         P = newton_polytope(SIMPLEX + [(0, 0)])
