@@ -31,8 +31,8 @@ from .polytope import (
 )
 from .hasse_witt import (
     HWConditionError,
+    beta_matrix,
     higher_hw_condition,
-    hw_matrix,
     lambda_unit_root,
 )
 from .cartier import (
@@ -125,7 +125,7 @@ def _load_mu(args):
 
 def cmd_hw(args, fmt):
     f, mu = _load_mu(args)
-    M = hw_matrix(f, mu, args.prime, args.precision)
+    M = beta_matrix(f, mu, args.prime, args.prime, args.precision)
     _emit(M.to_json(), fmt)
     return 0
 
@@ -133,7 +133,7 @@ def cmd_hw(args, fmt):
 def cmd_lambda(args, fmt):
     f, mu = _load_mu(args)
     sigma = FrobeniusLift.t_power(args.prime)
-    M = lambda_unit_root(f, mu, args.prime, sigma, args.steps, t_trunc=args.t_trunc)
+    M = lambda_unit_root(f, mu, args.prime, sigma, args.steps, t_trunc=args.t_trunc)[-1]
     _emit(M.to_json(), fmt)
     return 0
 

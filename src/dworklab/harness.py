@@ -18,7 +18,7 @@ from .arith import TPoly, odd_prime, val_p
 from .laurent import FrobeniusLift, LaurentPoly, family_from_json, poly_from_json
 from .linalg import mat_mul, mat_pow
 from .polytope import interior, newton_polytope, whole_polytope
-from .hasse_witt import beta_matrix, hw_condition, lambda_unit_root
+from .hasse_witt import HWConditionError, beta_matrix, lambda_unit_root
 from .cartier import constant_term_series, expand_vertex, vertex_budget
 from .zeta import frobenius_trace_elliptic, asd_alpha
 from .cy import preset_family
@@ -145,10 +145,7 @@ def suite_hhw(job: JobSpec) -> SuiteReport:
         P = newton_polytope(f.support() | {(0,) * f.n})
         for mu_name, mu in (("interior", interior(P)), ("whole", whole_polytope(P))):
             for p in job.primes:
-                for s in range(1, job.s_max + 1):
-                    cells.append(
-                        _hhw_cell(label, f, mu_name, mu, p, s)
-                    )
+                cells += _hhw_cells(label, f, mu_name, mu, p, job.s_max)
     grid = {
         "polynomials": [label for label, _ in polys],
         "mu": ["interior", "whole"],
@@ -158,36 +155,39 @@ def suite_hhw(job: JobSpec) -> SuiteReport:
     return _finish("hhw", grid, cells, job.seed)
 
 
-def _hhw_cell(label, f, mu_name, mu, p, s):
-    cell = {"poly": label, "mu": mu_name, "p": p, "s": s}
-    # first congruence, mod p
-    bp = beta_matrix(f, mu, p, p, 1)
-    bps = beta_matrix(f, mu, p**s, p, 1)
-    first_ok = mat_pow(bp.entries, s, p) == bps.entries
-    cell["first_congruence"] = first_ok
-    # second congruence, mod p^s
-    if not hw_condition(f, mu, p):
-        cell["status"] = "skip"
-        cell["reason"] = "hasse-witt condition fails (supersingular cell)"
-        cell["pass"] = first_ok
-        if not first_ok:
-            cell["status"] = "fail"
-        return cell
-    ident = FrobeniusLift.identity()
-    lhs = [[x % p**s for x in row]
-           for row in lambda_unit_root(f, mu, p, ident, s + 1).entries]
-    rhs = lambda_unit_root(f, mu, p, ident, s).entries
-    second_ok = lhs == rhs
-    cell["second_congruence"] = second_ok
-    ok = first_ok and second_ok
-    cell["status"] = "ok" if ok else "fail"
-    if not ok:
-        cell["witness"] = {
-            "lhs": [[str(x) for x in row] for row in lhs],
-            "rhs": [[str(x) for x in row] for row in rhs],
-            "modulus": f"{p}^{s}",
-        }
-    return cell
+def _hhw_cells(label, f, mu_name, mu, p, s_max):
+    """The cells s = 1..s_max of one (f, mu, p), from one unit-root ladder."""
+    bp = beta_matrix(f, mu, p, p, 1).entries
+    try:
+        ladder = lambda_unit_root(f, mu, p, FrobeniusLift.identity(), s_max + 1)
+    except HWConditionError:
+        ladder = None
+    cells = []
+    for s in range(1, s_max + 1):
+        cell = {"poly": label, "mu": mu_name, "p": p, "s": s}
+        cells.append(cell)
+        # first congruence, mod p
+        first_ok = mat_pow(bp, s, p) == beta_matrix(f, mu, p**s, p, 1).entries
+        cell["first_congruence"] = first_ok
+        if ladder is None:
+            cell["reason"] = "hasse-witt condition fails (supersingular cell)"
+            cell["pass"] = first_ok
+            cell["status"] = "skip" if first_ok else "fail"
+            continue
+        # second congruence, mod p^s: Lambda_{s+1} reduced against Lambda_s
+        lhs = [[x % p**s for x in row] for row in ladder[s].entries]
+        rhs = ladder[s - 1].entries
+        second_ok = lhs == rhs
+        cell["second_congruence"] = second_ok
+        ok = first_ok and second_ok
+        cell["status"] = "ok" if ok else "fail"
+        if not ok:
+            cell["witness"] = {
+                "lhs": [[str(x) for x in row] for row in lhs],
+                "rhs": [[str(x) for x in row] for row in rhs],
+                "modulus": f"{p}^{s}",
+            }
+    return cells
 
 
 def suite_generalized_dwork(job: JobSpec) -> SuiteReport:
@@ -200,26 +200,24 @@ def suite_generalized_dwork(job: JobSpec) -> SuiteReport:
         P = newton_polytope(f.support() | {(0,) * f.n})
         mu = whole_polytope(P)
         for p in job.primes:
-            ordinary = hw_condition(f, mu, p)
+            try:
+                ladder = lambda_unit_root(f, mu, p, FrobeniusLift.identity(), job.s_max)
+            except HWConditionError:
+                ladder = None
+            else:  # each beta_{m p^k} once, mod p^s_max; a cell reads it reduced
+                ms = {m * p**k for m in (1, 2, 3) for k in range(job.s_max + 1)}
+                beta = {e: beta_matrix(f, mu, e, p, job.s_max).entries for e in sorted(ms)}
             for s in range(1, job.s_max + 1):
-                if ordinary:
-                    lam = lambda_unit_root(f, mu, p, FrobeniusLift.identity(), s)
                 for m in (1, 2, 3):
                     cell = {"poly": label, "p": p, "s": s, "m": m}
-                    if not ordinary:
-                        cell["status"] = "skip"
-                        cell["reason"] = "hasse-witt condition fails"
-                        cells.append(cell)
+                    cells.append(cell)
+                    if ladder is None:
+                        cell.update(status="skip", reason="hasse-witt condition fails")
                         continue
                     modulus = p**s
-                    lhs = beta_matrix(f, mu, m * p**s, p, s).entries
-                    rhs = mat_mul(
-                        lam.entries,
-                        beta_matrix(f, mu, m * p ** (s - 1), p, s).entries,
-                        modulus,
-                    )
+                    lhs = [[x % modulus for x in row] for row in beta[m * p**s]]
+                    rhs = mat_mul(ladder[s - 1].entries, beta[m * p ** (s - 1)], modulus)
                     cell["status"] = "ok" if lhs == rhs else "fail"
-                    cells.append(cell)
     grid = {"polynomials": [l for l, _ in polys], "primes": list(job.primes)}
     return _finish("generalized-dwork", grid, cells, job.seed)
 
@@ -276,7 +274,7 @@ def suite_asd(job: JobSpec) -> SuiteReport:
             )
             mu = interior(newton_polytope(f.support() | {(0, 0), (3, 0), (0, 2)}))
             s_top = max(job.s_max, 3)
-            lam = lambda_unit_root(f, mu, p, FrobeniusLift.identity(), s_top)
+            lam = lambda_unit_root(f, mu, p, FrobeniusLift.identity(), s_top)[-1]
             lam_val = lam.entries[0][0]
             quad = (lam_val * lam_val - a_p * lam_val + p) % p**s_top == 0
             cell["lambda"] = lam_val

@@ -5,8 +5,8 @@ matrix beta_m(mu) indexed by the lattice points of mu has (u, v) entry equal
 to the coefficient of x^(m*v - u) in f^(m-1).  beta_p is the Hasse-Witt
 matrix; when its determinant is a unit mod p the ratios
 beta_{p^s} sigma(beta_{p^{s-1}})^{-1} stabilise p-adically and their limit is
-the unit-root (Cartier) matrix Lambda(mu), which we always manipulate at a
-finite precision p^s.
+the unit-root (Cartier) matrix Lambda(mu).  One lambda_unit_root call gives
+its values at finite precision, Lambda_k mod p^k for k = 1..s.
 
 Every matrix here reads its (u, v) entry at one index rule, m*v - u (m = p
 for Hasse-Witt matrices), row by row.  A beta matrix is one call of
@@ -31,7 +31,7 @@ from .laurent import (
     power_mod,
     regroup_t,
 )
-from .linalg import int_det, mat_mul, tmat_inv_series, tpoly_det
+from .linalg import identity_matrix, int_det, mat_mul, tmat_inv_series, tpoly_det
 from .polytope import OpenSubset, lattice_points_in_dilate
 from .cartier import expand_origin, expand_vertex, unit_vertex, vertex_budget
 
@@ -96,23 +96,19 @@ def beta_matrix(
     return BetaMatrix(tuple(points), _rows(flat, len(points)), p, N)
 
 
-def hw_matrix(f: LaurentPoly, mu: OpenSubset, p: int, N: int) -> BetaMatrix:
-    """The Hasse-Witt matrix beta_p(mu)."""
-    return beta_matrix(f, mu, p, p, N)
+def _hw_det(bp: BetaMatrix) -> int:
+    """det(beta_p) mod p: the Hasse-Witt condition holds when it is nonzero.
+
+    A TPoly entry contributes its constant term, so for a family the
+    condition is invertibility in Z_p[[t]]; families needing a cleared
+    denominator are handled by the valuation-aware higher_hw_condition.
+    """
+    return int_det([[TPoly.coerce(e)[0] % bp.p for e in row] for row in bp.entries]) % bp.p
 
 
 def hw_condition(f: LaurentPoly, mu: OpenSubset, p: int) -> bool:
-    """Whether det(beta_p(mu)) is a unit mod p (p ordinary for (f, mu)).
-
-    For one-parameter families "unit" is operationalised as: the constant
-    t-coefficient of the determinant is a unit mod p, so TPoly entries
-    contribute their constant term.  This captures invertibility in
-    Z_p[[t]]; families needing a cleared denominator are handled by the
-    valuation-aware higher_hw_condition instead.
-    """
-    M = hw_matrix(f, mu, p, 1)
-    ent = [[e[0] % p if isinstance(e, TPoly) else e % p for e in row] for row in M.entries]
-    return int_det(ent) % p != 0
+    """Whether det(beta_p(mu)) is a unit mod p (p ordinary for (f, mu)), by `_hw_det`."""
+    return _hw_det(beta_matrix(f, mu, p, p, 1)) != 0
 
 
 def lambda_unit_root(
@@ -122,30 +118,34 @@ def lambda_unit_root(
     sigma: FrobeniusLift,
     s: int,
     t_trunc: int | None = None,
-) -> BetaMatrix:
-    """Unit-root matrix Lambda(mu) mod p^s as beta_{p^s} sigma(beta_{p^{s-1}})^{-1}.
-
-    For one-parameter families the inverse is a t-series, so a truncation
-    order must be supplied and the result is exact mod (p^s, t^t_trunc).
-    """
+) -> list:
+    """The ladder [Lambda_1, ..., Lambda_s], Lambda_k = Lambda(mu) mod p^k as
+    beta_{p^k} sigma(beta_{p^{k-1}})^{-1}, each beta_{p^k} built once mod p^s.
+    beta_p comes first, and a failing Hasse-Witt condition raises
+    HWConditionError before any higher beta is built.  A t-family's inverse is
+    a t-series: t_trunc must be given, and Lambda_k is exact mod (p^k, t^t_trunc)."""
     odd_prime(p)
     if s < 1:
         raise ValueError(f"need s >= 1, not s = {s!r}")
-    if not hw_condition(f, mu, p):
+    bp = beta_matrix(f, mu, p, p, s)
+    if _hw_det(bp) == 0:
         raise HWConditionError(0)
-    num = beta_matrix(f, mu, p**s, p, s)
-    den = beta_matrix(f, mu, p ** (s - 1), p, s)
-    # a t-family's beta entries are TPolys, and its Lambda lives in the
-    # series ring mod t^t_trunc; an integer Lambda ignores t_trunc
-    series = num.is_tpoly() or den.is_tpoly()
-    if series and (t_trunc is None or t_trunc < 1):
-        raise ValueError("t-family Lambda needs a truncation order t_trunc >= 1")
-    ring = Ring(p**s, t_trunc if series else None)
-    twist = sigma.scalar_map(ring.modulus, ring.T)
-    twisted = [[ring.reduce(twist(e)) for e in row] for row in den.entries]
-    inv = tmat_inv_series(twisted, ring.modulus, ring.T)
-    lam = [[ring.reduce(e) for e in row] for row in mat_mul(num.entries, inv)]
-    return BetaMatrix(num.index, lam, p, s)
+    betas = [BetaMatrix(bp.index, identity_matrix(bp.size()), p, s), bp]  # f^0 = 1
+    betas += [beta_matrix(f, mu, p**k, p, s) for k in range(2, s + 1)]
+    ladder = []
+    for k, (den, num) in enumerate(zip(betas, betas[1:]), 1):
+        # a t-family's beta entries are TPolys, and its Lambda lives in the
+        # series ring mod t^t_trunc; an integer Lambda ignores t_trunc
+        series = num.is_tpoly() or den.is_tpoly()
+        if series and (t_trunc is None or t_trunc < 1):
+            raise ValueError("t-family Lambda needs a truncation order t_trunc >= 1")
+        ring = Ring(p**k, t_trunc if series else None)
+        twist = sigma.scalar_map(ring.modulus, ring.T)
+        twisted = [[ring.reduce(twist(e)) for e in row] for row in den.entries]
+        inv = tmat_inv_series(twisted, ring.modulus, ring.T)
+        lam = [[ring.reduce(e) for e in row] for row in mat_mul(num.entries, inv)]
+        ladder.append(BetaMatrix(num.index, lam, p, k))
+    return ladder
 
 
 # -- higher levels ----------------------------------------------------

@@ -145,13 +145,15 @@ class OpenSubset:
 
     def contains(self, u, k: int = 1) -> bool:
         """Membership of u in the k-fold dilate k*mu."""
-        P = self.polytope
-        return P.contains(u, k) and all(
-            _dot(P.facets[i][0], u) != k * P.facets[i][1] for i in self.removed
-        )
+        return self.polytope.contains(u, k) and self._off_removed(u, k)
 
     def lattice_points(self, k: int = 1):
-        return [u for u in self.polytope.lattice_points(k) if self.contains(u, k)]
+        return [u for u in self.polytope.lattice_points(k) if self._off_removed(u, k)]
+
+    def _off_removed(self, u, k: int) -> bool:
+        """Whether u lies on none of the removed facets of k*P."""
+        P = self.polytope
+        return all(_dot(P.facets[i][0], u) != k * P.facets[i][1] for i in self.removed)
 
 
 def whole_polytope(P: LatticePolytope) -> OpenSubset:

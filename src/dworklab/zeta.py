@@ -18,7 +18,7 @@ from .arith import TPoly, odd_prime, teichmuller
 from .laurent import FrobeniusLift, LaurentPoly
 from .linalg import int_det, mat_inv_mod, mat_mul, mat_pow, mat_trace
 from .polytope import newton_polytope, whole_polytope
-from .hasse_witt import HWConditionError, beta_matrix, hw_matrix, lambda_unit_root
+from .hasse_witt import HWConditionError, beta_matrix, lambda_unit_root
 
 EVALUATION_BUDGET = 10**7
 
@@ -176,8 +176,7 @@ def eigenvalue_crosscheck(f: LaurentPoly, p: int, s_max: int):
     sign = (-1) ** (f.n + 1)
     rows = []
     all_ok = True
-    for s in range(1, s_max + 1):
-        lam = lambda_unit_root(f, mu, p, FrobeniusLift.identity(), s)
+    for s, lam in enumerate(lambda_unit_root(f, mu, p, FrobeniusLift.identity(), s_max), 1):
         modulus = p**s
         tr = mat_trace(mat_pow(lam.entries, s, modulus), modulus)
         cnt = count_torus_points(f, p, s)
@@ -225,7 +224,7 @@ def lambda_at_teichmuller(f_family: LaurentPoly, mu, a: int, p: int, s: int):
     stabilised ratio; because tau(a)^p = tau(a), this agrees with running the
     integer fibre through lambda_unit_root.
     """
-    hw = hw_matrix(f_family, mu, p, 1)
+    hw = beta_matrix(f_family, mu, p, p, 1)
     det = int_det(teichmuller_specialize(hw.entries, a, p, 1)) % p
     if det == 0:
         raise HWConditionError(det)

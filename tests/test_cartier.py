@@ -25,7 +25,7 @@ from dworklab.polytope import (
     whole_polytope,
 )
 from dworklab.harness import supercongruence_family
-from dworklab.hasse_witt import hw_matrix, lambda_unit_root
+from dworklab.hasse_witt import beta_matrix, lambda_unit_root
 from dworklab import cartier
 from dworklab.cartier import (
     _PowerTable,
@@ -399,7 +399,7 @@ class TestCartierViaFormula:
         f = TRIANGLE
         P = newton_polytope(f.support())
         pts = whole_polytope(P).lattice_points(1)
-        hw = hw_matrix(f, whole_polytope(P), 5, 1)
+        hw = beta_matrix(f, whole_polytope(P), 5, 5, 1)
         for iu, u in enumerate(pts):
             img = cartier_via_formula(LaurentPoly(2, {u: 1}), f, 1, 5, ID, 1)
             assert len(img.terms) == 1
@@ -641,7 +641,7 @@ class TestInterpolation:
         basis = [(LaurentPoly(n, {u: 1}), 1) for u in mu.lattice_points(1)]
         sigma = FrobeniusLift.t_power(p)
         interp = interpolate_cartier(g, basis, 1, p, sigma, s, T)
-        lam = lambda_unit_root(family_poly(g), mu, p, sigma, s, t_trunc=T)
+        lam = lambda_unit_root(family_poly(g), mu, p, sigma, s, t_trunc=T)[-1]
         assert interp.t_trunc > p
         cut = Ring(p**s, interp.t_trunc).reduce
         assert [[cut(e) for e in row] for row in interp.matrix] == \
@@ -749,7 +749,7 @@ class TestInterpolation:
         f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2})
         P = newton_polytope(f.support())
         pts = whole_polytope(P).lattice_points(1)
-        lam = lambda_unit_root(f, whole_polytope(P), 5, ID, 2)
+        lam = lambda_unit_root(f, whole_polytope(P), 5, ID, 2)[-1]
         for v_star in P.vertices:
             mu = vertex_star(P, v_star)
             inside = [i for i, u in enumerate(pts) if mu.contains(u)]

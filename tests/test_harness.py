@@ -286,6 +286,66 @@ class TestFailurePaths:
         assert not report.passed
 
 
+def plant_ladder_fault(monkeypatch, k):
+    """Make every unit-root ladder the suites read put Lambda_k[0][0] off by
+    p^(k-1), a change that survives reduction mod p^k and no further."""
+    real = H.lambda_unit_root
+
+    def planted(f, mu, p, sigma, s, t_trunc=None):
+        ladder = real(f, mu, p, sigma, s, t_trunc)
+        lam = ladder[k - 1]
+        lam.entries[0][0] = (lam.entries[0][0] + p ** (k - 1)) % p**k
+        return ladder
+
+    monkeypatch.setattr(H, "lambda_unit_root", planted)
+
+
+class TestBetaLadder:
+    @pytest.fixture
+    def beta_calls(self, monkeypatch):
+        import dworklab.hasse_witt as HW
+
+        calls = []
+        real = HW.beta_matrix
+
+        def counting(f, mu, m, p, N):
+            calls.append(m)
+            return real(f, mu, m, p, N)
+
+        monkeypatch.setattr(H, "beta_matrix", counting)
+        monkeypatch.setattr(HW, "beta_matrix", counting)
+        return calls
+
+    def test_hhw_builds_one_ladder_per_cell_triple(self, beta_calls):
+        # 18 (f, mu, p): one ladder of at most 3 betas and one beta_p mod p
+        # each, and one beta_{p^s} mod p per cell
+        report = suite_hhw(JobSpec())
+        assert report.passed and len(report.cells) == 36
+        assert len(beta_calls) <= 108
+
+    def test_generalized_dwork_builds_each_beta_once(self, beta_calls):
+        report = suite_generalized_dwork(JobSpec())
+        assert report.passed
+        # 9 (f, p): one ladder and one table of the betas m p^k, m <= 3, each
+        assert len(beta_calls) < 93
+
+    @pytest.mark.parametrize("suite", [suite_hhw, suite_generalized_dwork])
+    def test_planted_ladder_fault_fails_a_cell(self, monkeypatch, suite):
+        plant_ladder_fault(monkeypatch, JobSpec().s_max)
+        report = suite(JobSpec())
+        assert not report.passed
+        assert any(c["status"] == "fail" for c in report.cells)
+
+    @pytest.mark.parametrize("suite", ["hhw", "generalized-dwork"])
+    def test_planted_ladder_fault_exits_1(self, monkeypatch, capsys, suite):
+        from dworklab.cli import cli_main
+
+        assert cli_main(["verify", suite]) == 0
+        plant_ladder_fault(monkeypatch, JobSpec().s_max)
+        assert cli_main(["verify", suite]) == 1
+        capsys.readouterr()
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self):
         a = suite_dwork(JobSpec(primes=(3,), dimensions=(2,)))

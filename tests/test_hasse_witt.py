@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dworklab.arith import Ring, TPoly
@@ -34,7 +34,6 @@ from dworklab.hasse_witt import (
     higher_hw_condition,
     higher_hw_matrix,
     hw_condition,
-    hw_matrix,
     lambda_unit_root,
     level_valuation_target,
 )
@@ -109,7 +108,7 @@ class TestBetaMatrix:
         with pytest.raises(ValueError, match=f"{p} is not an odd prime"):
             beta_matrix(ELLIPTIC, mu_interior(ELLIPTIC), 5, p, 1)
         with pytest.raises(ValueError, match=f"{p} is not an odd prime"):
-            hw_matrix(ELLIPTIC, mu_interior(ELLIPTIC), p, 1)
+            hw_condition(ELLIPTIC, mu_interior(ELLIPTIC), p)
 
 
 class TestHWMatrix:
@@ -117,7 +116,7 @@ class TestHWMatrix:
         ft = family_poly(SIMPLICIAL2)
         P = newton_polytope(SIMPLICIAL2.support())
         for p in (5, 7):
-            M = hw_matrix(ft, interior(P), p, 2)
+            M = beta_matrix(ft, interior(P), p, p, 2)
             entry = M.entries[0][0]
             gamma = [
                 LaurentPoly.constant(2, 1)
@@ -141,13 +140,13 @@ class TestHWMatrix:
     def test_x_minus_a_diagonal(self):
         f = LaurentPoly(1, {(1,): 1, (0,): -3})
         P = newton_polytope(f.support())
-        M = hw_matrix(f, whole_polytope(P), 5, 2)
+        M = beta_matrix(f, whole_polytope(P), 5, 5, 2)
         assert M.entries == [[pow(-3, 4, 25), 0], [0, 1]]
 
     def test_vertex_star_is_unit_power(self):
         f = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         P = newton_polytope(f.support())
-        M = hw_matrix(f, vertex_star(P, (0, 0)), 7, 1)
+        M = beta_matrix(f, vertex_star(P, (0, 0)), 7, 7, 1)
         assert M.entries == [[1]]
 
 
@@ -176,11 +175,11 @@ class TestLambdaUnitRoot:
     def test_x_minus_a_is_identity(self):
         f = LaurentPoly(1, {(1,): 1, (0,): -3})
         P = newton_polytope(f.support())
-        M = lambda_unit_root(f, whole_polytope(P), 5, ID, 2)
+        M = lambda_unit_root(f, whole_polytope(P), 5, ID, 2)[-1]
         assert M.entries == [[1, 0], [0, 1]]
 
     def test_elliptic_mod_5(self):
-        M = lambda_unit_root(ELLIPTIC, mu_interior(ELLIPTIC), 5, ID, 1)
+        M = lambda_unit_root(ELLIPTIC, mu_interior(ELLIPTIC), 5, ID, 1)[-1]
         assert M.entries == [[3]]
 
     @pytest.mark.parametrize("p", [9, 4])
@@ -193,7 +192,7 @@ class TestLambdaUnitRoot:
         from dworklab.zeta import unit_root_elliptic
 
         assert unit_root_elliptic(-1, 0, 5, 2) == 13
-        M = lambda_unit_root(ELLIPTIC, mu_interior(ELLIPTIC), 5, ID, 2)
+        M = lambda_unit_root(ELLIPTIC, mu_interior(ELLIPTIC), 5, ID, 2)[-1]
         assert M.entries == [[13]]
 
     def test_supersingular_raises_with_det(self):
@@ -201,11 +200,47 @@ class TestLambdaUnitRoot:
             lambda_unit_root(ELLIPTIC, mu_interior(ELLIPTIC), 3, ID, 1)
         assert err.value.det_mod_p == 0
 
+    def test_supersingular_builds_nothing_above_beta_p(self, monkeypatch):
+        # x + y + 1/(xy) at p = 3: beta_3 on the interior is [[0]], so the
+        # ladder stops at its first rung
+        import dworklab.hasse_witt as HW
+
+        built = []
+
+        def counting(f, mu, m, p, N):
+            built.append(m)
+            return beta_matrix(f, mu, m, p, N)
+
+        monkeypatch.setattr(HW, "beta_matrix", counting)
+        f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
+        mu = interior(newton_polytope(f.support() | {(0, 0)}))
+        with pytest.raises(HWConditionError):
+            lambda_unit_root(f, mu, 3, ID, 3)
+        assert built == [3]
+
+    @pytest.mark.parametrize("p,mu_of", [(3, whole_polytope), (5, whole_polytope), (5, interior)])
+    def test_ladder_levels_are_the_one_level_matrices(self, p, mu_of):
+        # Lambda_k of one s = 3 call is beta_{p^k} beta_{p^(k-1)}^(-1) mod p^k,
+        # each beta built at p^k alone, and the top of the k-level call
+        f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2})
+        mu = mu_of(newton_polytope(f.support()))
+        ladder = lambda_unit_root(f, mu, p, ID, 3)
+        assert [M.N for M in ladder] == [1, 2, 3]
+        for k, M in enumerate(ladder, 1):
+            q = p**k
+            num = beta_matrix(f, mu, p**k, p, k).entries
+            den = beta_matrix(f, mu, p ** (k - 1), p, k).entries
+            assert M.entries == mat_mul(num, mat_inv_mod(den, q), q)
+            assert M.entries == lambda_unit_root(f, mu, p, ID, k)[-1].entries
+        for k in (1, 2):
+            reduced = [[e % p**k for e in row] for row in ladder[k].entries]
+            assert reduced == ladder[k - 1].entries
+
     def test_congruent_to_hw_mod_p(self):
         f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2})
         P = newton_polytope(f.support())
-        lam = lambda_unit_root(f, whole_polytope(P), 5, ID, 2)
-        hw = hw_matrix(f, whole_polytope(P), 5, 1)
+        lam = lambda_unit_root(f, whole_polytope(P), 5, ID, 2)[-1]
+        hw = beta_matrix(f, whole_polytope(P), 5, 5, 1)
         assert all(
             (lam.entries[i][j] - hw.entries[i][j]) % 5 == 0
             for i in range(4)
@@ -219,22 +254,24 @@ class TestLambdaUnitRoot:
             lambda_unit_root(ft, interior(P), 5, FrobeniusLift.t_power(5), 1)
 
     def test_family_dwork_ratio(self):
-        # Lambda(t) gamma(t^p) = gamma(t) mod (p^s, t^T)
+        # Lambda_k(t) gamma(t^p) = gamma(t) mod (p^k, t^T) at every level k
         ft = family_poly(SIMPLICIAL2)
         P = newton_polytope(SIMPLICIAL2.support())
         for p, s, T in ((5, 1, 12), (5, 2, 30), (7, 2, 30)):
-            lam = lambda_unit_root(
+            ladder = lambda_unit_root(
                 ft, interior(P), p, FrobeniusLift.t_power(p), s, t_trunc=T
             )
-            gam = constant_term_series(SIMPLICIAL2, T) % p**s
-            lhs = (lam.entries[0][0] * gam.subs_t_power(p)).truncate(T) % p**s
-            assert lhs == gam % p**s
+            assert len(ladder) == s
+            for k, lam in enumerate(ladder, 1):
+                gam = constant_term_series(SIMPLICIAL2, T) % p**k
+                lhs = (lam.entries[0][0] * gam.subs_t_power(p)).truncate(T) % p**k
+                assert lhs == gam % p**k
 
     def test_family_lift_runs_at_the_ring_precision(self):
         # sigma(beta_5) is taken mod t^20, the precision of Lambda's ring
         ft = family_poly(SIMPLICIAL2)
         P = newton_polytope(SIMPLICIAL2.support())
-        lam = lambda_unit_root(ft, interior(P), 5, FrobeniusLift.t_power(5), 2, t_trunc=20)
+        lam = lambda_unit_root(ft, interior(P), 5, FrobeniusLift.t_power(5), 2, t_trunc=20)[-1]
         assert lam.entries == [[TPoly([1, 0, 0, 6, 0, 0, 15, 0, 0, 5])]]
 
 
@@ -295,7 +332,7 @@ class TestStabilisationCongruences:
         mu = whole_polytope(P)
         for s in (1, 2):
             modulus = p**s
-            lam = lambda_unit_root(f, mu, p, ID, s)
+            lam = lambda_unit_root(f, mu, p, ID, s)[-1]
             lhs = beta_matrix(f, mu, m * p**s, p, s).entries
             rhs = mat_mul(
                 lam.entries, beta_matrix(f, mu, m * p ** (s - 1), p, s).entries, modulus
@@ -308,7 +345,7 @@ class TestHigherHW:
         ft = family_poly(SIMPLICIAL2)
         P = newton_polytope(SIMPLICIAL2.support())
         hh = higher_hw_matrix(ft, interior(P), 1, 5, FrobeniusLift.t_power(5), 2)
-        hw = hw_matrix(ft, interior(P), 5, 2)
+        hw = beta_matrix(ft, interior(P), 5, 5, 2)
         assert [[e % 25 for e in row] for row in hh.entries] == hw.entries
 
     def test_L_values(self):
@@ -369,6 +406,27 @@ class TestHigherHW:
         # the vertex route expands at the origin, whose coefficient is TPoly([1])
         f = supercongruence_family()
         assert higher_hw_alternative_check(f, whole_polytope(newton_polytope(f.support())), k, p)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        p=st.sampled_from([3, 5]),
+        k=st.sampled_from([1, 2]),
+    )
+    def test_alternative_formula_on_random_polynomials(self, data, p, k):
+        # the polynomial form of HW^(k) against the series form: with
+        # A = f^sigma(x^p), F = (A^k - (pG)^k) / f^k, so the two agree mod p^k
+        # for every integer f with a p-unit vertex
+        box = list(itertools.product(range(-1, 3), repeat=2))
+        support = data.draw(st.lists(st.sampled_from(box), min_size=3, max_size=5, unique=True))
+        coeffs = st.integers(-4, 4).filter(bool)
+        f = LaurentPoly(2, {u: data.draw(coeffs) for u in support})
+        try:
+            P = newton_polytope(f.support())
+        except DegenerateSupportError:
+            assume(False)
+        assume(any(f.coefficient_at(v) % p for v in P.vertices))
+        assert higher_hw_alternative_check(f, whole_polytope(P), k, p)
 
     def test_alternative_formula_on_an_empty_level(self):
         # the unit square has no interior point: HW^(1) is 0 x 0 on both routes

@@ -250,5 +250,5 @@ class TestTeichmullerSpecialize:
         fi = LaurentPoly(
             2, {(0, 0): 1, (1, 0): -tau, (0, 1): -tau, (-1, -1): -tau}
         )
-        lam = lambda_unit_root(fi, mu, p, FrobeniusLift.identity(), s)
+        lam = lambda_unit_root(fi, mu, p, FrobeniusLift.identity(), s)[-1]
         assert spec == lam.entries
