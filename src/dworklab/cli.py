@@ -344,6 +344,13 @@ def _odd_prime(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text} is not an odd prime") from None
 
 
+def _degree(text: str) -> int:
+    """argparse type for cy --degree: an int >= 0, else exit 2."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text}")
+    return int(text)
+
+
 def _rational(text: str) -> tuple[str, int | Fraction]:
     """argparse type for gamma-p --x: (text, value) for an integer or a/b
     with b != 0, else exit 2.  The text is echoed in the report."""
@@ -428,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("instanton", "frobenius", "excellent", "mirror"))
     p.add_argument("--family", default="quintic")
     p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--degree", type=int, default=10)
+    p.add_argument("--degree", type=_degree, default=10)
     p.add_argument("--prime", type=_odd_prime, default=7)
     p.add_argument("--steps", type=int, default=1)
     p.set_defaults(fn=cmd_cy)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .arith import ComposeTable, NonUnitError, Ring, TPoly, odd_prime, val_p_fraction
 from .laurent import FrobeniusLift, LaurentPoly, family_poly
@@ -194,36 +195,38 @@ class LogSeriesSolution:
     components: list  # TPoly F_0..F_index, known mod t^T
 
 
-def _eps_pow_linear(e0, m, k):
-    """(e0 + eps)^k as an epsilon-polynomial mod eps^m."""
-    return TPoly([math.comb(k, j) * e0 ** (k - j) for j in range(min(k, m - 1) + 1)])
-
-
 def standard_solutions(L: ThetaOperator, T: int):
     """The unique maximally-unipotent solution basis, by the Frobenius method.
 
-    Works in Q[eps]/(eps^m) on the operator's polynomials A_0, ..., A_m of
-    degree <= D: with c_0(eps) = 1 the recursion
+    With c_0(eps) = 1 and the operator's coefficients A_{i,j}, the recursion
     A_{0,0} (d+eps)^m c_d = - sum_{j=1..D} sum_{i=0..m} A_{i,j} (d-j+eps)^(m-i) c_{d-j}
-    has unit leading factors for d >= 1, and F_j(t) = sum_d [eps^j] c_d(eps) t^d.
+    in Q[eps]/(eps^m) gives F_j(t) = sum_d [eps^j] c_d(eps) t^d.  It runs on ints: A is
+    scaled by the lcm of its denominators, c_e is m numerators over the running lcm M
+    of the denominators, the sum over i is one eps-polynomial from binomial rows, and as
+    (d+eps)^(-m) = d^(1-2m) sum_{k<m} C(-m, k) d^(m-1-k) eps^k mod eps^m, each [eps^k] c_d
+    is one Fraction over -A_{0,0} d^(2m-1) M: no series inverse and no Fraction sums.
     """
-    m = L.order
-    A = [[Fraction(x) for x in coeffs] for coeffs in (L.leading, *L.lower)]
-    D = max(len(a) for a in A) - 1
-    c = [TPoly([Fraction(1)])]
-    # shifted[e][k] = (e + eps)^k c_e, made once per e and reused for every d
-    shifted = []
+    m, rows = L.order, (L.leading, *L.lower)
+    D = max(map(len, rows)) - 1
+    S = math.lcm(*[Fraction(x).denominator for row in rows for x in row])
+    A = [[int(x * S) for x in row] + [0] * (D + 1 - len(row)) for row in rows]
+    taylor = [(j, [[math.comb(k, l) * A[m - k][j] for k in range(l, m + 1)] for l in range(m)])
+              for j in range(1, D + 1) if any(a[j] for a in A)]
+    out = [[Fraction(1)] + [Fraction(0)] * (m - 1)]
+    X, M = [[0] * m] * (D - 1) + [[1] + [0] * (m - 1)], 1  # c_(d-D)..c_(d-1) over M
     for d in range(1, T):
-        shifted.append([_eps_pow_linear(d - 1, m, k).mul(c[-1], m) for k in range(m + 1)])
-        acc = TPoly()
-        for j in range(1, min(D, d) + 1):
-            for i, a in enumerate(A):
-                if j < len(a) and a[j]:
-                    acc += shifted[d - j][m - i] * a[j]
-        lead_inv = (_eps_pow_linear(d, m, m) * A[0][0]).inverse_series(m)
-        c.append(-lead_inv.mul(acc, m))
-    # Fraction(...) keeps the zeros stripped from c_d rational
-    F = [TPoly([Fraction(cd[j]) for cd in c]) for j in range(m)]
+        acc = [0] * m
+        for j, tab in taylor:
+            pw = [(d - j) ** k for k in range(m + 1)]
+            P = [sum(map(mul, row, pw)) for row in tab]
+            acc = [x + sum(map(mul, P, X[-j][k::-1])) for k, x in enumerate(acc)]
+        Q = [(-1) ** k * math.comb(m - 1 + k, k) * d ** (m - 1 - k) for k in range(m)]
+        den = -A[0][0] * d ** (2 * m - 1) * M
+        out.append([Fraction(sum(map(mul, Q, acc[k::-1])), den) for k in range(m)])
+        s = math.lcm(M, *[x.denominator for x in out[-1]]) // M
+        X, M = [[v * s for v in c] for c in X[1:]], M * s
+        X.append([x.numerator * (M // x.denominator) for x in out[-1]])
+    F = [TPoly(col) for col in zip(*out)]
     return [LogSeriesSolution(i, F[: i + 1]) for i in range(m)]
 
 
@@ -375,7 +378,7 @@ def frobenius_lambda0(
         else:
             alphas.append((j, (entry // p**j) % residue_mod, precision - j))
 
-    sols = standard_solutions(operator, max(t_check + 2, ode_t_check + 2))
+    sols = standard_solutions(operator, t_check + 1)
     t_diag = _t_constancy_diagnostics(sols, lam, p, precision, t_check)
     ode_ok = _ode_residual_ok(operator, lam, p, min(2, precision), ode_t_check)
     return Lambda0Report(

@@ -227,6 +227,8 @@ class TestExitCodes:
              "need s >= 1, not s = -1"),
             (["verify", "gauss", "--primes", "3", "--dims", "0"], '"dimensions"'),
             (["verify", "dwork", "--primes", "3", "--dims", "2,0"], '"dimensions"'),
+            (["cy", "instanton", "--degree", "-1"], "--degree: must be an integer >= 0, not -1"),
+            (["cy", "mirror", "--degree", "-3"], "--degree: must be an integer >= 0, not -3"),
         ],
         ids=["exponent-limit", "gauss-bound-0", "gauss-bound-below-p", "zeta-count-ext-0", "lambda-t-trunc-0",
              "asd-smax-0", "super-smax-0", "cy-frobenius-steps-0", "cy-frobenius-steps--1",
@@ -234,7 +236,8 @@ class TestExitCodes:
              "gamma-ratio-s-0", "gamma-ratio-s--1", "gamma-p-precision--1",
              "gamma-p-x-zero-denominator", "gamma-p-x-p-in-denominator",
              "cartier-bound--1", "cartier-pole-0", "cartier-pole--2", "lambda-steps-0",
-             "lambda-steps--1", "gauss-dims-0", "dwork-dims-0"],
+             "lambda-steps--1", "gauss-dims-0", "dwork-dims-0", "cy-instanton-degree--1",
+             "cy-mirror-degree--3"],
     )
     def test_out_of_range_input_is_2(
         self, capsys, monkeypatch, tmp_path, triangle_file, family_file, argv, needle
@@ -248,6 +251,15 @@ class TestExitCodes:
         code, out, err = run(capsys, argv)
         assert code == 2 and not out
         assert needle in err
+
+    def test_degree_zero_lists_no_instantons(self, capsys):
+        code, out, _ = run(capsys, ["cy", "instanton", "--degree", "0"])
+        assert code == 0
+        assert json.loads(out) == {"family": "quintic", "instantons": [], "schema": 1,
+                                   "yukawa": ["1", "575"]}
+        code, out, _ = run(capsys, ["cy", "mirror", "--degree", "0"])
+        assert code == 0
+        assert json.loads(out)["q_coefficients"] == ["0", "1"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -11,6 +11,7 @@ from dworklab.laurent import LaurentPoly
 from dworklab.linalg import RankDeficiencyError
 from dworklab.polytope import newton_polytope, is_reflexive
 from dworklab.cy import (
+    LogSeriesSolution,
     ThetaOperator,
     _t_constancy_diagnostics,
     canonical_coordinate,
@@ -24,6 +25,7 @@ from dworklab.cy import (
     yukawa_and_instantons,
 )
 
+from test_arith import typed
 from test_cartier import disjoint_parts
 
 
@@ -154,6 +156,61 @@ class TestStandardSolutions:
         F0 = standard_solutions(op, 9)[0].components[0]
         gamma = constant_term_series(preset_family("hyperoctahedral", 4).g, 9)
         assert all(F0[i] == gamma[i] for i in range(9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mum_operators(), st.integers(1, 20))
+    def test_matches_fraction_series_oracle(self, op, T):
+        assert typed_basis(standard_solutions(op, T)) == typed_basis(
+            oracle_standard_solutions(op, T))
+
+    @pytest.mark.parametrize(
+        "name,n", [("quintic", None), ("simplicial", 2), ("simplicial", 3),
+                   ("simplicial", 4), ("hyperoctahedral", 4)]
+    )
+    def test_presets_match_fraction_series_oracle(self, name, n):
+        op = preset_operator(name, n)
+        assert typed_basis(standard_solutions(op, 80)) == typed_basis(
+            oracle_standard_solutions(op, 80))
+
+    @settings(max_examples=30, deadline=None)
+    @given(mum_operators(), st.integers(1, 12), st.integers(0, 6))
+    def test_fewer_terms_are_a_prefix(self, op, T, k):
+        # callers that read below t^T may ask for T terms and no more
+        short, long = standard_solutions(op, T), standard_solutions(op, T + k)
+        for a, b in zip(short, long):
+            assert [c.coeffs for c in a.components] == [
+                c.truncate(T).coeffs for c in b.components]
+
+
+def typed_basis(sols):
+    """(type, value) of every coefficient of every component of `sols`."""
+    return [[typed(c) for c in s.components] for s in sols]
+
+
+def oracle_standard_solutions(L, T):
+    """`standard_solutions` as a Fraction series recursion in Q[eps]/eps^m:
+    every (e + eps)^k c_e is a TPoly product, and the leading factor is a
+    series inverse."""
+
+    def eps_pow_linear(e0, m, k):
+        return TPoly([math.comb(k, j) * e0 ** (k - j) for j in range(min(k, m - 1) + 1)])
+
+    m = L.order
+    A = [[Fraction(x) for x in coeffs] for coeffs in (L.leading, *L.lower)]
+    D = max(len(a) for a in A) - 1
+    c = [TPoly([Fraction(1)])]
+    shifted = []
+    for d in range(1, T):
+        shifted.append([eps_pow_linear(d - 1, m, k).mul(c[-1], m) for k in range(m + 1)])
+        acc = TPoly()
+        for j in range(1, min(D, d) + 1):
+            for i, a in enumerate(A):
+                if j < len(a) and a[j]:
+                    acc += shifted[d - j][m - i] * a[j]
+        lead_inv = (eps_pow_linear(d, m, m) * A[0][0]).inverse_series(m)
+        c.append(-lead_inv.mul(acc, m))
+    F = [TPoly([Fraction(cd[j]) for cd in c]) for j in range(m)]
+    return [LogSeriesSolution(i, F[: i + 1]) for i in range(m)]
 
 
 @st.composite
