@@ -13,8 +13,8 @@ the family's constant-term series read one table of [x^w] g^i.
 The Cartier operation acts on either kind of expansion by index decimation
 c_v -> c_{p v}.  It is p-adically approximated by rational functions with
 powers of f^sigma in the denominator (cartier_via_formula); agreement of the
-two routes on certified-complete indices is one of the package's main
-oracles.  For a family f = 1 - t*g, the Cartier matrix on a basis of
+two routes on certified-complete indices (route_rows) is one of the package's
+main oracles.  For a family f = 1 - t*g, the Cartier matrix on a basis of
 rational functions is interpolated from the congruences of their origin
 expansions at the lattice points of the dilates of Delta, the Newton polytope
 of g, solved once, and checked on the first points of the next dilate
@@ -649,6 +649,23 @@ def cartier_via_formula(
         if c_r and not Q_r.is_zero():
             terms.append((c_r, Q_r, r + mceil))
     return CartierImage(terms, p, N, f_sigma)
+
+
+def route_rows(f: LaurentPoly, m: int, p: int, N: int, box) -> list:
+    """The route oracle for 1/f^m under the identity lift: (v, c_{pv} of the
+    expansion of 1/f^m, c_v of the expansion of its `cartier_via_formula`
+    image), both mod p^N, for each v of `box` that both certify.  Both are
+    taken at `unit_vertex(f, p)` to one budget, which certifies p*box for
+    1/f^m and box for each term Q_r / f^sigma^{M_r} of the image."""
+    one = LaurentPoly.constant(f.n, 1)
+    image = cartier_via_formula(one, f, m, p, FrobeniusLift.identity(), N)
+    base = unit_vertex(f, p)
+    budget = max([vertex_budget(f, base, m, one, [tuple(p * x for x in v) for v in box])]
+                 + [vertex_budget(f, base, pole, Q, box) for _, Q, pole in image.terms])
+    direct = cartier_shift(expand_vertex(one, f, m, base, budget, p**N), p)
+    formula = image.expansion(base, budget)
+    return [(v, direct.coefficient(v), formula.coefficient(v)) for v in box
+            if direct.is_complete(v) and formula.is_complete(v)]
 
 
 # -- congruence interpolation -----------------------------------------

@@ -43,12 +43,9 @@ from .linalg import mat_mul, tmat_inv_series
 
 @dataclass(frozen=True)
 class FamilyPreset:
-    name: str
-    n: int
     g: LaurentPoly
     group_order: int
     lattice_index: int
-    vertex_coeff: int
 
 
 def preset_family(name: str, n: int) -> FamilyPreset:
@@ -60,21 +57,21 @@ def preset_family(name: str, n: int) -> FamilyPreset:
         terms = {tuple(1 if j == i else 0 for j in vars_): 1 for i in vars_}
         terms[tuple(-1 for _ in vars_)] = 1
         g = LaurentPoly(n, terms)
-        preset = FamilyPreset(name, n, g, math.factorial(n + 1), 1, 1)
+        preset = FamilyPreset(g, math.factorial(n + 1), 1)
     elif name == "hyperoctahedral":
         terms = {}
         for i in vars_:
             terms[tuple(1 if j == i else 0 for j in vars_)] = 1
             terms[tuple(-1 if j == i else 0 for j in vars_)] = 1
         g = LaurentPoly(n, terms)
-        preset = FamilyPreset(name, n, g, 2**n * math.factorial(n), 1, 1)
+        preset = FamilyPreset(g, 2**n * math.factorial(n), 1)
     elif name == "hypercubic":
         g = LaurentPoly.constant(n, 1)
         for i in vars_:
             xi = LaurentPoly(n, {tuple(1 if j == i else 0 for j in vars_): 1,
                                  tuple(-1 if j == i else 0 for j in vars_): 1})
             g = g * xi
-        preset = FamilyPreset(name, n, g, 2**n * math.factorial(n), 2 ** (n - 1), 1)
+        preset = FamilyPreset(g, 2**n * math.factorial(n), 2 ** (n - 1))
     elif name == "A_n":
         plus = LaurentPoly(n, {(0,) * n: 1})
         minus = LaurentPoly(n, {(0,) * n: 1})
@@ -83,7 +80,7 @@ def preset_family(name: str, n: int) -> FamilyPreset:
             plus = plus + LaurentPoly(n, {e: 1})
             minus = minus + LaurentPoly(n, {tuple(-x for x in e): 1})
         g = plus * minus
-        preset = FamilyPreset(name, n, g, 2 * math.factorial(n + 1), 1, 1)
+        preset = FamilyPreset(g, 2 * math.factorial(n + 1), 1)
     else:
         raise ValueError(f"unknown family preset {name!r}")
     P = newton_polytope(preset.g.support())
@@ -108,6 +105,8 @@ class ThetaOperator:
     lower: tuple  # tuple of coefficient tuples for A_1..A_m
 
     def __post_init__(self):
+        if len(self.lower) != self.order:
+            raise ValueError(f"lower needs {self.order} rows A_1..A_m, not {len(self.lower)}")
         if self.leading[0] == 0:
             raise ValueError("leading coefficient must be a unit series")
         for coeffs in self.lower:
@@ -468,9 +467,10 @@ def excellent_lift_check(
     p: int,
     T: int = 40,
 ) -> dict:
-    """Verify the distinguished Frobenius lift q -> c^(p-1) q^p.
+    """Verify the distinguished Frobenius lift q -> c^(p-1) q^p, which is
+    q -> q^p, as every preset's vertex coefficient c is 1.
 
-    Checks: (a) the lift image t_sigma(t) = mirror(c^(p-1) q(t)^p) has
+    Checks: (a) the lift image t_sigma(t) = mirror(q(t)^p) has
     p-integral coefficients, (b) t_sigma = t^p mod p, (c) with this lift the
     class of 1/f is a Cartier eigenvector modulo second formal derivatives:
     the theta-component of the interpolated level-2 matrix vanishes mod p^2
@@ -480,14 +480,13 @@ def excellent_lift_check(
     preset = preset_family(family, n)
     if preset.lattice_index != 1:
         raise ValueError("family excluded: vertex lattice has nontrivial index")
-    if math.gcd(preset.group_order * preset.vertex_coeff, p) != 1:
+    if math.gcd(preset.group_order, p) != 1:
         raise ValueError("p divides the symmetry data; hypothesis fails")
     operator = preset_operator(family, n)
     sols = standard_solutions(operator, T)
     q, mirror = canonical_coordinate(sols, T)
-    c = preset.vertex_coeff
 
-    qp = TPoly([Fraction(c ** (p - 1))])
+    qp = TPoly([Fraction(1)])
     for _ in range(p):
         qp = qp.mul(q, T)
     t_sigma = mirror.compose(qp, T)

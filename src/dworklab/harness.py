@@ -156,8 +156,9 @@ def suite_hhw(job: JobSpec) -> SuiteReport:
 
 
 def _hhw_cells(label, f, mu_name, mu, p, s_max):
-    """The cells s = 1..s_max of one (f, mu, p), from one unit-root ladder."""
-    bp = beta_matrix(f, mu, p, p, 1).entries
+    """The cells s = 1..s_max of one (f, mu, p), from one unit-root ladder
+    and one list [beta_p, ..., beta_{p^s_max}] mod p."""
+    betas = [beta_matrix(f, mu, p**s, p, 1).entries for s in range(1, s_max + 1)]
     try:
         ladder = lambda_unit_root(f, mu, p, FrobeniusLift.identity(), s_max + 1)
     except HWConditionError:
@@ -167,7 +168,7 @@ def _hhw_cells(label, f, mu_name, mu, p, s_max):
         cell = {"poly": label, "mu": mu_name, "p": p, "s": s}
         cells.append(cell)
         # first congruence, mod p
-        first_ok = mat_pow(bp, s, p) == beta_matrix(f, mu, p**s, p, 1).entries
+        first_ok = mat_pow(betas[0], s, p) == betas[s - 1]
         cell["first_congruence"] = first_ok
         if ladder is None:
             cell["reason"] = "hasse-witt condition fails (supersingular cell)"
@@ -193,7 +194,9 @@ def _hhw_cells(label, f, mu_name, mu, p, s_max):
 def suite_generalized_dwork(job: JobSpec) -> SuiteReport:
     """beta_{m p^s}(mu) = Lambda(mu) sigma(beta_{m p^{s-1}}(mu)) mod p^s for
     small multipliers m, on integer polynomials with the unit-root matrix
-    computed at matching precision."""
+    computed at matching precision.  Lambda_s is beta_{p^s} sigma(beta_{p^{s-1}})^{-1}
+    by definition, so the m = 1 cell of level s reads Lambda_{s+1} reduced
+    mod p^s instead: it holds by the second HHW congruence, not by definition."""
     polys = list(job.polynomials) or _default_hhw_polys()
     cells = []
     for label, f in polys:
@@ -201,7 +204,7 @@ def suite_generalized_dwork(job: JobSpec) -> SuiteReport:
         mu = whole_polytope(P)
         for p in job.primes:
             try:
-                ladder = lambda_unit_root(f, mu, p, FrobeniusLift.identity(), job.s_max)
+                ladder = lambda_unit_root(f, mu, p, FrobeniusLift.identity(), job.s_max + 1)
             except HWConditionError:
                 ladder = None
             else:  # each beta_{m p^k} once, mod p^s_max; a cell reads it reduced
@@ -216,7 +219,8 @@ def suite_generalized_dwork(job: JobSpec) -> SuiteReport:
                         continue
                     modulus = p**s
                     lhs = [[x % modulus for x in row] for row in beta[m * p**s]]
-                    rhs = mat_mul(ladder[s - 1].entries, beta[m * p ** (s - 1)], modulus)
+                    lam = ladder[s if m == 1 else s - 1].entries
+                    rhs = mat_mul(lam, beta[m * p ** (s - 1)], modulus)
                     cell["status"] = "ok" if lhs == rhs else "fail"
     grid = {"polynomials": [l for l, _ in polys], "primes": list(job.primes)}
     return _finish("generalized-dwork", grid, cells, job.seed)

@@ -79,6 +79,14 @@ class TestPresetOperators:
         with pytest.raises(ValueError):
             ThetaOperator(1, (Fraction(1),), ((Fraction(1), Fraction(0)),))
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_lower_length_must_be_order(self, count):
+        # standard_solutions reads A_1..A_m: a missing row would raise
+        # IndexError there and an extra one would be ignored
+        lower = tuple((0, -k) for k in range(1, count + 1))
+        with pytest.raises(ValueError, match=f"lower needs 2 rows A_1..A_m, not {count}"):
+            ThetaOperator(2, (1, -4), lower)
+
     def test_unsupported(self):
         with pytest.raises(ValueError):
             preset_operator("hyperoctahedral", 3)

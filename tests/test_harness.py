@@ -213,16 +213,9 @@ class TestFailurePaths:
             suite_gauss(JobSpec(primes=(3,), polynomials=(("bad", bad),)))
 
     def test_corrupted_gauss_fails(self, monkeypatch):
-        # c_(-3,0) at the vertex (1, 0) of 1+x+y is bumped by one: the checks
-        # of v = (-3, 0) (mod 3) and v = (-9, 0) (mod 9) fail, reported in
-        # lexicographic order of v
-        def corrupted(h, f, m, b, budget, modulus=None, **kw):
-            E = expand_vertex(h, f, m, b, budget, modulus, **kw)
-            if tuple(b) == (1, 0):
-                E.coeffs[(-3, 0)] = (E.coefficient((-3, 0)) + 1) % modulus
-            return E
-
-        monkeypatch.setattr(H, "expand_vertex", corrupted)
+        # the checks of v = (-3, 0) (mod 3) and v = (-9, 0) (mod 9) fail,
+        # reported in lexicographic order of v
+        plant_gauss_fault(monkeypatch)
         f = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         report = suite_gauss(JobSpec(primes=(3,), bound=9, polynomials=(("f", f),)))
         assert not report.passed
@@ -232,33 +225,19 @@ class TestFailurePaths:
         assert witness == [([-9, 0], 1, 2, "3^2"), ([-3, 0], 2, 1, "3^1")]
 
     def test_corrupted_dwork_fails(self, monkeypatch):
-        import dworklab.harness as H
-        from dworklab.cartier import constant_term_series as real_cts
-
-        def corrupted(g, T):
-            return real_cts(g, T) + TPoly.t_power(3)  # bump one coefficient
-
-        monkeypatch.setattr(H, "constant_term_series", corrupted)
+        plant_dwork_fault(monkeypatch)
         report = suite_dwork(JobSpec(primes=(3,), dimensions=(2,)))
         assert not report.passed
         bad = [c for c in report.cells if c["status"] == "fail"]
         assert bad and "witness" in bad[0]
 
     def test_corrupted_asd_fails(self, monkeypatch):
-        import dworklab.harness as H
-        from dworklab.zeta import asd_alpha as real_alpha
-
-        def corrupted(A, B, m, modulus=None):
-            out = real_alpha(A, B, m, modulus)
-            return out + (1 if m == 25 else 0)
-
-        monkeypatch.setattr(H, "asd_alpha", corrupted)
+        plant_asd_fault(monkeypatch)
         report = suite_asd(JobSpec(primes=(5,), s_max=2, curves=((-1, 0),)))
         assert not report.passed
 
     def test_corrupted_hhw_fails(self, monkeypatch):
         # the second congruence reads beta_{p^2} through lambda_unit_root
-        import dworklab.harness as H
         import dworklab.hasse_witt as HW
         from dworklab.hasse_witt import beta_matrix as real_beta
 
@@ -274,27 +253,83 @@ class TestFailurePaths:
         assert not report.passed
 
     def test_corrupted_super_fails(self, monkeypatch):
-        import dworklab.harness as H
-        from dworklab.harness import expansion_coefficient_super as real_super
-
-        def corrupted(u, modulus=None):
-            out = real_super(u, modulus)
-            return out + TPoly([0, 3]) if u == (3, 3) else out
-
-        monkeypatch.setattr(H, "expansion_coefficient_super", corrupted)
+        plant_super_fault(monkeypatch)
         report = suite_super(JobSpec(primes=(3,), s_max=1))
         assert not report.passed
 
 
-def plant_ladder_fault(monkeypatch, k):
-    """Make every unit-root ladder the suites read put Lambda_k[0][0] off by
-    p^(k-1), a change that survives reduction mod p^k and no further."""
+def plant_gauss_fault(monkeypatch):
+    """Bump c_(-3,0) by one in every vertex expansion at the vertex (1, 0)."""
+    real = H.expand_vertex
+
+    def corrupted(h, f, m, b, budget, modulus=None, **kw):
+        E = real(h, f, m, b, budget, modulus, **kw)
+        if tuple(b) == (1, 0):
+            E.coeffs[(-3, 0)] = (E.coefficient((-3, 0)) + 1) % modulus
+        return E
+
+    monkeypatch.setattr(H, "expand_vertex", corrupted)
+
+
+def plant_dwork_fault(monkeypatch):
+    """Bump the t^3 coefficient of every constant-term series."""
+    real = H.constant_term_series
+    monkeypatch.setattr(H, "constant_term_series", lambda g, T: real(g, T) + TPoly.t_power(3))
+
+
+def plant_asd_fault(monkeypatch):
+    """Bump every expansion coefficient alpha_25 by one."""
+    real = H.asd_alpha
+
+    def corrupted(A, B, m, modulus=None):
+        return real(A, B, m, modulus) + (1 if m == 25 else 0)
+
+    monkeypatch.setattr(H, "asd_alpha", corrupted)
+
+
+def plant_super_fault(monkeypatch):
+    """Add 3t to the coefficient c_(3,3)(t) of the supercongruence family."""
+    real = H.expansion_coefficient_super
+
+    def corrupted(u, modulus=None):
+        out = real(u, modulus)
+        return out + TPoly([0, 3]) if u == (3, 3) else out
+
+    monkeypatch.setattr(H, "expansion_coefficient_super", corrupted)
+
+
+# suite -> (plant, verify flags whose grid the plant reaches)
+PLANTED_FAULTS = {
+    "asd": (plant_asd_fault, ["--primes", "5", "--smax", "2"]),
+    "gauss": (plant_gauss_fault, ["--primes", "3", "--bound", "9"]),
+    "dwork": (plant_dwork_fault, ["--primes", "3", "--dims", "2"]),
+    "super": (plant_super_fault, ["--primes", "3", "--smax", "1"]),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(PLANTED_FAULTS))
+def test_planted_fault_exits_1(monkeypatch, capsys, suite):
+    from dworklab.cli import cli_main
+
+    plant, flags = PLANTED_FAULTS[suite]
+    argv = ["verify", suite, *flags]
+    assert cli_main(argv) == 0
+    plant(monkeypatch)
+    assert cli_main(argv) == 1
+    capsys.readouterr()
+
+
+def plant_ladder_fault(monkeypatch, k, e):
+    """Make every unit-root ladder the suites read that reaches level k put
+    Lambda_k[0][0] off by p^e.  With e = k - 1 the change survives reduction
+    mod p^k and no further."""
     real = H.lambda_unit_root
 
     def planted(f, mu, p, sigma, s, t_trunc=None):
         ladder = real(f, mu, p, sigma, s, t_trunc)
-        lam = ladder[k - 1]
-        lam.entries[0][0] = (lam.entries[0][0] + p ** (k - 1)) % p**k
+        if len(ladder) >= k:
+            lam = ladder[k - 1]
+            lam.entries[0][0] = (lam.entries[0][0] + p**e) % p**k
         return ladder
 
     monkeypatch.setattr(H, "lambda_unit_root", planted)
@@ -317,21 +352,32 @@ class TestBetaLadder:
         return calls
 
     def test_hhw_builds_one_ladder_per_cell_triple(self, beta_calls):
-        # 18 (f, mu, p): one ladder of at most 3 betas and one beta_p mod p
-        # each, and one beta_{p^s} mod p per cell
+        # 18 (f, mu, p): one ladder of at most 3 betas and one list of the
+        # beta_{p^s} mod p, s <= 2, each; a supersingular ladder stops at beta_p
         report = suite_hhw(JobSpec())
         assert report.passed and len(report.cells) == 36
-        assert len(beta_calls) <= 108
+        assert len(beta_calls) <= 78
 
     def test_generalized_dwork_builds_each_beta_once(self, beta_calls):
         report = suite_generalized_dwork(JobSpec())
         assert report.passed
-        # 9 (f, p): one ladder and one table of the betas m p^k, m <= 3, each
-        assert len(beta_calls) < 93
+        # 9 (f, p): one ladder of at most 3 betas and one table of the betas
+        # m p^k, m <= 3, each
+        assert len(beta_calls) <= 71
+
+    def test_unit_multiplier_cells_read_the_next_level(self, monkeypatch):
+        # the m = 1 cells compare beta_{p^s} with Lambda_{s+1} mod p^s: a
+        # change of the level above s_max fails them, and only them
+        s_max = JobSpec().s_max
+        plant_ladder_fault(monkeypatch, s_max + 1, 0)
+        report = suite_generalized_dwork(JobSpec())
+        assert not report.passed
+        bad = [c for c in report.cells if c["status"] == "fail"]
+        assert bad and {(c["m"], c["s"]) for c in bad} == {(1, s_max)}
 
     @pytest.mark.parametrize("suite", [suite_hhw, suite_generalized_dwork])
     def test_planted_ladder_fault_fails_a_cell(self, monkeypatch, suite):
-        plant_ladder_fault(monkeypatch, JobSpec().s_max)
+        plant_ladder_fault(monkeypatch, JobSpec().s_max, JobSpec().s_max - 1)
         report = suite(JobSpec())
         assert not report.passed
         assert any(c["status"] == "fail" for c in report.cells)
@@ -341,7 +387,7 @@ class TestBetaLadder:
         from dworklab.cli import cli_main
 
         assert cli_main(["verify", suite]) == 0
-        plant_ladder_fault(monkeypatch, JobSpec().s_max)
+        plant_ladder_fault(monkeypatch, JobSpec().s_max, JobSpec().s_max - 1)
         assert cli_main(["verify", suite]) == 1
         capsys.readouterr()
 
