@@ -46,6 +46,8 @@ from .polytope import (
     whole_polytope,
 )
 
+MAX_ROUTE_BOX = 10**4  # the most indices of a route-oracle box (`cli cartier --bound`)
+
 
 class ResidualError(ArithmeticError):
     """A held-out congruence failed: theory violated or precision too low."""
@@ -132,14 +134,9 @@ def unit_vertex(f: LaurentPoly, p: int):
     raise ValueError("no vertex with p-unit coefficient")
 
 
-# Levels of psi added to the least budget that certifies the targets.
-BUDGET_SLACK = 2
-
-
 def vertex_budget(f: LaurentPoly, b, m: int, h: LaurentPoly, targets) -> int:
-    """Budget S large enough that every target index is certified complete."""
+    """The least budget S at which every target index is certified complete."""
     normals, psi, delta = vertex_frame(f, b)
-    b = tuple(b)
     shifts = [tuple(e - m * x for e, x in zip(u, b)) for u in h.support()]
     need = 0
     for v in targets:
@@ -149,7 +146,7 @@ def vertex_budget(f: LaurentPoly, b, m: int, h: LaurentPoly, targets) -> int:
             # psi(d) only raises the budget past need when it exceeds need * delta
             if k > need * delta and all(_dot(a, d) >= 0 for a in normals):
                 need = -(-k // delta)
-    return need + BUDGET_SLACK
+    return need
 
 
 def expand_vertex(
@@ -588,18 +585,20 @@ class CartierImage:
     N: int
     f_sigma: LaurentPoly
 
-    def expansion(self, base, budget) -> FormalExpansion:
-        """The vertex expansion at `base`, to `budget`, mod p^N, of the image
-        as one fraction H / f^sigma^M over its largest pole order M, with H =
-        sum_r c_r Q_r (f^sigma)^(M - M_r).  Each shift of H is a shift of
-        some Q_r / f^sigma^{M_r} plus cone generators, so H certifies every
-        index that its terms certify.  With no terms H is zero, and its
-        expansion is the zero expansion, certain everywhere."""
+    def fraction(self):
+        """The image as one fraction H / f^sigma^M, as (H, f^sigma, M): M is
+        the largest pole order and H = sum_r c_r Q_r (f^sigma)^(M - M_r) mod
+        p^N, zero with no terms.  A shift of H is a shift of some Q_r /
+        f^sigma^{M_r} plus cone generators, so H certifies what they do."""
         modulus = self.p**self.N
         M = max((pole for _, _, pole in self.terms), default=1)
         H = sum((Q_r.scale(c_r) * power_mod(self.f_sigma, M - pole, modulus)
                  for c_r, Q_r, pole in self.terms), LaurentPoly(self.f_sigma.n))
-        return expand_vertex(H.reduce_mod(modulus), self.f_sigma, M, base, budget, modulus)
+        return H.reduce_mod(modulus), self.f_sigma, M
+
+    def expansion(self, base, budget) -> FormalExpansion:
+        """The vertex expansion of the `fraction` at `base`, to `budget`, mod p^N."""
+        return expand_vertex(*self.fraction(), base, budget, self.p**self.N)
 
 
 def cartier_via_formula(
@@ -615,7 +614,7 @@ def cartier_via_formula(
     Writing f^p = f^sigma(x^p) - pG with integral G, the image of h/f^m is
     sum_{r} p^r binom(ceil(m/p)+r-1, r) Q_r / f^sigma^{r+ceil(m/p)} where
     Q_r = sum_u ([x^(p u)] G^r B) x^u mod p^N, with B = h f^{p ceil(m/p) - m}
-    formed once.  Terms with r >= N vanish mod p^N and are dropped.
+    formed once.  Terms whose product c_r Q_r vanishes mod p^N are dropped.
 
     Only the products that land on exponents divisible by p are formed: B's
     terms are bucketed by exponent mod p, and each term x^e of G^r meets
@@ -646,7 +645,7 @@ def cartier_via_formula(
                 Q[u] = Q.get(u, 0) + c * c2
         Q_r = LaurentPoly(f.n, {u: c % modulus for u, c in Q.items()})
         c_r = pow(p, r, modulus) * math.comb(mceil + r - 1, r) % modulus
-        if c_r and not Q_r.is_zero():
+        if any(c_r * c % modulus for c in Q_r.terms.values()):
             terms.append((c_r, Q_r, r + mceil))
     return CartierImage(terms, p, N, f_sigma)
 
@@ -655,15 +654,16 @@ def route_rows(f: LaurentPoly, m: int, p: int, N: int, box) -> list:
     """The route oracle for 1/f^m under the identity lift: (v, c_{pv} of the
     expansion of 1/f^m, c_v of the expansion of its `cartier_via_formula`
     image), both mod p^N, for each v of `box` that both certify.  Both are
-    taken at `unit_vertex(f, p)` to one budget, which certifies p*box for
-    1/f^m and box for each term Q_r / f^sigma^{M_r} of the image."""
+    taken at `unit_vertex(f, p)`, each to the least budget that certifies
+    what it is read at: p*box for 1/f^m, box for the image's `fraction`."""
     one = LaurentPoly.constant(f.n, 1)
     image = cartier_via_formula(one, f, m, p, FrobeniusLift.identity(), N)
     base = unit_vertex(f, p)
-    budget = max([vertex_budget(f, base, m, one, [tuple(p * x for x in v) for v in box])]
-                 + [vertex_budget(f, base, pole, Q, box) for _, Q, pole in image.terms])
-    direct = cartier_shift(expand_vertex(one, f, m, base, budget, p**N), p)
-    formula = image.expansion(base, budget)
+    S = vertex_budget(f, base, m, one, [tuple(p * x for x in v) for v in box])
+    direct = cartier_shift(expand_vertex(one, f, m, base, S, p**N), p)
+    H, f_sigma, M = image.fraction()
+    S = vertex_budget(f_sigma, base, M, H, box)
+    formula = expand_vertex(H, f_sigma, M, base, S, p**N)
     return [(v, direct.coefficient(v), formula.coefficient(v)) for v in box
             if direct.is_complete(v) and formula.is_complete(v)]
 

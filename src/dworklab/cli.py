@@ -35,7 +35,7 @@ from .hasse_witt import (
     higher_hw_condition,
     lambda_unit_root,
 )
-from .cartier import ResidualError, route_rows
+from .cartier import MAX_ROUTE_BOX, ResidualError, route_rows
 from .linalg import RankDeficiencyError, InconsistentSystemError
 from .zeta import BudgetExceededError, count_torus_points, eigenvalue_crosscheck
 from .cy import (
@@ -154,6 +154,8 @@ def cmd_cartier(args, fmt):
         raise ValueError("the cartier oracle works on integer polynomials")
     if args.bound < 0:
         raise ValueError(f"--bound must be >= 0, not {args.bound}")
+    if (2 * args.bound + 1) ** f.n > MAX_ROUTE_BOX:
+        raise ValueError(f"--bound {args.bound} gives a box of more than {MAX_ROUTE_BOX} indices")
     box = list(itertools.product(range(-args.bound, args.bound + 1), repeat=f.n))
     rows = route_rows(f, args.pole, args.prime, args.precision, box)
     mismatches = [{"v": list(v), "shift": a, "formula": b} for v, a, b in rows if a != b]
@@ -351,21 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--timing", action="store_true", help="include timings in reports")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def poly_opts(p):
+    def poly_opts(p):  # the polynomial and the prime of every command that reads one
         p.add_argument("--poly", help="polynomial or family JSON file")
         p.add_argument("--preset", help="family preset name")
         p.add_argument("--dim", type=int, default=2)
+        p.add_argument("--prime", type=_odd_prime, required=True)
 
     p = sub.add_parser("hw", help="Hasse-Witt matrix")
     poly_opts(p)
-    p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--mu", default="interior")
     p.add_argument("--precision", type=int, default=1)
     p.set_defaults(fn=cmd_hw)
 
     p = sub.add_parser("lambda", help="unit-root matrix")
     poly_opts(p)
-    p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--mu", default="interior")
     p.add_argument("--steps", type=int, default=2)
     p.add_argument("--t-trunc", type=int, default=None, dest="t_trunc")
@@ -373,14 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("higher-hw", help="higher Hasse-Witt condition report")
     poly_opts(p)
-    p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--mu", default="whole")
     p.add_argument("--level", type=int, default=2)
     p.set_defaults(fn=cmd_higher_hw)
 
     p = sub.add_parser("cartier", help="Cartier route-equivalence oracle")
     poly_opts(p)
-    p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--pole", type=int, default=1)
     p.add_argument("--precision", type=int, default=2)
     p.add_argument("--bound", type=int, default=2)
@@ -388,13 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta-count", help="brute-force torus point count")
     poly_opts(p)
-    p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--ext", type=int, default=1)
     p.set_defaults(fn=cmd_zeta_count)
 
     p = sub.add_parser("crosscheck", help="trace vs point-count comparison")
     poly_opts(p)
-    p.add_argument("--prime", type=_odd_prime, required=True)
     p.add_argument("--smax", type=int, default=2)
     p.set_defaults(fn=cmd_crosscheck)
 

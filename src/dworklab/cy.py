@@ -336,9 +336,9 @@ def frobenius_lambda0(
 
     At t = 0 the Wronskian is the explicit unipotent matrix E(log t), so
     L_0 = E(-log t) Lambda(0) E(p log t); cancellation of all log powers is a
-    genuine consistency check on Lambda(0).  t-constancy at higher degrees and
-    the Frobenius-structure differential equation are verified as far as the
-    denominators of the solution basis allow, with per-degree precision tags.
+    genuine consistency check on Lambda(0).  t-constancy below t^t_check and the
+    Frobenius-structure ODE below t^ode_t_check (neither past Lambda's t_trunc)
+    are verified as far as the solution denominators allow, per t-degree.
     """
     odd_prime(p)
     if p <= n + 1:
@@ -351,7 +351,10 @@ def frobenius_lambda0(
         T = p**s + 12
     precision = s * n
     modulus = p**precision
-    lam = family_cartier_matrix(preset, n, p, FrobeniusLift.t_power(p), s, T).matrix
+    interp = family_cartier_matrix(preset, n, p, FrobeniusLift.t_power(p), s, T)
+    lam, reach = interp.matrix, max(t_check, ode_t_check)
+    if reach > interp.t_trunc:
+        raise ValueError(f"t_check/ode_t_check {reach} > t_trunc {interp.t_trunc} at T = {T}")
 
     # L_0 = E(-ell) Lambda(0) E(p ell) in powers of ell = log t: its ell^0
     # part is Lambda(0) itself, and each ell^k part (k >= 1) must vanish

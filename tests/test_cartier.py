@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from dataclasses import replace
 
@@ -133,6 +134,42 @@ class TestExpandVertex:
         S = vertex_budget(TRIANGLE, (0, 0), 1, ONE2, targets)
         E = expand_vertex(ONE2, TRIANGLE, 1, (0, 0), S)
         assert all(E.is_complete(v) for v in targets)
+
+    def test_budget_is_the_least_that_certifies(self):
+        # on random (f, p-unit vertex b, m, h, targets) every target is
+        # certified at S = vertex_budget(...), with the coefficients it has at
+        # S + 2, and when S >= 1 some target is not certified at S - 1; the
+        # targets are numerator shifts plus a few cone generators, so most
+        # lie in the cone, and some random points that mostly do not
+        rng = random.Random(34)
+        positive = 0
+        for _ in range(60):
+            n, p = rng.randint(1, 3), rng.choice((3, 5, 7))
+            f, b = random_unit_vertex_poly(rng, n, p)
+            h = LaurentPoly(n, {
+                tuple(rng.randint(-2, 2) for _ in range(n)): rng.choice((-3, -1, 1, 2, 5))
+                for _ in range(rng.randint(1, 3))
+            })
+            m = rng.randint(1, 3)
+            gens = [tuple(map(operator.sub, u, b)) for u in sorted(f.support()) if u != b]
+            targets = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+            for _ in range(rng.randint(1, 4)):
+                v = tuple(x - m * y for x, y in zip(rng.choice(sorted(h.support())), b))
+                for _ in range(rng.randint(0, 4)):
+                    v = tuple(map(operator.add, v, rng.choice(gens)))
+                targets.append(v)
+            S = vertex_budget(f, b, m, h, targets)
+
+            def expand(budget):
+                return expand_vertex(h, f, m, b, budget, p**2, targets=targets)
+
+            E, wider = expand(S), expand(S + 2)
+            assert all(E.is_complete(v) for v in targets), (f, b, m, h, targets, S)
+            assert all(E.coefficient(v) == wider.coefficient(v) for v in targets)
+            if S >= 1:
+                positive += 1
+                assert not all(expand(S - 1).is_complete(v) for v in targets), (f, b, m, h, S)
+        assert positive > 40, positive
 
     def test_empty_certificate_is_complete_everywhere(self):
         # no shifts: the expansion of a Cartier image with no terms (the zero
@@ -432,7 +469,8 @@ class TestCartierViaFormula:
 def whole_product_terms(h, f, m, p, N):
     """The terms of `cartier_via_formula` under the identity lift by whole
     products: G^r h f^(p ceil(m/p) - m) mod p^N for each r < N, then its
-    exponents divisible by p, divided by p."""
+    exponents divisible by p, divided by p, kept when c_r Q_r is nonzero mod
+    p^N."""
     modulus = p**N
     mceil = -(-m // p)
     G = frobenius_discrepancy(f, ID, p)
@@ -446,7 +484,7 @@ def whole_product_terms(h, f, m, p, N):
             tuple(x // p for x in e): c
             for e, c in body.terms.items() if all(x % p == 0 for x in e)
         })
-        if c_r and not Q_r.is_zero():
+        if not Q_r.scale(c_r).reduce_mod(modulus).is_zero():
             terms.append((c_r, Q_r, r + mceil))
         Gr = (Gr * G).reduce_mod(modulus)
     return terms
@@ -461,7 +499,7 @@ class TestCartierImage:
         # with the same coefficient mod p^N
         rng = random.Random(27)
         with_terms = checked = 0
-        for _ in range(150):
+        for _ in range(160):
             n, p = rng.randint(1, 3), rng.choice((3, 5, 7))
             f, base = random_unit_vertex_poly(rng, n, p)
             h = LaurentPoly(n, {
@@ -490,6 +528,14 @@ class TestCartierImage:
                     assert image.is_complete(v), (h, f, m, p, N, budget, v)
                     assert (image.coefficient(v) - oracle.coefficient(v)) % modulus == 0
         assert with_terms > 100 and checked > 20000
+
+    def test_keeps_only_live_products(self):
+        # c_1 = 3 and Q_1 = 3yz are each nonzero mod 9, but their product is not
+        f = LaurentPoly(3, {(0, 0, 1): 4, (-1, -1, 1): -3, (1, 0, 1): 1, (1, 1, 0): 2})
+        h = LaurentPoly(3, {(-1, 2, 2): 1})
+        img = cartier_via_formula(h, f, 3, 3, ID, 2)
+        assert img.terms == []
+        assert img.fraction()[0].is_zero()
 
     def test_one_vertex_expansion_per_image(self, monkeypatch):
         # the image is one fraction over f^sigma: one expansion, not one per term

@@ -429,6 +429,15 @@ class TestFrobeniusLambda0:
         with pytest.raises(ValueError):
             frobenius_lambda0("simplicial", 2, 3, s=1)
 
+    def test_checks_stay_below_the_certified_truncation(self):
+        # at p = 5 the interpolation certifies Lambda below t^(T - 5): the
+        # default checks read it below t^10, so T = 14 is refused and T = 15
+        # is not
+        with pytest.raises(ValueError, match="ode_t_check 10 > t_trunc 9"):
+            frobenius_lambda0("simplicial", 2, 5, s=1, T=14)
+        rep = frobenius_lambda0("simplicial", 2, 5, s=1, T=15)
+        assert rep.ode_residual_ok and all(d["ok"] for d in rep.t_constancy)
+
     @pytest.mark.parametrize("p", [1, 4, 9])
     def test_non_prime_rejected(self, p):
         with pytest.raises(ValueError, match="not an odd prime"):
