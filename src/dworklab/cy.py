@@ -130,47 +130,21 @@ class ThetaOperator:
         return N
 
 
-def _expand_product_theta(shifts):
-    """Coefficients of prod_j (theta + shifts_j) as polynomial in theta,
-    returned as [c_0, ..., c_m] with c_m = 1 (by ascending theta power)."""
-    coeffs = [Fraction(1)]
-    for sh in shifts:
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            new[i + 1] += c
-            new[i] += c * sh
-        coeffs = new
-    return coeffs
-
-
 def preset_operator(name: str, n: int | None = None) -> ThetaOperator:
     """Shipped Picard-Fuchs operators: simplicial(n), quintic,
-    hyperoctahedral(4)."""
+    hyperoctahedral(4).
+
+    The first two are theta^m - c t^d prod_j (theta + a_j): simplicial(n) has
+    a_j = j (j = 1..n), c = (n+1)^(n+1) and d = n + 1, the quintic a_j = j/5
+    (j = 1..4), c = 5^5 and d = 1.
+    """
     if name == "simplicial":
         if n is None or n < 2:
             raise ValueError("simplicial operator needs n >= 2")
-        # theta^n - ((n+1) t)^(n+1) (theta+1)...(theta+n)
-        m = n
-        prod = _expand_product_theta([Fraction(j) for j in range(1, n + 1)])
-        scale = Fraction((n + 1) ** (n + 1))
-        lead = [Fraction(0)] * (n + 2)
-        lead[0] = Fraction(1)
-        lead[n + 1] = -scale * prod[m]
-        lower = []
-        for i in range(1, m + 1):  # coefficient of theta^(m-i)
-            coeffs = [Fraction(0)] * (n + 2)
-            coeffs[n + 1] = -scale * prod[m - i]
-            lower.append(tuple(coeffs))
-        return ThetaOperator(m, tuple(lead), tuple(lower))
-    if name == "quintic":
-        prod = _expand_product_theta([Fraction(j, 5) for j in range(1, 5)])
-        scale = Fraction(5**5)
-        lead = (Fraction(1), -scale * prod[4])
-        lower = tuple(
-            (Fraction(0), -scale * prod[4 - i]) for i in range(1, 5)
-        )
-        return ThetaOperator(4, lead, lower)
-    if name == "hyperoctahedral":
+        shifts, c, d = [Fraction(j) for j in range(1, n + 1)], (n + 1) ** (n + 1), n + 1
+    elif name == "quintic":
+        shifts, c, d = [Fraction(j, 5) for j in range(1, 5)], 5**5, 1
+    elif name == "hyperoctahedral":
         if n != 4:
             raise ValueError("hyperoctahedral operator shipped for n = 4 only")
         lower = (
@@ -180,7 +154,16 @@ def preset_operator(name: str, n: int | None = None) -> ThetaOperator:
             (0, 0, -128, 0, 12288),
         )
         return ThetaOperator(4, (1, 0, -80, 0, 1024), lower)
-    raise ValueError(f"no shipped operator for {name!r}")
+    else:
+        raise ValueError(f"no shipped operator for {name!r}")
+    prod = TPoly([Fraction(1)])  # prod_j (theta + a_j), by ascending theta power
+    for a in shifts:
+        prod = prod * TPoly([a, Fraction(1)])
+    m, pad = len(shifts), (Fraction(0),) * (d - 1)
+    # theta^m's coefficient is 1 - c t^d, theta^(m-i)'s is -c prod[m-i] t^d
+    lead = (Fraction(1),) + pad + (-c * prod[m],)
+    lower = tuple((Fraction(0),) + pad + (-c * prod[m - i],) for i in range(1, m + 1))
+    return ThetaOperator(m, lead, lower)
 
 
 # -- Frobenius method ---------------------------------------------------
@@ -477,7 +460,8 @@ def excellent_lift_check(
     p-integral coefficients, (b) t_sigma = t^p mod p, (c) with this lift the
     class of 1/f is a Cartier eigenvector modulo second formal derivatives:
     the theta-component of the interpolated level-2 matrix vanishes mod p^2
-    and the eigenvalue is F_0(t)/F_0(t_sigma).
+    and the eigenvalue is F_0(t)/F_0(t_sigma), below t^t_keep with
+    t_keep = max(4, (T - 1) // p), which must not pass the matrix's t_trunc.
     """
     odd_prime(p)
     preset = preset_family(family, n)
@@ -508,8 +492,11 @@ def excellent_lift_check(
 
     # level-2 eigenvector property via interpolation with the series lift
     sigma = FrobeniusLift.series(p, sigma_poly)
-    lam00, lam01 = family_cartier_matrix(preset, 2, p, sigma, 1, T).matrix[0]
+    interp = family_cartier_matrix(preset, 2, p, sigma, 1, T)
     t_keep = max(4, (T - 1) // p)
+    if t_keep > interp.t_trunc:
+        raise ValueError(f"t_keep {t_keep} > t_trunc {interp.t_trunc} at T = {T}")
+    lam00, lam01 = interp.matrix[0]
     theta_component_zero = not bool((lam01 % modulus).truncate(t_keep))
 
     F0 = sols[0].components[0].reduce_mod(modulus)

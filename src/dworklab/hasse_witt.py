@@ -151,58 +151,53 @@ def lambda_unit_root(
 # -- higher levels ----------------------------------------------------
 
 
-def higher_F_polynomial(
-    f: LaurentPoly, k: int, p: int, sigma: FrobeniusLift, modulus: int | None = None
-) -> LaurentPoly:
-    """F(x) = f^(p-k) * sum_{r<k} (f^sigma(x^p) - f^p)^r f^sigma(x^p)^(k-1-r), 1 <= k < p.
+def higher_F_polynomials(
+    f: LaurentPoly, k: int, p: int, sigma: FrobeniusLift, modulus: int | None
+) -> list:
+    """The ladder [F_1, ..., F_k], 1 <= k < p, where with X = f^sigma(x^p) and
+    D = X - f^p, F_l = f^(p-l) * sum_{r<l} D^r X^(l-1-r).
 
-    sigma and x -> x^p act on f's terms; when f has a TPoly coefficient the
-    formula then runs on the flat forms of f and f^sigma(x^p) (see `laurent`)
-    and the result is regrouped into TPoly coefficients once.
+    One pass: S_1 = 1, S_(l+1) = X S_l + D^l and F_l = f^(p-l) S_l, with
+    f^(p-k) from one power_mod and the higher powers of f by multiplying by f;
+    level 1 alone is f^(p-1) and forms no D.  sigma and x -> x^p act on f's
+    terms; when f has a TPoly coefficient the ladder runs on the flat forms of
+    f and X (see `laurent`) and each F_l is regrouped into TPoly coefficients.
     """
     if not 1 <= k < p:
         raise ValueError("need 1 <= k < p")
-    fxp = frobenius_twist(f, sigma, p, modulus)
-    if has_tpoly(f):
-        return regroup_t(_F_formula(flatten_t(f), flatten_t(fxp), k, p, modulus))
-    return _F_formula(f, fxp, k, p, modulus)
-
-
-def _F_formula(f: LaurentPoly, fxp: LaurentPoly, k: int, p: int, modulus: int | None):
-    """The formula of `higher_F_polynomial` given f and fxp = f^sigma(x^p)."""
     reduce = Ring(modulus).reduce
-    if k > 1:  # level 1 is F = f^(p-1), which reads no diff
-        diff = reduce(fxp - power_mod(f, p, modulus))
-    acc = LaurentPoly(f.n)
-    diff_pow = LaurentPoly.constant(f.n, 1)
-    fxp_pows = [LaurentPoly.constant(f.n, 1)]
+    X = frobenius_twist(f, sigma, p, modulus)
+    flat = has_tpoly(f)
+    if flat:
+        f, X = flatten_t(f), flatten_t(X)
+    f_pows = [power_mod(f, p - k, modulus)]  # f^(p-k), ..., f^(p-1)
     for _ in range(k - 1):
-        fxp_pows.append(reduce(fxp_pows[-1] * fxp))
-    for r in range(k):
-        acc = acc + reduce(diff_pow * fxp_pows[k - 1 - r])
-        if r < k - 1:
-            diff_pow = reduce(diff_pow * diff)
-    return reduce(power_mod(f, p - k, modulus) * acc)
+        f_pows.append(reduce(f_pows[-1] * f))
+    ladder = [f_pows[-1]]  # S_1 = 1
+    if k > 1:
+        D = D_pow = reduce(X - f_pows[-1] * f)
+        S = reduce(X + D)
+        for level in range(2, k + 1):
+            ladder.append(reduce(f_pows[k - level] * S))
+            if level < k:
+                D_pow = reduce(D_pow * D)
+                S = reduce(X * S + D_pow)
+    return [regroup_t(F) for F in ladder] if flat else ladder
 
 
 def higher_hw_matrix(
-    f: LaurentPoly,
-    mu: OpenSubset,
-    k: int,
-    p: int,
-    sigma: FrobeniusLift,
-    N: int | None,
+    F: LaurentPoly, mu: OpenSubset, k: int, p: int, N: int | None
 ) -> BetaMatrix:
-    """Level-k Hasse-Witt matrix indexed by the lattice points of k*mu.
+    """Level-k Hasse-Witt matrix of F = F_k (`higher_F_polynomials`), indexed
+    by the lattice points of k*mu: its (u, v) entry is the coefficient of
+    x^(p v - u) in F.
 
-    With N = None the entries are exact (needed for determinant valuations);
-    otherwise they are reduced mod p^N, which must satisfy N >= k to carry the
-    congruence content of the level.
+    With N = None, F and the entries are exact (needed for determinant
+    valuations); otherwise F is known mod p^N, which must satisfy N >= k to
+    carry the congruence content of the level.
     """
     if N is not None and N < k:
         raise ValueError("precision N must be at least k")
-    modulus = None if N is None else p**N
-    F = higher_F_polynomial(f, k, p, sigma, modulus)
     points = lattice_points_in_dilate(mu, k)
     flat = [F.coefficient_at(w) for w in _shifts(points, p)]
     return BetaMatrix(tuple(points), _rows(flat, len(points)), p, N)
@@ -255,7 +250,7 @@ def higher_hw_alternative_check(
     if sigma is None:
         sigma = FrobeniusLift.t_power(p)
     modulus = p**k
-    M = higher_hw_matrix(f, mu, k, p, sigma, k)
+    M = higher_hw_matrix(higher_F_polynomials(f, k, p, sigma, modulus)[-1], mu, k, p, k)
     numerator = frobenius_twist(f, sigma, p, modulus)
     numerator = power_mod(numerator, k, modulus)
     targets = _shifts(M.index, p)
@@ -292,8 +287,8 @@ def higher_hw_condition(
         sigma = FrobeniusLift.t_power(p)
     report = {}
     ok = True
-    for level in range(1, k + 1):
-        M = higher_hw_matrix(f, mu, level, p, sigma, None)
+    for level, F in enumerate(higher_F_polynomials(f, k, p, sigma, None), 1):
+        M = higher_hw_matrix(F, mu, level, p, None)
         if M.is_tpoly():
             det = tpoly_det([[TPoly.coerce(e) for e in row] for row in M.entries])
         else:

@@ -13,7 +13,7 @@ work, and `regroup_t` collects the terms back into one TPoly per x-exponent,
 once, on the way out.  So when any coefficient of the input is a TPoly, every
 coefficient of the output is a TPoly (a constant one included); all-int
 inputs never leave the int path.  `power_mod`, `frobenius_discrepancy` and
-`hasse_witt.higher_F_polynomial` take this route.
+`hasse_witt.higher_F_polynomials` take this route.
 """
 
 from __future__ import annotations

@@ -233,6 +233,8 @@ class TestExitCodes:
              f"--bound {10**12} gives a box of more than 10000 indices"),
             (["cartier", "--poly", "triangle.json", "--prime", "3", "--pole", "0",
               "--bound", str(10**12)], f"--bound {10**12} gives a box of more than 10000 indices"),
+            (["higher-hw", "--preset", "simplicial", "--dim", "2", "--prime", "5", "--level", "5"],
+             "need 1 <= k < p"),
         ],
         ids=["exponent-limit", "gauss-bound-0", "gauss-bound-below-p", "zeta-count-ext-0", "lambda-t-trunc-0",
              "asd-smax-0", "super-smax-0", "cy-frobenius-steps-0", "cy-frobenius-steps--1",
@@ -241,7 +243,8 @@ class TestExitCodes:
              "gamma-p-x-zero-denominator", "gamma-p-x-p-in-denominator",
              "cartier-bound--1", "cartier-pole-0", "cartier-pole--2", "lambda-steps-0",
              "lambda-steps--1", "gauss-dims-0", "dwork-dims-0", "cy-instanton-degree--1",
-             "cy-mirror-degree--3", "cartier-bound-past-ceiling", "cartier-bad-pole-past-ceiling"],
+             "cy-mirror-degree--3", "cartier-bound-past-ceiling", "cartier-bad-pole-past-ceiling",
+             "higher-hw-level-at-p"],
     )
     def test_out_of_range_input_is_2(
         self, capsys, monkeypatch, tmp_path, triangle_file, family_file, argv, needle

@@ -457,6 +457,13 @@ class TestExcellentLift:
         rep = excellent_lift_check("simplicial", 2, 7, T=40)
         assert rep["passed"]
 
+    def test_reads_only_the_certified_t_degrees(self):
+        # t_keep = max(4, (T - 1) // p) = 4: T = 8 certifies Lambda below t^3
+        # only, so the check cannot be read there; T = 9 certifies t^4
+        with pytest.raises(ValueError, match="t_keep 4 > t_trunc 3 at T = 8"):
+            excellent_lift_check("simplicial", 2, 5, T=8)
+        assert excellent_lift_check("simplicial", 2, 5, T=9)["passed"]
+
     def test_no_operator_for_family(self):
         with pytest.raises(ValueError):
             excellent_lift_check("hyperoctahedral", 2, 5)

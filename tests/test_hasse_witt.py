@@ -29,7 +29,7 @@ from dworklab.polytope import (
 from dworklab.hasse_witt import (
     HWConditionError,
     beta_matrix,
-    higher_F_polynomial,
+    higher_F_polynomials,
     higher_hw_alternative_check,
     higher_hw_condition,
     higher_hw_matrix,
@@ -344,7 +344,8 @@ class TestHigherHW:
     def test_level_one_equals_hw(self):
         ft = family_poly(SIMPLICIAL2)
         P = newton_polytope(SIMPLICIAL2.support())
-        hh = higher_hw_matrix(ft, interior(P), 1, 5, FrobeniusLift.t_power(5), 2)
+        F1 = higher_F_polynomials(ft, 1, 5, FrobeniusLift.t_power(5), 25)[0]
+        hh = higher_hw_matrix(F1, interior(P), 1, 5, 2)
         hw = beta_matrix(ft, interior(P), 5, 5, 2)
         assert [[e % 25 for e in row] for row in hh.entries] == hw.entries
 
@@ -373,14 +374,40 @@ class TestHigherHW:
         assert not ok
         assert not report[1]["holds"]
 
-    def test_rejects_k_at_least_p(self):
-        with pytest.raises(ValueError):
-            higher_hw_matrix(SIMPLICIAL2, mu_interior(SIMPLICIAL2), 3, 3, ID, 3)
+    def test_rejects_k_at_least_p(self, monkeypatch):
+        import dworklab.hasse_witt as H
+
+        twists = []
+        monkeypatch.setattr(H, "frobenius_twist", lambda *a: twists.append(a))
+        with pytest.raises(ValueError, match="need 1 <= k < p"):
+            higher_hw_condition(SIMPLICIAL2, mu_interior(SIMPLICIAL2), 3, 3, ID)
+        assert twists == []
 
     @pytest.mark.parametrize("k", [0, 5])
     def test_F_polynomial_rejects_k_out_of_range(self, k):
         with pytest.raises(ValueError, match="need 1 <= k < p"):
-            higher_F_polynomial(family_poly(SIMPLICIAL2), k, 5, FrobeniusLift.t_power(5))
+            higher_F_polynomials(family_poly(SIMPLICIAL2), k, 5, FrobeniusLift.t_power(5), None)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_condition_makes_one_twist_and_one_power(self, monkeypatch, k):
+        # one ladder for every level: X = f^sigma(x^p) and f^(p-k) are made
+        # once, the higher powers of f by multiplying by f
+        import dworklab.hasse_witt as H
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(H, "frobenius_twist", counting("twist", frobenius_twist))
+        monkeypatch.setattr(H, "power_mod", counting("power", power_mod))
+        f = LaurentPoly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (-1, -1): -1})
+        _, report = higher_hw_condition(f, mu_interior(SIMPLICIAL2), k, 5, ID)
+        assert sorted(calls) == ["power", "twist"]
+        assert sorted(report) == list(range(1, k + 1))
 
     @pytest.mark.parametrize("p", [9, 4])
     def test_rejects_non_prime(self, p):
@@ -432,7 +459,7 @@ class TestHigherHW:
         # the unit square has no interior point: HW^(1) is 0 x 0 on both routes
         g = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 3})
         mu = interior(newton_polytope(g.support()))
-        assert higher_hw_matrix(g, mu, 1, 5, ID, 1).size() == 0
+        assert higher_hw_matrix(higher_F_polynomials(g, 1, 5, ID, 5)[0], mu, 1, 5, 1).size() == 0
         assert higher_hw_alternative_check(g, mu, 1, 5)
         assert higher_hw_alternative_check(family_poly(g), mu, 1, 5, g=g)
 
@@ -448,9 +475,9 @@ class TestHigherHW:
 
         monkeypatch.setattr(H, "power_mod", counting)
         f = LaurentPoly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (-1, -1): -1})
-        F = higher_F_polynomial(f, 1, 5, ID)
+        ladder = higher_F_polynomials(f, 1, 5, ID, None)
         assert calls == [4]
-        assert F == power_mod(f, 4)
+        assert ladder == [power_mod(f, 4)]
 
     def test_default_lift_is_t_power(self):
         # with no lift passed a family gets t -> t^p, the lift of `dworklab higher-hw`
@@ -462,7 +489,7 @@ class TestHigherHW:
 
 
 def F_by_products(f, k, p, sigma, modulus=None):
-    """higher_F_polynomial with plain LaurentPoly products on f's own
+    """F_k of `higher_F_polynomials` with plain LaurentPoly products on f's own
     coefficients (TPolys multiplied as TPolys): the route before the flat form."""
     reduce = Ring(modulus).reduce
 
@@ -519,14 +546,16 @@ class TestFlatRoute:
     @settings(max_examples=40, deadline=None)
     def test_F_polynomial_matches_tpoly_products(self, case):
         f, k, p, sigma, modulus = case
-        assert typed_terms(higher_F_polynomial(f, k, p, sigma, modulus)) == typed_terms(
-            F_by_products(f, k, p, sigma, modulus))
+        ladder = higher_F_polynomials(f, k, p, sigma, modulus)
+        assert [typed_terms(F) for F in ladder] == [
+            typed_terms(F_by_products(f, level, p, sigma, modulus)) for level in range(1, k + 1)
+        ]
 
     def test_mixed_coefficients_all_come_out_tpoly(self):
         # 1 + (1 - t) x + 2 y: before the flat form some coefficients came out as ints
         f = LaurentPoly(2, {(0, 0): 1, (1, 0): TPoly([1, -1]), (0, 1): 2})
         sigma = FrobeniusLift.t_power(3)
-        F = higher_F_polynomial(f, 1, 3, sigma)
+        (F,) = higher_F_polynomials(f, 1, 3, sigma, None)
         old = F_by_products(f, 1, 3, sigma)
         assert F == old
         assert {type(c) for c in old.terms.values()} == {int, TPoly}
