@@ -14,6 +14,12 @@ once, on the way out.  So when any coefficient of the input is a TPoly, every
 coefficient of the output is a TPoly (a constant one included); all-int
 inputs never leave the int path.  `power_mod`, `frobenius_discrepancy` and
 `hasse_witt.higher_F_polynomials` take this route.
+
+Product keys.  `LaurentPoly.__mul__` adds exponents as ints: e has the key
+sum_i (e_i + 2^18) 2^(20 i), one 20-bit digit per variable.  A polynomial's
+exponents are within EXPONENT_LIMIT = 10^5 < 2^17, so the digits of a sum
+of two keys, 2^19 + e1_i + e2_i, lie in (0, 2^20) and never carry: each
+product exponent is read back from its digits, once, and checked.
 """
 
 from __future__ import annotations
@@ -21,12 +27,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import mul
 
 from .arith import ComposeTable, Ring, TPoly
 from .linalg import independent_rows, int_det
 
 EXPONENT_LIMIT = 10**5  # machine-int guard for exponent arithmetic
+_KEY_BITS = 20  # bits per exponent digit of a product key (module docstring)
+_KEY_BIAS = 1 << 18  # > EXPONENT_LIMIT; 4 * _KEY_BIAS = 2^_KEY_BITS
 
 
 def _check_exponent(e):
@@ -134,17 +142,26 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(add, e1, e2))
-                acc = out.get(e, 0) + c1 * c2
+        shifts = range(0, _KEY_BITS * self.n, _KEY_BITS)
+        weights = [1 << s for s in shifts]
+        bias = sum(_KEY_BIAS << s for s in shifts)  # the key of the zero exponent
+
+        def keyed(terms):
+            return [(bias + sum(map(mul, e, weights)), c) for e, c in terms.items()]
+
+        b = keyed(b)
+        for k1, c1 in keyed(a):
+            for k2, c2 in b:
+                k = k1 + k2
+                acc = out.get(k, 0) + c1 * c2
                 if acc == 0:
-                    out.pop(e, None)
+                    out.pop(k, None)
                 else:
-                    out[e] = acc
-        for e in out:
-            _check_exponent(e)
-        return LaurentPoly._checked(self.n, out)
+                    out[k] = acc
+        mask, twice = (1 << _KEY_BITS) - 1, 2 * _KEY_BIAS
+        return LaurentPoly._checked(self.n, {
+            _check_exponent(tuple([((k >> s) & mask) - twice for s in shifts])): c
+            for k, c in out.items()})
 
     def scale(self, c):
         if c == 0:
@@ -157,7 +174,7 @@ class LaurentPoly:
             c = c % modulus
             if c != 0:
                 out[e] = c
-        return LaurentPoly(self.n, out)
+        return LaurentPoly._checked(self.n, out)
 
     __mod__ = reduce_mod  # so that arith.Ring reduces a Laurent polynomial too
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dworklab.arith import Ring, TPoly
 from dworklab.cy import cyclic_basis, preset_family
 from dworklab.laurent import (
+    CramerBlock,
     FrobeniusLift,
     LaurentPoly,
     coefficient_of_power,
@@ -26,7 +27,7 @@ from dworklab.polytope import (
     whole_polytope,
 )
 from dworklab.harness import supercongruence_family
-from dworklab.hasse_witt import beta_matrix, lambda_unit_root
+from dworklab.hasse_witt import beta_matrix, higher_hw_alternative_check, lambda_unit_root
 from dworklab import cartier
 from dworklab.cartier import (
     _PowerTable,
@@ -401,6 +402,62 @@ class TestExpandOrigin:
         # c_0 for 1/f^2: sum binom(m+1,1) t^m [x^0] g^m
         expect = TPoly([(m + 1) * (math.comb(m, m // 2) if m % 2 == 0 else 0) for m in range(7)])
         assert E.coefficient((0,)) == expect
+
+
+def part_sequence_by_scan(block, w, T, ring):
+    """([x^w] P^a)_{a<T} with every power a < T solved: the scan that
+    `_part_sequence` narrows to a residue class and an interval."""
+    seq = []
+    for a in range(T):
+        xs = block.solve((a,) + w)
+        if xs is not None and (c := block.term(xs, a, ring)):
+            seq.append((a, c))
+    return seq
+
+
+class TestPartSequence:
+    def test_matches_scan_of_every_power(self):
+        rng = random.Random(36)
+        seen = {"negative det": 0, "no feasible power": 0, "nonempty": 0}
+        for _ in range(600):
+            n = rng.randint(1, 3)
+            exps = list({tuple(rng.randint(-3, 3) for _ in range(n))
+                         for _ in range(rng.randint(1, n + 1))})
+            rng.shuffle(exps)
+            block = CramerBlock.of([(e, rng.choice([-2, -1, 1, 2, 3])) for e in exps])
+            if block.free:
+                continue
+            T = rng.randint(1, 25)
+            if rng.random() < 0.5:  # a reachable w: a sum of exponents of the part
+                picks = [rng.choice(exps) for _ in range(rng.randint(0, T))]
+                w = tuple(sum(col) for col in zip((0,) * n, *picks))
+            else:
+                w = tuple(rng.randint(-8, 8) for _ in range(n))
+            ring = Ring(rng.choice([None, 25, 49]))
+            seq = cartier._part_sequence(block, w, T, ring)
+            assert seq == part_sequence_by_scan(block, w, T, ring), (exps, w, T)
+
+            def numerators(a):
+                rhs = [((a,) + w)[j] for j in block.rows]
+                return [sum(x * y for x, y in zip(arow, rhs)) for arow in block.adj]
+
+            seen["negative det"] += block.det < 0
+            seen["no feasible power"] += not any(
+                all(x * block.det >= 0 for x in numerators(a)) for a in range(T))
+            seen["nonempty"] += bool(seq)
+        assert min(seen.values()) >= 20, seen
+
+    def test_family_alternative_check_solves_only_feasible_powers(self, monkeypatch):
+        # the hhw-alt-family benchmark cell: simplicial(2) at p = 7 and k = 2
+        # by the origin route; solving every power of each residue class made
+        # 3010 calls
+        calls, solution = [], CramerBlock.solution
+        monkeypatch.setattr(CramerBlock, "solution",
+                            lambda self, *a: calls.append(1) or solution(self, *a))
+        W = whole_polytope(newton_polytope(SIMPLICIAL2.support()))
+        assert higher_hw_alternative_check(family_poly(SIMPLICIAL2), W, 2, 7,
+                                           FrobeniusLift.t_power(7), g=SIMPLICIAL2)
+        assert 0 < len(calls) <= 400
 
 
 class TestCartierShift:

@@ -1,5 +1,8 @@
 import json
 import random
+import re
+from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from dworklab.arith import Ring, TPoly
 from dworklab.laurent import (
+    EXPONENT_LIMIT,
     FrobeniusLift,
     LaurentPoly,
     coefficient_of_power,
@@ -18,6 +22,7 @@ from dworklab.laurent import (
     poly_from_json,
     power_mod,
     regroup_t,
+    _check_exponent,
 )
 from dworklab.polytope import newton_polytope
 
@@ -50,6 +55,93 @@ class TestMultiply:
     def test_variable_count_mismatch(self):
         with pytest.raises(ValueError):
             LaurentPoly(1, {(0,): 1}) * LaurentPoly(2, {(0, 0): 1})
+
+
+def product_by_tuples(f, g):
+    """f * g with tuple exponent keys, the product before packed int keys:
+    the same loop order and pop-on-zero rule, so the same terms in the same
+    order."""
+    out = {}
+    a, b = f.terms, g.terms
+    if len(a) > len(b):
+        a, b = b, a
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            acc = out.get(e, 0) + c1 * c2
+            if acc == 0:
+                out.pop(e, None)
+            else:
+                out[e] = acc
+    for e in out:
+        _check_exponent(e)
+    return out
+
+
+UNITS = st.sampled_from([-1, 1])  # coefficients of +-1 make sums cancel often
+COEFFICIENTS = {
+    "int": st.integers(-2, 2),
+    "fraction": st.builds(Fraction, UNITS, st.integers(1, 2)),
+    "tpoly": st.lists(UNITS, min_size=1, max_size=2).map(TPoly),
+}
+
+
+@st.composite
+def product_pairs(draw):
+    """Two polynomials in n = 1..4 variables with int, Fraction, TPoly or
+    mixed coefficients, on exponents in {-1, 0, 1}^n so that products repeat
+    exponents; half the time f and f with some signs flipped, whose product
+    has cancelling cross terms."""
+    n = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(sorted(COEFFICIENTS)), min_size=1, max_size=2))
+    coeff = st.one_of(*[COEFFICIENTS[k] for k in kinds])
+
+    def poly():
+        return draw(st.dictionaries(st.tuples(*([st.integers(-1, 1)] * n)), coeff,
+                                    min_size=1, max_size=8).map(lambda d: LaurentPoly(n, d)))
+
+    f = poly()
+    if draw(st.booleans()):  # f and f with some signs flipped: cross terms cancel
+        flips = draw(st.lists(st.booleans(), min_size=len(f.terms), max_size=len(f.terms)))
+        return f, LaurentPoly(n, {e: -c if s else c for (e, c), s in zip(f.terms.items(), flips)})
+    return f, poly()
+
+
+class TestKeyedProduct:
+    @given(product_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tuple_key_product(self, pair):
+        f, g = pair
+        expected = [(e, type(c), c) for e, c in product_by_tuples(f, g).items()]
+        # values, types and iteration order: CramerBlock.of picks its solved
+        # columns by term order
+        assert [(e, type(c), c) for e, c in (f * g).terms.items()] == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_exponents_at_the_limit_decode(self, n):
+        L = EXPONENT_LIMIT
+        corner = tuple(L if i % 2 == 0 else -L for i in range(n))
+        opposite = tuple(-x for x in corner)
+        f = LaurentPoly(n, {corner: 2, (0,) * n: 1})
+        g = LaurentPoly(n, {(0,) * n: 5, opposite: 7})
+        assert list((f * g).terms.items()) == list(product_by_tuples(f, g).items())
+        assert (f * g).terms == {corner: 10, (0,) * n: 19, opposite: 7}
+        # x^corner * x^-corner = 1
+        assert LaurentPoly(n, {corner: 1}) * LaurentPoly(n, {opposite: 1}) \
+            == LaurentPoly.constant(n, 1)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("step", [1, EXPONENT_LIMIT])
+    def test_product_past_the_limit_raises(self, sign, step):
+        # the message names the decoded exponent, up to +-2 * EXPONENT_LIMIT
+        L = EXPONENT_LIMIT
+        f = LaurentPoly(3, {(0, sign * L, 1): 1})
+        g = LaurentPoly(3, {(0, sign * step, -1): 1, (0, 0, 0): 1})
+        past = (0, sign * (L + step), 0)
+        with pytest.raises(OverflowError, match=re.escape(f"exponent {past} exceeds")):
+            f * g
+        with pytest.raises(OverflowError, match=re.escape(f"exponent {past} exceeds")):
+            product_by_tuples(f, g)
 
 
 class TestPowerMod:
