@@ -33,6 +33,7 @@ from .laurent import (
     CramerBlock,
     FrobeniusLift,
     LaurentPoly,
+    feasible_range,
     frobenius_discrepancy,
     has_tpoly,
     power_mod,
@@ -400,30 +401,13 @@ def _disjoint_parts(g: LaurentPoly):
 def _part_sequence(block: CramerBlock, w, T: int, ring: Ring):
     """([x^w] P^a)_{a<T} for the part P of `block` with no free
     multiplicities, as its nonzero (a, value) pairs.  The Cramer numerators
-    are affine in the power a, base + a * step, so the powers that make them
-    all divisible by det are one residue class mod q = |det| / gcd(det,
-    step), and the powers that make every multiplicity (base + a * step) /
-    det nonnegative are one interval [lo, hi]; only their intersection is
-    solved."""
+    are affine in the power a, base + a * step, so only the powers of
+    `feasible_range` are solved."""
     rhs = [((0,) + w)[j] for j in block.rows]
     base = [sum(x * y for x, y in zip(arow, rhs)) for arow in block.adj]
     step = [arow[0] for arow in block.adj]  # rows[0] is row 0 of (1, u): the power a
-    det = block.det
-    lo, hi = 0, T - 1
-    for x, y in zip(base, step):
-        if det < 0:  # then the multiplicity is >= 0 exactly when -x - a * y >= 0
-            x, y = -x, -y
-        if y > 0:
-            lo = max(lo, -(x // y))  # ceil(-x / y)
-        elif y < 0:
-            hi = min(hi, x // -y)
-        elif x < 0:
-            return []
-    q = abs(det) // math.gcd(det, *step)
-    first = next((a for a in range(lo, min(lo + q, hi + 1))
-                  if all((x + a * y) % det == 0 for x, y in zip(base, step))), hi + 1)
     seq = []
-    for a in range(first, hi + 1, q):
+    for a in feasible_range(block.det, base, step, 0, T - 1):
         xs = block.solution([x + a * y for x, y in zip(base, step)], (a,) + w)
         if xs is not None:
             c = block.term(xs, a, ring)

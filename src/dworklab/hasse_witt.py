@@ -91,7 +91,11 @@ def beta_matrix(
         raise ValueError("m must be >= 1")
     if N < 1:
         raise ValueError("precision N must be >= 1")
-    points = lattice_points_in_dilate(mu, 1)
+    return _beta(f, lattice_points_in_dilate(mu, 1), m, p, N)
+
+
+def _beta(f: LaurentPoly, points: list, m: int, p: int, N: int) -> BetaMatrix:
+    """beta_m on the lattice points of mu, given as `points`, mod p^N."""
     flat = coefficient_of_power(f, m - 1, _shifts(points, m), p**N)
     return BetaMatrix(tuple(points), _rows(flat, len(points)), p, N)
 
@@ -127,11 +131,12 @@ def lambda_unit_root(
     odd_prime(p)
     if s < 1:
         raise ValueError(f"need s >= 1, not s = {s!r}")
-    bp = beta_matrix(f, mu, p, p, s)
+    points = lattice_points_in_dilate(mu, 1)  # scanned once for the ladder
+    bp = _beta(f, points, p, p, s)
     if _hw_det(bp) == 0:
         raise HWConditionError(0)
     betas = [BetaMatrix(bp.index, identity_matrix(bp.size()), p, s), bp]  # f^0 = 1
-    betas += [beta_matrix(f, mu, p**k, p, s) for k in range(2, s + 1)]
+    betas += [_beta(f, points, p**k, p, s) for k in range(2, s + 1)]
     ladder = []
     for k, (den, num) in enumerate(zip(betas, betas[1:]), 1):
         # a t-family's beta entries are TPolys, and its Lambda lives in the

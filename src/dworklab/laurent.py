@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul, sub
 
 from .arith import ComposeTable, Ring, TPoly
 from .linalg import independent_rows, int_det
@@ -117,22 +117,26 @@ class LaurentPoly:
         if self.n != other.n:
             raise ValueError("variable-count mismatch")
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other for op = add or sub, term by term, dropping zeros."""
         self._require_same_context(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            acc = out.get(e, 0) + c
+            acc = op(out.get(e, 0), c)
             if acc == 0:
                 out.pop(e, None)
             else:
                 out[e] = acc
-        return LaurentPoly(self.n, out)
+        return LaurentPoly._checked(self.n, out)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __neg__(self):
-        return LaurentPoly(self.n, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._checked(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -164,9 +168,8 @@ class LaurentPoly:
             for k, c in out.items()})
 
     def scale(self, c):
-        if c == 0:
-            return LaurentPoly(self.n)
-        return LaurentPoly(self.n, {e: co * c for e, co in self.terms.items()})
+        return LaurentPoly._checked(self.n, {
+            e: x for e, co in self.terms.items() if (x := co * c) != 0})
 
     def reduce_mod(self, modulus: int) -> "LaurentPoly":
         out = {}
@@ -179,7 +182,8 @@ class LaurentPoly:
     __mod__ = reduce_mod  # so that arith.Ring reduces a Laurent polynomial too
 
     def map_coefficients(self, fn) -> "LaurentPoly":
-        return LaurentPoly(self.n, {e: fn(c) for e, c in self.terms.items()})
+        return LaurentPoly._checked(self.n, {
+            e: x for e, c in self.terms.items() if (x := fn(c)) != 0})
 
 
 def has_tpoly(f: LaurentPoly) -> bool:
@@ -304,6 +308,29 @@ class CramerBlock:
         return term
 
 
+def feasible_range(det: int, base, step, lo: int, hi: int) -> range:
+    """The a in [lo, hi] at which every (base_j + a * step_j) / det is a
+    nonnegative integer, in increasing order, or an empty range.
+
+    Each quotient is affine in a, so the a that make it nonnegative are one
+    interval (signs flipped for det < 0), and the a that make every
+    numerator divisible by det are one residue class mod |det| / gcd(det,
+    step); the range is their intersection."""
+    for x, y in zip(base, step):
+        if det < 0:  # then the quotient is >= 0 exactly when -x - a * y >= 0
+            x, y = -x, -y
+        if y > 0:
+            lo = max(lo, -(x // y))  # ceil(-x / y)
+        elif y < 0:
+            hi = min(hi, x // -y)
+        elif x < 0:
+            return range(0)
+    q = abs(det) // math.gcd(det, *step)
+    first = next((a for a in range(lo, min(lo + q, hi + 1))
+                  if all((x + a * y) % det == 0 for x, y in zip(base, step))), hi + 1)
+    return range(first, hi + 1, q)
+
+
 def coefficient_of_power(f: LaurentPoly, m: int, ws, modulus: int | None = None):
     """The coefficients of x^w in f^m for the exponents w of ws, in order,
     without expanding the full power.
@@ -311,10 +338,14 @@ def coefficient_of_power(f: LaurentPoly, m: int, ws, modulus: int | None = None)
     Each sums m!/prod(k_i!) * prod(c_i^k_i) over the solutions k >= 0 of
     sum k_i = m, sum k_i u_i = w, where f = sum c_i x^u_i.  One `CramerBlock`
     of f and one set of per-coordinate suffix bounds serve all of ws: only
-    the free multiplicities are enumerated, pruned by the bounds, and each
-    choice leaves one Cramer solve.  So the work grows with the number of
-    solutions, not with the support of f^m, and a degenerate support
-    (collinear, coplanar, a single point) is just a smaller block.
+    the free multiplicities are enumerated, and each choice leaves one
+    Cramer solve.  All but the last free multiplicity are scanned, pruned by
+    the bounds.  The Cramer numerators are affine in the last one, so its
+    values that leave every solved multiplicity a nonnegative integer are
+    one interval met with one residue class (`feasible_range`), and only
+    those are solved, in increasing order.  So the work grows with the
+    number of solutions, not with the support of f^m, and a degenerate
+    support (collinear, coplanar, a single point) is just a smaller block.
     """
     ws = [tuple(w) for w in ws]
     if any(len(w) != f.n for w in ws):
@@ -326,24 +357,35 @@ def coefficient_of_power(f: LaurentPoly, m: int, ws, modulus: int | None = None)
         return [1 if m == 0 and not any(w) else 0 for w in ws]
     ring = Ring(modulus)
     block = CramerBlock.of(terms)
-    exps, free = block.exps, block.free
+    exps, free, rows, adj, det = block.exps, block.free, block.rows, block.adj, block.det
     bounds = [(tuple(map(min, zip(*exps[i:]))), tuple(map(max, zip(*exps[i:]))))
               for i in range(len(exps))]
-    solve, term = block.solve, block.term
+    solve, solution, term = block.solve, block.solution, block.term
+    if free:  # how the numerators move per unit of the last free multiplicity
+        last = (1,) + exps[free - 1]
+        step = [-sum(a * last[j] for a, j in zip(arow, rows)) for arow in adj]
     totals = []  # one running total per w of ws
 
+    def collect(xs, ks):
+        if xs is not None:
+            totals[-1] = ring.reduce(totals[-1] + term(ks + xs, m, ring))
+
     def rec(i, remaining, target, ks):
-        if i == free:
-            xs = solve((remaining,) + target)
-            if xs is not None:
-                totals[-1] = ring.reduce(totals[-1] + term(ks + xs, m, ring))
-            return
-        lo, hi = bounds[i + 1]
-        for kk in range(remaining + 1):
-            new_target = tuple(t - kk * e for t, e in zip(target, exps[i]))
-            rem = remaining - kk
-            if all(a * rem <= t <= z * rem for a, t, z in zip(lo, new_target, hi)):
-                rec(i + 1, rem, new_target, ks + [kk])
+        if i + 1 < free:
+            lo, hi = bounds[i + 1]
+            for kk in range(remaining + 1):
+                new_target = tuple(t - kk * e for t, e in zip(target, exps[i]))
+                rem = remaining - kk
+                if all(a * rem <= t <= z * rem for a, t, z in zip(lo, new_target, hi)):
+                    rec(i + 1, rem, new_target, ks + [kk])
+        elif not free:
+            collect(solve((remaining,) + target), ks)
+        else:  # i is the last free multiplicity: solve only its feasible values
+            rhs = (remaining,) + target
+            base = [sum(a * rhs[j] for a, j in zip(arow, rows)) for arow in adj]
+            for kk in feasible_range(det, base, step, 0, remaining):
+                left = (remaining - kk,) + tuple(t - kk * e for t, e in zip(target, exps[i]))
+                collect(solution([x + kk * y for x, y in zip(base, step)], left), ks + [kk])
 
     for w in ws:
         totals.append(0)

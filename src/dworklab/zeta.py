@@ -74,7 +74,14 @@ def unit_group(p: int, s: int) -> list:
 
 
 def count_torus_points(f: LaurentPoly, p: int, s: int) -> int:
-    """#{x in (F_{p^s}^*)^n : f(x) = 0} by exhaustive evaluation."""
+    """#{x in (F_{p^s}^*)^n : f(x) = 0} by exhaustive evaluation.
+
+    The points are taken a row at a time: the first n - 1 logarithms l' are
+    fixed and the last one, l, runs over 0..q-2.  Along the row the term
+    c x^e is exp[o + e_last l] with o = log c + e'.l', so its whole row is
+    the table rotated by o and read at the indices e_last l mod (q - 1),
+    one `itemgetter` per term; the rows of the terms are summed entry by
+    entry and the zeros of the row counted in one pass."""
     q = p**s
     if (q - 1) ** f.n > EVALUATION_BUDGET:
         raise BudgetExceededError(
@@ -85,6 +92,8 @@ def count_torus_points(f: LaurentPoly, p: int, s: int) -> int:
     if any(isinstance(c, TPoly) for c in f.terms.values()):
         raise ValueError("point counting needs integer coefficients")
     terms = [(log[(c % p,) + (0,) * (s - 1)], e) for e, c in f.terms.items() if c % p]
+    if not terms:  # f vanishes identically mod p
+        return (q - 1) ** f.n
     # At x = g^l the term c x^e is exp[log c + e.l].  A sum of field elements
     # adds their coefficient tuples: packed as digits in base > len(terms)
     # (p - 1) they add without carries, and the sum is zero when every digit
@@ -93,10 +102,15 @@ def count_torus_points(f: LaurentPoly, p: int, s: int) -> int:
     packed = [sum(d * base**i for i, d in enumerate(x)) for x in exp]
     zeros = {sum(d * base**i for i, d in enumerate(ds))
              for ds in itertools.product(range(0, base, p), repeat=s)}
+    readers = [(lc, e[:-1], operator.itemgetter(*[e[-1] * l % (q - 1) for l in range(q - 1)]))
+            for lc, e in terms]
     count = 0
-    for ls in itertools.product(range(q - 1), repeat=f.n):
-        acc = sum(packed[(lc + sum(map(operator.mul, e, ls))) % (q - 1)] for lc, e in terms)
-        count += acc in zeros
+    for ls in itertools.product(range(q - 1), repeat=f.n - 1):
+        row = []
+        for lc, head, read in readers:
+            o = (lc + sum(map(operator.mul, head, ls))) % (q - 1)
+            row.append(read(packed[o:] + packed[:o]))
+        count += sum(map(zeros.__contains__, map(sum, zip(*row))))
     return count
 
 

@@ -239,16 +239,16 @@ class TestFailurePaths:
     def test_corrupted_hhw_fails(self, monkeypatch):
         # the second congruence reads beta_{p^2} through lambda_unit_root
         import dworklab.hasse_witt as HW
-        from dworklab.hasse_witt import beta_matrix as real_beta
 
-        def corrupted(f, mu, m, p, N):
-            M = real_beta(f, mu, m, p, N)
+        real_beta = HW._beta  # every beta build: beta_matrix's and the ladder's
+
+        def corrupted(f, points, m, p, N):
+            M = real_beta(f, points, m, p, N)
             if m == p**2:
                 M.entries[0][0] = (M.entries[0][0] + p) % p**N if N > 1 else M.entries[0][0]
             return M
 
-        monkeypatch.setattr(H, "beta_matrix", corrupted)
-        monkeypatch.setattr(HW, "beta_matrix", corrupted)
+        monkeypatch.setattr(HW, "_beta", corrupted)
         report = suite_hhw(JobSpec(primes=(5,), s_max=2))
         assert not report.passed
 
@@ -341,14 +341,13 @@ class TestBetaLadder:
         import dworklab.hasse_witt as HW
 
         calls = []
-        real = HW.beta_matrix
+        real = HW._beta  # every beta build: beta_matrix's and the ladder's
 
-        def counting(f, mu, m, p, N):
+        def counting(f, points, m, p, N):
             calls.append(m)
-            return real(f, mu, m, p, N)
+            return real(f, points, m, p, N)
 
-        monkeypatch.setattr(H, "beta_matrix", counting)
-        monkeypatch.setattr(HW, "beta_matrix", counting)
+        monkeypatch.setattr(HW, "_beta", counting)
         return calls
 
     def test_hhw_builds_one_ladder_per_cell_triple(self, beta_calls):

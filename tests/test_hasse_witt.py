@@ -206,17 +206,28 @@ class TestLambdaUnitRoot:
         import dworklab.hasse_witt as HW
 
         built = []
+        real = HW._beta  # the ladder builds each beta through it
 
-        def counting(f, mu, m, p, N):
+        def counting(f, points, m, p, N):
             built.append(m)
-            return beta_matrix(f, mu, m, p, N)
+            return real(f, points, m, p, N)
 
-        monkeypatch.setattr(HW, "beta_matrix", counting)
+        monkeypatch.setattr(HW, "_beta", counting)
         f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
         mu = interior(newton_polytope(f.support() | {(0, 0)}))
         with pytest.raises(HWConditionError):
             lambda_unit_root(f, mu, 3, ID, 3)
         assert built == [3]
+
+    def test_scans_mu_once_per_ladder(self, monkeypatch):
+        import dworklab.hasse_witt as HW
+
+        scans, real = [], HW.lattice_points_in_dilate
+        monkeypatch.setattr(HW, "lattice_points_in_dilate",
+                            lambda mu, k: scans.append(k) or real(mu, k))
+        f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): 2})
+        assert len(lambda_unit_root(f, whole_polytope(newton_polytope(f.support())), 5, ID, 3)) == 3
+        assert scans == [1]
 
     @pytest.mark.parametrize("p,mu_of", [(3, whole_polytope), (5, whole_polytope), (5, interior)])
     def test_ladder_levels_are_the_one_level_matrices(self, p, mu_of):

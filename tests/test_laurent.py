@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dworklab.arith import Ring, TPoly
+from dworklab.harness import JobSpec, suite_asd
 from dworklab.laurent import (
     EXPONENT_LIMIT,
+    CramerBlock,
     FrobeniusLift,
     LaurentPoly,
     coefficient_of_power,
@@ -25,6 +27,7 @@ from dworklab.laurent import (
     _check_exponent,
 )
 from dworklab.polytope import newton_polytope
+from dworklab.zeta import eigenvalue_crosscheck
 
 
 def sparse_polys(n=2, max_terms=5, coeff=st.integers(-5, 5)):
@@ -142,6 +145,32 @@ class TestKeyedProduct:
             f * g
         with pytest.raises(OverflowError, match=re.escape(f"exponent {past} exceeds")):
             product_by_tuples(f, g)
+
+
+class TestLinearOps:
+    @given(product_pairs(), st.integers(-2, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_validating_constructor(self, pair, c):
+        # sums, differences, negatives, scalings and coefficient maps wrap
+        # exponents that are already valid: each must give the terms, types
+        # and order the validating constructor gives, zeros dropped
+        f, g = pair
+
+        def built(terms):
+            return [(e, type(x), x) for e, x in LaurentPoly(f.n, terms).terms.items()]
+
+        def got(h):
+            return [(e, type(x), x) for e, x in h.terms.items()]
+
+        def fn(x):  # sends the coefficient 1 to zero
+            return 0 * x if x == 1 else 2 * x
+
+        negated = [(e, -x) for e, x in g.terms.items()]
+        assert got(f + g) == built(list(f.terms.items()) + list(g.terms.items()))
+        assert got(f - g) == built(list(f.terms.items()) + negated)
+        assert got(-g) == built(negated)
+        assert got(f.scale(c)) == built([(e, x * c) for e, x in f.terms.items()])
+        assert got(f.map_coefficients(fn)) == built([(e, fn(x)) for e, x in f.terms.items()])
 
 
 class TestPowerMod:
@@ -299,6 +328,36 @@ def degenerate_powers(draw):
     return f, m, w, modulus
 
 
+def coefficient_of_power_by_scan(f, m, ws, modulus=None):
+    """`coefficient_of_power` with every value of every free multiplicity
+    scanned and bound-checked, the last one included: the oracle for the
+    feasible range the library solves instead."""
+    ring = Ring(modulus)
+    block = CramerBlock.of(f.sorted_terms())
+    exps, free = block.exps, block.free
+    bounds = [(tuple(map(min, zip(*exps[i:]))), tuple(map(max, zip(*exps[i:]))))
+              for i in range(len(exps))]
+    totals = []
+
+    def rec(i, remaining, target, ks):
+        if i == free:
+            xs = block.solve((remaining,) + target)
+            if xs is not None:
+                totals[-1] = ring.reduce(totals[-1] + block.term(ks + xs, m, ring))
+            return
+        lo, hi = bounds[i + 1]
+        for kk in range(remaining + 1):
+            new_target = tuple(t - kk * e for t, e in zip(target, exps[i]))
+            rem = remaining - kk
+            if all(a * rem <= t <= z * rem for a, t, z in zip(lo, new_target, hi)):
+                rec(i + 1, rem, new_target, ks + [kk])
+
+    for w in ws:
+        totals.append(0)
+        rec(0, m, tuple(w), [])
+    return totals
+
+
 class TestCoefficientOfPower:
     @given(degenerate_powers())
     @settings(max_examples=150, deadline=None)
@@ -342,6 +401,44 @@ class TestCoefficientOfPower:
         [c] = coefficient_of_power(ft, 4, [(0, 0)], 5**3)
         assert isinstance(c, TPoly)
         assert c[0] == 1 and c[3] == (-4 * 6) % 125
+
+    def test_matches_full_range_scan(self):
+        rng = random.Random(37)
+        seen = {"free >= 2": 0, "negative det": 0, "m = 0": 0, "exact": 0, "mod p^N": 0,
+                "nonzero": 0}
+        for _ in range(500):
+            n = rng.randint(1, 3)
+            terms = {tuple(rng.randint(-2, 2) for _ in range(n)): rng.choice([-3, -1, 1, 2, 5])
+                     for _ in range(rng.randint(1, n + 4))}
+            f = LaurentPoly(n, terms)
+            m = rng.randint(0, 9)
+            exps = list(terms)
+            ws = [tuple(map(sum, zip((0,) * n, *rng.choices(exps, k=m)))) for _ in range(3)]
+            ws += [tuple(rng.randint(-2 * m, 2 * m) for _ in range(n)) for _ in range(2)]
+            modulus = rng.choice([None, 9, 25, 7**3])
+            got = coefficient_of_power(f, m, ws, modulus)
+            assert got == coefficient_of_power_by_scan(f, m, ws, modulus), (terms, m, ws, modulus)
+            block = CramerBlock.of(f.sorted_terms())
+            seen["free >= 2"] += block.free >= 2
+            seen["negative det"] += block.det < 0
+            seen["m = 0"] += m == 0
+            seen["exact" if modulus is None else "mod p^N"] += 1
+            seen["nonzero"] += any(got)
+        assert min(seen.values()) >= 20, seen
+
+    def test_integer_fibres_solve_only_feasible_multiplicities(self, monkeypatch):
+        # the integer-fibres benchmark inputs at seed 0: the ASD grid and the
+        # two trace-vs-count crosschecks; scanning every value of the last
+        # free multiplicity made 513 calls
+        calls, solution = [], CramerBlock.solution
+        monkeypatch.setattr(CramerBlock, "solution",
+                            lambda self, *a: calls.append(1) or solution(self, *a))
+        assert suite_asd(JobSpec(primes=(3, 5, 7), s_max=3)).passed
+        assert suite_asd(JobSpec(primes=(13,), s_max=3, curves=((-1, 0),))).passed
+        for c0, p in ((2, 5), (1, 7)):
+            f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1, (0, 0): c0})
+            assert eigenvalue_crosscheck(f, p, 2)["pass"]
+        assert 0 < len(calls) <= 250
 
 
 class TestFrobeniusTwist:

@@ -1,4 +1,7 @@
 import itertools
+import math
+import operator
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from dworklab.laurent import FrobeniusLift, LaurentPoly, family_poly
 from dworklab.polytope import interior, newton_polytope
 from dworklab.hasse_witt import lambda_unit_root
 from dworklab.zeta import (
+    EVALUATION_BUDGET,
     BudgetExceededError,
     asd_alpha,
     count_torus_points,
@@ -71,7 +75,51 @@ def naive_torus_count(f, p, s):
     return count
 
 
+def count_by_point(f, p, s):
+    """`count_torus_points` one point at a time, every term's table entry
+    looked up for every point: the oracle for the rows the library reads."""
+    q = p**s
+    exp = unit_group(p, s)
+    log = {x: i for i, x in enumerate(exp)}
+    terms = [(log[(c % p,) + (0,) * (s - 1)], e) for e, c in f.terms.items() if c % p]
+    base = len(terms) * (p - 1) + 1
+    packed = [sum(d * base**i for i, d in enumerate(x)) for x in exp]
+    zeros = {sum(d * base**i for i, d in enumerate(ds))
+             for ds in itertools.product(range(0, base, p), repeat=s)}
+    count = 0
+    for ls in itertools.product(range(q - 1), repeat=f.n):
+        acc = sum(packed[(lc + sum(map(operator.mul, e, ls))) % (q - 1)] for lc, e in terms)
+        count += acc in zeros
+    return count
+
+
 class TestCountTorusPoints:
+    def test_matches_count_by_point(self):
+        rng = random.Random(37)
+        fields = [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
+        seen = {"n = 1": 0, "n = 2": 0, "n = 3": 0, "s = 1": 0, "s = 2": 0, "s = 3": 0,
+                "coefficient divisible by p": 0, "every term 0 mod p": 0,
+                "e_last = 0": 0, "gcd(e_last, q - 1) > 1": 0}
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            p, s = rng.choice([(p, s) for p, s in fields if (p**s - 1) ** n <= 20000])
+            q = p**s
+            scale = p if rng.random() < 0.15 else 1
+            terms = {tuple(rng.randint(-4, 4) for _ in range(n)):
+                     scale * rng.choice([x for x in range(-2 * p, 2 * p + 1) if x])
+                     for _ in range(rng.randint(1, 5))}
+            f = LaurentPoly(n, terms)
+            assert (q - 1) ** n <= EVALUATION_BUDGET
+            assert count_torus_points(f, p, s) == count_by_point(f, p, s), (terms, p, s)
+            seen[f"n = {n}"] += 1
+            seen[f"s = {s}"] += 1
+            seen["coefficient divisible by p"] += any(c % p == 0 for c in terms.values())
+            seen["every term 0 mod p"] += all(c % p == 0 for c in terms.values())
+            seen["e_last = 0"] += any(e[-1] == 0 and c % p for e, c in terms.items())
+            seen["gcd(e_last, q - 1) > 1"] += any(
+                e[-1] and math.gcd(e[-1], q - 1) > 1 and c % p for e, c in terms.items())
+        assert min(seen.values()) >= 20, seen
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_naive_evaluation(self, data):
